@@ -11,28 +11,36 @@ The x-direction is never introduced as a variable: every x-dependence enters
 through the shift ``t{gamma}_0 -> t{gamma}_0 + A^gamma x``, so d/dx acts on
 evaluated quantities as the unit-direction derivative at level zero.
 
-Like `ottr.algebra`, every series carries a reliable degree ``rel`` and all
-operations propagate it, so equality checks never compare coefficients that
-truncation has already corrupted.
+`BigSeries` is the big-phase subclass of the kernel `ottr.algebra.SparseSeries`:
+graded by total degree, with the level as the bounded index.  Like every
+kernel value it carries a reliable degree ``rel`` that all operations
+propagate, so equality checks never compare coefficients that truncation has
+already corrupted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .algebra import (
     KIND_PHI,
     KIND_V,
+    ONE,
     JetPoly,
     JetTruncation,
-    TruncationMismatchError,
-    _rel_add,
+    Monomial,
+    SparseSeries,
+    Var,
     _rel_min,
     frac,
-    mono_from_factors as jet_mono_from_factors,
+    mono_from_factors,
+    mono_max_index,
+    mono_mul,
+    partial,
     phivar,
+    poly_eq as series_eq,
     vvar,
 )
 
@@ -43,11 +51,8 @@ BIG_KIND_NAMES = {KIND_T: "t", KIND_S: "s"}
 BIG_KIND_CODES = {name: code for code, name in BIG_KIND_NAMES.items()}
 
 # A big-phase variable is (kind, alpha, level); alpha is 0 for s-variables.
-BigVar = tuple[int, int, int]
-BigMonomial = tuple[tuple[BigVar, int], ...]
-TermKey = tuple[int, BigMonomial]
-
-ONE = ()
+BigVar = Var
+BigMonomial = Monomial
 
 
 class LevelOverflowError(ValueError):
@@ -96,27 +101,6 @@ def big_var_name(var: BigVar) -> str:
     return f"s_{level}"
 
 
-def mono_mul(m1: BigMonomial, m2: BigMonomial) -> BigMonomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    acc = dict(m1)
-    for var, exp in m2:
-        acc[var] = acc.get(var, 0) + exp
-    return tuple(sorted(acc.items()))
-
-
-def mono_from_factors(factors: Iterable[tuple[BigVar, int]]) -> BigMonomial:
-    acc: dict[BigVar, int] = {}
-    for var, exp in factors:
-        if exp < 0:
-            raise ValueError("negative exponent")
-        if exp:
-            acc[var] = acc.get(var, 0) + exp
-    return tuple(sorted(acc.items()))
-
-
 def mono_degree(m: BigMonomial) -> int:
     return sum(exp for _, exp in m)
 
@@ -126,247 +110,45 @@ def mono_weight(m: BigMonomial) -> int:
     return sum(level * exp for (kind, alpha, level), exp in m)
 
 
-def mono_max_level(m: BigMonomial) -> int:
-    return max((level for (kind, alpha, level), exp in m), default=0)
-
-
-def exponent_of(m: BigMonomial, var: BigVar) -> int:
-    for v, e in m:
-        if v == var:
-            return e
-    return 0
-
-
 def mono_mul_var(m: BigMonomial, var: BigVar) -> BigMonomial:
     return mono_mul(m, ((var, 1),))
 
 
-def mono_div_var(m: BigMonomial, var: BigVar) -> BigMonomial | None:
-    """Remove one factor of var, or None if absent."""
-    for idx, (v, e) in enumerate(m):
-        if v == var:
-            factors = list(m)
-            if e == 1:
-                del factors[idx]
-            else:
-                factors[idx] = (v, e - 1)
-            return tuple(factors)
-    return None
+class BigSeries(SparseSeries):
+    """A degree-truncated formal power series with exact rational coefficients.
 
+    Graded by total degree in every variable; the level is the bounded index.
+    """
 
-class BigSeries:
-    """A degree-truncated formal power series with exact rational coefficients."""
+    __slots__ = ()
 
-    __slots__ = ("terms", "trunc", "rel")
+    mono_degree = staticmethod(mono_degree)
 
-    def __init__(self, terms: Mapping[TermKey, Fraction], trunc: Truncation,
-                 rel: int | None = None, _checked: bool = False):
-        if _checked:
-            self.terms = dict(terms)
-        else:
-            kept: dict[TermKey, Fraction] = {}
-            for (eps, mono), coef in terms.items():
-                coef = frac(coef)
-                if not coef:
-                    continue
-                if eps < 0:
-                    raise ValueError("negative eps power")
-                if eps > trunc.eps_max:
-                    continue
-                if mono_max_level(mono) > trunc.level_max:
-                    raise LevelOverflowError(
-                        f"level exceeds bound {trunc.level_max} in {mono}")
-                d = mono_degree(mono)
-                if d > trunc.deg_max:
-                    continue
-                if rel is not None and d > rel:
-                    continue
-                kept[(eps, mono)] = coef
-            self.terms = kept
-        self.trunc = trunc
-        self.rel = rel
+    @staticmethod
+    def var_degree(var: BigVar) -> int:
+        return 1
 
-    # -- constructors ------------------------------------------------------
+    @staticmethod
+    def bounds(trunc) -> tuple[int, int]:
+        return trunc.deg_max, trunc.level_max
 
-    @classmethod
-    def zero(cls, trunc: Truncation, rel: int | None = None) -> "BigSeries":
-        return cls({}, trunc, rel, _checked=True)
+    overflow_error = LevelOverflowError
+    index_name = "level"
+    var_name = staticmethod(big_var_name)
+    kind_names = BIG_KIND_NAMES
+    kind_codes = BIG_KIND_CODES
 
-    @classmethod
-    def const(cls, value, trunc: Truncation, rel: int | None = None) -> "BigSeries":
-        value = frac(value)
-        if not value:
-            return cls.zero(trunc, rel)
-        return cls({(0, ONE): value}, trunc, rel)
-
-    @classmethod
-    def var(cls, var: BigVar, trunc: Truncation) -> "BigSeries":
-        return cls({(0, ((var, 1),)): Fraction(1)}, trunc)
+    # Bound in this class's own namespace so each kind's product can be
+    # wrapped separately (bench/spans.py traces BigSeries.__mul__).
+    __mul__ = __rmul__ = SparseSeries.__mul__
 
     @classmethod
     def from_coeffs(cls, coeffs: Mapping[BigMonomial, Fraction], trunc: Truncation,
                     rel: int | None = None) -> "BigSeries":
         return cls({(0, mono): c for mono, c in coeffs.items()}, trunc, rel)
 
-    # -- inspection --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, mono: BigMonomial, eps: int = 0) -> Fraction:
-        return self.terms.get((eps, mono), Fraction(0))
-
     def constant_term(self, eps: int = 0) -> Fraction:
         return self.terms.get((eps, ONE), Fraction(0))
-
-    def eps_slice(self, j: int) -> "BigSeries":
-        terms = {(0, m): c for (e, m), c in self.terms.items() if e == j}
-        return BigSeries(terms, self.trunc, self.rel, _checked=True)
-
-    def max_eps(self) -> int:
-        return max((e for e, _ in self.terms), default=0)
-
-    def valuation(self) -> int | None:
-        """Effective degree valuation for reliability bookkeeping."""
-        v = min((mono_degree(m) for _, m in self.terms), default=None)
-        if self.rel is None:
-            return v
-        return self.rel + 1 if v is None else min(v, self.rel + 1)
-
-    def sorted_terms(self) -> list[tuple[TermKey, Fraction]]:
-        return sorted(self.terms.items())
-
-    def degree_buckets(self) -> dict[int, dict[TermKey, Fraction]]:
-        out: dict[int, dict[TermKey, Fraction]] = {}
-        for key, coef in self.terms.items():
-            out.setdefault(mono_degree(key[1]), {})[key] = coef
-        return out
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _check_compatible(self, other: "BigSeries") -> None:
-        if self.trunc != other.trunc:
-            raise TruncationMismatchError(
-                f"incompatible truncations {self.trunc} vs {other.trunc}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BigSeries.const(other, self.trunc)
-        if not isinstance(other, BigSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        rel = _rel_min(self.rel, other.rel)
-        acc = dict(self.terms)
-        for key, coef in other.terms.items():
-            s = acc.get(key, Fraction(0)) + coef
-            if s:
-                acc[key] = s
-            else:
-                acc.pop(key, None)
-        if rel is not None:
-            acc = {k: c for k, c in acc.items() if mono_degree(k[1]) <= rel}
-        return BigSeries(acc, self.trunc, rel, _checked=True)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BigSeries({k: -c for k, c in self.terms.items()}, self.trunc,
-                         self.rel, _checked=True)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BigSeries.const(other, self.trunc)
-        if not isinstance(other, BigSeries):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = frac(other)
-            if not c:
-                return BigSeries.zero(self.trunc, self.rel)
-            return BigSeries({k: c * v for k, v in self.terms.items()},
-                             self.trunc, self.rel, _checked=True)
-        if not isinstance(other, BigSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        rel = _rel_min(_rel_add(self.rel, other.valuation()),
-                       _rel_add(other.rel, self.valuation()))
-        tr = self.trunc
-        cap = tr.deg_max if rel is None else min(tr.deg_max, rel)
-        a = sorted(((mono_degree(m), e, m, c) for (e, m), c in self.terms.items()))
-        b = sorted(((mono_degree(m), e, m, c) for (e, m), c in other.terms.items()))
-        acc: dict[TermKey, Fraction] = {}
-        for d1, e1, m1, c1 in a:
-            if b and d1 + b[0][0] > cap:
-                break
-            for d2, e2, m2, c2 in b:
-                if d1 + d2 > cap:
-                    break
-                eps = e1 + e2
-                if eps > tr.eps_max:
-                    continue
-                key = (eps, mono_mul(m1, m2))
-                s = acc.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
-        return BigSeries(acc, tr, rel, _checked=True)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, BigSeries):
-            return NotImplemented
-        return (self.terms == other.terms and self.trunc == other.trunc
-                and self.rel == other.rel)
-
-    def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.trunc, self.rel))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (eps, mono), coef in self.sorted_terms():
-            factors = []
-            if coef != 1 or (not mono and not eps):
-                factors.append(str(coef))
-            if eps:
-                factors.append("eps" if eps == 1 else f"eps^{eps}")
-            for var, exp in mono:
-                name = big_var_name(var)
-                factors.append(name if exp == 1 else f"{name}^{exp}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"BigSeries({self})"
-
-
-def series_eq(f: BigSeries, g: BigSeries, *, up_to: int | None = None) -> bool:
-    """Equality of stored terms up to the shared reliable degree."""
-    if f.trunc != g.trunc:
-        raise TruncationMismatchError("cannot compare across truncations")
-    window = _rel_min(_rel_min(f.rel, g.rel), up_to)
-    if window is None:
-        return f.terms == g.terms
-    for key, coef in f.terms.items():
-        if mono_degree(key[1]) <= window and g.terms.get(key) != coef:
-            return False
-    for key, coef in g.terms.items():
-        if mono_degree(key[1]) <= window and f.terms.get(key) != coef:
-            return False
-    return True
-
-
-def series_is_zero(f: BigSeries) -> bool:
-    """True when every stored (hence reliable) coefficient vanishes."""
-    return not f.terms
 
 
 def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
@@ -434,24 +216,6 @@ class TheoryData:
         return self.t_vars() + self.s_vars()
 
 
-def partial(f: BigSeries, var: BigVar) -> BigSeries:
-    """Formal partial derivative; the reliable degree drops by one."""
-    acc: dict[TermKey, Fraction] = {}
-    for (eps, mono), coef in f.terms.items():
-        for idx, (v, exp) in enumerate(mono):
-            if v != var:
-                continue
-            factors = list(mono)
-            if exp == 1:
-                del factors[idx]
-            else:
-                factors[idx] = (v, exp - 1)
-            acc[(eps, tuple(factors))] = coef * exp
-            break
-    rel = None if f.rel is None else f.rel - 1
-    return BigSeries(acc, f.trunc, rel, _checked=True)
-
-
 def partial_many(f: BigSeries, variables: Sequence[BigVar]) -> BigSeries:
     for var in variables:
         f = partial(f, var)
@@ -473,7 +237,7 @@ def restrict_small(f: BigSeries, theory: TheoryData) -> JetPoly:
     jt = theory.trunc.jet()
     acc = {}
     for (eps, mono), coef in f.terms.items():
-        if mono_max_level(mono) > 0:
+        if mono_max_index(mono) > 0:
             continue
         factors = []
         for (kind, alpha, level), exp in mono:
@@ -481,7 +245,7 @@ def restrict_small(f: BigSeries, theory: TheoryData) -> JetPoly:
                 factors.append((vvar(alpha, 0), exp))
             else:
                 factors.append((phivar(0), exp))
-        acc[(eps, jet_mono_from_factors(factors))] = coef
+        acc[(eps, mono_from_factors(factors))] = coef
     return JetPoly(acc, jt, f.rel)
 
 
@@ -614,7 +378,7 @@ def restrict_window(f: BigSeries, trunc: Truncation) -> BigSeries:
     for (eps, mono), coef in f.terms.items():
         if eps > trunc.eps_max:
             continue
-        if mono_max_level(mono) > trunc.level_max:
+        if mono_max_index(mono) > trunc.level_max:
             continue
         if mono_degree(mono) > trunc.deg_max:
             continue

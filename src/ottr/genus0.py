@@ -20,15 +20,24 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .algebra import JetPoly, dx, jet_partial, phivar, var_name, vvar
+from .algebra import (
+    KIND_PHI,
+    KIND_V,
+    JetPoly,
+    dx,
+    exponent_of,
+    jet_partial,
+    mono_div_var,
+    phivar,
+    var_name,
+    vvar,
+)
 from .bigphase import (
     BigMonomial,
     BigSeries,
     BigVar,
     TheoryData,
-    exponent_of,
     mono_degree,
-    mono_div_var,
     mono_from_factors,
     mono_mul_var,
     mono_weight,
@@ -39,8 +48,6 @@ from .bigphase import (
     t11_partial,
     t_var,
 )
-
-ONE: BigMonomial = ()
 
 
 class SeedError(ValueError):
@@ -549,6 +556,11 @@ def _first_mismatch(got: JetPoly, want: JetPoly) -> str:
 
 def _seed_coeffs(seed: JetPoly, theory: TheoryData, *, allow_phi: bool
                  ) -> dict[BigMonomial, Fraction]:
+    """Level-zero big-phase coefficients of a small-phase-space polynomial.
+
+    Maps v{alpha}_0 to t{alpha}_0 and, when allow_phi, phi_0 to s_0.  Used for
+    genus-0 seeds and for genus-1 initial data Go; f-jets have no image.
+    """
     out: dict[BigMonomial, Fraction] = {}
     for (eps, mono), coef in seed.terms.items():
         if eps:
@@ -557,10 +569,12 @@ def _seed_coeffs(seed: JetPoly, theory: TheoryData, *, allow_phi: bool
         for (kind, alpha, jet), exp in mono:
             if jet != 0:
                 raise SeedError("seed must only use jet-order-zero variables")
-            if kind == 0:  # KIND_V
+            if kind == KIND_V:
                 if alpha > theory.n:
                     raise SeedError("seed component index exceeds the rank")
                 factors.append((t_var(alpha, 0), exp))
+            elif kind != KIND_PHI:
+                raise SeedError("seed cannot involve f-jets")
             elif allow_phi:
                 factors.append((s_var(0), exp))
             else:

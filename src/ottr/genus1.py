@@ -10,19 +10,16 @@ and its recursion-relation validator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import JetPoly, mono_deg0
+from .algebra import JetPoly, exponent_of
 from .bigphase import (
-    series_eq,
     BigMonomial,
     BigSeries,
     TheoryData,
     eval_jetpoly,
     mono_degree,
     mono_mul_var,
-    exponent_of,
     partial,
     partial_many,
     phitop,
@@ -38,6 +35,7 @@ from .genus0 import (
     ResidualReport,
     _RowSystem,
     _Table,
+    _seed_coeffs,
     eta_contracted_hessian,
     monomials_up_to,
     slice_product,
@@ -126,9 +124,8 @@ def solve_f1o(f0: BigSeries, f0o: BigSeries, go: JetPoly, theory: TheoryData,
         if src is not None:
             base = min(base, src)
     relout = base - 1
-    known: dict[BigMonomial, Fraction] = {}
-    go_coeffs = restrict_small_inverse(go, theory)
-    known.update(go_coeffs)
+    go_coeffs = _seed_coeffs(go, theory, allow_phi=True)
+    known = dict(go_coeffs)
 
     hess = {}
     for alpha in range(1, theory.n + 1):
@@ -243,27 +240,6 @@ def solve_f1o(f0: BigSeries, f0o: BigSeries, go: JetPoly, theory: TheoryData,
     return series
 
 
-def restrict_small_inverse(p: JetPoly, theory: TheoryData
-                           ) -> dict[BigMonomial, Fraction]:
-    """Map a jet-order-zero polynomial onto level-zero big-phase coefficients."""
-    from .bigphase import mono_from_factors
-
-    out: dict[BigMonomial, Fraction] = {}
-    for (eps, mono), coef in p.terms.items():
-        if eps:
-            raise ValueError("initial data must be eps-free")
-        factors = []
-        for (kind, alpha, jet), exp in mono:
-            if jet != 0:
-                raise ValueError("initial data must only use jet-order-zero variables")
-            if kind == 0:
-                factors.append((t_var(alpha, 0), exp))
-            else:
-                factors.append((s_var(0), exp))
-        out[mono_from_factors(factors)] = coef
-    return out
-
-
 def extract_go(f1o: BigSeries, theory: TheoryData) -> JetPoly:
     """Small-phase-space restriction of an open genus-1 potential."""
     return restrict_small(f1o, theory)
@@ -346,40 +322,3 @@ def validate_closed_genus1(f0: BigSeries, f1: BigSeries,
             report.add("trr1", (alpha, a), res)
     report.checked["trr1"] = f"alpha<= {theory.n}, a<= {amax - 1}"
     return report
-
-
-@dataclass
-class Genus1Data:
-    """Bundle of the genus-1 objects attached to one theory instance."""
-
-    f1o: BigSeries
-    go: JetPoly
-    f1: BigSeries | None = None
-    g: JetPoly | None = None
-    m_matrix: list[list[BigSeries]] | None = None
-
-    @classmethod
-    def build(cls, f0: BigSeries, f0o: BigSeries, go: JetPoly, g: JetPoly,
-              theory: TheoryData) -> "Genus1Data":
-        f1o = f1o_closed_form(f0, f0o, go, theory)
-        f1 = f1_closed_form(f0, g, theory)
-        return cls(f1o, go, f1, g, hessian_cube(f0, theory))
-
-    def check(self, theory: TheoryData) -> None:
-        """Defining relations: the restriction is go and the matrix is symmetric."""
-        back = restrict_small(self.f1o, theory)
-        window = back.rel
-        for (eps, mono), coef in self.go.terms.items():
-            if window is not None and mono_deg0(mono) > window:
-                continue
-            if back.coefficient(mono, eps) != coef:
-                raise ValueError("restriction of f1o does not match go")
-        for (eps, mono), coef in back.terms.items():
-            if self.go.coefficient(mono, eps) != coef:
-                raise ValueError("restriction of f1o does not match go")
-        if self.m_matrix is not None:
-            n = len(self.m_matrix)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if not series_eq(self.m_matrix[i][j], self.m_matrix[j][i]):
-                        raise ValueError("third-derivative matrix is not symmetric")

@@ -22,12 +22,15 @@ from fractions import Fraction
 from math import comb
 
 from .algebra import (
+    ONE,
     JetPoly,
     JetTruncation,
     coef_phi_power,
     dx,
+    exponent_of,
     fvar,
     jet_partial,
+    mono_div_var,
     phi_degree,
     phivar,
     standard_degree,
@@ -39,9 +42,7 @@ from .bigphase import (
     TheoryData,
     Truncation,
     eval_jetpoly,
-    exponent_of,
     mono_degree,
-    mono_div_var,
     partial,
     partial_many,
     restrict_window,
@@ -60,8 +61,6 @@ from .genus0 import (
     weight_buckets,
 )
 from .genus1 import extract_go
-
-ONE: BigMonomial = ()
 
 
 def qpoly_truncation(i: int) -> JetTruncation:

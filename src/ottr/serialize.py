@@ -4,36 +4,37 @@ One value per file: a format tag line, a theory block, a kind line, term
 lines in canonical order, and ``end``.  Emission is deterministic, terms are
 sorted, coefficients are in lowest terms, and parsing a file then re-emitting
 it reproduces the bytes exactly.  The parser is strict: non-canonical
-coefficients, unknown variable kinds, and terms outside the declared
-truncation are rejected with line and column positions.
+coefficients or integers, stray spaces, unknown variable kinds, terms outside
+the declared truncation, and reliable degrees above the degree bound are
+rejected with line and column positions.  The grading and the variable names
+of a series come from its class, so both series kinds share one code path.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import (
-    KIND_CODES as JET_KIND_CODES,
-    KIND_NAMES as JET_KIND_NAMES,
-    KIND_V,
-    JetPoly,
-    mono_deg0,
-)
-from .bigphase import (
-    BIG_KIND_CODES,
-    BIG_KIND_NAMES,
-    KIND_T,
-    BigSeries,
-    TheoryData,
-    Truncation,
-    big_var_name,
-    mono_degree,
-)
+from .algebra import JetPoly, SparseSeries
+from .bigphase import BigSeries, TheoryData, Truncation, big_var_name
 from .genus0 import ResidualReport
 from .laxpde import LinearDiffOp
 
 FORMAT_TAG = "ottr-series-v1"
+
+# Series kinds by file tag: the class, and its truncation within a theory.
+_SERIES_KINDS = {
+    "bigseries": (BigSeries, lambda tr: tr),
+    "jetpoly": (JetPoly, Truncation.jet),
+}
+_SERIES_TAGS = {cls: tag for tag, (cls, _) in _SERIES_KINDS.items()}
+
+# Integers as ``str(int)`` writes them; ASCII digits only.
+_INT = re.compile(r"-?(?:0|[1-9][0-9]*)").fullmatch
+_NAT = r"(0|[1-9][0-9]*)"
+# One variable of a term line: kind:alpha:index:exponent.
+_VAR = re.compile(rf"([^:]*):{_NAT}:{_NAT}:{_NAT}").fullmatch
 
 
 class ParseError(ValueError):
@@ -89,20 +90,12 @@ def emit_theory(theory: TheoryData) -> str:
             f"Dv={tr.deg0_max} J={tr.jet_max} E={tr.eps_max}")
 
 
-def _emit_big_terms(value: BigSeries) -> list[str]:
+def _emit_terms(value: SparseSeries) -> list[str]:
+    names = value.kind_names
     lines = []
     for (eps, mono), coef in value.sorted_terms():
-        vars_txt = ",".join(f"{BIG_KIND_NAMES[k]}:{a}:{lv}:{e}"
-                            for (k, a, lv), e in mono) or "-"
-        lines.append(f"term {_fmt_frac(coef)} eps={eps} vars={vars_txt}")
-    return lines
-
-
-def _emit_jet_terms(value: JetPoly) -> list[str]:
-    lines = []
-    for (eps, mono), coef in value.sorted_terms():
-        vars_txt = ",".join(f"{JET_KIND_NAMES[k]}:{a}:{j}:{e}"
-                            for (k, a, j), e in mono) or "-"
+        vars_txt = ",".join(f"{names[k]}:{a}:{i}:{e}"
+                            for (k, a, i), e in mono) or "-"
         lines.append(f"term {_fmt_frac(coef)} eps={eps} vars={vars_txt}")
     return lines
 
@@ -110,19 +103,17 @@ def _emit_jet_terms(value: JetPoly) -> list[str]:
 def emit(value, theory: TheoryData) -> str:
     """Serialize a BigSeries, JetPoly, LinearDiffOp, or ResidualReport."""
     lines = [FORMAT_TAG, emit_theory(theory)]
-    if isinstance(value, BigSeries):
-        lines.append(f"kind bigseries rel={_fmt_rel(value.rel)}")
-        lines.extend(_emit_big_terms(value))
-    elif isinstance(value, JetPoly):
-        lines.append(f"kind jetpoly rel={_fmt_rel(value.rel)}")
-        lines.extend(_emit_jet_terms(value))
+    tag = _SERIES_TAGS.get(type(value))
+    if tag is not None:
+        lines.append(f"kind {tag} rel={_fmt_rel(value.rel)}")
+        lines.extend(_emit_terms(value))
     elif isinstance(value, LinearDiffOp):
         meta = ":".join(str(x) for x in value.meta) or "-"
         lines.append(f"kind operator meta={meta}")
         for (i, j) in sorted(value.coeffs):
             poly = value.coeffs[(i, j)]
             lines.append(f"coef i={i} j={j} rel={_fmt_rel(poly.rel)}")
-            lines.extend(_emit_jet_terms(poly))
+            lines.extend(_emit_terms(poly))
     elif isinstance(value, (ResidualReport, ReportFile)):
         lines.append("kind report")
         if isinstance(value, ResidualReport):
@@ -144,6 +135,19 @@ def emit(value, theory: TheoryData) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fields(line: str, line_no: int) -> list[tuple[str, int]]:
+    """Split a line at single spaces into (token, 1-based column) pairs."""
+    out = []
+    col = 1
+    for tok in line.split(" "):
+        if not tok:
+            raise ParseError("empty field (doubled, leading or trailing space)",
+                             line_no, col)
+        out.append((tok, col))
+        col += len(tok) + 1
+    return out
+
+
 def _parse_frac(tok: str, line_no: int, col: int) -> Fraction:
     try:
         val = Fraction(tok)
@@ -155,96 +159,122 @@ def _parse_frac(tok: str, line_no: int, col: int) -> Fraction:
     return val
 
 
-def _parse_rel(tok: str, line_no: int) -> int | None:
-    if tok == "-":
+def _parse_int(tok: str, what: str, line_no: int, col: int) -> int:
+    if not _INT(tok):
+        raise ParseError(f"bad {what} {tok!r}", line_no, col)
+    return int(tok)
+
+
+def _int_or_text(tok: str):
+    """An index part: an int when written canonically, else the text itself."""
+    return int(tok) if _INT(tok) else tok
+
+
+def _kv(fld: tuple[str, int], key: str, line_no: int) -> tuple[str, int]:
+    """The value of a ``key=value`` field, with the value's column."""
+    tok, col = fld
+    if not tok.startswith(key + "="):
+        raise ParseError(f"expected {key}=..., got {tok!r}", line_no, col)
+    return tok[len(key) + 1:], col + len(key) + 1
+
+
+def _int_kv(fld: tuple[str, int], key: str, line_no: int) -> int:
+    txt, col = _kv(fld, key, line_no)
+    return _parse_int(txt, key, line_no, col)
+
+
+def _parse_rel(fld: tuple[str, int], key: str, line_no: int,
+               bound: int | None = None) -> int | None:
+    txt, col = _kv(fld, key, line_no)
+    if txt == "-":
         return None
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"bad reliable degree {tok!r}", line_no) from None
-
-
-def _kv(token: str, key: str, line_no: int) -> str:
-    if not token.startswith(key + "="):
-        raise ParseError(f"expected {key}=..., got {token!r}", line_no)
-    return token[len(key) + 1:]
+    rel = _parse_int(txt, "reliable degree", line_no, col)
+    if bound is not None and rel > bound:
+        raise ParseError(f"reliable degree {rel} above the degree bound {bound}",
+                         line_no, col)
+    return rel
 
 
 def _parse_theory(line: str, line_no: int) -> TheoryData:
-    toks = line.split()
-    if len(toks) != 9 or toks[0] != "theory":
+    fields = _fields(line, line_no)
+    if len(fields) != 9 or fields[0][0] != "theory":
         raise ParseError("malformed theory line", line_no)
-    rank = int(_kv(toks[1], "rank", line_no))
-    eta_txt = _kv(toks[2], "eta", line_no)
-    col = line.index("eta=") + 5
+    rank = _int_kv(fields[1], "rank", line_no)
+    eta_txt, col = _kv(fields[2], "eta", line_no)
     eta = [[_parse_frac(x, line_no, col) for x in row.split(",")]
            for row in eta_txt.split(";")]
-    a_txt = _kv(toks[3], "A", line_no)
-    col = line.index("A=") + 3
+    a_txt, col = _kv(fields[3], "A", line_no)
     avec = [_parse_frac(x, line_no, col) for x in a_txt.split(",")]
-    tr = Truncation(int(_kv(toks[4], "Dt", line_no)),
-                    int(_kv(toks[5], "Amax", line_no)),
-                    int(_kv(toks[6], "Dv", line_no)),
-                    int(_kv(toks[7], "J", line_no)),
-                    int(_kv(toks[8], "E", line_no)))
+    tr = Truncation(*(_int_kv(f, key, line_no) for f, key in
+                      zip(fields[4:], ("Dt", "Amax", "Dv", "J", "E"))))
     try:
         return TheoryData.build(rank, eta, avec, tr)
     except ValueError as exc:
         raise ParseError(str(exc), line_no) from None
 
 
-def _parse_term(line: str, line_no: int, *, big: bool, theory: TheoryData):
-    toks = line.split()
-    if len(toks) != 4:
+def _parse_term(line: str, line_no: int, cls: type[SparseSeries],
+                theory: TheoryData):
+    fields = _fields(line, line_no)
+    if len(fields) != 4:
         raise ParseError("malformed term line", line_no)
-    coef = _parse_frac(toks[1], line_no, line.index(toks[1]) + 1)
-    eps = int(_kv(toks[2], "eps", line_no))
+    coef = _parse_frac(fields[1][0], line_no, fields[1][1])
     tr = theory.trunc
+    eps = _int_kv(fields[2], "eps", line_no)
     if eps < 0 or eps > tr.eps_max:
-        raise ParseError(f"eps power {eps} outside truncation", line_no)
-    vars_txt = _kv(toks[3], "vars", line_no)
+        raise ParseError(f"eps power {eps} outside truncation", line_no, fields[2][1])
+    vars_txt, col = _kv(fields[3], "vars", line_no)
+    deg_max, index_max = cls.bounds(tr)  # a theory's bounds cover both kinds
     factors = []
     if vars_txt != "-":
-        seen = []
         for piece in vars_txt.split(","):
-            parts = piece.split(":")
-            if len(parts) != 4:
-                raise ParseError(f"malformed variable {piece!r}", line_no,
-                                 line.index(piece) + 1)
-            kind_name, alpha, idx, exp = parts[0], int(parts[1]), int(parts[2]), int(parts[3])
-            codes = BIG_KIND_CODES if big else JET_KIND_CODES
-            if kind_name not in codes:
-                raise ParseError(f"unknown variable kind {kind_name!r}", line_no,
-                                 line.index(piece) + 1)
+            match = _VAR(piece)
+            if match is None:
+                raise ParseError(f"malformed variable {piece!r}", line_no, col)
+            name = match[1]
+            kind = cls.kind_codes.get(name)
+            if kind is None:
+                raise ParseError(f"unknown variable kind {name!r}", line_no, col)
+            alpha, idx, exp = int(match[2]), int(match[3]), int(match[4])
             if exp < 1:
-                raise ParseError("exponents must be positive", line_no)
-            kind = codes[kind_name]
-            if big:
-                if kind == KIND_T and not 1 <= alpha <= theory.n:
-                    raise ParseError(f"component index {alpha} outside rank", line_no)
-                if kind != KIND_T and alpha != 0:
-                    raise ParseError("s-variables carry no component index", line_no)
-                if idx < 0 or idx > tr.level_max:
-                    raise ParseError(f"level {idx} outside truncation", line_no)
-            else:
-                if kind == KIND_V and not 1 <= alpha <= theory.n:
-                    raise ParseError(f"component index {alpha} outside rank", line_no)
-                if kind != KIND_V and alpha != 0:
-                    raise ParseError("phi/f-variables carry no component index", line_no)
-                if idx < 0 or idx > tr.jet_max:
-                    raise ParseError(f"jet order {idx} outside truncation", line_no)
-            seen.append(((kind, alpha, idx), exp))
-        if seen != sorted(seen) or len({v for v, _ in seen}) != len(seen):
+                raise ParseError("exponents must be positive", line_no, col)
+            if kind == 0:  # v resp. t, the only kind with a component index
+                if not 1 <= alpha <= theory.n:
+                    raise ParseError(f"component index {alpha} outside rank",
+                                     line_no, col)
+            elif alpha != 0:
+                raise ParseError(f"{name}-variables carry no component index",
+                                 line_no, col)
+            if idx > index_max:
+                raise ParseError(f"{cls.index_name} {idx} outside truncation",
+                                 line_no, col)
+            factors.append(((kind, alpha, idx), exp))
+            col += len(piece) + 1
+        if factors != sorted(factors) or len({v for v, _ in factors}) != len(factors):
             raise ParseError("variables not in canonical order", line_no)
-        factors = seen
     mono = tuple(factors)
-    if big:
-        if mono_degree(mono) > tr.deg_max:
-            raise ParseError("term degree outside truncation", line_no)
-    else:
-        if mono_deg0(mono) > tr.deg0_max:
-            raise ParseError("term degree outside truncation", line_no)
-    return (eps, mono), coef
+    degree = cls.mono_degree(mono)
+    if degree > deg_max:
+        raise ParseError("term degree outside truncation", line_no)
+    return (eps, mono), coef, degree
+
+
+def _parse_series(numbered: list[tuple[int, str]], cls: type[SparseSeries],
+                  trunc, rel: int | None, theory: TheoryData) -> SparseSeries:
+    """A series from its term lines; every term is checked here."""
+    terms = {}
+    for line_no, line in numbered:
+        if not line.startswith("term "):
+            raise ParseError(f"unexpected line {line!r}", line_no)
+        key, coef, degree = _parse_term(line, line_no, cls, theory)
+        if key in terms:
+            raise ParseError("duplicate term", line_no)
+        if not coef:
+            raise ParseError("zero coefficients are not stored", line_no)
+        if rel is not None and degree > rel:
+            raise ParseError("term beyond the declared reliable degree", line_no)
+        terms[key] = coef
+    return cls(terms, trunc, rel, _checked=True)
 
 
 def parse(text: str):
@@ -255,97 +285,73 @@ def parse(text: str):
     if len(lines) < 3:
         raise ParseError("truncated file", len(lines) or 1)
     theory = _parse_theory(lines[1], 2)
-    kind_toks = lines[2].split()
-    if not kind_toks or kind_toks[0] != "kind":
+    kind_fields = _fields(lines[2], 3)
+    if kind_fields[0][0] != "kind":
         raise ParseError("expected kind line", 3)
-    kind = kind_toks[1] if len(kind_toks) > 1 else ""
+    kind = kind_fields[1][0] if len(kind_fields) > 1 else ""
     body = lines[3:]
     if not body or body[-1] != "end":
         raise ParseError("missing end marker", len(lines))
-    body = body[:-1]
-    base = 4
-    if kind in ("bigseries", "jetpoly"):
-        if len(kind_toks) != 3:
+    numbered = list(enumerate(body[:-1], start=4))
+    if kind in _SERIES_KINDS:
+        cls, trunc_of = _SERIES_KINDS[kind]
+        if len(kind_fields) != 3:
             raise ParseError("malformed kind line", 3)
-        rel = _parse_rel(_kv(kind_toks[2], "rel", 3), 3)
-        terms = {}
-        for off, line in enumerate(body):
-            if not line.startswith("term "):
-                raise ParseError(f"unexpected line {line!r}", base + off)
-            key, coef = _parse_term(line, base + off, big=(kind == "bigseries"),
-                                    theory=theory)
-            if key in terms:
-                raise ParseError("duplicate term", base + off)
-            if not coef:
-                raise ParseError("zero coefficients are not stored", base + off)
-            if rel is not None:
-                deg = mono_degree(key[1]) if kind == "bigseries" else mono_deg0(key[1])
-                if deg > rel:
-                    raise ParseError("term beyond the declared reliable degree",
-                                     base + off)
-            terms[key] = coef
-        if kind == "bigseries":
-            return BigSeries(terms, theory.trunc, rel), theory
-        return JetPoly(terms, theory.trunc.jet(), rel), theory
+        rel = _parse_rel(kind_fields[2], "rel", 3, cls.bounds(theory.trunc)[0])
+        return _parse_series(numbered, cls, trunc_of(theory.trunc), rel, theory), theory
     if kind == "operator":
-        if len(kind_toks) != 3:
+        if len(kind_fields) != 3:
             raise ParseError("malformed kind line", 3)
-        meta_txt = _kv(kind_toks[2], "meta", 3)
-        meta = tuple(int(x) if x.lstrip("-").isdigit() else x
-                     for x in meta_txt.split(":")) if meta_txt != "-" else ()
-        coeffs: dict[tuple[int, int], JetPoly] = {}
-        cur: tuple[int, int] | None = None
-        cur_rel: int | None = None
-        cur_terms: dict = {}
-
-        def flush(line_no):
-            if cur is not None:
-                if cur in coeffs:
-                    raise ParseError("duplicate coefficient block", line_no)
-                coeffs[cur] = JetPoly(cur_terms, theory.trunc.jet(), cur_rel)
-
-        for off, line in enumerate(body):
+        meta_txt, _ = _kv(kind_fields[2], "meta", 3)
+        meta = tuple(_int_or_text(x) for x in meta_txt.split(":")) \
+            if meta_txt != "-" else ()
+        # each coef line opens a block of the term lines that follow it
+        blocks: list[tuple[int, str, list]] = []
+        for line_no, line in numbered:
             if line.startswith("coef "):
-                flush(base + off)
-                toks = line.split()
-                if len(toks) != 4:
-                    raise ParseError("malformed coef line", base + off)
-                cur = (int(_kv(toks[1], "i", base + off)),
-                       int(_kv(toks[2], "j", base + off)))
-                cur_rel = _parse_rel(_kv(toks[3], "rel", base + off), base + off)
-                cur_terms = {}
+                blocks.append((line_no, line, []))
+            elif blocks and line.startswith("term "):
+                blocks[-1][2].append((line_no, line))
             elif line.startswith("term "):
-                if cur is None:
-                    raise ParseError("term before coef block", base + off)
-                key, coef = _parse_term(line, base + off, big=False, theory=theory)
-                cur_terms[key] = coef
+                raise ParseError("term before coef block", line_no)
             else:
-                raise ParseError(f"unexpected line {line!r}", base + off)
-        flush(len(lines))
+                raise ParseError(f"unexpected line {line!r}", line_no)
+        coeffs: dict[tuple[int, int], JetPoly] = {}
+        jt = theory.trunc.jet()
+        for line_no, line, term_lines in blocks:
+            fields = _fields(line, line_no)
+            if len(fields) != 4:
+                raise ParseError("malformed coef line", line_no)
+            key = (_int_kv(fields[1], "i", line_no), _int_kv(fields[2], "j", line_no))
+            rel = _parse_rel(fields[3], "rel", line_no, jt.deg0_max)
+            if key in coeffs:
+                raise ParseError("duplicate coefficient block", line_no)
+            coeffs[key] = _parse_series(term_lines, JetPoly, jt, rel, theory)
         return LinearDiffOp(coeffs, meta), theory
     if kind == "report":
         entries = []
         ranges = {}
-        for off, line in enumerate(body):
+        for line_no, line in numbered:
             if line.startswith("entry "):
-                toks = line.split()
-                if len(toks) != 5:
-                    raise ParseError("malformed entry line", base + off)
-                eq = _kv(toks[1], "eq", base + off)
-                idx_txt = _kv(toks[2], "idx", base + off)
+                fields = _fields(line, line_no)
+                if len(fields) != 5:
+                    raise ParseError("malformed entry line", line_no)
+                eq, _ = _kv(fields[1], "eq", line_no)
+                idx_txt, _ = _kv(fields[2], "idx", line_no)
                 idx = () if idx_txt == "-" else tuple(
-                    int(x) if x.lstrip("-").isdigit() else x
-                    for x in idx_txt.split(":"))
-                status = _kv(toks[3], "status", base + off)
+                    _int_or_text(x) for x in idx_txt.split(":"))
+                status, col = _kv(fields[3], "status", line_no)
                 if status not in ("zero", "nonzero"):
-                    raise ParseError(f"bad status {status!r}", base + off)
-                window = _parse_rel(_kv(toks[4], "window", base + off), base + off)
+                    raise ParseError(f"bad status {status!r}", line_no, col)
+                window = _parse_rel(fields[4], "window", line_no)
                 entries.append((eq, idx, status == "zero", window))
             elif line.startswith("range "):
-                _, eq, text_part = line.split(" ", 2)
-                ranges[eq] = text_part
+                parts = line.split(" ", 2)
+                if len(parts) != 3:
+                    raise ParseError("malformed range line", line_no)
+                ranges[parts[1]] = parts[2]
             else:
-                raise ParseError(f"unexpected line {line!r}", base + off)
+                raise ParseError(f"unexpected line {line!r}", line_no)
         return ReportFile(entries, ranges), theory
     raise ParseError(f"unknown kind {kind!r}", 3)
 

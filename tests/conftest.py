@@ -1,12 +1,25 @@
 """Shared fixtures: the rank-1 example potentials, solved once per session."""
 
+import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ottr
 from ottr.algebra import JetPoly, phivar, vvar
 from ottr.bigphase import TheoryData, Truncation
 from ottr.genus0 import solve_closed_order_by_order, solve_open_order_by_order
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _child_pythonpath():
+    """CLI subprocesses import the same ottr as the tests, installed or not."""
+    src = str(Path(ottr.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", path)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -86,6 +86,22 @@ def test_check_evolution(fixture_dir, tmp_path):
                  "--f1o", str(out)]) == 0
 
 
+@pytest.mark.parametrize("method", ["solve", "formula", "both"])
+def test_go_file_with_f_jets_rejected(fixture_dir, tmp_path, capsys, method):
+    """Go = f_0^3 has no image on the big phase space, whichever the method."""
+    theory_line = (fixture_dir / "f0.ottr").read_text().splitlines()[1]
+    go = tmp_path / "go.ottr"
+    go.write_text(f"ottr-series-v1\n{theory_line}\nkind jetpoly rel=-\n"
+                  "term 1 eps=0 vars=f:0:0:3\nend\n")
+    out = tmp_path / "f1o.ottr"
+    code = main(["derive-genus1", "--f0", str(fixture_dir / "f0.ottr"),
+                 "--f0o", str(fixture_dir / "f0o.ottr"), "--go-file", str(go),
+                 "--method", method, "-o", str(out)])
+    assert code == 2
+    assert "f-jets" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_qpoly_verb(tmp_path, capsys):
     out = tmp_path / "q3.ottr"
     assert main(["qpoly", "3", "-o", str(out)]) == 0

@@ -1,4 +1,4 @@
-"""Rank-2 runs of the generic machinery, checked against rank-1 embeddings.
+"""Rank-2 and rank-3 runs of the generic machinery, checked against rank-1 embeddings.
 
 These exercise the code paths a rank-1 run never touches: metric contraction
 over several components and stage rows coupling more than one unknown.
@@ -18,6 +18,7 @@ from ottr.bigphase import (
     series_eq,
 )
 from ottr.genus0 import (
+    NoSolutionError,
     solve_closed_order_by_order,
     solve_open_order_by_order,
     validate_closed_genus0,
@@ -28,6 +29,7 @@ from ottr.genus1 import f1o_closed_form, solve_f1o, validate_open_genus1
 TR = Truncation.of(5, 1)
 TH1 = TheoryData.rank1(TR)
 TH2 = TheoryData.build(2, [[1, 0], [0, 1]], [1, 1], TR)
+TH3 = TheoryData.build(3, [[0, 0, 1], [0, 1, 0], [1, 0, 0]], [1, 0, 0], TR)
 JT = TR.jet()
 
 
@@ -108,3 +110,23 @@ def test_antidiagonal_metric_degenerate_unit_direction():
     assert validate_open_genus1(f0, f0o, formula, th).all_zero
     f1 = f1_closed_form(f0, JetPoly.zero(JT), th)
     assert validate_closed_genus1(f0, f1, th).all_zero
+
+
+def _rank3_seed(quartic_component):
+    """The trivial rank-3 Frobenius seed t1^2 t3/2 + t1 t2^2/2 plus t_k^4."""
+    v1, v2, v3 = (JetPoly.var(vvar(alpha, 0), JT) for alpha in (1, 2, 3))
+    vk = JetPoly.var(vvar(quartic_component, 0), JT)
+    return ((v1 * v1 * v3 + v1 * v2 * v2) * Fraction(1, 2)
+            + vk * vk * vk * vk)
+
+
+def test_rank3_inconsistent_seed_has_no_solution():
+    """t3^4 breaks WDVV: the solver must report the failing trr0 row."""
+    with pytest.raises(NoSolutionError) as err:
+        solve_closed_order_by_order(_rank3_seed(3), TH3)
+    assert err.value.label[:2] == ("trr0", (2, 0, 3, 0, 3, 0))
+
+
+def test_rank3_consistent_quartic_solves():
+    f0 = solve_closed_order_by_order(_rank3_seed(2), TH3).series
+    assert validate_closed_genus0(f0, TH3).all_zero

@@ -71,9 +71,63 @@ class TestRoundTrip:
         assert back.rel is None
 
 
+def sample_operator():
+    poly, theory = sample_jetpoly()
+    return LinearDiffOp({(0, 0): poly, (2, 1): JetPoly.var(vvar(1, 1), JT)},
+                        ("int", 1, 0)), theory
+
+
+SAMPLES = {"bigseries": sample_series, "jetpoly": sample_jetpoly,
+           "operator": sample_operator}
+
+
 class TestStrictness:
     def base(self):
         return emit(*sample_series())
+
+    @pytest.mark.parametrize("sample, old, new, culprit", [
+        ("bigseries", "eps=1 ", "eps=q ", "q"),
+        ("bigseries", "t:1:0:2", "t:1:zz:2", "t:1:zz:2"),
+        ("bigseries", "t:1:0:2", "t:x:0:2", "t:x:0:2"),
+        ("bigseries", "t:1:0:2", "t:1:0:2.0", "t:1:0:2.0"),
+        ("bigseries", "s:0:0:1\nend", "s:0:0:01\nend", "s:0:0:01"),
+        ("bigseries", "eps=0 vars=t:1:0:2", "eps=+0 vars=t:1:0:2", "+0"),
+        ("bigseries", "rank=1", "rank=x", "x"),
+        ("bigseries", "Dt=8", "Dt=8x", "8x"),
+        ("bigseries", "Amax=3", "Amax=", " Dv"),
+        ("bigseries", "Dv=8", "Dv=٨", "٨"),
+        ("bigseries", "J=3", "J=+3", "+3"),
+        ("bigseries", "E=2", "E=1_0", "1_0"),
+        ("bigseries", "rel=-", "rel=r", "r"),
+        ("bigseries", "term -1/6 eps=0", "term -1/6  eps=0", " eps=0"),
+        ("bigseries", "term 1 eps=0", "term  1 eps=0", " 1 eps"),
+        ("bigseries", "vars=t:1:0:2", "vars=t:1:0:2 ", ""),
+        ("jetpoly", "eps=0 vars=v:1:0:2", "eps=q vars=v:1:0:2", "q"),
+        ("operator", "coef i=0", "coef i=x", "x"),
+        ("operator", "j=1", "j=01", "01"),
+        ("operator", "coef i=2 j=1", "coef i=2  j=1", " j=1"),
+    ])
+    def test_malformed_field_rejected_with_position(self, sample, old, new, culprit):
+        good = emit(*SAMPLES[sample]())
+        assert old in good
+        bad = good.replace(old, new, 1)
+        with pytest.raises(ParseError) as err:
+            parse(bad)
+        line = bad.splitlines()[err.value.line - 1]
+        assert line[err.value.col - 1:].startswith(culprit), (line, err.value)
+
+    @pytest.mark.parametrize("sample, rel_field", [
+        ("bigseries", "kind bigseries rel=-"),
+        ("jetpoly", "kind jetpoly rel=-"),
+        ("operator", "coef i=0 j=0 rel=-"),
+    ])
+    def test_reliable_degree_above_bound_rejected(self, sample, rel_field):
+        """rel may not exceed Dt (bigseries) resp. Dv (jetpoly, operator)."""
+        good = emit(*SAMPLES[sample]())
+        at_bound = good.replace(rel_field, rel_field[:-1] + "8")
+        assert emit(*parse(at_bound)) == at_bound
+        with pytest.raises(ParseError, match="above the degree bound 8"):
+            parse(good.replace(rel_field, rel_field[:-1] + "9"))
 
     def test_non_lowest_terms_rejected(self):
         text = self.base().replace("-1/6", "-2/12")
