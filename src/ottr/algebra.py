@@ -185,6 +185,11 @@ def _rel_add(rel: int | None, val: int | None) -> int | None:
     return rel + val
 
 
+def _rel_cap(rel: int | None, bound: int) -> int | None:
+    """Nothing is stored above the degree bound, so no value vouches beyond it."""
+    return rel if rel is None or rel <= bound else bound
+
+
 # -- the kernel --------------------------------------------------------------
 
 class SparseSeries:
@@ -209,6 +214,9 @@ class SparseSeries:
 
     def __init__(self, terms: Mapping[TermKey, Fraction], trunc,
                  rel: int | None = None, _checked: bool = False):
+        if rel is not None and rel > self.bounds(trunc)[0]:
+            raise ValueError(f"reliable degree {rel} above the degree bound "
+                             f"{self.bounds(trunc)[0]}")
         if _checked:
             self.terms = dict(terms)
         else:
@@ -327,11 +335,11 @@ class SparseSeries:
         if not isinstance(other, cls):
             return NotImplemented
         self._check_compatible(other)
-        rel = _rel_min(_rel_add(self.rel, other.valuation()),
-                       _rel_add(other.rel, self.valuation()))
         tr = self.trunc
         deg_max = self.bounds(tr)[0]
-        cap = deg_max if rel is None else min(deg_max, rel)
+        rel = _rel_cap(_rel_min(_rel_add(self.rel, other.valuation()),
+                                _rel_add(other.rel, self.valuation())), deg_max)
+        cap = deg_max if rel is None else rel
         deg = self.mono_degree
         # Both factors sorted by degree, so each loop stops at the first pair
         # past the cap.

@@ -33,6 +33,7 @@ from .algebra import (
     Monomial,
     SparseSeries,
     Var,
+    _rel_cap,
     _rel_min,
     frac,
     mono_from_factors,
@@ -246,7 +247,7 @@ def restrict_small(f: BigSeries, theory: TheoryData) -> JetPoly:
             else:
                 factors.append((phivar(0), exp))
         acc[(eps, mono_from_factors(factors))] = coef
-    return JetPoly(acc, jt, f.rel)
+    return JetPoly(acc, jt, _rel_cap(f.rel, jt.deg0_max))
 
 
 def vtop(f0: BigSeries, theory: TheoryData) -> list[BigSeries]:
@@ -360,7 +361,7 @@ def eval_jetpoly(p: JetPoly, sol_v: Sequence[BigSeries],
     # provided the order-zero substitutes have no constant term; otherwise
     # nothing beyond the term-product window can be trusted.
     if p.rel is None or sub_val_positive:
-        rel = _rel_min(out.rel, p.rel)
+        rel = _rel_cap(_rel_min(out.rel, p.rel), trunc.deg_max)
     else:
         rel = -1
     terms = out.terms

@@ -1,7 +1,9 @@
 """Command-line front end for fixture generation, validation, and reporting.
 
 Exit codes: 0 = every checked residual is zero, 1 = some residual is
-nonzero, 2 = input or format problem, 3 = internal inconsistency such as a
+nonzero, 2 = input or format problem, including an input whose reliable
+window is too small for some check to compare any coefficient (a report
+then ends ``# overall: VACUOUS``), 3 = internal inconsistency such as a
 solver contradiction.  All verbs are deterministic: the same inputs produce
 byte-identical outputs.
 """
@@ -18,6 +20,7 @@ from .bigphase import (
     BigSeries,
     TheoryData,
     Truncation,
+    relabel_component,
     restrict_window,
     series_eq,
 )
@@ -99,7 +102,7 @@ def _report_exit(report, out: str | None, theory: TheoryData) -> int:
     print(report.summary())
     if out:
         serialize.dump(report, theory, out)
-    return EXIT_OK if report.all_zero else EXIT_RESIDUAL
+    return {"PASS": EXIT_OK, "FAIL": EXIT_RESIDUAL, "VACUOUS": EXIT_INPUT}[report.verdict]
 
 
 def _go_poly(name: str, theory: TheoryData) -> JetPoly:
@@ -119,47 +122,26 @@ def cmd_gen_example(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     theory = _default_theory(args.degree, args.amax)
-    jt = theory.trunc.jet()
-    v = JetPoly.var(vvar(1, 0), jt)
-    phi = JetPoly.var(phivar(0), jt)
-    if args.name == "witten-rank1":
-        f0 = solve_closed_order_by_order(v * v * v * Fraction(1, 6), theory).series
-        serialize.dump(f0, theory, outdir / "f0.ottr")
-        print(f"wrote {outdir / 'f0.ottr'}")
-        return EXIT_OK
+    tr = theory.trunc
+    v = JetPoly.var(vvar(1, 0), tr.jet())
+    phi = JetPoly.var(phivar(0), tr.jet())
+    f0 = solve_closed_order_by_order(v * v * v * Fraction(1, 6), theory).series
+    files = {"f0": f0}
     if args.name == "witten-n2":
-        from .bigphase import relabel_component
-        theory2 = TheoryData.build(2, [[1, 0], [0, 1]], [1, 1], theory.trunc)
-        f0_1 = solve_closed_order_by_order(v * v * v * Fraction(1, 6), theory).series
-        f0 = (relabel_component(f0_1, 1, theory.trunc)
-              + relabel_component(f0_1, 2, theory.trunc))
-        serialize.dump(f0, theory2, outdir / "f0.ottr")
-        print(f"wrote {outdir / 'f0.ottr'}")
-        return EXIT_OK
-    if args.name == "open-rank1":
-        f0 = solve_closed_order_by_order(v * v * v * Fraction(1, 6), theory).series
+        theory = TheoryData.build(2, [[1, 0], [0, 1]], [1, 1], tr)
+        files["f0"] = relabel_component(f0, 1, tr) + relabel_component(f0, 2, tr)
+    elif args.name in ("open-rank1", "genus1-rank1"):
         f0o = solve_open_order_by_order(
             f0, v * phi + phi * phi * phi * Fraction(1, 6), theory).series
-        serialize.dump(f0, theory, outdir / "f0.ottr")
-        serialize.dump(f0o, theory, outdir / "f0o.ottr")
-        print(f"wrote {outdir / 'f0.ottr'}")
-        print(f"wrote {outdir / 'f0o.ottr'}")
-        return EXIT_OK
-    if args.name == "genus1-rank1":
-        f0 = solve_closed_order_by_order(v * v * v * Fraction(1, 6), theory).series
-        f0o = solve_open_order_by_order(
-            f0, v * phi + phi * phi * phi * Fraction(1, 6), theory).series
-        go = _go_poly(args.go, theory)
-        f1o = f1o_closed_form(f0, f0o, go, theory)
-        f1 = f1_closed_form(f0, JetPoly.zero(jt), theory)
-        serialize.dump(f0, theory, outdir / "f0.ottr")
-        serialize.dump(f0o, theory, outdir / "f0o.ottr")
-        serialize.dump(f1o, theory, outdir / "f1o.ottr")
-        serialize.dump(f1, theory, outdir / "f1.ottr")
-        for name in ("f0", "f0o", "f1o", "f1"):
-            print(f"wrote {outdir / (name + '.ottr')}")
-        return EXIT_OK
-    raise CliInputError(f"unknown example {args.name!r}")
+        files["f0o"] = f0o
+        if args.name == "genus1-rank1":
+            files["f1o"] = f1o_closed_form(f0, f0o, _go_poly(args.go, theory), theory)
+            files["f1"] = f1_closed_form(f0, JetPoly.zero(tr.jet()), theory)
+    for name, value in files.items():
+        serialize.dump(value, theory, outdir / f"{name}.ottr")
+    for name in files:
+        print(f"wrote {outdir / (name + '.ottr')}")
+    return EXIT_OK
 
 
 def cmd_validate_genus0(args) -> int:

@@ -2,14 +2,20 @@
 
 Validators compute residual series for the closed axioms (string, dilaton,
 recursion relations, and the two-point shift identity) and their open
-analogues; every residual is exact, and a pass means literal zero on the
-reliable window.  The solvers manufacture example potentials from a
-small-phase-space seed by marching in descendent weight: at each weight the
-imposed equation slices are affine in the unknown coefficients with all
-lower-weight data already fixed, so each stage is one sparse exact linear
-solve.  Coefficients the imposed equations never touch (one-point data and,
-in the closed case, two-point data of purely positive level) are set to zero
-and recorded as free.
+analogues; every residual is exact, and a pass means literal zero on a
+reliable window.  A negative window compares no coefficient: its entry, and a
+report without a nonzero entry, is vacuous.
+
+The solvers extend a small-phase-space seed by marching in descendent weight.
+Each is a list of row families run by one engine, `_march`.  At weight w each
+row is affine in the weight-w unknowns, with a right-hand side that is a
+sparse product of lower-weight tables.  The engine activates the rows with a
+nonzero right-hand side, closes them under shared unknowns, and solves them
+in the dense row order.  Every row it skips lies in a connected component
+whose right-hand sides all vanish, so it reads 0 = 0 under the zero default:
+skipping it changes no coefficient and no inconsistency report.  Monomials no
+row contains (one-point data and, in the closed case, two-point data without
+a unit-direction factor) and non-pivot unknowns are zero and recorded as free.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .algebra import (
     exponent_of,
     jet_partial,
     mono_div_var,
+    mono_mul,
     phivar,
     var_name,
     vvar,
@@ -39,7 +46,6 @@ from .bigphase import (
     TheoryData,
     mono_degree,
     mono_from_factors,
-    mono_mul_var,
     mono_weight,
     partial,
     partial_many,
@@ -66,6 +72,11 @@ class NoSolutionError(Exception):
 # residual reports
 # ---------------------------------------------------------------------------
 
+def entry_status(zero: bool, window: int | None) -> str:
+    """'nonzero', 'zero', or 'vacuous': a negative window holds no coefficient."""
+    return "nonzero" if not zero else "vacuous" if window is not None and window < 0 else "zero"
+
+
 @dataclass
 class ResidualEntry:
     equation: str
@@ -90,6 +101,13 @@ class ResidualReport:
     def all_zero(self) -> bool:
         return all(e.is_zero for e in self.entries)
 
+    @property
+    def verdict(self) -> str:
+        """FAIL on a nonzero residual, else VACUOUS on an empty window, else PASS."""
+        statuses = {entry_status(e.is_zero, e.window) for e in self.entries}
+        return ("FAIL" if "nonzero" in statuses
+                else "VACUOUS" if "vacuous" in statuses else "PASS")
+
     def failures(self) -> list[ResidualEntry]:
         return [e for e in self.entries if not e.is_zero]
 
@@ -102,12 +120,11 @@ class ResidualReport:
     def summary(self) -> str:
         lines = []
         for e in sorted(self.entries, key=lambda e: (e.equation, e.indices)):
-            status = "zero" if e.is_zero else "NONZERO"
+            status = entry_status(e.is_zero, e.window).replace("nonzero", "NONZERO")
             lines.append(f"{e.equation} {e.indices}: {status} (window<= {e.window})")
         for eq, rng in sorted(self.checked.items()):
             lines.append(f"# {eq}: {rng}")
-        verdict = "PASS" if self.all_zero else "FAIL"
-        lines.append(f"# overall: {verdict}")
+        lines.append(f"# overall: {self.verdict}")
         return "\n".join(lines)
 
 
@@ -131,16 +148,19 @@ def eta_contracted_hessian(f0: BigSeries, alpha: int, a: int,
     return out
 
 
+def _index_pairs(theory: TheoryData) -> list[tuple[int, int, int, int]]:
+    """The unordered index pairs (beta, b) <= (gamma, c) of the closed TRR."""
+    amax = theory.trunc.level_max
+    return [(beta, b, gamma, c)
+            for beta in range(1, theory.n + 1) for b in range(amax + 1)
+            for gamma in range(1, theory.n + 1) for c in range(amax + 1)
+            if (beta, b) <= (gamma, c)]
+
+
 def monomials_up_to(variables: Sequence[BigVar], max_deg: int) -> list[BigMonomial]:
     vs = sorted(variables)
-    out: list[BigMonomial] = []
-    for d in range(max_deg + 1):
-        for combo in combinations_with_replacement(vs, d):
-            acc: dict[BigVar, int] = {}
-            for v in combo:
-                acc[v] = acc.get(v, 0) + 1
-            out.append(tuple(sorted(acc.items())))
-    return out
+    return [mono_from_factors((v, 1) for v in combo)
+            for d in range(max_deg + 1) for combo in combinations_with_replacement(vs, d)]
 
 
 def weight_buckets(monos: Iterable[BigMonomial]) -> dict[int, list[BigMonomial]]:
@@ -150,167 +170,31 @@ def weight_buckets(monos: Iterable[BigMonomial]) -> dict[int, list[BigMonomial]]
     return dict(out)
 
 
-class _Table:
-    """Incrementally maintained derivative of a coefficient table.
-
-    Entries are weight-bucketed lists of (degree, monomial, coefficient) for
-    the series sum_spec scale * d^k F / d(spec vars), fed one F-coefficient
-    at a time.  Duplicate monomials in a bucket are allowed; consumers
-    accumulate.
-    """
-
-    def __init__(self, specs: Sequence[tuple[tuple[BigVar, ...], Fraction]]):
-        self.specs = [(vars_, scale) for vars_, scale in specs if scale]
-        self.buckets: dict[int, list[tuple[int, BigMonomial, Fraction]]] = {}
-
-    def push(self, mono: BigMonomial, coef: Fraction) -> None:
-        for dvars, scale in self.specs:
-            cur = mono
-            mult = 1
-            for var in dvars:
-                e = exponent_of(cur, var)
-                if not e:
-                    mult = 0
-                    break
-                mult *= e
-                cur = mono_div_var(cur, var)
-            if not mult:
-                continue
-            self.buckets.setdefault(mono_weight(cur), []).append(
-                (mono_degree(cur), cur, coef * mult * scale))
-
-    def push_all(self, coeffs: dict[BigMonomial, Fraction]) -> None:
-        for mono, coef in coeffs.items():
-            self.push(mono, coef)
-
-    def bucket(self, w: int) -> list[tuple[int, BigMonomial, Fraction]]:
-        return self.buckets.get(w, ())
-
-
-def slice_product(a: _Table, b: _Table, weight: int, deg_cap: int
-                  ) -> dict[BigMonomial, Fraction]:
-    """Coefficients of the product of two tables at one output weight."""
-    out: dict[BigMonomial, Fraction] = {}
-    for w1 in range(weight + 1):
-        lhs = a.bucket(w1)
-        rhs = b.bucket(weight - w1)
-        if not lhs or not rhs:
-            continue
-        for d1, m1, c1 in lhs:
-            for d2, m2, c2 in rhs:
-                if d1 + d2 > deg_cap:
-                    continue
-                key = m1 if not m2 else (m2 if not m1 else None)
-                if key is None:
-                    acc = dict(m1)
-                    for var, exp in m2:
-                        acc[var] = acc.get(var, 0) + exp
-                    key = tuple(sorted(acc.items()))
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-    return out
-
-
-class _RowSystem:
-    """Sparse exact linear system accumulated row by row."""
-
-    def __init__(self):
-        self.rows: list[tuple[dict[BigMonomial, Fraction], Fraction, tuple]] = []
-
-    def add(self, lhs: dict[BigMonomial, Fraction], rhs: Fraction, label: tuple) -> None:
-        lhs = {m: c for m, c in lhs.items() if c}
-        if not lhs:
-            if rhs:
-                raise NoSolutionError(label, f"inconsistent constraint {label}: 0 = {rhs}")
-            return
-        self.rows.append((lhs, rhs, label))
-
-    def solve(self, unknowns: set[BigMonomial]
-              ) -> tuple[dict[BigMonomial, Fraction], list[BigMonomial]]:
-        assign: dict[BigMonomial, Fraction] = {}
-        pending = self.rows
-        while True:
-            progressed = False
-            deferred = []
-            for lhs, rhs, label in pending:
-                reduced: dict[BigMonomial, Fraction] = {}
-                for m, c in lhs.items():
-                    if m in assign:
-                        rhs -= c * assign[m]
-                    else:
-                        reduced[m] = c
-                if not reduced:
-                    if rhs:
-                        raise NoSolutionError(
-                            label, f"inconsistent constraint {label}: 0 = {rhs}")
-                    continue
-                if len(reduced) == 1:
-                    m, c = next(iter(reduced.items()))
-                    assign[m] = rhs / c
-                    progressed = True
-                else:
-                    deferred.append((reduced, rhs, label))
-            pending = deferred
-            if not pending or not progressed:
-                break
-        if pending:
-            assign.update(self._eliminate(pending))
-        free = sorted(m for m in unknowns if m not in assign)
-        return assign, free
-
-    @staticmethod
-    def _eliminate(rows) -> dict[BigMonomial, Fraction]:
-        rows = [(dict(lhs), rhs, label) for lhs, rhs, label in rows]
-        pivots: list[tuple[BigMonomial, dict, Fraction]] = []
-        for lhs, rhs, label in rows:
-            for pvar, plhs, prhs in pivots:
-                if pvar in lhs:
-                    factor = lhs.pop(pvar)
-                    for m, c in plhs.items():
-                        s = lhs.get(m, Fraction(0)) - factor * c
-                        if s:
-                            lhs[m] = s
-                        else:
-                            lhs.pop(m, None)
-                    rhs -= factor * prhs
-            if not lhs:
-                if rhs:
-                    raise NoSolutionError(label, f"inconsistent constraint {label}")
-                continue
-            pvar = min(lhs)
-            pcoef = lhs.pop(pvar)
-            plhs = {m: c / pcoef for m, c in lhs.items()}
-            pivots.append((pvar, plhs, rhs / pcoef))
-        assign: dict[BigMonomial, Fraction] = {}
-        for pvar, plhs, prhs in reversed(pivots):
-            val = prhs
-            for m, c in plhs.items():
-                val -= c * assign.get(m, Fraction(0))
-            assign[pvar] = val
-        return assign
-
-
-@dataclass
-class SolveResult:
-    """A solved potential plus the monomials the equations left unconstrained."""
-
-    series: BigSeries
-    free: list[BigMonomial]
-
-
 # ---------------------------------------------------------------------------
 # closed-sector validation
 # ---------------------------------------------------------------------------
 
+def _shift_sum(f: BigSeries, variables: Sequence[BigVar], theory: TheoryData) -> BigSeries:
+    """sum_b x_{b+1} df/dx_b over the variables x_b below the level bound."""
+    res = BigSeries.zero(theory.trunc)
+    for kind, alpha, b in variables:
+        if b < theory.trunc.level_max:
+            res = res + BigSeries.var((kind, alpha, b + 1), theory.trunc) * partial(
+                f, (kind, alpha, b))
+    return res
+
+
+def _euler_sum(f: BigSeries, variables: Sequence[BigVar], theory: TheoryData) -> BigSeries:
+    """sum_x x df/dx over the variables."""
+    res = BigSeries.zero(theory.trunc)
+    for x in variables:
+        res = res + BigSeries.var(x, theory.trunc) * partial(f, x)
+    return res
+
+
 def string_residual(f0: BigSeries, theory: TheoryData) -> BigSeries:
     tr = theory.trunc
-    res = -t11_partial(f0, 0, theory)
-    for alpha in range(1, theory.n + 1):
-        for b in range(tr.level_max):
-            res = res + BigSeries.var(t_var(alpha, b + 1), tr) * partial(f0, t_var(alpha, b))
+    res = -t11_partial(f0, 0, theory) + _shift_sum(f0, theory.t_vars(), theory)
     for alpha in range(1, theory.n + 1):
         for beta in range(1, theory.n + 1):
             coef = theory.eta[alpha - 1][beta - 1]
@@ -321,12 +205,7 @@ def string_residual(f0: BigSeries, theory: TheoryData) -> BigSeries:
 
 
 def dilaton_residual(f0: BigSeries, theory: TheoryData) -> BigSeries:
-    tr = theory.trunc
-    res = -t11_partial(f0, 1, theory) - f0 * 2
-    for alpha in range(1, theory.n + 1):
-        for a in range(tr.level_max + 1):
-            res = res + BigSeries.var(t_var(alpha, a), tr) * partial(f0, t_var(alpha, a))
-    return res
+    return -t11_partial(f0, 1, theory) - f0 * 2 + _euler_sum(f0, theory.t_vars(), theory)
 
 
 def validate_closed_genus0(f0: BigSeries, theory: TheoryData) -> ResidualReport:
@@ -341,10 +220,7 @@ def validate_closed_genus0(f0: BigSeries, theory: TheoryData) -> ResidualReport:
         report.checked["dilaton"] = "single equation"
     else:
         report.checked["dilaton"] = "skipped: needs level bound >= 1"
-    pairs = [(beta, b, gamma, c)
-             for beta in range(1, theory.n + 1) for b in range(amax + 1)
-             for gamma in range(1, theory.n + 1) for c in range(amax + 1)
-             if (beta, b) <= (gamma, c)]
+    pairs = _index_pairs(theory)
     for alpha in range(1, theory.n + 1):
         for a in range(amax):
             raised = eta_contracted_hessian(f0, alpha, a, theory)
@@ -377,25 +253,12 @@ def validate_closed_genus0(f0: BigSeries, theory: TheoryData) -> ResidualReport:
 # ---------------------------------------------------------------------------
 
 def open_string_residual(f0o: BigSeries, theory: TheoryData) -> BigSeries:
-    tr = theory.trunc
-    res = -t11_partial(f0o, 0, theory) + BigSeries.var(s_var(0), tr)
-    for alpha in range(1, theory.n + 1):
-        for b in range(tr.level_max):
-            res = res + BigSeries.var(t_var(alpha, b + 1), tr) * partial(f0o, t_var(alpha, b))
-    for a in range(tr.level_max):
-        res = res + BigSeries.var(s_var(a + 1), tr) * partial(f0o, s_var(a))
-    return res
+    return (-t11_partial(f0o, 0, theory) + BigSeries.var(s_var(0), theory.trunc)
+            + _shift_sum(f0o, theory.all_vars(), theory))
 
 
 def open_dilaton_residual(f0o: BigSeries, theory: TheoryData) -> BigSeries:
-    tr = theory.trunc
-    res = -t11_partial(f0o, 1, theory) - f0o
-    for alpha in range(1, theory.n + 1):
-        for a in range(tr.level_max + 1):
-            res = res + BigSeries.var(t_var(alpha, a), tr) * partial(f0o, t_var(alpha, a))
-    for a in range(tr.level_max + 1):
-        res = res + BigSeries.var(s_var(a), tr) * partial(f0o, s_var(a))
-    return res
+    return -t11_partial(f0o, 1, theory) - f0o + _euler_sum(f0o, theory.all_vars(), theory)
 
 
 def validate_open_genus0(f0: BigSeries, f0o: BigSeries, theory: TheoryData
@@ -583,6 +446,284 @@ def _seed_coeffs(seed: JetPoly, theory: TheoryData, *, allow_phi: bool
     return out
 
 
+# ---------------------------------------------------------------------------
+# the order-by-order engine
+# ---------------------------------------------------------------------------
+
+_ID = [((), Fraction(1))]  # the spec of a table that holds a series as it is
+
+
+def _spec_monomials(specs: Sequence[tuple[tuple[BigVar, ...], Fraction]]
+                    ) -> list[tuple[BigMonomial, Fraction]]:
+    """(variables, scale) specs as (monomial, scale), dropping zero scales."""
+    return [(mono_from_factors((var, 1) for var in dvars), scale)
+            for dvars, scale in specs if scale]
+
+
+def _mono_div(m: BigMonomial | None, d: BigMonomial) -> BigMonomial | None:
+    for var, exp in d:
+        for _ in range(exp):
+            if m is None:
+                return None
+            m = mono_div_var(m, var)
+    return m
+
+
+def _falling(m: BigMonomial, d: BigMonomial) -> int:
+    """The factor d^k m / d(d) picks up: prod over x^c in d of e(e-1)...(e-c+1)."""
+    k = 1
+    for var, exp in d:
+        e = exponent_of(m, var)
+        for i in range(exp):
+            k *= e - i
+    return k
+
+
+class _Table:
+    """Incrementally maintained derivative of a coefficient table.
+
+    Entries are weight-bucketed lists of (degree, monomial, coefficient) for
+    the series sum_spec scale * d^k F / d(spec vars).  A table built from a
+    series holds its eps-free terms; one built without is `fed` the solved
+    coefficients one at a time.  Duplicate monomials in a bucket are allowed;
+    consumers accumulate.
+    """
+
+    def __init__(self, specs: Sequence[tuple[tuple[BigVar, ...], Fraction]],
+                 series: BigSeries | None = None):
+        self.specs = _spec_monomials(specs)
+        self.buckets: dict[int, list[tuple[int, BigMonomial, Fraction]]] = {}
+        self.fed = series is None
+        if series is not None:
+            self.push_all({mono: coef for (eps, mono), coef in series.terms.items()
+                           if not eps})
+
+    def push(self, mono: BigMonomial, coef: Fraction) -> None:
+        for d, scale in self.specs:
+            cur = _mono_div(mono, d)
+            if cur is not None:
+                self.buckets.setdefault(mono_weight(cur), []).append(
+                    (mono_degree(cur), cur, coef * _falling(mono, d) * scale))
+
+    def push_all(self, coeffs: dict[BigMonomial, Fraction]) -> None:
+        for mono, coef in coeffs.items():
+            self.push(mono, coef)
+
+    def bucket(self, w: int) -> list[tuple[int, BigMonomial, Fraction]]:
+        return self.buckets.get(w, ())
+
+
+def slice_product(a: _Table, b: _Table, weight: int, deg_cap: int
+                  ) -> dict[BigMonomial, Fraction]:
+    """Coefficients of the product of two tables at one output weight."""
+    out: dict[BigMonomial, Fraction] = defaultdict(Fraction)
+    for w1 in range(weight + 1):
+        lhs = a.bucket(w1)
+        rhs = b.bucket(weight - w1)
+        if not lhs or not rhs:
+            continue
+        for d1, m1, c1 in lhs:
+            for d2, m2, c2 in rhs:
+                if d1 + d2 <= deg_cap:
+                    out[mono_mul(m1, m2)] += c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+class _Rows:
+    """One row family: sum_spec scale * d^k F / d(spec vars) = rhs, one row per mu.
+
+    The row at mu is labelled label + (mu,).  Its unknowns are mu times each
+    spec monomial, all of one degree (`arity`) and weight (`offset`); its
+    right-hand side is the sum of the table `products` at mu.
+    """
+
+    def __init__(self, label: tuple, specs: Sequence[tuple[tuple[BigVar, ...], Fraction]],
+                 products: list[tuple[_Table, _Table]]):
+        self.label = label
+        self.products = products
+        self.specs = _spec_monomials(specs)
+        self.offset = mono_weight(self.specs[0][0])
+        self.arity = mono_degree(self.specs[0][0])
+
+    def rhs(self, weight: int, cap: int) -> dict[BigMonomial, Fraction]:
+        """Nonzero right-hand sides of the rows whose unknowns have this weight."""
+        out: dict[BigMonomial, Fraction] = defaultdict(Fraction)
+        for a, b in self.products if weight >= self.offset else ():
+            for m, c in slice_product(a, b, weight - self.offset, cap - self.arity).items():
+                out[m] += c
+        return {m: c for m, c in out.items() if c}
+
+    def pins(self, mu: BigMonomial) -> dict[BigMonomial, Fraction]:
+        """The left-hand side of the row at mu."""
+        out: dict[BigMonomial, Fraction] = {}
+        for d, scale in self.specs:
+            m = mono_mul(mu, d)
+            out[m] = scale * _falling(m, d)
+        return out
+
+
+def _row_order(key: tuple[int, BigMonomial]) -> tuple:
+    """The dense order: family first, then mu by degree and sorted factor list."""
+    i, mu = key
+    return i, mono_degree(mu), tuple(var for var, exp in mu for _ in range(exp))
+
+
+def _solve_rows(rows: list[tuple[dict[BigMonomial, Fraction], Fraction, tuple]]
+                ) -> dict[BigMonomial, Fraction]:
+    """Exact solve: single-unknown propagation in row order, then elimination."""
+    assign: dict[BigMonomial, Fraction] = {}
+    pending = rows
+    while True:
+        progressed = False
+        deferred = []
+        for lhs, rhs, label in pending:
+            reduced: dict[BigMonomial, Fraction] = {}
+            for m, c in lhs.items():
+                if m in assign:
+                    rhs -= c * assign[m]
+                else:
+                    reduced[m] = c
+            if not reduced:
+                if rhs:
+                    raise NoSolutionError(
+                        label, f"inconsistent constraint {label}: 0 = {rhs}")
+                continue
+            if len(reduced) == 1:
+                m, c = next(iter(reduced.items()))
+                assign[m] = rhs / c
+                progressed = True
+            else:
+                deferred.append((reduced, rhs, label))
+        pending = deferred
+        if not pending or not progressed:
+            break
+    if pending:
+        assign.update(_eliminate(pending))
+    return assign
+
+
+def _eliminate(rows) -> dict[BigMonomial, Fraction]:
+    """Gaussian elimination in row order, pivoting on each row's least unknown."""
+    pivots: list[tuple[BigMonomial, dict, Fraction]] = []
+    for lhs, rhs, label in rows:  # fresh dicts from _solve_rows, reduced in place
+        for pvar, plhs, prhs in pivots:
+            if pvar in lhs:
+                factor = lhs.pop(pvar)
+                for m, c in plhs.items():
+                    s = lhs.get(m, Fraction(0)) - factor * c
+                    if s:
+                        lhs[m] = s
+                    else:
+                        lhs.pop(m, None)
+                rhs -= factor * prhs
+        if not lhs:
+            if rhs:
+                raise NoSolutionError(label, f"inconsistent constraint {label}")
+            continue
+        pvar = min(lhs)
+        pcoef = lhs.pop(pvar)
+        plhs = {m: c / pcoef for m, c in lhs.items()}
+        pivots.append((pvar, plhs, rhs / pcoef))
+    assign: dict[BigMonomial, Fraction] = {}
+    for pvar, plhs, prhs in reversed(pivots):
+        val = prhs
+        for m, c in plhs.items():
+            val -= c * assign.get(m, Fraction(0))
+        assign[pvar] = val
+    return assign
+
+
+def _march(families: list[_Rows], known: dict[BigMonomial, Fraction],
+           variables: Sequence[BigVar], cap: int, level_max: int) -> list[BigMonomial]:
+    """Solve the row families weight by weight over the nonzero support.
+
+    `known` holds the weight-0 data on entry and every nonzero coefficient of
+    weight >= 1 and degree <= cap is added to it.  Returns the free monomials,
+    weight by weight.
+    """
+    fed = {id(t): t for fam in families for pair in fam.products for t in pair if t.fed}
+    index: dict[BigVar, list[tuple[int, BigMonomial]]] = {}
+    for i, fam in enumerate(families):
+        for d, _scale in fam.specs:
+            var = max(d, key=lambda factor: factor[0][2])[0]
+            index.setdefault(var, []).append((i, mono_div_var(d, var)))
+
+    def rows_through(m: BigMonomial):
+        for var, _exp in m:
+            for i, rest in index.get(var, ()):
+                mu = _mono_div(mono_div_var(m, var), rest)
+                if mu is not None:
+                    yield i, mu
+
+    # Monomials no row contains.  A recursion family reaches every monomial of
+    # positive weight and of at least its arity through a positive-level
+    # factor, so only lower degrees need a look.
+    structural: dict[int, set[BigMonomial]] = {}
+    for d in range(1, min(max((fam.arity for fam in families), default=0), cap + 1)):
+        for combo in combinations_with_replacement(sorted(variables), d):
+            m = mono_from_factors((var, 1) for var in combo)
+            if mono_weight(m) and next(rows_through(m), None) is None:
+                structural.setdefault(mono_weight(m), set()).add(m)
+
+    for table in fed.values():
+        table.push_all(known)
+    free: list[BigMonomial] = []
+    for w in range(1, cap * level_max + 1):
+        active = {(i, mu): rhs for i, fam in enumerate(families)
+                  for mu, rhs in fam.rhs(w, cap).items()}
+        # close under shared unknowns: every other row is in a zero component
+        todo = list(active)
+        unknowns: set[BigMonomial] = set()
+        while todo:
+            i, mu = todo.pop()
+            for m in families[i].pins(mu).keys() - unknowns:
+                unknowns.add(m)
+                for key in rows_through(m):
+                    if key not in active:
+                        active[key] = Fraction(0)
+                        todo.append(key)
+        assign = _solve_rows([(families[i].pins(mu), active[(i, mu)], families[i].label + (mu,))
+                              for i, mu in sorted(active, key=_row_order)])
+        free.extend(sorted(m for m in unknowns | structural.get(w, set())
+                           if m not in assign))
+        solved = {m: c for m, c in assign.items() if c}
+        known.update(solved)
+        for table in fed.values():
+            table.push_all(solved)
+    return free
+
+
+@dataclass
+class SolveResult:
+    """A solved potential plus the monomials the equations left unconstrained."""
+
+    series: BigSeries
+    free: list[BigMonomial]
+
+
+def _hessian_specs(alpha: int, a: int, nu: int, theory: TheoryData) -> list:
+    """Table specs of eta^{mu nu} d^2F0/dt{alpha}_a dt{mu}_0, summed over mu."""
+    return [((t_var(alpha, a), t_var(mu, 0)), theory.eta_inv[mu - 1][nu - 1])
+            for mu in range(1, theory.n + 1)]
+
+
+def _string_rows(label: str, d1: dict[BigVar, _Table], theory: TheoryData) -> _Rows:
+    """sum_g A^g dF/dt{g}_0 = sum_b x_{b+1} dF/dx_b over the fed tables d1[x_b]."""
+    shift = [(table, _Table(_ID, BigSeries.var((kind, alpha, level + 1), theory.trunc)))
+             for (kind, alpha, level), table in d1.items()]
+    return _Rows((label,), [((t_var(g, 0),), a) for g, a in enumerate(theory.avec, 1)],
+                 shift)
+
+
+def _unit_derivative(seed: JetPoly, theory: TheoryData) -> JetPoly:
+    """sum_g A^g d seed / dv{g}_0, the string equation on the small phase space."""
+    got = JetPoly.zero(seed.trunc)
+    for alpha in range(1, theory.n + 1):
+        if theory.avec[alpha - 1]:
+            got = got + jet_partial(seed, vvar(alpha, 0)) * theory.avec[alpha - 1]
+    return got
+
+
 def solve_closed_order_by_order(seed: JetPoly, theory: TheoryData) -> SolveResult:
     """Extend a small-phase-space seed to a potential killing string + TRR residuals.
 
@@ -590,7 +731,6 @@ def solve_closed_order_by_order(seed: JetPoly, theory: TheoryData) -> SolveResul
     NoSolutionError when some stage has no consistent extension.
     """
     tr = theory.trunc
-    dmax, amax = tr.deg_max, tr.level_max
     want = JetPoly.zero(seed.trunc)
     for alpha in range(1, theory.n + 1):
         for beta in range(1, theory.n + 1):
@@ -598,253 +738,62 @@ def solve_closed_order_by_order(seed: JetPoly, theory: TheoryData) -> SolveResul
             if coef:
                 want = want + (JetPoly.var(vvar(alpha, 0), seed.trunc)
                                * JetPoly.var(vvar(beta, 0), seed.trunc)) * (coef / 2)
-    got = JetPoly.zero(seed.trunc)
-    for alpha in range(1, theory.n + 1):
-        if theory.avec[alpha - 1]:
-            got = got + jet_partial(seed, vvar(alpha, 0)) * theory.avec[alpha - 1]
+    got = _unit_derivative(seed, theory)
     if got.terms != want.terms:
         raise SeedError("seed fails the restricted string equation at "
                         f"{_first_mismatch(got, want)} "
                         "(unit derivative must be the metric quadratic)")
 
     known = _seed_coeffs(seed, theory, allow_phi=False)
-    tvars = theory.t_vars()
-    by_weight = weight_buckets(monomials_up_to(tvars, dmax))
-
-    hess = {}
-    third = {}
-    for alpha in range(1, theory.n + 1):
-        for a in range(amax):
-            for nu in range(1, theory.n + 1):
-                hess[(alpha, a, nu)] = _Table(
-                    [((t_var(alpha, a), t_var(mu, 0)), theory.eta_inv[mu - 1][nu - 1])
-                     for mu in range(1, theory.n + 1)])
-    pairs = [(beta, b, gamma, c)
-             for beta in range(1, theory.n + 1) for b in range(amax + 1)
-             for gamma in range(1, theory.n + 1) for c in range(amax + 1)
-             if (beta, b) <= (gamma, c)]
-    for nu in range(1, theory.n + 1):
-        for beta, b, gamma, c in pairs:
-            third[(nu, beta, b, gamma, c)] = _Table(
-                [((t_var(nu, 0), t_var(beta, b), t_var(gamma, c)), Fraction(1))])
-
-    def push(coeffs: dict[BigMonomial, Fraction]) -> None:
-        for table in hess.values():
-            table.push_all(coeffs)
-        for table in third.values():
-            table.push_all(coeffs)
-
-    push(known)
-    free: list[BigMonomial] = []
-    for w in range(1, dmax * amax + 1):
-        stage = by_weight.get(w)
-        if not stage:
-            continue
-        rows = _RowSystem()
-        for mu_mono in stage:
-            if mono_degree(mu_mono) > dmax - 1:
-                continue
-            lhs: dict[BigMonomial, Fraction] = {}
-            for g in range(1, theory.n + 1):
-                acoef = theory.avec[g - 1]
-                if acoef:
-                    m2 = mono_mul_var(mu_mono, t_var(g, 0))
-                    lhs[m2] = lhs.get(m2, Fraction(0)) + acoef * (
-                        exponent_of(mu_mono, t_var(g, 0)) + 1)
-            rhs = Fraction(0)
-            for beta in range(1, theory.n + 1):
-                for b in range(amax):
-                    down = mono_div_var(mu_mono, t_var(beta, b + 1))
-                    if down is None:
-                        continue
-                    src = mono_mul_var(down, t_var(beta, b))
-                    coef = known.get(src)
-                    if coef:
-                        rhs += coef * (exponent_of(down, t_var(beta, b)) + 1)
-            rows.add(lhs, rhs, ("string", mu_mono))
-        for alpha in range(1, theory.n + 1):
-            for a in range(amax):
-                for beta, b, gamma, c in pairs:
-                    wm = w - (a + 1) - b - c
-                    if wm < 0:
-                        continue
-                    mus = [m for m in by_weight.get(wm, ())
-                           if mono_degree(m) <= dmax - 3]
-                    if not mus:
-                        continue
-                    rhs_slice: dict[BigMonomial, Fraction] = {}
-                    for nu in range(1, theory.n + 1):
-                        part = slice_product(hess[(alpha, a, nu)],
-                                             third[(nu, beta, b, gamma, c)],
-                                             wm, dmax - 3)
-                        for m, cval in part.items():
-                            s = rhs_slice.get(m, Fraction(0)) + cval
-                            if s:
-                                rhs_slice[m] = s
-                            else:
-                                del rhs_slice[m]
-                    x1, x2, x3 = t_var(alpha, a + 1), t_var(beta, b), t_var(gamma, c)
-                    for mu_mono in mus:
-                        m = mono_mul_var(mono_mul_var(mono_mul_var(mu_mono, x1), x2), x3)
-                        k = exponent_of(m, x1)
-                        m_1 = mono_div_var(m, x1)
-                        k *= exponent_of(m_1, x2)
-                        m_2 = mono_div_var(m_1, x2)
-                        k *= exponent_of(m_2, x3)
-                        rows.add({m: Fraction(k)}, rhs_slice.get(mu_mono, Fraction(0)),
-                                 ("trr0", (alpha, a, beta, b, gamma, c), mu_mono))
-        assign, stage_free = rows.solve(set(stage))
-        for m in stage_free:
-            assign.setdefault(m, Fraction(0))
-        free.extend(stage_free)
-        known.update(assign)
-        push({m: c for m, c in assign.items() if c})
-    series = BigSeries.from_coeffs({m: c for m, c in known.items() if c}, tr, rel=dmax)
-    return SolveResult(series, free)
+    nus = range(1, theory.n + 1)
+    pairs = {(beta, b, gamma, c): (t_var(beta, b), t_var(gamma, c))
+             for beta, b, gamma, c in _index_pairs(theory)}
+    third = {(nu, pair): _Table([((t_var(nu, 0), *dvars), Fraction(1))])
+             for nu in nus for pair, dvars in pairs.items()}
+    d1 = {x: _Table([((x,), Fraction(1))]) for x in theory.t_vars(tr.level_max - 1)}
+    families = [_string_rows("string", d1, theory)]
+    for alpha in nus:
+        for a in range(tr.level_max):
+            hess = [_Table(_hessian_specs(alpha, a, nu, theory)) for nu in nus]
+            for pair, dvars in pairs.items():
+                families.append(_Rows(
+                    ("trr0", (alpha, a, *pair)), [((t_var(alpha, a + 1), *dvars), Fraction(1))],
+                    [(hess[nu - 1], third[(nu, pair)]) for nu in nus]))
+    free = _march(families, known, theory.t_vars(), tr.deg_max, tr.level_max)
+    return SolveResult(BigSeries.from_coeffs(known, tr, rel=tr.deg_max), free)
 
 
 def solve_open_order_by_order(f0: BigSeries, seed: JetPoly,
                               theory: TheoryData) -> SolveResult:
     """Extend an open seed to a potential killing the open string/TRR residuals."""
     tr = theory.trunc
-    dmax, amax = tr.deg_max, tr.level_max
     want = JetPoly.var(phivar(0), seed.trunc)
-    got = JetPoly.zero(seed.trunc)
-    for alpha in range(1, theory.n + 1):
-        if theory.avec[alpha - 1]:
-            got = got + jet_partial(seed, vvar(alpha, 0)) * theory.avec[alpha - 1]
+    got = _unit_derivative(seed, theory)
     if got.terms != want.terms:
         raise SeedError("seed fails the restricted open string equation at "
                         f"{_first_mismatch(got, want)} "
                         "(unit derivative must equal phi)")
 
     known = _seed_coeffs(seed, theory, allow_phi=True)
-    cap_out = dmax if f0.rel is None else min(dmax, f0.rel)
+    cap_out = tr.deg_max if f0.rel is None else min(tr.deg_max, f0.rel)
     allvars = theory.all_vars()
-    by_weight = weight_buckets(monomials_up_to(allvars, cap_out))
-
-    closed_hess = {}
-    for alpha in range(1, theory.n + 1):
-        for p in range(amax):
-            for nu in range(1, theory.n + 1):
-                table = _Table(
-                    [((t_var(alpha, p), t_var(mu, 0)), theory.eta_inv[mu - 1][nu - 1])
-                     for mu in range(1, theory.n + 1)])
-                for (eps, mono), coef in f0.terms.items():
-                    if not eps:
-                        table.push(mono, coef)
-                closed_hess[(alpha, p, nu)] = table
-
+    nus = range(1, theory.n + 1)
+    d1 = {x: _Table([((x,), Fraction(1))]) for x in allvars if x[2] < tr.level_max}
     d2t = {(y, nu): _Table([((y, t_var(nu, 0)), Fraction(1))])
-           for y in allvars for nu in range(1, theory.n + 1)}
+           for y in allvars for nu in nus}
     d2s = {y: _Table([((y, s_var(0)), Fraction(1))]) for y in allvars}
-    d1t = {(alpha, p): _Table([((t_var(alpha, p),), Fraction(1))])
-           for alpha in range(1, theory.n + 1) for p in range(amax)}
-    d1s = {p: _Table([((s_var(p),), Fraction(1))]) for p in range(amax)}
-
-    def push(coeffs: dict[BigMonomial, Fraction]) -> None:
-        for table in d2t.values():
-            table.push_all(coeffs)
-        for table in d2s.values():
-            table.push_all(coeffs)
-        for table in d1t.values():
-            table.push_all(coeffs)
-        for table in d1s.values():
-            table.push_all(coeffs)
-
-    push(known)
-    s0 = s_var(0)
-    free: list[BigMonomial] = []
-    for w in range(1, cap_out * amax + 1):
-        stage = by_weight.get(w)
-        if not stage:
-            continue
-        rows = _RowSystem()
-        for mu_mono in stage:
-            if mono_degree(mu_mono) > cap_out - 1:
-                continue
-            lhs: dict[BigMonomial, Fraction] = {}
-            for g in range(1, theory.n + 1):
-                acoef = theory.avec[g - 1]
-                if acoef:
-                    m2 = mono_mul_var(mu_mono, t_var(g, 0))
-                    lhs[m2] = lhs.get(m2, Fraction(0)) + acoef * (
-                        exponent_of(mu_mono, t_var(g, 0)) + 1)
-            rhs = Fraction(0)
-            for beta in range(1, theory.n + 1):
-                for b in range(amax):
-                    down = mono_div_var(mu_mono, t_var(beta, b + 1))
-                    if down is None:
-                        continue
-                    src = mono_mul_var(down, t_var(beta, b))
-                    coef = known.get(src)
-                    if coef:
-                        rhs += coef * (exponent_of(down, t_var(beta, b)) + 1)
-            for b in range(amax):
-                down = mono_div_var(mu_mono, s_var(b + 1))
-                if down is None:
-                    continue
-                src = mono_mul_var(down, s_var(b))
-                coef = known.get(src)
-                if coef:
-                    rhs += coef * (exponent_of(down, s_var(b)) + 1)
-            rows.add(lhs, rhs, ("open_string", mu_mono))
-        for alpha in range(1, theory.n + 1):
-            for p in range(amax):
-                x_t = t_var(alpha, p + 1)
-                for y in allvars:
-                    wm = w - (p + 1) - y[2]
-                    if wm < 0:
-                        continue
-                    mus = [m for m in by_weight.get(wm, ())
-                           if mono_degree(m) <= cap_out - 2]
-                    if not mus:
-                        continue
-                    rhs_slice: dict[BigMonomial, Fraction] = {}
-                    for nu in range(1, theory.n + 1):
-                        part = slice_product(closed_hess[(alpha, p, nu)],
-                                             d2t[(y, nu)], wm, cap_out - 2)
-                        for m, cval in part.items():
-                            s = rhs_slice.get(m, Fraction(0)) + cval
-                            if s:
-                                rhs_slice[m] = s
-                            else:
-                                del rhs_slice[m]
-                    part = slice_product(d1t[(alpha, p)], d2s[y], wm, cap_out - 2)
-                    for m, cval in part.items():
-                        s = rhs_slice.get(m, Fraction(0)) + cval
-                        if s:
-                            rhs_slice[m] = s
-                        else:
-                            del rhs_slice[m]
-                    for mu_mono in mus:
-                        m = mono_mul_var(mono_mul_var(mu_mono, y), x_t)
-                        k = exponent_of(m, y)
-                        k *= exponent_of(mono_div_var(m, y), x_t)
-                        rows.add({m: Fraction(k)}, rhs_slice.get(mu_mono, Fraction(0)),
-                                 ("open_trr_t", (alpha, p, y), mu_mono))
-        for p in range(amax):
-            x_s = s_var(p + 1)
+    families = [_string_rows("open_string", d1, theory)]
+    for alpha in nus:
+        for p in range(tr.level_max):
+            hess = [_Table(_hessian_specs(alpha, p, nu, theory), f0) for nu in nus]
             for y in allvars:
-                wm = w - (p + 1) - y[2]
-                if wm < 0:
-                    continue
-                mus = [m for m in by_weight.get(wm, ())
-                       if mono_degree(m) <= cap_out - 2]
-                if not mus:
-                    continue
-                rhs_slice = slice_product(d1s[p], d2s[y], wm, cap_out - 2)
-                for mu_mono in mus:
-                    m = mono_mul_var(mono_mul_var(mu_mono, y), x_s)
-                    k = exponent_of(m, y)
-                    k *= exponent_of(mono_div_var(m, y), x_s)
-                    rows.add({m: Fraction(k)}, rhs_slice.get(mu_mono, Fraction(0)),
-                             ("open_trr_s", (p, y), mu_mono))
-        assign, stage_free = rows.solve(set(stage))
-        for m in stage_free:
-            assign.setdefault(m, Fraction(0))
-        free.extend(stage_free)
-        known.update(assign)
-        push({m: c for m, c in assign.items() if c})
-    series = BigSeries.from_coeffs({m: c for m, c in known.items() if c}, tr, rel=cap_out)
-    return SolveResult(series, free)
+                families.append(_Rows(
+                    ("open_trr_t", (alpha, p, y)), [((t_var(alpha, p + 1), y), Fraction(1))],
+                    [(hess[nu - 1], d2t[(y, nu)]) for nu in nus]
+                    + [(d1[t_var(alpha, p)], d2s[y])]))
+    for p in range(tr.level_max):
+        for y in allvars:
+            families.append(_Rows(("open_trr_s", (p, y)), [((s_var(p + 1), y), Fraction(1))],
+                                  [(d1[s_var(p)], d2s[y])]))
+    free = _march(families, known, allvars, cap_out, tr.level_max)
+    return SolveResult(BigSeries.from_coeffs(known, tr, rel=cap_out), free)

@@ -12,14 +12,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import JetPoly, exponent_of
+from .algebra import JetPoly
 from .bigphase import (
-    BigMonomial,
     BigSeries,
     TheoryData,
     eval_jetpoly,
-    mono_degree,
-    mono_mul_var,
     partial,
     partial_many,
     phitop,
@@ -33,13 +30,13 @@ from .bigphase import (
 from .genus0 import (
     NoSolutionError,
     ResidualReport,
-    _RowSystem,
+    _ID,
+    _Rows,
     _Table,
+    _hessian_specs,
+    _march,
     _seed_coeffs,
     eta_contracted_hessian,
-    monomials_up_to,
-    slice_product,
-    weight_buckets,
 )
 
 
@@ -119,117 +116,31 @@ def solve_f1o(f0: BigSeries, f0o: BigSeries, go: JetPoly, theory: TheoryData,
     dmax, amax = tr.deg_max, tr.level_max
     # the right-hand sides read one extra degree of the genus-0 data, so the
     # output window sits one below the narrowest trusted input window
-    base = dmax
-    for src in (f0.rel, f0o.rel):
-        if src is not None:
-            base = min(base, src)
-    relout = base - 1
-    go_coeffs = _seed_coeffs(go, theory, allow_phi=True)
-    known = dict(go_coeffs)
-
-    hess = {}
-    for alpha in range(1, theory.n + 1):
+    relout = min(rel for rel in (dmax, f0.rel, f0o.rel) if rel is not None) - 1
+    known = _seed_coeffs(go, theory, allow_phi=True)
+    nus = range(1, theory.n + 1)
+    s0 = s_var(0)
+    unit = _Table(_ID, BigSeries.const(1, tr))
+    g1t = [_Table([((t_var(nu, 0),), Fraction(1))]) for nu in nus]
+    g1s = _Table([((s0,), Fraction(1))])
+    families = []
+    for alpha in nus:
         for a in range(amax):
-            for nu in range(1, theory.n + 1):
-                table = _Table(
-                    [((t_var(alpha, a), t_var(mu, 0)), theory.eta_inv[mu - 1][nu - 1])
-                     for mu in range(1, theory.n + 1)])
-                for (eps, mono), coef in f0.terms.items():
-                    if not eps:
-                        table.push(mono, coef)
-                hess[(alpha, a, nu)] = table
-    d1t = {}
-    for alpha in range(1, theory.n + 1):
-        for a in range(amax):
-            table = _Table([((t_var(alpha, a),), Fraction(1))])
-            for (eps, mono), coef in f0o.terms.items():
-                if not eps:
-                    table.push(mono, coef)
-            d1t[(alpha, a)] = table
-    d1s = {}
+            x = t_var(alpha, a)
+            families.append(_Rows(
+                ("open_trr1_t", (alpha, a)), [((t_var(alpha, a + 1),), Fraction(1))],
+                [(_Table(_hessian_specs(alpha, a, nu, theory), f0), g1t[nu - 1])
+                 for nu in nus]
+                + [(_Table([((x,), Fraction(1))], f0o), g1s),
+                   (_Table([((x, s0), Fraction(1, 2))], f0o), unit)]))
     for a in range(amax):
-        table = _Table([((s_var(a),), Fraction(1))])
-        for (eps, mono), coef in f0o.terms.items():
-            if not eps:
-                table.push(mono, coef)
-        d1s[a] = table
-    half_t = {(alpha, a): partial_many(f0o, [t_var(alpha, a), s_var(0)]) * Fraction(1, 2)
-              for alpha in range(1, theory.n + 1) for a in range(amax)}
-    half_s = {a: partial_many(f0o, [s_var(a), s_var(0)]) * Fraction(1, 2)
-              for a in range(amax)}
-
-    g1t = {nu: _Table([((t_var(nu, 0),), Fraction(1))])
-           for nu in range(1, theory.n + 1)}
-    g1s = _Table([((s_var(0),), Fraction(1))])
-
-    def push(coeffs: dict[BigMonomial, Fraction]) -> None:
-        for table in g1t.values():
-            table.push_all(coeffs)
-        g1s.push_all(coeffs)
-
-    push(go_coeffs)
-    allvars = theory.all_vars()
-    by_weight = weight_buckets(m for m in monomials_up_to(allvars, relout))
-    for w in range(1, relout * amax + 1):
-        stage = by_weight.get(w)
-        if not stage:
-            continue
-        rows = _RowSystem()
-        for alpha in range(1, theory.n + 1):
-            for a in range(amax):
-                x_t = t_var(alpha, a + 1)
-                wm = w - (a + 1)
-                if wm < 0:
-                    continue
-                mus = [m for m in by_weight.get(wm, ())
-                       if mono_degree(m) <= relout - 1]
-                if not mus:
-                    continue
-                rhs_slice: dict[BigMonomial, Fraction] = {}
-                for nu in range(1, theory.n + 1):
-                    part = slice_product(hess[(alpha, a, nu)], g1t[nu], wm, relout - 1)
-                    for m, cval in part.items():
-                        s = rhs_slice.get(m, Fraction(0)) + cval
-                        if s:
-                            rhs_slice[m] = s
-                        else:
-                            del rhs_slice[m]
-                part = slice_product(d1t[(alpha, a)], g1s, wm, relout - 1)
-                for m, cval in part.items():
-                    s = rhs_slice.get(m, Fraction(0)) + cval
-                    if s:
-                        rhs_slice[m] = s
-                    else:
-                        del rhs_slice[m]
-                for mu_mono in mus:
-                    m = mono_mul_var(mu_mono, x_t)
-                    k = exponent_of(m, x_t)
-                    rhs = rhs_slice.get(mu_mono, Fraction(0)) + \
-                        half_t[(alpha, a)].coefficient(mu_mono)
-                    rows.add({m: Fraction(k)}, rhs, ("open_trr1_t", (alpha, a), mu_mono))
-        for a in range(amax):
-            x_s = s_var(a + 1)
-            wm = w - (a + 1)
-            if wm < 0:
-                continue
-            mus = [m for m in by_weight.get(wm, ()) if mono_degree(m) <= relout - 1]
-            if not mus:
-                continue
-            rhs_slice = slice_product(d1s[a], g1s, wm, relout - 1)
-            for mu_mono in mus:
-                m = mono_mul_var(mu_mono, x_s)
-                k = exponent_of(m, x_s)
-                rhs = rhs_slice.get(mu_mono, Fraction(0)) + half_s[a].coefficient(mu_mono)
-                rows.add({m: Fraction(k)}, rhs, ("open_trr1_s", (a,), mu_mono))
-        assign, stage_free = rows.solve(set(stage))
-        if stage_free:
-            raise NoSolutionError(("open_trr1", w),
-                                  f"underdetermined coefficients at weight {w}: "
-                                  f"{stage_free[:3]}")
-        known.update(assign)
-        push({m: c for m, c in assign.items() if c})
-    series = BigSeries.from_coeffs({m: c for m, c in known.items() if c},
-                                   tr, rel=relout)
+        x = s_var(a)
+        families.append(_Rows(
+            ("open_trr1_s", (a,)), [((s_var(a + 1),), Fraction(1))],
+            [(_Table([((x,), Fraction(1))], f0o), g1s),
+             (_Table([((x, s0), Fraction(1, 2))], f0o), unit)]))
+    _march(families, known, theory.all_vars(), relout, amax)
+    series = BigSeries.from_coeffs(known, tr, rel=relout)
     if validate:
         report = validate_open_genus1(f0, f0o, series, theory)
         if not report.all_zero:

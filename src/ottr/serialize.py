@@ -5,9 +5,11 @@ lines in canonical order, and ``end``.  Emission is deterministic, terms are
 sorted, coefficients are in lowest terms, and parsing a file then re-emitting
 it reproduces the bytes exactly.  The parser is strict: non-canonical
 coefficients or integers, stray spaces, unknown variable kinds, terms outside
-the declared truncation, and reliable degrees above the degree bound are
-rejected with line and column positions.  The grading and the variable names
-of a series come from its class, so both series kinds share one code path.
+the declared truncation, reliable degrees above the degree bound, carriage
+returns, non-ASCII text, a missing or doubled final newline, and report
+entries or range lines out of their sorted order are rejected with line and
+column positions.  The grading and the variable names of a series come from
+its class, so both series kinds share one code path.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 
 from .algebra import JetPoly, SparseSeries
 from .bigphase import BigSeries, TheoryData, Truncation, big_var_name
-from .genus0 import ResidualReport
+from .genus0 import ResidualReport, entry_status
 from .laxpde import LinearDiffOp
 
 FORMAT_TAG = "ottr-series-v1"
@@ -35,6 +37,8 @@ _INT = re.compile(r"-?(?:0|[1-9][0-9]*)").fullmatch
 _NAT = r"(0|[1-9][0-9]*)"
 # One variable of a term line: kind:alpha:index:exponent.
 _VAR = re.compile(rf"([^:]*):{_NAT}:{_NAT}:{_NAT}").fullmatch
+# Characters the emitter never writes: carriage returns and non-ASCII text.
+_STRAY = re.compile("[\r\x80-\U0010ffff]").search
 
 
 class ParseError(ValueError):
@@ -124,7 +128,7 @@ def emit(value, theory: TheoryData) -> str:
             entries = value.entries
             ranges = value.ranges
         for eq, idx, zero, window in sorted(entries, key=lambda t: (t[0], t[1])):
-            status = "zero" if zero else "nonzero"
+            status = entry_status(zero, window)
             lines.append(f"entry eq={eq} idx={_fmt_idx(idx)} status={status} "
                          f"window={_fmt_rel(window)}")
         for eq in sorted(ranges):
@@ -168,6 +172,23 @@ def _parse_int(tok: str, what: str, line_no: int, col: int) -> int:
 def _int_or_text(tok: str):
     """An index part: an int when written canonically, else the text itself."""
     return int(tok) if _INT(tok) else tok
+
+
+def _parse_index(txt: str, names: dict, line_no: int, col: int) -> tuple:
+    """A report index: canonical integers and the theory's variable names."""
+    out = []
+    for part in txt.split(":") if txt != "-" else ():
+        val = int(part) if _INT(part) else names.get(part)
+        if val is None:
+            raise ParseError(f"bad index part {part!r}", line_no, col)
+        out.append(val)
+        col += len(part) + 1
+    return tuple(out)
+
+
+def _position(text: str, index: int) -> tuple[int, int]:
+    """1-based line and column of a character offset."""
+    return text.count("\n", 0, index) + 1, index - text.rfind("\n", 0, index)
 
 
 def _kv(fld: tuple[str, int], key: str, line_no: int) -> tuple[str, int]:
@@ -279,8 +300,15 @@ def _parse_series(numbered: list[tuple[int, str]], cls: type[SparseSeries],
 
 def parse(text: str):
     """Parse a serialized file; returns (value, theory)."""
-    lines = text.splitlines()
-    if not lines or lines[0] != FORMAT_TAG:
+    stray = _STRAY(text)
+    if stray:
+        what = ("carriage return" if stray[0] == "\r"
+                else f"non-ASCII character {stray[0]!r}")
+        raise ParseError(what, *_position(text, stray.start()))
+    if not text.endswith("\n"):
+        raise ParseError("missing final newline", *_position(text, len(text)))
+    lines = text[:-1].split("\n")
+    if lines[0] != FORMAT_TAG:
         raise ParseError(f"missing format tag {FORMAT_TAG!r}", 1)
     if len(lines) < 3:
         raise ParseError("truncated file", len(lines) or 1)
@@ -291,6 +319,8 @@ def parse(text: str):
     kind = kind_fields[1][0] if len(kind_fields) > 1 else ""
     body = lines[3:]
     if not body or body[-1] != "end":
+        if "end" in body:
+            raise ParseError("text after the end marker", body.index("end") + 5)
         raise ParseError("missing end marker", len(lines))
     numbered = list(enumerate(body[:-1], start=4))
     if kind in _SERIES_KINDS:
@@ -329,26 +359,44 @@ def parse(text: str):
             coeffs[key] = _parse_series(term_lines, JetPoly, jt, rel, theory)
         return LinearDiffOp(coeffs, meta), theory
     if kind == "report":
+        if len(kind_fields) != 2:
+            raise ParseError("malformed kind line", 3)
         entries = []
         ranges = {}
+        names = {big_var_name(var): var for var in theory.all_vars()}
         for line_no, line in numbered:
             if line.startswith("entry "):
+                if ranges:
+                    raise ParseError("entry after the range lines", line_no)
                 fields = _fields(line, line_no)
                 if len(fields) != 5:
                     raise ParseError("malformed entry line", line_no)
                 eq, _ = _kv(fields[1], "eq", line_no)
-                idx_txt, _ = _kv(fields[2], "idx", line_no)
-                idx = () if idx_txt == "-" else tuple(
-                    _int_or_text(x) for x in idx_txt.split(":"))
+                idx_txt, col = _kv(fields[2], "idx", line_no)
+                idx = _parse_index(idx_txt, names, line_no, col)
+                try:
+                    ordered = not entries or entries[-1][:2] < (eq, idx)
+                except TypeError:  # an integer and a variable at one index position
+                    ordered = False
+                if not ordered:
+                    raise ParseError("entries must be sorted by equation and index, "
+                                     "each once", line_no, fields[1][1])
                 status, col = _kv(fields[3], "status", line_no)
-                if status not in ("zero", "nonzero"):
+                if status not in ("zero", "nonzero", "vacuous"):
                     raise ParseError(f"bad status {status!r}", line_no, col)
                 window = _parse_rel(fields[4], "window", line_no)
-                entries.append((eq, idx, status == "zero", window))
+                if (status == "vacuous") != (window is not None and window < 0):
+                    raise ParseError(f"status {status} does not fit window "
+                                     f"{_fmt_rel(window)} (vacuous exactly when "
+                                     "negative)", line_no, col)
+                entries.append((eq, idx, status != "nonzero", window))
             elif line.startswith("range "):
                 parts = line.split(" ", 2)
                 if len(parts) != 3:
                     raise ParseError("malformed range line", line_no)
+                if ranges and parts[1] <= next(reversed(ranges)):
+                    raise ParseError("range lines must be sorted by equation, "
+                                     "each once", line_no, 7)
                 ranges[parts[1]] = parts[2]
             else:
                 raise ParseError(f"unexpected line {line!r}", line_no)
@@ -362,5 +410,6 @@ def dump(value, theory: TheoryData, path) -> None:
 
 
 def load(path):
-    with open(path, encoding="ascii") as fh:
+    # one character per byte: the parser places every CR and non-ASCII byte
+    with open(path, encoding="latin-1", newline="") as fh:
         return parse(fh.read())

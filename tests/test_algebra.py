@@ -177,3 +177,11 @@ def test_canonical_form_is_order_independent():
 def test_no_zero_coefficients_stored():
     p = V(1) - V(1)
     assert p.terms == {}
+
+
+@pytest.mark.parametrize("checked", [False, True])
+def test_reliable_degree_above_dv_rejected(checked):
+    """A jet polynomial's rel is bounded by Dv, its degree bound."""
+    assert JetPoly({}, TR, rel=8, _checked=checked).rel == 8
+    with pytest.raises(ValueError, match="above the degree bound 8"):
+        JetPoly({}, TR, rel=9, _checked=checked)

@@ -208,3 +208,17 @@ def test_series_ring_laws(f, g):
 def test_partials_commute(f):
     x, y = t_var(1, 1), s_var(2)
     assert partial(partial(f, x), y) == partial(partial(f, y), x)
+
+
+@pytest.mark.parametrize("checked", [False, True])
+def test_reliable_degree_above_bound_rejected(checked):
+    """rel may not exceed Dt: no stored coefficient can vouch beyond it."""
+    tr = Truncation.of(6, 2)
+    assert BigSeries({}, tr, rel=6, _checked=checked).rel == 6
+    with pytest.raises(ValueError, match="above the degree bound 6"):
+        BigSeries({}, tr, rel=99, _checked=checked)
+
+
+def test_product_reliable_degree_capped_at_bound():
+    f = BigSeries.var(t_var(1, 0), TR) * BigSeries({}, TR, rel=TR.deg_max)
+    assert f.rel == TR.deg_max

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from ottr.cli import main
+from ottr.serialize import emit, parse
 
 GEN = ["gen-example", "open-rank1", "--degree", "5", "--amax", "1"]
 
@@ -49,6 +50,26 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code = main(["validate-genus0", str(target)])
     assert code == 2
     assert "line 1" in capsys.readouterr().err
+
+
+EMPTY_D6 = ("ottr-series-v1\ntheory rank=1 eta=1 A=1 Dt=6 Amax=2 Dv=6 J=3 E=2\n"
+            "kind bigseries rel=0\nend\n")
+
+
+@pytest.mark.parametrize("verb, nfiles", [("validate-genus0", 1), ("validate-open", 2)])
+def test_negative_windows_are_vacuous_not_pass(verb, nfiles, tmp_path, capsys):
+    """An empty rel=0 series leaves every window negative: nothing was checked."""
+    empty = tmp_path / "empty.ottr"
+    empty.write_text(EMPTY_D6)
+    report = tmp_path / "report.ottr"
+    code = main([verb, *[str(empty)] * nfiles, "--out", str(report)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.rstrip().endswith("# overall: VACUOUS")
+    assert "PASS" not in out and "NONZERO" not in out
+    text = report.read_text()
+    assert "status=vacuous" in text and "status=zero" not in text
+    assert emit(*parse(text)) == text
 
 
 def test_upward_truncation_override_rejected(fixture_dir, capsys):

@@ -20,6 +20,7 @@ from ottr.bigphase import (
     vtop,
 )
 from ottr.genus0 import (
+    NoSolutionError,
     SeedError,
     extended_flows,
     delta,
@@ -120,6 +121,20 @@ class TestOpenSolver:
     def test_zero_seed_rejected(self, f0):
         with pytest.raises(SeedError):
             solve_open_order_by_order(f0, JetPoly.zero(JT), TH)
+
+    def test_inconsistent_closed_data_has_no_solution(self):
+        """A t1_0^2 t1_1 term breaks the closed TRR; the open solve must say where."""
+        tr = Truncation.of(5, 1)
+        th = TheoryData.rank1(tr)
+        jt = tr.jet()
+        v = JetPoly.var(vvar(1, 0), jt)
+        phi = JetPoly.var(phivar(0), jt)
+        f0 = solve_closed_order_by_order(v * v * v * Fraction(1, 6), th).series
+        bad = mono_from_factors([(t_var(1, 0), 2), (t_var(1, 1), 1)])
+        f0 = f0 + BigSeries.from_coeffs({bad: Fraction(1)}, tr, rel=f0.rel)
+        with pytest.raises(NoSolutionError) as err:
+            solve_open_order_by_order(f0, v * phi + phi * phi * phi * Fraction(1, 6), th)
+        assert err.value.label[:2] == ("open_trr_t", (1, 0, s_var(0)))
 
     def test_idempotence(self, f0o, open_seed, theory8):
         from ottr.bigphase import restrict_small

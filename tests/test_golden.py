@@ -1,0 +1,62 @@
+"""Golden outputs: the SHA-256 of every file the generating verbs write.
+
+The digests were recorded before the solvers were rewritten over the nonzero
+support, so any change to a solved coefficient, a `rel` or the emission order
+shows here as a tier-1 failure.
+"""
+
+import hashlib
+
+import pytest
+
+from ottr.cli import main
+
+WINDOW = ["--degree", "6", "--amax", "2"]
+
+# the rank-1 Witten f0 and the open f0o with seed v*phi + phi^3/6
+F0 = "ca4eef8b860812db518ad8f41e449491089ebdee1ac340a68a67b3963ef668f4"
+F0O = "d1f77713dcdbeeeeea45eb9e27f5cc7ba4cace658c346d8a3d60edb97dadd6e9"
+
+GOLDEN = {
+    "witten-rank1": {
+        "f0.ottr": F0,
+    },
+    "witten-n2": {
+        "f0.ottr": "763ce591514ec09a977a7977072df2b917bc238177439c8cb8bb9c6db6e0f355",
+    },
+    "open-rank1": {
+        "f0.ottr": F0,
+        "f0o.ottr": F0O,
+    },
+    "genus1-rank1": {
+        "f0.ottr": F0,
+        "f0o.ottr": F0O,
+        "f1o.ottr": "9fd424c8a7662541c6a75e20177076ae4a4a729b82639f1fa7090cb600d37296",
+        "f1.ottr": "2dc331dd6cc8a90410824708ad42503ec06a3be734bc85607e85ef565e7858c1",
+    },
+}
+
+F1O_SOLVE_PHI3 = "3e2e5225dcea1b1910321eec09c49424e6e9b67a2eaa754720f0e4ed34570550"
+
+
+def _digests(outdir) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(outdir.iterdir())}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_gen_example_outputs_are_golden(name, tmp_path, capsys):
+    assert main(["gen-example", name, *WINDOW, "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert _digests(tmp_path) == GOLDEN[name]
+
+
+def test_derive_genus1_solve_output_is_golden(tmp_path, capsys):
+    gen = tmp_path / "gen"
+    assert main(["gen-example", "open-rank1", *WINDOW, "--outdir", str(gen)]) == 0
+    out = tmp_path / "f1o.ottr"
+    assert main(["derive-genus1", "--f0", str(gen / "f0.ottr"),
+                 "--f0o", str(gen / "f0o.ottr"), "--method", "solve",
+                 "--go", "phi3", "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == F1O_SOLVE_PHI3

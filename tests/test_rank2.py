@@ -30,6 +30,7 @@ TR = Truncation.of(5, 1)
 TH1 = TheoryData.rank1(TR)
 TH2 = TheoryData.build(2, [[1, 0], [0, 1]], [1, 1], TR)
 TH3 = TheoryData.build(3, [[0, 0, 1], [0, 1, 0], [1, 0, 0]], [1, 0, 0], TR)
+TH3_ID = TheoryData.build(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 1, 1], TR)
 JT = TR.jet()
 
 
@@ -130,3 +131,15 @@ def test_rank3_inconsistent_seed_has_no_solution():
 def test_rank3_consistent_quartic_solves():
     f0 = solve_closed_order_by_order(_rank3_seed(2), TH3).series
     assert validate_closed_genus0(f0, TH3).all_zero
+
+
+def test_rank3_coupled_string_rows_match_embedded_sum(rank1_pair):
+    """A = (1, 1, 1): every string row couples three unknowns."""
+    f0_r1, _ = rank1_pair
+    v = [JetPoly.var(vvar(alpha, 0), JT) for alpha in (1, 2, 3)]
+    seed = (v[0] * v[0] * v[0] + v[1] * v[1] * v[1] + v[2] * v[2] * v[2]) * Fraction(1, 6)
+    f0 = solve_closed_order_by_order(seed, TH3_ID).series
+    expect = sum((relabel_component(f0_r1, alpha, TR) for alpha in (2, 3)),
+                 relabel_component(f0_r1, 1, TR))
+    assert series_eq(f0, expect)
+    assert validate_closed_genus0(f0, TH3_ID).all_zero

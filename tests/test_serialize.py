@@ -8,7 +8,7 @@ from ottr.algebra import JetPoly, phivar, vvar
 from ottr.bigphase import BigSeries, TheoryData, Truncation, s_var, t_var
 from ottr.genus0 import validate_closed_genus0
 from ottr.laxpde import LinearDiffOp
-from ottr.serialize import ParseError, ReportFile, emit, parse
+from ottr.serialize import ParseError, ReportFile, emit, load, parse
 
 TR = Truncation.of(8, 3)
 TH = TheoryData.rank1(TR)
@@ -77,8 +77,16 @@ def sample_operator():
                         ("int", 1, 0)), theory
 
 
+def sample_report():
+    # t1_0 sorts before s_0 as a variable, though not as a name
+    return ReportFile([("open_trr_t", (1, 0, t_var(1, 0)), True, 4),
+                       ("open_trr_t", (1, 0, s_var(0)), False, 4),
+                       ("string", (), True, -1)],
+                      {"open_trr_t": "alpha<= 1", "string": "single equation"}), TH
+
+
 SAMPLES = {"bigseries": sample_series, "jetpoly": sample_jetpoly,
-           "operator": sample_operator}
+           "operator": sample_operator, "report": sample_report}
 
 
 class TestStrictness:
@@ -128,6 +136,46 @@ class TestStrictness:
         assert emit(*parse(at_bound)) == at_bound
         with pytest.raises(ParseError, match="above the degree bound 8"):
             parse(good.replace(rel_field, rel_field[:-1] + "9"))
+
+    @pytest.mark.parametrize("sample, old, new, line, culprit", [
+        ("bigseries", "end\n", "end", 7, ""),
+        ("report", "end\n", "end", 9, ""),
+        ("report", "end\n", "end\n\n", 10, ""),
+        ("report", "end\n", "end\nend\n", 9, "end"),
+        ("report", "\n", "\r\n", 1, "\r"),
+        ("jetpoly", "rel=-\n", "rel=-\r", 3, "\r"),
+        ("report", "single equation", "single \u00e9quation", 8, "\u00e9"),
+        ("report", "idx=1:0:s_0", "idx=1:0:t1_0", 5, "eq="),
+        ("report", "eq=string", "eq=a", 6, "eq=a"),
+        ("report", "idx=1:0:t1_0", "idx=1:0:0", 5, "eq="),
+        ("report", "idx=1:0:t1_0", "idx=1:0:u1_0", 4, "u1_0"),
+        ("report", "range string", "range open_trr_t", 8, "open_trr_t"),
+        ("report", "range open_trr_t", "range zeta", 8, "string"),
+        ("report", "range string single equation",
+         "entry eq=zeta idx=- status=zero window=1", 8, "entry"),
+        ("report", "status=vacuous window=-1", "status=vacuous window=1", 6, "vacuous"),
+        ("report", "status=zero window=4", "status=zero window=-4", 4, "zero"),
+        ("report", "status=nonzero window=4", "status=nonzero window=-4", 5, "nonzero"),
+        ("report", "kind report", "kind report x", 3, "kind"),
+    ])
+    def test_line_ends_and_report_order_rejected(self, sample, old, new, line, culprit):
+        """Each input either re-emits byte for byte or is refused at a position."""
+        good = emit(*SAMPLES[sample]())
+        assert emit(*parse(good)) == good
+        assert old in good
+        bad = good.replace(old, new, 1)
+        with pytest.raises(ParseError) as err:
+            parse(bad)
+        assert err.value.line == line, err.value
+        text = bad.split("\n")[line - 1]
+        assert text[err.value.col - 1:].startswith(culprit), (text, err.value)
+
+    def test_load_sees_carriage_returns(self, tmp_path):
+        path = tmp_path / "crlf.ottr"
+        path.write_bytes(emit(*sample_series()).replace("\n", "\r\n").encode())
+        with pytest.raises(ParseError, match="carriage return") as err:
+            load(path)
+        assert (err.value.line, err.value.col) == (1, len("ottr-series-v1") + 1)
 
     def test_non_lowest_terms_rejected(self):
         text = self.base().replace("-1/6", "-2/12")
