@@ -4,13 +4,15 @@ Exit codes: 0 = every checked residual is zero, 1 = some residual is
 nonzero, 2 = input or format problem, including an input whose reliable
 window is too small for some check to compare any coefficient (a report
 then ends ``# overall: VACUOUS``), 3 = internal inconsistency such as a
-solver contradiction.  All verbs are deterministic: the same inputs produce
-byte-identical outputs.
+solver contradiction, 141 = standard output was closed early (``ottr ... |
+head -1``); the rest of the output is dropped without a traceback.  All verbs
+are deterministic: the same inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -56,6 +58,11 @@ EXIT_OK = 0
 EXIT_RESIDUAL = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
+EXIT_PIPE = 141  # what a shell reports for a writer killed by SIGPIPE
+
+# The examples and the Lax generator start from the cubic seeds v^3/6 and
+# phi^3/6, which a smaller degree window would truncate away.
+MIN_SEED_DEGREE = 3
 
 
 class CliInputError(Exception):
@@ -63,6 +70,9 @@ class CliInputError(Exception):
 
 
 def _default_theory(degree: int, amax: int) -> TheoryData:
+    if degree < MIN_SEED_DEGREE:
+        raise CliInputError(f"--degree {degree} is too small: the cubic seed "
+                            f"needs a degree window of at least {MIN_SEED_DEGREE}")
     return TheoryData.rank1(Truncation.of(degree, amax))
 
 
@@ -119,9 +129,9 @@ def _go_poly(name: str, theory: TheoryData) -> JetPoly:
 
 
 def cmd_gen_example(args) -> int:
+    theory = _default_theory(args.degree, args.amax)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    theory = _default_theory(args.degree, args.amax)
     tr = theory.trunc
     v = JetPoly.var(vvar(1, 0), tr.jet())
     phi = JetPoly.var(phivar(0), tr.jet())
@@ -359,7 +369,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone; send what is still buffered nowhere, so that
+        # the flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (NoSolutionError, PstIntegrationError, JetOverflowError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

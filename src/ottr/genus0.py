@@ -24,7 +24,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .algebra import (
     KIND_PHI,
@@ -161,13 +161,6 @@ def monomials_up_to(variables: Sequence[BigVar], max_deg: int) -> list[BigMonomi
     vs = sorted(variables)
     return [mono_from_factors((v, 1) for v in combo)
             for d in range(max_deg + 1) for combo in combinations_with_replacement(vs, d)]
-
-
-def weight_buckets(monos: Iterable[BigMonomial]) -> dict[int, list[BigMonomial]]:
-    out: dict[int, list[BigMonomial]] = defaultdict(list)
-    for m in monos:
-        out[mono_weight(m)].append(m)
-    return dict(out)
 
 
 # ---------------------------------------------------------------------------

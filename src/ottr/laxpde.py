@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .algebra import (
     ONE,
@@ -30,19 +30,22 @@ from .algebra import (
     exponent_of,
     fvar,
     jet_partial,
-    mono_div_var,
+    mono_max_index,
     phi_degree,
     phivar,
     standard_degree,
     vvar,
 )
 from .bigphase import (
+    KIND_S,
     BigMonomial,
     BigSeries,
     TheoryData,
     Truncation,
     eval_jetpoly,
     mono_degree,
+    mono_mul_var,
+    mono_weight,
     partial,
     partial_many,
     restrict_window,
@@ -55,10 +58,8 @@ from .bigphase import (
 from .genus0 import (
     ResidualReport,
     TwoPointTable,
-    monomials_up_to,
     solve_closed_order_by_order,
     two_point_table,
-    weight_buckets,
 )
 from .genus1 import extract_go
 
@@ -156,6 +157,17 @@ def _first_order_coeff(two_point: JetPoly, go: JetPoly,
     return acc
 
 
+def _phi_power_coeffs(*eps_coeffs: JetPoly) -> dict[tuple[int, int], JetPoly]:
+    """Split each eps^j coefficient by phi power: (i, j) -> its phi^i part."""
+    coeffs: dict[tuple[int, int], JetPoly] = {}
+    for j, poly in enumerate(eps_coeffs):
+        for i in range(phi_degree(poly) + 1):
+            c = coef_phi_power(poly, i)
+            if not c.is_zero():
+                coeffs[(i, j)] = c
+    return coeffs
+
+
 def build_interior_op(alpha: int, a: int, table: TwoPointTable, go: JetPoly,
                       theory: TheoryData) -> LinearDiffOp:
     """Interior-direction operator from the two-point table and initial data."""
@@ -172,16 +184,7 @@ def build_interior_op(alpha: int, a: int, table: TwoPointTable, go: JetPoly,
             if coef:
                 extra = extra + gvb * dx(table.omega[(g, 0, alpha, a)]) * coef
     first = _first_order_coeff(gam, go, extra, theory)
-    coeffs: dict[tuple[int, int], JetPoly] = {}
-    for i in range(phi_degree(gam) + 1):
-        c = coef_phi_power(gam, i)
-        if not c.is_zero():
-            coeffs[(i, 0)] = c
-    for i in range(phi_degree(first) + 1):
-        c = coef_phi_power(first, i)
-        if not c.is_zero():
-            coeffs[(i, 1)] = c
-    return LinearDiffOp(coeffs, ("int", alpha, a))
+    return LinearDiffOp(_phi_power_coeffs(gam, first), ("int", alpha, a))
 
 
 def build_boundary_op(a: int, table: TwoPointTable, go: JetPoly,
@@ -191,16 +194,7 @@ def build_boundary_op(a: int, table: TwoPointTable, go: JetPoly,
         raise IndexError("operator index outside level window")
     dl = table.delta[a]
     first = _first_order_coeff(dl, go, None, theory)
-    coeffs: dict[tuple[int, int], JetPoly] = {}
-    for i in range(phi_degree(dl) + 1):
-        c = coef_phi_power(dl, i)
-        if not c.is_zero():
-            coeffs[(i, 0)] = c
-    for i in range(phi_degree(first) + 1):
-        c = coef_phi_power(first, i)
-        if not c.is_zero():
-            coeffs[(i, 1)] = c
-    return LinearDiffOp(coeffs, ("boun", a))
+    return LinearDiffOp(_phi_power_coeffs(dl, first), ("boun", a))
 
 
 def first_order_rhs(a_slices: dict[int, tuple[BigSeries, BigSeries]],
@@ -341,11 +335,6 @@ def linear_evolution_residual(f0: BigSeries, f0o: BigSeries, f1o: BigSeries,
 # pseudodifferential calculus and the KdV Lax flows, truncated at first order
 # ---------------------------------------------------------------------------
 
-def _cap_eps(series: BigSeries, cap: int) -> BigSeries:
-    terms = {k: c for k, c in series.terms.items() if k[0] <= cap}
-    return BigSeries(terms, series.trunc, series.rel, _checked=True)
-
-
 def _eps_shift(series: BigSeries, k: int, cap: int) -> BigSeries:
     terms = {}
     for (e, m), c in series.terms.items():
@@ -358,14 +347,7 @@ def _gbinom(i: int, k: int) -> Fraction:
     num = 1
     for t in range(k):
         num *= i - t
-    return Fraction(num, _factorial(k))
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for t in range(2, k + 1):
-        out *= t
-    return out
+    return Fraction(num, factorial(k))
 
 
 def _dfact_odd(n: int) -> int:
@@ -395,7 +377,7 @@ class PseudoDiffOp:
         for i, c in self.coeffs.items():
             if i < self.floor:
                 continue
-            c = _cap_eps(c, self.EPS_CAP)
+            c = _eps_shift(c, 0, self.EPS_CAP)
             if not c.is_zero():
                 kept[i] = c
         return PseudoDiffOp(kept, self.theory, self.floor)
@@ -436,12 +418,6 @@ class PseudoDiffOp:
                     shifted = t11_partial(shifted, 0, self.theory)
         return PseudoDiffOp(acc, self.theory, self.floor)._clean()
 
-    def power(self, n: int) -> "PseudoDiffOp":
-        out = PseudoDiffOp.identity(self.theory, self.floor)
-        for _ in range(n):
-            out = out.compose(self)
-        return out
-
     def plus_part(self) -> "PseudoDiffOp":
         return PseudoDiffOp({i: c for i, c in self.coeffs.items() if i >= 0},
                             self.theory, self.floor)
@@ -452,12 +428,14 @@ class PseudoDiffOp:
 
 @dataclass
 class KdVLaxContext:
-    """The KdV Lax operator (eps d/dx)^2 + 2w and its square root."""
+    """The KdV Lax operator L = (eps d/dx)^2 + 2w, its square root, and the
+    powers L^p, each composed once and kept."""
 
     w: BigSeries
     lax: PseudoDiffOp
     root: PseudoDiffOp
     theory: TheoryData
+    powers: list[PseudoDiffOp]
 
     @classmethod
     def build(cls, w: BigSeries, theory: TheoryData, depth: int | None = None
@@ -476,23 +454,33 @@ class KdVLaxContext:
             r = defect.coefficient(1 - k) * Fraction(1, 2)
             if not r.is_zero():
                 root = root + PseudoDiffOp({-k: r}, theory, floor)
-        return cls(w, lax, root, theory)
+        return cls(w, lax, root, theory, [PseudoDiffOp.identity(theory, floor), lax])
+
+    def lax_power(self, p: int) -> PseudoDiffOp:
+        while len(self.powers) <= p:
+            self.powers.append(self.powers[-1].compose(self.lax))
+        return self.powers[p]
 
     def half_power_plus(self, p: int) -> PseudoDiffOp:
         """(L^{p+1/2})_+ for integer p >= 0."""
-        return self.lax.power(p).compose(self.root).plus_part()
+        return self.lax_power(p).compose(self.root).plus_part()
 
     def t_flow_slices(self, p: int) -> dict[int, tuple[BigSeries, BigSeries]]:
         op = self.half_power_plus(p).scale(Fraction(1, _dfact_odd(2 * p + 1)))
         return op.slices()
 
     def s_flow_slices(self, p: int) -> dict[int, tuple[BigSeries, BigSeries]]:
-        op = self.lax.power(p + 1).scale(Fraction(1, 2 ** (p + 1) * _factorial(p + 1)))
+        op = self.lax_power(p + 1).scale(Fraction(1, 2 ** (p + 1) * factorial(p + 1)))
         return op.slices()
 
 
 class PstIntegrationError(Exception):
-    """The Lax flows failed a mixed-partial consistency check."""
+    """The Lax flows cannot be integrated on the window, or fail a
+    mixed-partial consistency check.
+
+    `flow` is ``(kind, p)``; `mono` is the failing monomial, or None when the
+    flow's right-hand side is not reliable up to the degree of its targets.
+    """
 
     def __init__(self, flow, mono, message):
         self.flow = flow
@@ -508,19 +496,39 @@ class PstResult:
     report: ResidualReport
 
 
+def _filled_by(m: BigMonomial) -> tuple[str, int, int]:
+    """The flow that pins m and the grade it is pinned at: (kind, p, grade).
+
+    With s-factors: s_p, p the top s-level, at the s-degree of m.  Without:
+    t1_p, p the top level, at the weight of m.
+    """
+    s_part = [(level, e) for (kind, _a, level), e in m if kind == KIND_S]
+    if s_part:
+        return "s", max(level for level, _e in s_part), sum(e for _l, e in s_part)
+    return "t", mono_max_index(m), mono_weight(m)
+
+
 def pst_generate(theory: TheoryData, w_eps2: BigSeries | None = None) -> PstResult:
     """Integrate the rank-1 Lax flows for the open potential of disk theory.
 
     The pure-level-zero sector of both eps slices vanishes (no stable disk
     configurations without boundary data), which together with the flows pins
-    every coefficient up to one degree below the window.  Every flow equation
-    is then re-checked as an exact residual; the first failure aborts.
+    every coefficient up to one degree below the window.  Each eps slice g is
+    filled grade by grade: the s-free monomials by weight with the t flows,
+    then the rest by s-degree with the s flows.  At each grade every flow's
+    right-hand side is computed once from the coefficients already known, and
+    each of its terms ``down`` pins m = down * x_p to its coefficient divided
+    by the exponent of x_p in m, provided x_p is the top-level factor of its
+    kind in m, m has the grade being filled and degree <= the slice's cap,
+    and, for a t flow, m is s-free.  Every other coefficient stays zero.  A
+    flow with targets at a grade must be reliable up to their degree, cap - 1,
+    or the window is too small.  Every flow equation is then re-checked as an
+    exact residual; the first failure aborts.
     """
     if theory.n != 1 or theory.avec != (Fraction(1),):
         raise ValueError("the Lax generator is a rank-1, unit-direction construction")
     tr = theory.trunc
     dmax, amax = tr.deg_max, tr.level_max
-    relout = dmax - 1
     # The flow coefficients carry iterated x-derivatives of w, each of which
     # costs one reliable degree, so the closed sector is solved on an
     # enlarged window and the results are restricted at the end.
@@ -542,81 +550,49 @@ def pst_generate(theory: TheoryData, w_eps2: BigSeries | None = None) -> PstResu
         flows[("s", p)] = ctx.s_flow_slices(p)
 
     coeffs: dict[int, dict[BigMonomial, Fraction]] = {0: {}, 1: {}}
-    rel_of = {0: dmax, 1: relout}
+    rel_of = {0: dmax, 1: dmax - 1}
 
     def partial_series(g: int) -> BigSeries:
         return BigSeries.from_coeffs(coeffs[g], tr_big, rel=rel_of[g])
 
-    def rhs_slice(label: tuple, g: int) -> BigSeries:
-        pair = first_order_rhs(flows[label], partial_series(0), partial_series(1),
-                               theory_big)
-        return pair[g]
-
-    tvars = [t_var(1, a) for a in range(amax + 1)]
-    svars = [s_var(a) for a in range(amax + 1)]
-
-    def integrate_slice(g: int) -> None:
-        cap = rel_of[g]
-        by_weight = weight_buckets(monomials_up_to(tvars, cap))
-        for wgt in range(1, cap * amax + 1):
-            batch = [m for m in by_weight.get(wgt, ())
-                     if any(var[2] >= 1 for var, _ in m)]
-            if not batch:
-                continue
-            rhs_cache = {p: rhs_slice(("t", p), g) for p in range(1, amax + 1)}
-            for m in batch:
-                p = max(var[2] for var, _ in m if var[2] >= 1)
-                var = t_var(1, p)
-                down = mono_div_var(m, var)
-                rg = rhs_cache[p]
-                if rg.rel is not None and mono_degree(down) > rg.rel:
-                    raise PstIntegrationError(("t", p), m,
+    for g, cap in rel_of.items():
+        grades = [("t", wgt) for wgt in range(1, cap * amax + 1)]
+        grades += [("s", sd) for sd in range(1, cap + 1)]
+        for kind, grade in grades:
+            # the flows with a target of this grade and degree <= cap
+            levels = (range(amax + 1) if kind == "s"
+                      else [p for p in range(1, amax + 1) if p <= grade <= cap * p])
+            f0, f1 = partial_series(0), partial_series(1)
+            powers = [BigSeries.const(1, tr_big)]
+            pinned: dict[BigMonomial, Fraction] = {}
+            for p in levels:
+                var = t_var(1, p) if kind == "t" else s_var(p)
+                rhs = first_order_rhs(flows[(kind, p)], f0, f1, theory_big, powers)[g]
+                if rhs.rel is not None and rhs.rel < cap - 1:
+                    raise PstIntegrationError((kind, p), None,
                                               "flow window too small for target")
-                val = rg.coefficient(down) / exponent_of(m, var)
-                if val:
-                    coeffs[g][m] = val
-        by_sdeg: dict[int, list[BigMonomial]] = {}
-        for m in monomials_up_to(tvars + svars, cap):
-            sd = sum(e for (kind, _a, _l), e in m if kind == 1)
-            if sd:
-                by_sdeg.setdefault(sd, []).append(m)
-        for sd in range(1, cap + 1):
-            batch = by_sdeg.get(sd)
-            if not batch:
-                continue
-            rhs_cache = {p: rhs_slice(("s", p), g) for p in range(amax + 1)}
-            for m in batch:
-                p = max(level for (kind, _a, level), _e in m if kind == 1)
-                var = s_var(p)
-                down = mono_div_var(m, var)
-                rg = rhs_cache[p]
-                if rg.rel is not None and mono_degree(down) > rg.rel:
-                    raise PstIntegrationError(("s", p), m,
-                                              "flow window too small for target")
-                val = rg.coefficient(down) / exponent_of(m, var)
-                if val:
-                    coeffs[g][m] = val
-
-    integrate_slice(0)
-    integrate_slice(1)
+                for (_e, down), c in rhs.terms.items():
+                    m = mono_mul_var(down, var)
+                    if mono_degree(m) <= cap and _filled_by(m) == (kind, p, grade):
+                        pinned[m] = c / exponent_of(m, var)
+            coeffs[g].update(pinned)
     f0o_big = partial_series(0)
     f1o_big = partial_series(1)
 
     report = ResidualReport()
     eps = BigSeries({(1, ONE): Fraction(1)}, tr_big, None, _checked=True)
-    for label in sorted(flows):
-        kind, p = label
+    for kind, p in sorted(flows):
         var = t_var(1, p) if kind == "t" else s_var(p)
-        rhs0, rhs1 = first_order_rhs(flows[label], f0o_big, f1o_big, theory_big)
+        rhs0, rhs1 = first_order_rhs(flows[(kind, p)], f0o_big, f1o_big, theory_big)
         res = (partial(f0o_big, var) - rhs0) + eps * (partial(f1o_big, var) - rhs1)
-        report.add(f"lax_{kind}", (p,), restrict_window(res, tr))
+        res = restrict_window(res, tr)
+        if not res.is_zero():
+            mono = min(res.terms)[1]
+            raise PstIntegrationError((kind, p), mono,
+                                      f"flow lax_{kind}({p},) fails mixed-partial "
+                                      f"consistency at {BigSeries.from_coeffs({mono: 1}, tr)}")
+        report.add(f"lax_{kind}", (p,), res)
     report.checked["lax_t"] = f"p<= {amax}, both eps slices"
     report.checked["lax_s"] = f"p<= {amax}, both eps slices"
-    for entry in report.entries:
-        if not entry.is_zero:
-            mono = sorted(entry.residual.terms)[0][1]
-            raise PstIntegrationError(entry.indices, mono,
-                                      f"flow {entry.equation}{entry.indices} fails "
-                                      f"mixed-partial consistency at {mono}")
     return PstResult(restrict_window(f0_big, tr), restrict_window(f0o_big, tr),
                      restrict_window(f1o_big, tr), report)

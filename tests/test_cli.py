@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ottr.cli import main
+from ottr.cli import EXIT_PIPE, main
 from ottr.serialize import emit, parse
 
 GEN = ["gen-example", "open-rank1", "--degree", "5", "--amax", "1"]
@@ -170,6 +170,40 @@ def test_gen_pst_smoke(tmp_path):
                  "--outdir", str(outdir)]) == 0
     assert (outdir / "f1o.ottr").exists()
     assert (outdir / "flows.report.ottr").exists()
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("verb", [["gen-example", "witten-rank1"], ["gen-example", "witten-n2"],
+                                  ["gen-example", "open-rank1"],
+                                  ["gen-example", "genus1-rank1"], ["gen-pst"]])
+def test_window_below_cubic_seed_rejected(verb, degree, tmp_path, capsys):
+    """v^3/6 and phi^3/6 do not fit a degree window below 3."""
+    outdir = tmp_path / "out"
+    code = main([*verb, "--degree", str(degree), "--amax", "1", "--outdir", str(outdir)])
+    assert code == 2
+    assert "at least 3" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_closed_output_pipe_exits_quietly(tmp_path, capsys):
+    """`ottr validate-genus0 f0.ottr | head -1`: no traceback, exit EXIT_PIPE.
+
+    At level bound 16 the report is over 100 kB, more than a pipe holds, so
+    the writer is still writing when the reader closes after one line.
+    """
+    assert main(["gen-example", "witten-rank1", "--degree", "3", "--amax", "16",
+                 "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    proc = subprocess.Popen([sys.executable, "-m", "ottr.cli", "validate-genus0",
+                             str(tmp_path / "f0.ottr")],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == EXIT_PIPE
+    assert first.startswith("dilaton ")
+    assert "Traceback" not in err and "Exception ignored" not in err
 
 
 def test_byte_identical_across_processes(tmp_path):

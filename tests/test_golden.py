@@ -38,6 +38,15 @@ GOLDEN = {
 
 F1O_SOLVE_PHI3 = "3e2e5225dcea1b1910321eec09c49424e6e9b67a2eaa754720f0e4ed34570550"
 
+# `gen-pst --degree 4 --amax 1`, recorded before the Lax flows were
+# integrated over the support of their right-hand sides
+GEN_PST_D4_A1 = {
+    "f0.ottr": "6d20fd411c1916774c032315cfce5d52999a8a7b3112e8476f261b91bcd7039f",
+    "f0o.ottr": "f4db7c98c3cb1f4357aa0cc2f6a6c14f0d20506d20da649cb206e24d836f9c96",
+    "f1o.ottr": "eb841e3ba31bf9cc6fa639ed493e4cab8a1b98ee75c24e039e4e372cacbfa913",
+    "flows.report.ottr": "78e42620a8314da95c878ea1f47d32e8126cd95038a2623e68d26eac57e902cd",
+}
+
 
 def _digests(outdir) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -60,3 +69,9 @@ def test_derive_genus1_solve_output_is_golden(tmp_path, capsys):
                  "--go", "phi3", "-o", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == F1O_SOLVE_PHI3
+
+
+def test_gen_pst_outputs_are_golden(tmp_path, capsys):
+    assert main(["gen-pst", "--degree", "4", "--amax", "1", "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert _digests(tmp_path) == GEN_PST_D4_A1

@@ -34,6 +34,7 @@ from ottr.laxpde import (
     EvolutionSystem,
     KdVLaxContext,
     LinearDiffOp,
+    PstIntegrationError,
     build_boundary_op,
     build_interior_op,
     first_order_rhs,
@@ -298,6 +299,24 @@ class TestLaxFlows:
         other = pst_generate(theory6, w_eps2=fake)
         assert series_eq(pst.f0o, other.f0o)
         assert series_eq(pst.f1o, other.f1o)
+
+    def test_inconsistent_flow_fails_mixed_partials(self, monkeypatch):
+        """A doubled t1 flow pins the s-free data, which the s flows then
+        contradict; the final residual check names the flow and monomial."""
+        t_flow_slices = KdVLaxContext.t_flow_slices
+
+        def doubled(ctx, p):
+            slices = t_flow_slices(ctx, p)
+            if p != 1:
+                return slices
+            return {i: (a0 * 2, a1 * 2) for i, (a0, a1) in slices.items()}
+
+        monkeypatch.setattr(KdVLaxContext, "t_flow_slices", doubled)
+        with pytest.raises(PstIntegrationError) as info:
+            pst_generate(TheoryData.rank1(Truncation.of(4, 1)))
+        assert info.value.flow == ("t", 1)
+        assert info.value.mono == ((t_var(1, 0), 1), (s_var(0), 1))
+        assert str(info.value).endswith("mixed-partial consistency at t1_0*s_0")
 
     def test_rank_restriction(self, theory8):
         th2 = TheoryData.build(2, [[1, 0], [0, 1]], [1, 1], theory8.trunc)
