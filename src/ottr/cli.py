@@ -1,12 +1,14 @@
 """Command-line front end for fixture generation, validation, and reporting.
 
 Exit codes: 0 = every checked residual is zero, 1 = some residual is
-nonzero, 2 = input or format problem, including an input whose reliable
-window is too small for some check to compare any coefficient (a report
-then ends ``# overall: VACUOUS``), 3 = internal inconsistency such as a
-solver contradiction, 141 = standard output was closed early (``ottr ... |
-head -1``); the rest of the output is dropped without a traceback.  All verbs
-are deterministic: the same inputs produce byte-identical outputs.
+nonzero, 2 = input or format problem, including a negative ``--degree`` or
+``--amax``, files of one verb with different theory blocks, and an input
+whose reliable window is too small for some check to compare any
+coefficient (a report then ends ``# overall: VACUOUS``), 3 = internal
+inconsistency such as a solver contradiction, 141 = standard output was
+closed early (``ottr ... | head -1``); the rest of the output is dropped
+without a traceback.  All verbs are deterministic: the same inputs produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -85,11 +87,28 @@ def _load(path: str):
         raise CliInputError(f"{path}: {exc}")
 
 
-def _load_series(path: str) -> tuple[BigSeries, TheoryData]:
-    value, theory = _load(path)
-    if not isinstance(value, BigSeries):
-        raise CliInputError(f"{path}: expected a bigseries file")
-    return value, theory
+def _load_inputs(*paths: str, go_file: str | None = None) -> tuple[list, TheoryData]:
+    """A verb's bigseries files and, last, its --go-file jetpoly if given; all
+    of them must carry the theory block of the first."""
+    values, theory = [], None
+    for path, cls, kind in [(path, BigSeries, "bigseries") for path in paths] + (
+            [(go_file, JetPoly, "jetpoly")] if go_file else []):
+        value, file_theory = _load(path)
+        if not isinstance(value, cls):
+            raise CliInputError(f"{path}: expected a {kind} file")
+        if theory is not None and file_theory != theory:
+            raise CliInputError(f"{path} and {paths[0]} carry different theory blocks")
+        values.append(value)
+        theory = file_theory
+    return values, theory
+
+
+def _check_windows(args) -> None:
+    """A window bound given on the command line must not be negative."""
+    for option in ("degree", "amax"):
+        value = getattr(args, option, None)
+        if value is not None and value < 0:
+            raise CliInputError(f"--{option} {value} is negative")
 
 
 def _shrink(value: BigSeries, theory: TheoryData, args) -> tuple[BigSeries, TheoryData]:
@@ -155,32 +174,27 @@ def cmd_gen_example(args) -> int:
 
 
 def cmd_validate_genus0(args) -> int:
-    f0, theory = _load_series(args.f0)
+    (f0,), theory = _load_inputs(args.f0)
     f0, theory = _shrink(f0, theory, args)
     return _report_exit(validate_closed_genus0(f0, theory), args.out, theory)
 
 
 def cmd_validate_open(args) -> int:
-    f0, theory = _load_series(args.f0)
-    f0o, theory_o = _load_series(args.f0o)
-    if theory_o != theory:
-        raise CliInputError("f0 and f0o carry different theory blocks")
+    (f0, f0o), theory = _load_inputs(args.f0, args.f0o)
     f0, theory_s = _shrink(f0, theory, args)
     f0o, _ = _shrink(f0o, theory, args)
     return _report_exit(validate_open_genus0(f0, f0o, theory_s), args.out, theory_s)
 
 
+def _load_with_go(args) -> tuple[BigSeries, BigSeries, JetPoly, TheoryData]:
+    """f0, f0o and the initial data Go, from --go-file or by --go name."""
+    values, theory = _load_inputs(args.f0, args.f0o, go_file=args.go_file)
+    go = values[2] if args.go_file else _go_poly(args.go, theory)
+    return values[0], values[1], go, theory
+
+
 def cmd_derive_genus1(args) -> int:
-    f0, theory = _load_series(args.f0)
-    f0o, theory_o = _load_series(args.f0o)
-    if theory_o != theory:
-        raise CliInputError("f0 and f0o carry different theory blocks")
-    if args.go_file:
-        go, _ = _load(args.go_file)
-        if not isinstance(go, JetPoly):
-            raise CliInputError(f"{args.go_file}: expected a jetpoly file")
-    else:
-        go = _go_poly(args.go, theory)
+    f0, f0o, go, theory = _load_with_go(args)
     if args.method == "formula":
         f1o = f1o_closed_form(f0, f0o, go, theory)
     elif args.method == "solve":
@@ -198,17 +212,15 @@ def cmd_derive_genus1(args) -> int:
 
 
 def cmd_check_genus1(args) -> int:
-    f0, theory = _load_series(args.f0)
     if args.f1o:
         if not args.f0o:
             raise CliInputError("open check needs --f0o")
-        f0o, _ = _load_series(args.f0o)
-        f1o, _ = _load_series(args.f1o)
+        (f0, f0o, f1o), theory = _load_inputs(args.f0, args.f0o, args.f1o)
         return _report_exit(validate_open_genus1(f0, f0o, f1o, theory),
                             args.out, theory)
     if not args.f1:
         raise CliInputError("pass --f1 (closed) or --f0o/--f1o (open)")
-    f1, _ = _load_series(args.f1)
+    (f0, f1), theory = _load_inputs(args.f0, args.f1)
     return _report_exit(validate_closed_genus1(f0, f1, theory), args.out, theory)
 
 
@@ -225,12 +237,7 @@ def cmd_qpoly(args) -> int:
 
 
 def cmd_build_operators(args) -> int:
-    f0, theory = _load_series(args.f0)
-    f0o, _ = _load_series(args.f0o)
-    if args.go_file:
-        go, _ = _load(args.go_file)
-    else:
-        go = _go_poly(args.go, theory)
+    f0, f0o, go, theory = _load_with_go(args)
     table = two_point_table(f0, f0o, theory)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -252,9 +259,7 @@ def cmd_build_operators(args) -> int:
 
 
 def cmd_check_evolution(args) -> int:
-    f0, theory = _load_series(args.f0)
-    f0o, _ = _load_series(args.f0o)
-    f1o, _ = _load_series(args.f1o)
+    (f0, f0o, f1o), theory = _load_inputs(args.f0, args.f0o, args.f1o)
     report = linear_evolution_residual(f0, f0o, f1o, theory)
     return _report_exit(report, args.out, theory)
 
@@ -274,8 +279,8 @@ def cmd_gen_pst(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    a, theory_a = _load_series(args.first)
-    b, theory_b = _load_series(args.second)
+    (a,), theory_a = _load_inputs(args.first)
+    (b,), theory_b = _load_inputs(args.second)
     if theory_a.trunc != theory_b.trunc:
         raise CliInputError("cannot compare across truncations; restrict first")
     same = series_eq(a, b, up_to=args.up_to_degree)
@@ -369,6 +374,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_windows(args)
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -1,10 +1,15 @@
 """Genus-0 layer: axiom validation, two-point functions, hierarchies, solvers.
 
-Validators compute residual series for the closed axioms (string, dilaton,
-recursion relations, and the two-point shift identity) and their open
-analogues; every residual is exact, and a pass means literal zero on a
-reliable window.  A negative window compares no coefficient: its entry, and a
-report without a nonzero entry, is vacuous.
+Each recursion relation is written once, as a family of rows (`_Rows`): a
+left-hand side of derivatives and a right-hand side of products of derivative
+tables.  The family builders `_closed_families` and `_open_families` (and
+`genus1._genus1_families`) serve both the solvers and the validators.  A
+validator evaluates each family's residual on the series under test, one
+report entry per family, computing each partial derivative and each table
+value once per call; only the dilaton equations and the boundary
+normalization are written out by hand.  Every residual is exact, and a pass
+means literal zero on a reliable window.  A negative window compares no
+coefficient: its entry, and a report without a nonzero entry, is vacuous.
 
 The solvers extend a small-phase-space seed by marching in descendent weight.
 Each is a list of row families run by one engine, `_march`.  At weight w each
@@ -44,6 +49,7 @@ from .bigphase import (
     BigSeries,
     BigVar,
     TheoryData,
+    big_var_name,
     mono_degree,
     mono_from_factors,
     mono_weight,
@@ -72,6 +78,11 @@ class NoSolutionError(Exception):
 # residual reports
 # ---------------------------------------------------------------------------
 
+def index_names(indices: tuple) -> list[str]:
+    """Report indices as text: integers as they are, variables by name."""
+    return [big_var_name(i) if isinstance(i, tuple) else str(i) for i in indices]
+
+
 def entry_status(zero: bool, window: int | None) -> str:
     """'nonzero', 'zero', or 'vacuous': a negative window holds no coefficient."""
     return "nonzero" if not zero else "vacuous" if window is not None and window < 0 else "zero"
@@ -97,6 +108,13 @@ class ResidualReport:
     def add(self, equation: str, indices: tuple, residual: BigSeries) -> None:
         self.entries.append(ResidualEntry(equation, indices, residual, residual.rel))
 
+    def add_rows(self, families: list["_Rows"], f: BigSeries,
+                 derivs: "_Derivatives") -> None:
+        """One entry per row family: its residual at f, under its label."""
+        for fam in families:
+            equation, *indices = fam.label  # the string equations have no indices
+            self.add(equation, indices[0] if indices else (), fam.residual(f, derivs))
+
     @property
     def all_zero(self) -> bool:
         return all(e.is_zero for e in self.entries)
@@ -121,7 +139,9 @@ class ResidualReport:
         lines = []
         for e in sorted(self.entries, key=lambda e: (e.equation, e.indices)):
             status = entry_status(e.is_zero, e.window).replace("nonzero", "NONZERO")
-            lines.append(f"{e.equation} {e.indices}: {status} (window<= {e.window})")
+            idx = index_names(e.indices)
+            lines.append(f"{e.equation} ({', '.join(idx)}{',' * (len(idx) == 1)}): "
+                         f"{status} (window<= {e.window})")
         for eq, rng in sorted(self.checked.items()):
             lines.append(f"# {eq}: {rng}")
         lines.append(f"# overall: {self.verdict}")
@@ -131,22 +151,6 @@ class ResidualReport:
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
-
-def eta_contracted_hessian(f0: BigSeries, alpha: int, a: int,
-                           theory: TheoryData) -> list[BigSeries]:
-    """For each nu, the eta-raised Hessian row d^2F0/dt{alpha}_a dt{mu}_0."""
-    rows = [partial_many(f0, [t_var(alpha, a), t_var(mu, 0)])
-            for mu in range(1, theory.n + 1)]
-    out = []
-    for nu in range(1, theory.n + 1):
-        acc = BigSeries.zero(f0.trunc, None if f0.rel is None else f0.rel - 2)
-        for mu in range(1, theory.n + 1):
-            coef = theory.eta_inv[mu - 1][nu - 1]
-            if coef:
-                acc = acc + rows[mu - 1] * coef
-        out.append(acc)
-    return out
-
 
 def _index_pairs(theory: TheoryData) -> list[tuple[int, int, int, int]]:
     """The unordered index pairs (beta, b) <= (gamma, c) of the closed TRR."""
@@ -163,78 +167,41 @@ def monomials_up_to(variables: Sequence[BigVar], max_deg: int) -> list[BigMonomi
             for d in range(max_deg + 1) for combo in combinations_with_replacement(vs, d)]
 
 
+def _euler_sum(f: BigSeries, variables: Sequence[BigVar], derivs: "_Derivatives"
+               ) -> BigSeries:
+    """sum_x x df/dx over the variables."""
+    res = BigSeries.zero(f.trunc)
+    for x in variables:
+        res = res + BigSeries.var(x, f.trunc) * derivs.partial(f, ((x, 1),))
+    return res
+
+
 # ---------------------------------------------------------------------------
 # closed-sector validation
 # ---------------------------------------------------------------------------
-
-def _shift_sum(f: BigSeries, variables: Sequence[BigVar], theory: TheoryData) -> BigSeries:
-    """sum_b x_{b+1} df/dx_b over the variables x_b below the level bound."""
-    res = BigSeries.zero(theory.trunc)
-    for kind, alpha, b in variables:
-        if b < theory.trunc.level_max:
-            res = res + BigSeries.var((kind, alpha, b + 1), theory.trunc) * partial(
-                f, (kind, alpha, b))
-    return res
-
-
-def _euler_sum(f: BigSeries, variables: Sequence[BigVar], theory: TheoryData) -> BigSeries:
-    """sum_x x df/dx over the variables."""
-    res = BigSeries.zero(theory.trunc)
-    for x in variables:
-        res = res + BigSeries.var(x, theory.trunc) * partial(f, x)
-    return res
-
-
-def string_residual(f0: BigSeries, theory: TheoryData) -> BigSeries:
-    tr = theory.trunc
-    res = -t11_partial(f0, 0, theory) + _shift_sum(f0, theory.t_vars(), theory)
-    for alpha in range(1, theory.n + 1):
-        for beta in range(1, theory.n + 1):
-            coef = theory.eta[alpha - 1][beta - 1]
-            if coef:
-                res = res + (BigSeries.var(t_var(alpha, 0), tr)
-                             * BigSeries.var(t_var(beta, 0), tr)) * (coef / 2)
-    return res
-
-
-def dilaton_residual(f0: BigSeries, theory: TheoryData) -> BigSeries:
-    return -t11_partial(f0, 1, theory) - f0 * 2 + _euler_sum(f0, theory.t_vars(), theory)
-
 
 def validate_closed_genus0(f0: BigSeries, theory: TheoryData) -> ResidualReport:
     """Residuals of the closed genus-0 axioms over the truncation window."""
     tr = theory.trunc
     amax = tr.level_max
+    nus = range(1, theory.n + 1)
+    families = _closed_families(theory) + [
+        _Rows(("two_point_shift", (alpha, a, beta, b)),
+              [((t_var(alpha, a + 1), t_var(beta, b)), Fraction(1)),
+               ((t_var(alpha, a), t_var(beta, b + 1)), Fraction(1))],
+              [(_Table(_hessian_specs(alpha, a, nu, theory)),
+                _Table([((t_var(nu, 0), t_var(beta, b)), Fraction(1))])) for nu in nus])
+        for alpha, a, beta, b in _index_pairs(theory) if max(a, b) < amax]
     report = ResidualReport()
-    report.add("string", (), string_residual(f0, theory))
+    derivs = _Derivatives()
+    report.add_rows(families, f0, derivs)
     report.checked["string"] = f"single equation, degree window <= {tr.deg_max - 1}"
     if amax >= 1:
-        report.add("dilaton", (), dilaton_residual(f0, theory))
+        report.add("dilaton", (), -t11_partial(f0, 1, theory) - f0 * 2
+                   + _euler_sum(f0, theory.t_vars(), derivs))
         report.checked["dilaton"] = "single equation"
     else:
         report.checked["dilaton"] = "skipped: needs level bound >= 1"
-    pairs = _index_pairs(theory)
-    for alpha in range(1, theory.n + 1):
-        for a in range(amax):
-            raised = eta_contracted_hessian(f0, alpha, a, theory)
-            for beta, b, gamma, c in pairs:
-                lhs = partial_many(f0, [t_var(alpha, a + 1), t_var(beta, b), t_var(gamma, c)])
-                rhs = BigSeries.zero(tr)
-                for nu in range(1, theory.n + 1):
-                    rhs = rhs + raised[nu - 1] * partial_many(
-                        f0, [t_var(nu, 0), t_var(beta, b), t_var(gamma, c)])
-                report.add("trr0", (alpha, a, beta, b, gamma, c), lhs - rhs)
-            for beta in range(1, theory.n + 1):
-                for b in range(amax):
-                    if (alpha, a) > (beta, b):
-                        continue
-                    lhs = (partial_many(f0, [t_var(alpha, a + 1), t_var(beta, b)])
-                           + partial_many(f0, [t_var(alpha, a), t_var(beta, b + 1)]))
-                    rhs = BigSeries.zero(tr)
-                    for nu in range(1, theory.n + 1):
-                        rhs = rhs + raised[nu - 1] * partial_many(
-                            f0, [t_var(nu, 0), t_var(beta, b)])
-                    report.add("two_point_shift", (alpha, a, beta, b), lhs - rhs)
     report.checked["trr0"] = (f"alpha<= {theory.n}, a<= {amax - 1}, "
                               f"(beta,b)<=(gamma,c) with b,c<= {amax}")
     report.checked["two_point_shift"] = f"a,b<= {amax - 1}, symmetric pairs once"
@@ -245,54 +212,28 @@ def validate_closed_genus0(f0: BigSeries, theory: TheoryData) -> ResidualReport:
 # open-sector validation
 # ---------------------------------------------------------------------------
 
-def open_string_residual(f0o: BigSeries, theory: TheoryData) -> BigSeries:
-    return (-t11_partial(f0o, 0, theory) + BigSeries.var(s_var(0), theory.trunc)
-            + _shift_sum(f0o, theory.all_vars(), theory))
-
-
-def open_dilaton_residual(f0o: BigSeries, theory: TheoryData) -> BigSeries:
-    return -t11_partial(f0o, 1, theory) - f0o + _euler_sum(f0o, theory.all_vars(), theory)
-
-
 def validate_open_genus0(f0: BigSeries, f0o: BigSeries, theory: TheoryData
                          ) -> ResidualReport:
     """Residuals of the open genus-0 axioms, differentials taken componentwise."""
     tr = theory.trunc
     amax = tr.level_max
     report = ResidualReport()
-    report.add("open_string", (), open_string_residual(f0o, theory))
+    derivs = _Derivatives()
+    report.add_rows(_open_families(f0, theory), f0o, derivs)
     report.checked["open_string"] = f"single equation, degree window <= {tr.deg_max - 1}"
     if amax >= 1:
-        report.add("open_dilaton", (), open_dilaton_residual(f0o, theory))
+        report.add("open_dilaton", (), -t11_partial(f0o, 1, theory) - f0o
+                   + _euler_sum(f0o, theory.all_vars(), derivs))
         report.checked["open_dilaton"] = "single equation"
     else:
         report.checked["open_dilaton"] = "skipped: needs level bound >= 1"
-    pairing = t11_partial(partial(f0o, s_var(0)), 0, theory)
+    pairing = t11_partial(derivs.partial(f0o, ((s_var(0), 1),)), 0, theory)
     level0 = {key: coef for key, coef in pairing.terms.items()
               if all(level == 0 for (_k, _a, level), _e in key[1])}
     norm = BigSeries(level0, tr, pairing.rel, _checked=True) - 1
     report.add("normalization", (), norm)
     report.checked["normalization"] = ("d^2F0o/dt11_0 ds_0 restricted to "
                                        "positive levels = 0 is identically 1")
-    yvars = theory.all_vars()
-    ds0 = partial(f0o, s_var(0))
-    for alpha in range(1, theory.n + 1):
-        for p in range(amax):
-            raised = eta_contracted_hessian(f0, alpha, p, theory)
-            dtp1 = partial(f0o, t_var(alpha, p + 1))
-            dtp = partial(f0o, t_var(alpha, p))
-            for y in yvars:
-                lhs = partial(dtp1, y)
-                rhs = dtp * partial(ds0, y)
-                for nu in range(1, theory.n + 1):
-                    rhs = rhs + raised[nu - 1] * partial_many(f0o, [t_var(nu, 0), y])
-                report.add("open_trr_t", (alpha, p, y), lhs - rhs)
-    for p in range(amax):
-        dsp1 = partial(f0o, s_var(p + 1))
-        dsp = partial(f0o, s_var(p))
-        for y in yvars:
-            res = partial(dsp1, y) - dsp * partial(ds0, y)
-            report.add("open_trr_s", (p, y), res)
     report.checked["open_trr_t"] = f"alpha<= {theory.n}, p<= {amax - 1}, all components"
     report.checked["open_trr_s"] = f"p<= {amax - 1}, all components"
     return report
@@ -336,24 +277,15 @@ class TwoPointTable:
 def two_point_table(f0: BigSeries, f0o: BigSeries | None,
                     theory: TheoryData) -> TwoPointTable:
     amax = theory.trunc.level_max
+    idx = [(alpha, a) for alpha in range(1, theory.n + 1) for a in range(amax + 1)]
     om = {}
-    for alpha in range(1, theory.n + 1):
-        for a in range(amax + 1):
-            for beta in range(1, theory.n + 1):
-                for b in range(amax + 1):
-                    if (alpha, a) <= (beta, b):
-                        om[(alpha, a, beta, b)] = omega(f0, alpha, a, beta, b, theory)
-                    else:
-                        om[(alpha, a, beta, b)] = om[(beta, b, alpha, a)]
-    gm = {}
-    dl = {}
-    if f0o is not None:
-        for alpha in range(1, theory.n + 1):
-            for a in range(amax + 1):
-                gm[(alpha, a)] = gamma(f0o, alpha, a, theory)
-        for a in range(amax + 1):
-            dl[a] = delta(f0o, a, theory)
-    return TwoPointTable(om, gm, dl, theory)
+    for i in idx:
+        for j in idx:
+            om[i + j] = om[j + i] if j < i else omega(f0, *i, *j, theory)
+    if f0o is None:
+        return TwoPointTable(om, {}, {}, theory)
+    return TwoPointTable(om, {i: gamma(f0o, *i, theory) for i in idx},
+                         {a: delta(f0o, a, theory) for a in range(amax + 1)}, theory)
 
 
 def principal_flow(f0: BigSeries, beta: int, b: int, theory: TheoryData
@@ -477,19 +409,18 @@ class _Table:
 
     Entries are weight-bucketed lists of (degree, monomial, coefficient) for
     the series sum_spec scale * d^k F / d(spec vars).  A table built from a
-    series holds its eps-free terms; one built without is `fed` the solved
-    coefficients one at a time.  Duplicate monomials in a bucket are allowed;
-    consumers accumulate.
+    series keeps it and fills its buckets with the eps-free terms on first
+    use; one built without is `fed` the solved coefficients one at a time.
+    Duplicate monomials in a bucket are allowed; consumers accumulate.
     """
 
     def __init__(self, specs: Sequence[tuple[tuple[BigVar, ...], Fraction]],
                  series: BigSeries | None = None):
         self.specs = _spec_monomials(specs)
-        self.buckets: dict[int, list[tuple[int, BigMonomial, Fraction]]] = {}
+        self.series = series
         self.fed = series is None
-        if series is not None:
-            self.push_all({mono: coef for (eps, mono), coef in series.terms.items()
-                           if not eps})
+        self.buckets: dict[int, list[tuple[int, BigMonomial, Fraction]]] | None = (
+            {} if self.fed else None)
 
     def push(self, mono: BigMonomial, coef: Fraction) -> None:
         for d, scale in self.specs:
@@ -503,7 +434,42 @@ class _Table:
             self.push(mono, coef)
 
     def bucket(self, w: int) -> list[tuple[int, BigMonomial, Fraction]]:
+        if self.buckets is None:
+            self.buckets = {}
+            self.push_all({mono: coef for (eps, mono), coef in self.series.terms.items()
+                           if not eps})
         return self.buckets.get(w, ())
+
+
+class _Derivatives:
+    """The partial derivatives and table values of one validator call, each
+    computed once."""
+
+    def __init__(self):
+        self._memo: dict[tuple, BigSeries] = {}
+        self._alive: list[BigSeries] = []  # keeps the ids in the keys unique
+
+    def partial(self, series: BigSeries, d: BigMonomial) -> BigSeries:
+        """d^k series / d(d), for a monomial d."""
+        if not d:
+            return series
+        key = (id(series), d)
+        if key not in self._memo:
+            var = d[-1][0]
+            self._alive.append(series)
+            self._memo[key] = partial(self.partial(series, mono_div_var(d, var)), var)
+        return self._memo[key]
+
+    def value(self, series: BigSeries, specs: list[tuple[BigMonomial, Fraction]]
+              ) -> BigSeries:
+        """sum_spec scale * d^k series / d(spec vars)."""
+        key = (id(series), tuple(specs))
+        if key not in self._memo:
+            self._alive.append(series)
+            terms = [self.partial(series, d) * scale if scale != 1
+                     else self.partial(series, d) for d, scale in specs]
+            self._memo[key] = sum(terms[1:], terms[0])
+        return self._memo[key]
 
 
 def slice_product(a: _Table, b: _Table, weight: int, deg_cap: int
@@ -552,6 +518,15 @@ class _Rows:
         for d, scale in self.specs:
             m = mono_mul(mu, d)
             out[m] = scale * _falling(m, d)
+        return out
+
+    def residual(self, f: BigSeries, derivs: _Derivatives) -> BigSeries:
+        """The spec derivatives of f minus the sum of the table products, where
+        a fed table stands for f."""
+        out = derivs.value(f, self.specs)
+        for pair in self.products:
+            a, b = (derivs.value(f if t.fed else t.series, t.specs) for t in pair)
+            out = out - a * b
         return out
 
 
@@ -700,12 +675,76 @@ def _hessian_specs(alpha: int, a: int, nu: int, theory: TheoryData) -> list:
             for mu in range(1, theory.n + 1)]
 
 
-def _string_rows(label: str, d1: dict[BigVar, _Table], theory: TheoryData) -> _Rows:
-    """sum_g A^g dF/dt{g}_0 = sum_b x_{b+1} dF/dx_b over the fed tables d1[x_b]."""
-    shift = [(table, _Table(_ID, BigSeries.var((kind, alpha, level + 1), theory.trunc)))
+def _string_rows(label: str, d1: dict[BigVar, _Table], source: BigSeries,
+                 theory: TheoryData) -> _Rows:
+    """-sum_g A^g dF/dt{g}_0 = -sum_b x_{b+1} dF/dx_b - source over the fed
+    tables d1[x_b]: the string equation, signed so that its residual is the
+    string residual.  The source has weight 0, so the solver never reads it."""
+    tr = theory.trunc
+    shift = [(table, _Table(_ID, -BigSeries.var((kind, alpha, level + 1), tr)))
              for (kind, alpha, level), table in d1.items()]
-    return _Rows((label,), [((t_var(g, 0),), a) for g, a in enumerate(theory.avec, 1)],
-                 shift)
+    unit = _Table(_ID, BigSeries.const(1, tr))
+    return _Rows((label,), [((t_var(g, 0),), -a) for g, a in enumerate(theory.avec, 1)],
+                 shift + [(_Table(_ID, -source), unit)])
+
+
+def _closed_families(theory: TheoryData) -> list[_Rows]:
+    """The closed genus-0 string equation and recursion relations (trr0).
+
+    Every table stands for the potential F0 under solution or test.
+    """
+    tr = theory.trunc
+    nus = range(1, theory.n + 1)
+    metric = BigSeries.zero(tr)
+    for alpha in nus:
+        for beta in nus:
+            coef = theory.eta[alpha - 1][beta - 1]
+            if coef:
+                metric = metric + (BigSeries.var(t_var(alpha, 0), tr)
+                                   * BigSeries.var(t_var(beta, 0), tr)) * (coef / 2)
+    pairs = {(beta, b, gamma, c): (t_var(beta, b), t_var(gamma, c))
+             for beta, b, gamma, c in _index_pairs(theory)}
+    third = {(nu, pair): _Table([((t_var(nu, 0), *dvars), Fraction(1))])
+             for nu in nus for pair, dvars in pairs.items()}
+    d1 = {x: _Table([((x,), Fraction(1))]) for x in theory.t_vars(tr.level_max - 1)}
+    families = [_string_rows("string", d1, metric, theory)]
+    for alpha in nus:
+        for a in range(tr.level_max):
+            hess = [_Table(_hessian_specs(alpha, a, nu, theory)) for nu in nus]
+            for pair, dvars in pairs.items():
+                families.append(_Rows(
+                    ("trr0", (alpha, a, *pair)), [((t_var(alpha, a + 1), *dvars), Fraction(1))],
+                    [(hess[nu - 1], third[(nu, pair)]) for nu in nus]))
+    return families
+
+
+def _open_families(f0: BigSeries, theory: TheoryData) -> list[_Rows]:
+    """The open genus-0 string equation and both recursion families, componentwise.
+
+    The Hessian tables hold the closed potential f0; every other table
+    stands for the open potential F0o under solution or test.
+    """
+    tr = theory.trunc
+    allvars = theory.all_vars()
+    nus = range(1, theory.n + 1)
+    d1 = {x: _Table([((x,), Fraction(1))]) for x in allvars if x[2] < tr.level_max}
+    d2t = {(y, nu): _Table([((y, t_var(nu, 0)), Fraction(1))])
+           for y in allvars for nu in nus}
+    d2s = {y: _Table([((y, s_var(0)), Fraction(1))]) for y in allvars}
+    families = [_string_rows("open_string", d1, BigSeries.var(s_var(0), tr), theory)]
+    for alpha in nus:
+        for p in range(tr.level_max):
+            hess = [_Table(_hessian_specs(alpha, p, nu, theory), f0) for nu in nus]
+            for y in allvars:
+                families.append(_Rows(
+                    ("open_trr_t", (alpha, p, y)), [((t_var(alpha, p + 1), y), Fraction(1))],
+                    [(hess[nu - 1], d2t[(y, nu)]) for nu in nus]
+                    + [(d1[t_var(alpha, p)], d2s[y])]))
+    for p in range(tr.level_max):
+        for y in allvars:
+            families.append(_Rows(("open_trr_s", (p, y)), [((s_var(p + 1), y), Fraction(1))],
+                                  [(d1[s_var(p)], d2s[y])]))
+    return families
 
 
 def _unit_derivative(seed: JetPoly, theory: TheoryData) -> JetPoly:
@@ -738,21 +777,7 @@ def solve_closed_order_by_order(seed: JetPoly, theory: TheoryData) -> SolveResul
                         "(unit derivative must be the metric quadratic)")
 
     known = _seed_coeffs(seed, theory, allow_phi=False)
-    nus = range(1, theory.n + 1)
-    pairs = {(beta, b, gamma, c): (t_var(beta, b), t_var(gamma, c))
-             for beta, b, gamma, c in _index_pairs(theory)}
-    third = {(nu, pair): _Table([((t_var(nu, 0), *dvars), Fraction(1))])
-             for nu in nus for pair, dvars in pairs.items()}
-    d1 = {x: _Table([((x,), Fraction(1))]) for x in theory.t_vars(tr.level_max - 1)}
-    families = [_string_rows("string", d1, theory)]
-    for alpha in nus:
-        for a in range(tr.level_max):
-            hess = [_Table(_hessian_specs(alpha, a, nu, theory)) for nu in nus]
-            for pair, dvars in pairs.items():
-                families.append(_Rows(
-                    ("trr0", (alpha, a, *pair)), [((t_var(alpha, a + 1), *dvars), Fraction(1))],
-                    [(hess[nu - 1], third[(nu, pair)]) for nu in nus]))
-    free = _march(families, known, theory.t_vars(), tr.deg_max, tr.level_max)
+    free = _march(_closed_families(theory), known, theory.t_vars(), tr.deg_max, tr.level_max)
     return SolveResult(BigSeries.from_coeffs(known, tr, rel=tr.deg_max), free)
 
 
@@ -769,24 +794,6 @@ def solve_open_order_by_order(f0: BigSeries, seed: JetPoly,
 
     known = _seed_coeffs(seed, theory, allow_phi=True)
     cap_out = tr.deg_max if f0.rel is None else min(tr.deg_max, f0.rel)
-    allvars = theory.all_vars()
-    nus = range(1, theory.n + 1)
-    d1 = {x: _Table([((x,), Fraction(1))]) for x in allvars if x[2] < tr.level_max}
-    d2t = {(y, nu): _Table([((y, t_var(nu, 0)), Fraction(1))])
-           for y in allvars for nu in nus}
-    d2s = {y: _Table([((y, s_var(0)), Fraction(1))]) for y in allvars}
-    families = [_string_rows("open_string", d1, theory)]
-    for alpha in nus:
-        for p in range(tr.level_max):
-            hess = [_Table(_hessian_specs(alpha, p, nu, theory), f0) for nu in nus]
-            for y in allvars:
-                families.append(_Rows(
-                    ("open_trr_t", (alpha, p, y)), [((t_var(alpha, p + 1), y), Fraction(1))],
-                    [(hess[nu - 1], d2t[(y, nu)]) for nu in nus]
-                    + [(d1[t_var(alpha, p)], d2s[y])]))
-    for p in range(tr.level_max):
-        for y in allvars:
-            families.append(_Rows(("open_trr_s", (p, y)), [((s_var(p + 1), y), Fraction(1))],
-                                  [(d1[s_var(p)], d2s[y])]))
-    free = _march(families, known, allvars, cap_out, tr.level_max)
+    free = _march(_open_families(f0, theory), known, theory.all_vars(), cap_out,
+                  tr.level_max)
     return SolveResult(BigSeries.from_coeffs(known, tr, rel=cap_out), free)

@@ -14,11 +14,12 @@ from fractions import Fraction
 
 from .algebra import JetPoly
 from .bigphase import (
+    KIND_T,
     BigSeries,
+    BigVar,
     TheoryData,
     eval_jetpoly,
     partial,
-    partial_many,
     phitop,
     restrict_small,
     s_var,
@@ -30,14 +31,58 @@ from .bigphase import (
 from .genus0 import (
     NoSolutionError,
     ResidualReport,
+    _Derivatives,
     _ID,
     _Rows,
     _Table,
     _hessian_specs,
     _march,
     _seed_coeffs,
-    eta_contracted_hessian,
+    _spec_monomials,
 )
+
+
+def _trr1_rows(x: BigVar, f0: BigSeries | None, f0o: BigSeries,
+               first: dict[BigVar, _Table], theory: TheoryData, *,
+               source: bool = True) -> _Rows:
+    """The genus-1 recursion family raising x = t{alpha}_a or s_a by one level:
+
+        dF/dx_+ = [sum_nu eta-raised d^2F0/dx dt{mu}_0 * dF/dt{nu}_0]
+                  + dF0o/dx * dF/ds_0 + (1/2) d^2F0o/dx ds_0,
+
+    the bracket for t-directions only, over the fed tables `first` of the
+    first partials of F.  Without the source term, its residual is the
+    recursion operator applied to F.
+    """
+    kind, alpha, level = x
+    s0 = s_var(0)
+    products = [(_Table(_hessian_specs(alpha, level, nu, theory), f0), first[t_var(nu, 0)])
+                for nu in range(1, theory.n + 1)] if kind == KIND_T else []
+    products.append((_Table([((x,), Fraction(1))], f0o), first[s0]))
+    if source:
+        products.append((_Table([((x, s0), Fraction(1, 2))], f0o),
+                         _Table(_ID, BigSeries.const(1, theory.trunc))))
+    label = ("open_trr1_t", (alpha, level)) if kind == KIND_T else ("open_trr1_s", (level,))
+    return _Rows(label, [(((kind, alpha, level + 1),), Fraction(1))], products)
+
+
+def _first_partials(theory: TheoryData) -> dict[BigVar, _Table]:
+    return {x: _Table([((x,), Fraction(1))]) for x in theory.t_vars(0) + [s_var(0)]}
+
+
+def _genus1_families(f0: BigSeries, f0o: BigSeries, theory: TheoryData) -> list[_Rows]:
+    """The open genus-1 recursion relations, t-directions first."""
+    first, top = _first_partials(theory), theory.trunc.level_max - 1
+    return [_trr1_rows(x, f0, f0o, first, theory)
+            for x in theory.t_vars(top) + theory.s_vars(top)]
+
+
+def _apply_trr1(f: BigSeries, x: BigVar, f0: BigSeries | None, f0o: BigSeries,
+                theory: TheoryData) -> BigSeries:
+    if x[2] + 1 > theory.trunc.level_max:
+        raise IndexError("operator index outside level window")
+    rows = _trr1_rows(x, f0, f0o, _first_partials(theory), theory, source=False)
+    return rows.residual(f, _Derivatives())
 
 
 def apply_trr1_t(f: BigSeries, alpha: int, a: int, f0: BigSeries,
@@ -47,22 +92,13 @@ def apply_trr1_t(f: BigSeries, alpha: int, a: int, f0: BigSeries,
     Raising derivative minus metric transport minus boundary transport; it
     annihilates every component of the distinguished solutions.
     """
-    if a + 1 > theory.trunc.level_max:
-        raise IndexError("operator index outside level window")
-    out = partial(f, t_var(alpha, a + 1))
-    raised = eta_contracted_hessian(f0, alpha, a, theory)
-    for nu in range(1, theory.n + 1):
-        out = out - raised[nu - 1] * partial(f, t_var(nu, 0))
-    out = out - partial(f0o, t_var(alpha, a)) * partial(f, s_var(0))
-    return out
+    return _apply_trr1(f, t_var(alpha, a), f0, f0o, theory)
 
 
 def apply_trr1_s(f: BigSeries, a: int, f0o: BigSeries,
                  theory: TheoryData) -> BigSeries:
     """The s-family genus-1 recursion operator applied to a series."""
-    if a + 1 > theory.trunc.level_max:
-        raise IndexError("operator index outside level window")
-    return partial(f, s_var(a + 1)) - partial(f0o, s_var(a)) * partial(f, s_var(0))
+    return _apply_trr1(f, s_var(a), None, f0o, theory)
 
 
 def validate_open_genus1(f0: BigSeries, f0o: BigSeries, f1o: BigSeries,
@@ -70,15 +106,7 @@ def validate_open_genus1(f0: BigSeries, f0o: BigSeries, f1o: BigSeries,
     """Residuals of the open genus-1 recursion relations over the window."""
     amax = theory.trunc.level_max
     report = ResidualReport()
-    for alpha in range(1, theory.n + 1):
-        for a in range(amax):
-            res = (apply_trr1_t(f1o, alpha, a, f0, f0o, theory)
-                   - partial_many(f0o, [t_var(alpha, a), s_var(0)]) * Fraction(1, 2))
-            report.add("open_trr1_t", (alpha, a), res)
-    for a in range(amax):
-        res = (apply_trr1_s(f1o, a, f0o, theory)
-               - partial_many(f0o, [s_var(a), s_var(0)]) * Fraction(1, 2))
-        report.add("open_trr1_s", (a,), res)
+    report.add_rows(_genus1_families(f0, f0o, theory), f1o, _Derivatives())
     report.checked["open_trr1_t"] = f"alpha<= {theory.n}, a<= {amax - 1}"
     report.checked["open_trr1_s"] = f"a<= {amax - 1}"
     return report
@@ -104,50 +132,29 @@ def f1o_closed_form(f0: BigSeries, f0o: BigSeries, go: JetPoly,
     return out
 
 
-def solve_f1o(f0: BigSeries, f0o: BigSeries, go: JetPoly, theory: TheoryData,
-              *, validate: bool = True) -> BigSeries:
+def solve_f1o(f0: BigSeries, f0o: BigSeries, go: JetPoly,
+              theory: TheoryData) -> BigSeries:
     """Order-by-order solve of the open genus-1 system from initial data Go.
 
     Marches in descendent weight; every weight-w coefficient is pinned by a
     raising derivative whose right-hand side only involves lower weights.
-    Inconsistent duplicate determinations raise NoSolutionError.
+    Inconsistent duplicate determinations raise NoSolutionError, and so does
+    a solution that fails the genus-1 relations.
     """
     tr = theory.trunc
-    dmax, amax = tr.deg_max, tr.level_max
     # the right-hand sides read one extra degree of the genus-0 data, so the
     # output window sits one below the narrowest trusted input window
-    relout = min(rel for rel in (dmax, f0.rel, f0o.rel) if rel is not None) - 1
+    relout = min(rel for rel in (tr.deg_max, f0.rel, f0o.rel) if rel is not None) - 1
     known = _seed_coeffs(go, theory, allow_phi=True)
-    nus = range(1, theory.n + 1)
-    s0 = s_var(0)
-    unit = _Table(_ID, BigSeries.const(1, tr))
-    g1t = [_Table([((t_var(nu, 0),), Fraction(1))]) for nu in nus]
-    g1s = _Table([((s0,), Fraction(1))])
-    families = []
-    for alpha in nus:
-        for a in range(amax):
-            x = t_var(alpha, a)
-            families.append(_Rows(
-                ("open_trr1_t", (alpha, a)), [((t_var(alpha, a + 1),), Fraction(1))],
-                [(_Table(_hessian_specs(alpha, a, nu, theory), f0), g1t[nu - 1])
-                 for nu in nus]
-                + [(_Table([((x,), Fraction(1))], f0o), g1s),
-                   (_Table([((x, s0), Fraction(1, 2))], f0o), unit)]))
-    for a in range(amax):
-        x = s_var(a)
-        families.append(_Rows(
-            ("open_trr1_s", (a,)), [((s_var(a + 1),), Fraction(1))],
-            [(_Table([((x,), Fraction(1))], f0o), g1s),
-             (_Table([((x, s0), Fraction(1, 2))], f0o), unit)]))
-    _march(families, known, theory.all_vars(), relout, amax)
+    _march(_genus1_families(f0, f0o, theory), known, theory.all_vars(), relout,
+           tr.level_max)
     series = BigSeries.from_coeffs(known, tr, rel=relout)
-    if validate:
-        report = validate_open_genus1(f0, f0o, series, theory)
-        if not report.all_zero:
-            bad = report.failures()[0]
-            raise NoSolutionError((bad.equation, bad.indices),
-                                  "solver output fails the genus-1 relations at "
-                                  f"{bad.equation} {bad.indices}")
+    report = validate_open_genus1(f0, f0o, series, theory)
+    if not report.all_zero:
+        bad = report.failures()[0]
+        raise NoSolutionError((bad.equation, bad.indices),
+                              "solver output fails the genus-1 relations at "
+                              f"{bad.equation} {bad.indices}")
     return series
 
 
@@ -160,26 +167,14 @@ def extract_go(f1o: BigSeries, theory: TheoryData) -> JetPoly:
 # closed sector
 # ---------------------------------------------------------------------------
 
-def hessian_cube(f0: BigSeries, theory: TheoryData) -> list[list[BigSeries]]:
-    """The matrix d^3F0/dt11_0 dt{alpha}_0 dt{beta}_0 of third derivatives."""
-    base = t11_partial(f0, 0, theory)
-    out = []
-    for alpha in range(1, theory.n + 1):
-        row = []
-        for beta in range(1, theory.n + 1):
-            row.append(partial_many(base, [t_var(alpha, 0), t_var(beta, 0)]))
-        out.append(row)
-    return out
-
-
-def _det(matrix: list[list[BigSeries]], trunc) -> BigSeries:
+def _det(matrix: list[list[BigSeries]]) -> BigSeries:
     n = len(matrix)
     if n == 1:
         return matrix[0][0]
     acc = None
     for j in range(n):
         minor = [[matrix[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = matrix[0][j] * _det(minor, trunc)
+        term = matrix[0][j] * _det(minor)
         if j % 2:
             term = -term
         acc = term if acc is None else acc + term
@@ -188,20 +183,15 @@ def _det(matrix: list[list[BigSeries]], trunc) -> BigSeries:
 
 def f1_closed_form(f0: BigSeries, g: JetPoly, theory: TheoryData) -> BigSeries:
     """Closed genus-1 potential: (1/24) log det of the raised third-derivative
-    matrix plus the initial function evaluated along the solution."""
-    m = hessian_cube(f0, theory)
-    raised = []
-    for alpha in range(1, theory.n + 1):
-        row = []
-        for beta in range(1, theory.n + 1):
-            acc = BigSeries.zero(f0.trunc, None if f0.rel is None else f0.rel - 3)
-            for mu in range(1, theory.n + 1):
-                coef = theory.eta_inv[alpha - 1][mu - 1]
-                if coef:
-                    acc = acc + m[mu - 1][beta - 1] * coef
-            row.append(acc)
-        raised.append(row)
-    det = _det(raised, f0.trunc)
+    matrix eta^{alpha mu} d^3F0/dt11_0 dt{mu}_0 dt{beta}_0 plus the initial
+    function evaluated along the solution."""
+    nus = range(1, theory.n + 1)
+    derivs = _Derivatives()
+    raised = [[derivs.value(f0, _spec_monomials(
+        [((t_var(g, 0), t_var(mu, 0), t_var(beta, 0)), a * theory.eta_inv[alpha - 1][mu - 1])
+         for g, a in enumerate(theory.avec, 1) for mu in nus])) for beta in nus]
+        for alpha in nus]
+    det = _det(raised)
     if det.constant_term() != 1:
         raise ValueError("det of the raised third-derivative matrix must have "
                          "constant term 1; the closed potential is invalid")
@@ -213,23 +203,22 @@ def f1_closed_form(f0: BigSeries, g: JetPoly, theory: TheoryData) -> BigSeries:
 
 def validate_closed_genus1(f0: BigSeries, f1: BigSeries,
                            theory: TheoryData) -> ResidualReport:
-    """Residuals of the closed genus-1 recursion relations."""
+    """Residuals of the closed genus-1 recursion relations:
+
+        dF1/dt{alpha}_{a+1} = sum_nu eta-raised d^2F0/dt{alpha}_a dt{mu}_0 * dF1/dt{nu}_0
+                              + (1/24) eta^{mu nu} d^3F0/dt{mu}_0 dt{nu}_0 dt{alpha}_a.
+    """
     amax = theory.trunc.level_max
+    nus = range(1, theory.n + 1)
+    first, unit = _first_partials(theory), _Table(_ID, BigSeries.const(1, theory.trunc))
+    third = [((t_var(mu, 0), t_var(nu, 0)), theory.eta_inv[mu - 1][nu - 1] / 24)
+             for mu in nus for nu in nus]
+    families = [_Rows(("trr1", (alpha, a)), [((t_var(alpha, a + 1),), Fraction(1))],
+                      [(_Table(_hessian_specs(alpha, a, nu, theory), f0), first[t_var(nu, 0)])
+                       for nu in nus]
+                      + [(_Table([(d + (t_var(alpha, a),), c) for d, c in third], f0), unit)])
+                for alpha in nus for a in range(amax)]
     report = ResidualReport()
-    for alpha in range(1, theory.n + 1):
-        for a in range(amax):
-            raised = eta_contracted_hessian(f0, alpha, a, theory)
-            res = partial(f1, t_var(alpha, a + 1))
-            for nu in range(1, theory.n + 1):
-                res = res - raised[nu - 1] * partial(f1, t_var(nu, 0))
-            third = BigSeries.zero(f0.trunc)
-            for mu in range(1, theory.n + 1):
-                for nu in range(1, theory.n + 1):
-                    coef = theory.eta_inv[mu - 1][nu - 1]
-                    if coef:
-                        third = third + partial_many(
-                            f0, [t_var(mu, 0), t_var(nu, 0), t_var(alpha, a)]) * coef
-            res = res - third * Fraction(1, 24)
-            report.add("trr1", (alpha, a), res)
+    report.add_rows(families, f1, _Derivatives())
     report.checked["trr1"] = f"alpha<= {theory.n}, a<= {amax - 1}"
     return report

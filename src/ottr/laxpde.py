@@ -361,16 +361,21 @@ def _dfact_odd(n: int) -> int:
 class PseudoDiffOp:
     """sum_i c_i (eps d/dx)^i with series coefficients, truncated mod eps^2.
 
-    Negative powers are kept down to `floor`; compositions use the symbol
-    rule (eps d/dx)^i . c = sum_k binom(i,k) eps^k (X^k c) (eps d/dx)^{i-k},
-    which terminates at k=1 under the first-order eps cap.
+    Negative powers are kept down to `floor`, one below the deepest power
+    2*Amax+2 of the square root of the Lax operator that the flows use;
+    compositions use the symbol rule (eps d/dx)^i . c = sum_k binom(i,k) eps^k
+    (X^k c) (eps d/dx)^{i-k}, which terminates at k=1 under the first-order
+    eps cap.
     """
 
     coeffs: dict[int, BigSeries]
     theory: TheoryData
-    floor: int = -8
 
     EPS_CAP = 1
+
+    @property
+    def floor(self) -> int:
+        return -(2 * self.theory.trunc.level_max + 3)
 
     def _clean(self) -> "PseudoDiffOp":
         kept = {}
@@ -380,11 +385,11 @@ class PseudoDiffOp:
             c = _eps_shift(c, 0, self.EPS_CAP)
             if not c.is_zero():
                 kept[i] = c
-        return PseudoDiffOp(kept, self.theory, self.floor)
+        return PseudoDiffOp(kept, self.theory)
 
     @classmethod
-    def identity(cls, theory: TheoryData, floor: int = -8) -> "PseudoDiffOp":
-        return cls({0: BigSeries.const(1, theory.trunc)}, theory, floor)
+    def identity(cls, theory: TheoryData) -> "PseudoDiffOp":
+        return cls({0: BigSeries.const(1, theory.trunc)}, theory)
 
     def coefficient(self, i: int) -> BigSeries:
         return self.coeffs.get(i, BigSeries.zero(self.theory.trunc))
@@ -393,14 +398,14 @@ class PseudoDiffOp:
         acc = dict(self.coeffs)
         for i, c in other.coeffs.items():
             acc[i] = acc[i] + c if i in acc else c
-        return PseudoDiffOp(acc, self.theory, self.floor)._clean()
+        return PseudoDiffOp(acc, self.theory)._clean()
 
     def __sub__(self, other: "PseudoDiffOp") -> "PseudoDiffOp":
         return self + other.scale(Fraction(-1))
 
     def scale(self, c) -> "PseudoDiffOp":
         return PseudoDiffOp({i: s * c for i, s in self.coeffs.items()},
-                            self.theory, self.floor)._clean()
+                            self.theory)._clean()
 
     def compose(self, other: "PseudoDiffOp") -> "PseudoDiffOp":
         acc: dict[int, BigSeries] = {}
@@ -416,11 +421,11 @@ class PseudoDiffOp:
                         key = i + j - k
                         acc[key] = acc[key] + term if key in acc else term
                     shifted = t11_partial(shifted, 0, self.theory)
-        return PseudoDiffOp(acc, self.theory, self.floor)._clean()
+        return PseudoDiffOp(acc, self.theory)._clean()
 
     def plus_part(self) -> "PseudoDiffOp":
         return PseudoDiffOp({i: c for i, c in self.coeffs.items() if i >= 0},
-                            self.theory, self.floor)
+                            self.theory)
 
     def slices(self) -> dict[int, tuple[BigSeries, BigSeries]]:
         return {i: (c.eps_slice(0), c.eps_slice(1)) for i, c in self.coeffs.items()}
@@ -438,23 +443,18 @@ class KdVLaxContext:
     powers: list[PseudoDiffOp]
 
     @classmethod
-    def build(cls, w: BigSeries, theory: TheoryData, depth: int | None = None
-              ) -> "KdVLaxContext":
+    def build(cls, w: BigSeries, theory: TheoryData) -> "KdVLaxContext":
         for (e, _m) in w.terms:
             if e % 2:
                 raise ValueError("w must have even eps content only")
-        if depth is None:
-            depth = 2 * theory.trunc.level_max + 2
-        floor = -(depth + 1)
-        lax = PseudoDiffOp({2: BigSeries.const(1, theory.trunc), 0: w * 2},
-                           theory, floor)._clean()
-        root = PseudoDiffOp({1: BigSeries.const(1, theory.trunc)}, theory, floor)
-        for k in range(1, depth + 1):
+        lax = PseudoDiffOp({2: BigSeries.const(1, theory.trunc), 0: w * 2}, theory)._clean()
+        root = PseudoDiffOp({1: BigSeries.const(1, theory.trunc)}, theory)
+        for k in range(1, -root.floor):
             defect = lax - root.compose(root)
             r = defect.coefficient(1 - k) * Fraction(1, 2)
             if not r.is_zero():
-                root = root + PseudoDiffOp({-k: r}, theory, floor)
-        return cls(w, lax, root, theory, [PseudoDiffOp.identity(theory, floor), lax])
+                root = root + PseudoDiffOp({-k: r}, theory)
+        return cls(w, lax, root, theory, [PseudoDiffOp.identity(theory), lax])
 
     def lax_power(self, p: int) -> PseudoDiffOp:
         while len(self.powers) <= p:

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .algebra import JetPoly, SparseSeries
 from .bigphase import BigSeries, TheoryData, Truncation, big_var_name
-from .genus0 import ResidualReport, entry_status
+from .genus0 import ResidualReport, entry_status, index_names
 from .laxpde import LinearDiffOp
 
 FORMAT_TAG = "ottr-series-v1"
@@ -79,12 +79,7 @@ def _fmt_rel(rel: int | None) -> str:
 
 
 def _fmt_idx(idx: tuple) -> str:
-    if not idx:
-        return "-"
-    parts = []
-    for i in idx:
-        parts.append(big_var_name(i) if isinstance(i, tuple) else str(i))
-    return ":".join(parts)
+    return ":".join(index_names(idx)) or "-"
 
 
 def emit_theory(theory: TheoryData) -> str:

@@ -217,3 +217,80 @@ def test_byte_identical_across_processes(tmp_path):
         outs.append((outdir / "f0.ottr").read_bytes()
                     + (outdir / "f0o.ottr").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.fixture(scope="module")
+def mixed_dir(tmp_path_factory):
+    """D5/A2 files of two theories: a rank-2 f0 and the rank-1 genus-1 set."""
+    outdir = tmp_path_factory.mktemp("mixed")
+    for name in ("witten-n2", "genus1-rank1"):
+        assert main(["gen-example", name, "--degree", "5", "--amax", "2",
+                     "--outdir", str(outdir / name)]) == 0
+    return outdir
+
+
+MIXED_VERBS = {
+    "check-genus1 open": ["check-genus1", "--f0", "n2/f0", "--f0o", "g1/f0o", "--f1o", "g1/f1o"],
+    "check-genus1 closed": ["check-genus1", "--f0", "n2/f0", "--f1", "g1/f1"],
+    "check-evolution": ["check-evolution", "--f0", "n2/f0", "--f0o", "g1/f0o", "--f1o", "g1/f1o"],
+    "build-operators": ["build-operators", "--f0", "n2/f0", "--f0o", "g1/f0o", "--outdir", "ops"],
+    "validate-open": ["validate-open", "n2/f0", "g1/f0o"],
+    "derive-genus1": ["derive-genus1", "--f0", "n2/f0", "--f0o", "g1/f0o", "-o", "f1o.ottr"],
+    "derive-genus1 go-file": ["derive-genus1", "--f0", "g1/f0", "--f0o", "g1/f0o",
+                              "--go-file", "go", "-o", "f1o.ottr"],
+}
+
+
+@pytest.mark.parametrize("verb", sorted(MIXED_VERBS))
+def test_files_of_different_theories_rejected(verb, mixed_dir, tmp_path, capsys):
+    """Every file a verb reads, --go-file included, must carry one theory block."""
+    go = tmp_path / "go.ottr"  # the initial data phi^3/6, but in a D5/A1 theory
+    go.write_text("ottr-series-v1\ntheory rank=1 eta=1 A=1 Dt=5 Amax=1 Dv=5 J=3 E=2\n"
+                  "kind jetpoly rel=-\nterm 1/6 eps=0 vars=phi:0:0:3\nend\n")
+    paths = {"n2/f0": mixed_dir / "witten-n2" / "f0.ottr", "go": go,
+             "ops": tmp_path / "ops", "f1o.ottr": tmp_path / "f1o.ottr"}
+    for name in ("f0", "f0o", "f1o", "f1"):
+        paths[f"g1/{name}"] = mixed_dir / "genus1-rank1" / f"{name}.ottr"
+    code = main([str(paths.get(arg, arg)) for arg in MIXED_VERBS[verb]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "carry different theory blocks" in captured.err
+    assert "PASS" not in captured.out
+    assert list(tmp_path.iterdir()) == [go]
+
+
+def test_build_operators_rejects_bigseries_go_file(fixture_dir, tmp_path, capsys):
+    """--go-file must hold a jet polynomial; a bigseries is an input error."""
+    outdir = tmp_path / "ops"
+    code = main(["build-operators", "--f0", str(fixture_dir / "f0.ottr"),
+                 "--f0o", str(fixture_dir / "f0o.ottr"),
+                 "--go-file", str(fixture_dir / "f0o.ottr"), "--outdir", str(outdir)])
+    assert code == 2
+    assert "expected a jetpoly file" in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+@pytest.mark.parametrize("option", ["--degree", "--amax"])
+@pytest.mark.parametrize("verb", [["gen-example", "open-rank1"], ["gen-pst"],
+                                  ["validate-genus0", "F0"], ["validate-open", "F0", "F0O"]])
+def test_negative_window_rejected(verb, option, fixture_dir, tmp_path, capsys):
+    files = {"F0": str(fixture_dir / "f0.ottr"), "F0O": str(fixture_dir / "f0o.ottr")}
+    argv = [files.get(arg, arg) for arg in verb] + [option, "-1"]
+    if verb[0].startswith("gen-"):
+        argv += ["--outdir", str(tmp_path / "out")]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"{option} -1 is negative" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_summary_names_index_variables(fixture_dir, capsys):
+    """Summary lines name variables as the report file does."""
+    assert main(["validate-open", str(fixture_dir / "f0.ottr"),
+                 str(fixture_dir / "f0o.ottr")]) == 0
+    out = capsys.readouterr().out
+    assert "open_trr_t (1, 0, s_1): zero" in out
+    assert "open_trr_s (0, t1_0): zero" in out
+    assert "open_string (): zero" in out

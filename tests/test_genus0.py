@@ -143,6 +143,23 @@ class TestOpenSolver:
 
 
 class TestOpenValidation:
+    def test_each_partial_derivative_computed_once(self, f0, f0o, theory8, monkeypatch):
+        """The relations share their derivatives: no partial is taken twice."""
+        import ottr.genus0 as genus0
+
+        taken = []
+
+        def counting(series, var):
+            taken.append((id(series), var))
+            return partial(series, var)
+
+        monkeypatch.setattr(genus0, "partial", counting)
+        for validate in (lambda: validate_open_genus0(f0, f0o, theory8),
+                         lambda: validate_closed_genus0(f0, theory8)):
+            taken.clear()
+            assert validate().all_zero
+            assert taken and len(set(taken)) == len(taken)
+
     def test_zero_open_potential_string_residual(self, f0, theory8):
         report = validate_open_genus0(f0, BigSeries.zero(TR), theory8)
         res = report.entry("open_string").residual
