@@ -25,6 +25,11 @@ its coefficients agree with the untruncated object it approximates.
 ``rel=None`` means the value is exact.  Arithmetic propagates ``rel``
 conservatively and drops stored terms beyond it, so a value never holds
 coefficients it cannot vouch for.
+
+A value never changes after construction, so it can keep what is derived
+from it: `SparseSeries.derived` computes each derived series (a partial
+derivative, a unit-direction derivative, a power, ...) once per value, and
+the result lives exactly as long as that value.
 """
 
 from __future__ import annotations
@@ -198,9 +203,12 @@ class SparseSeries:
     Subclasses declare the grading and the bounds; everything else lives here.
     Operands of different subclasses never mix: arithmetic between them is a
     TypeError, and equal truncations are required within one subclass.
+
+    No code may write `terms`, `trunc` or `rel` after `__init__`: the memo of
+    derived series (`derived`) is valid only because a value never changes.
     """
 
-    __slots__ = ("terms", "trunc", "rel")
+    __slots__ = ("terms", "trunc", "rel", "_memo")
 
     # Declared by each subclass.
     mono_degree: Callable[[Monomial], int]  # the grading of a monomial
@@ -242,6 +250,7 @@ class SparseSeries:
             self.terms = kept
         self.trunc = trunc
         self.rel = rel
+        self._memo: dict | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -281,6 +290,14 @@ class SparseSeries:
 
     def sorted_terms(self) -> list[tuple[TermKey, Fraction]]:
         return sorted(self.terms.items())
+
+    def derived(self, key: tuple, make: Callable, *args):
+        """make(self, *args), computed once per value and key and kept with it."""
+        if self._memo is None:
+            self._memo = {}
+        if key not in self._memo:
+            self._memo[key] = make(self, *args)
+        return self._memo[key]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -429,6 +446,26 @@ def partial(p: SparseSeries, var: Var) -> SparseSeries:
 
 
 jet_partial = partial
+
+
+def derivative(p: SparseSeries, *variables: Var) -> SparseSeries:
+    """d^k p / d(variables), each first partial computed once per value.
+
+    The variables are taken in sorted order, so every ordering of them reads
+    one chain of memoized first partials.
+    """
+    for var in sorted(variables):
+        p = p.derived(("d", var), partial, var)
+    return p
+
+
+def power(p: SparseSeries, k: int) -> SparseSeries:
+    """p^k as 1 * p * ... * p, each power computed once per value."""
+    return p.derived(("pow", k), _power, k)
+
+
+def _power(p: SparseSeries, k: int) -> SparseSeries:
+    return power(p, k - 1) * p if k else type(p).const(1, p.trunc)
 
 
 # -- differential polynomials -------------------------------------------------

@@ -35,11 +35,12 @@ from .algebra import (
     Var,
     _rel_cap,
     _rel_min,
+    derivative,
     frac,
     mono_from_factors,
     mono_max_index,
     mono_mul,
-    partial,
+    partial,  # the loop behind `derivative`, re-exported under its own name
     phivar,
     poly_eq as series_eq,
     vvar,
@@ -217,20 +218,25 @@ class TheoryData:
         return self.t_vars() + self.s_vars()
 
 
-def partial_many(f: BigSeries, variables: Sequence[BigVar]) -> BigSeries:
-    for var in variables:
-        f = partial(f, var)
-    return f
-
-
 def t11_partial(f: BigSeries, a: int, theory: TheoryData) -> BigSeries:
-    """Unit-direction derivative at level a: the A-weighted t-partials."""
+    """Unit-direction derivative at level a: the A-weighted t-partials,
+    computed once per value."""
+    return f.derived(("X", a, theory.avec), _t11_partial, a, theory.avec)
+
+
+def _t11_partial(f: BigSeries, a: int, avec: tuple[Fraction, ...]) -> BigSeries:
     out = BigSeries.zero(f.trunc, f.rel if f.rel is None else f.rel - 1)
-    for alpha in range(1, theory.n + 1):
-        coef = theory.avec[alpha - 1]
+    for alpha, coef in enumerate(avec, start=1):
         if coef:
-            out = out + partial(f, t_var(alpha, a)) * coef
+            out = out + derivative(f, t_var(alpha, a)) * coef
     return out
+
+
+def x_jet(f: BigSeries, k: int, theory: TheoryData) -> BigSeries:
+    """The k-th x-derivative: k unit-direction derivatives at level zero."""
+    for _ in range(k):
+        f = t11_partial(f, 0, theory)
+    return f
 
 
 def restrict_small(f: BigSeries, theory: TheoryData) -> JetPoly:
@@ -251,7 +257,12 @@ def restrict_small(f: BigSeries, theory: TheoryData) -> JetPoly:
 
 
 def vtop(f0: BigSeries, theory: TheoryData) -> list[BigSeries]:
-    """The distinguished solution components built from a genus-0 potential."""
+    """The distinguished solution components built from a genus-0 potential,
+    computed once per value."""
+    return list(f0.derived(("vtop", theory.avec, theory.eta_inv), _vtop, theory))
+
+
+def _vtop(f0: BigSeries, theory: TheoryData) -> tuple[BigSeries, ...]:
     base = t11_partial(f0, 0, theory)
     out = []
     for alpha in range(1, theory.n + 1):
@@ -259,9 +270,9 @@ def vtop(f0: BigSeries, theory: TheoryData) -> list[BigSeries]:
         for mu in range(1, theory.n + 1):
             coef = theory.eta_inv[alpha - 1][mu - 1]
             if coef:
-                acc = acc + partial(base, t_var(mu, 0)) * coef
+                acc = acc + derivative(base, t_var(mu, 0)) * coef
         out.append(acc)
-    return out
+    return tuple(out)
 
 
 def phitop(f0o: BigSeries, theory: TheoryData) -> BigSeries:
@@ -305,41 +316,14 @@ def series_exp(f: BigSeries) -> BigSeries:
     return BigSeries(out.terms, f.trunc, f.rel, _checked=True)
 
 
-class _SolutionJets:
-    """Cache of unit-direction derivative towers of solution series."""
-
-    def __init__(self, sol_v: Sequence[BigSeries], sol_phi: BigSeries | None,
-                 theory: TheoryData):
-        self.theory = theory
-        self._v: dict[tuple[int, int], BigSeries] = {}
-        for alpha, s in enumerate(sol_v, start=1):
-            self._v[(alpha, 0)] = s
-        self._phi: dict[int, BigSeries] = {}
-        if sol_phi is not None:
-            self._phi[0] = sol_phi
-
-    def v(self, alpha: int, jet: int) -> BigSeries:
-        key = (alpha, jet)
-        if key not in self._v:
-            self._v[key] = t11_partial(self.v(alpha, jet - 1), 0, self.theory)
-        return self._v[key]
-
-    def phi(self, jet: int) -> BigSeries:
-        if not self._phi:
-            raise ValueError("phi jets requested but no phi solution supplied")
-        if jet not in self._phi:
-            self._phi[jet] = t11_partial(self.phi(jet - 1), 0, self.theory)
-        return self._phi[jet]
-
-
 def eval_jetpoly(p: JetPoly, sol_v: Sequence[BigSeries],
                  sol_phi: BigSeries | None, theory: TheoryData) -> BigSeries:
     """Substitute jet variables by unit-direction derivatives of solutions.
 
     v{alpha}_i maps to the i-th unit-direction derivative of sol_v[alpha-1],
-    phi_i likewise for sol_phi; eps powers pass through unchanged.
+    phi_i likewise for sol_phi; eps powers pass through unchanged.  Each
+    derivative is kept with the solution it came from.
     """
-    jets = _SolutionJets(sol_v, sol_phi, theory)
     trunc = theory.trunc
     out = BigSeries.zero(trunc, None)
     sub_val_positive = True
@@ -347,9 +331,11 @@ def eval_jetpoly(p: JetPoly, sol_v: Sequence[BigSeries],
         term = BigSeries({(eps, ONE): coef}, trunc, None, _checked=True)
         for (kind, alpha, jet), exp in mono:
             if kind == KIND_V:
-                base = jets.v(alpha, jet)
+                base = x_jet(sol_v[alpha - 1], jet, theory)
             elif kind == KIND_PHI:
-                base = jets.phi(jet)
+                if sol_phi is None:
+                    raise ValueError("phi jets requested but no phi solution supplied")
+                base = x_jet(sol_phi, jet, theory)
             else:
                 raise ValueError("cannot evaluate f-jets on the big phase space")
             if jet == 0 and base.constant_term() != 0:

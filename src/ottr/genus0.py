@@ -5,11 +5,12 @@ left-hand side of derivatives and a right-hand side of products of derivative
 tables.  The family builders `_closed_families` and `_open_families` (and
 `genus1._genus1_families`) serve both the solvers and the validators.  A
 validator evaluates each family's residual on the series under test, one
-report entry per family, computing each partial derivative and each table
-value once per call; only the dilaton equations and the boundary
-normalization are written out by hand.  Every residual is exact, and a pass
-means literal zero on a reliable window.  A negative window compares no
-coefficient: its entry, and a report without a nonzero entry, is vacuous.
+report entry per family; each partial derivative and each table value is
+computed once per value and kept with it (`spec_sum`).  Only the dilaton
+equations and the boundary normalization are written out by hand.  Every
+residual is exact, and a pass means literal zero on a reliable window.  A
+negative window compares no coefficient: its entry, and a report without a
+nonzero entry, is vacuous.
 
 The solvers extend a small-phase-space seed by marching in descendent weight.
 Each is a list of row families run by one engine, `_march`.  At weight w each
@@ -35,9 +36,9 @@ from .algebra import (
     KIND_PHI,
     KIND_V,
     JetPoly,
+    derivative,
     dx,
     exponent_of,
-    jet_partial,
     mono_div_var,
     mono_mul,
     phivar,
@@ -53,8 +54,6 @@ from .bigphase import (
     mono_degree,
     mono_from_factors,
     mono_weight,
-    partial,
-    partial_many,
     restrict_small,
     s_var,
     t11_partial,
@@ -108,12 +107,11 @@ class ResidualReport:
     def add(self, equation: str, indices: tuple, residual: BigSeries) -> None:
         self.entries.append(ResidualEntry(equation, indices, residual, residual.rel))
 
-    def add_rows(self, families: list["_Rows"], f: BigSeries,
-                 derivs: "_Derivatives") -> None:
+    def add_rows(self, families: list["_Rows"], f: BigSeries) -> None:
         """One entry per row family: its residual at f, under its label."""
         for fam in families:
             equation, *indices = fam.label  # the string equations have no indices
-            self.add(equation, indices[0] if indices else (), fam.residual(f, derivs))
+            self.add(equation, indices[0] if indices else (), fam.residual(f))
 
     @property
     def all_zero(self) -> bool:
@@ -161,18 +159,11 @@ def _index_pairs(theory: TheoryData) -> list[tuple[int, int, int, int]]:
             if (beta, b) <= (gamma, c)]
 
 
-def monomials_up_to(variables: Sequence[BigVar], max_deg: int) -> list[BigMonomial]:
-    vs = sorted(variables)
-    return [mono_from_factors((v, 1) for v in combo)
-            for d in range(max_deg + 1) for combo in combinations_with_replacement(vs, d)]
-
-
-def _euler_sum(f: BigSeries, variables: Sequence[BigVar], derivs: "_Derivatives"
-               ) -> BigSeries:
+def _euler_sum(f: BigSeries, variables: Sequence[BigVar]) -> BigSeries:
     """sum_x x df/dx over the variables."""
     res = BigSeries.zero(f.trunc)
     for x in variables:
-        res = res + BigSeries.var(x, f.trunc) * derivs.partial(f, ((x, 1),))
+        res = res + BigSeries.var(x, f.trunc) * derivative(f, x)
     return res
 
 
@@ -193,12 +184,11 @@ def validate_closed_genus0(f0: BigSeries, theory: TheoryData) -> ResidualReport:
                 _Table([((t_var(nu, 0), t_var(beta, b)), Fraction(1))])) for nu in nus])
         for alpha, a, beta, b in _index_pairs(theory) if max(a, b) < amax]
     report = ResidualReport()
-    derivs = _Derivatives()
-    report.add_rows(families, f0, derivs)
+    report.add_rows(families, f0)
     report.checked["string"] = f"single equation, degree window <= {tr.deg_max - 1}"
     if amax >= 1:
         report.add("dilaton", (), -t11_partial(f0, 1, theory) - f0 * 2
-                   + _euler_sum(f0, theory.t_vars(), derivs))
+                   + _euler_sum(f0, theory.t_vars()))
         report.checked["dilaton"] = "single equation"
     else:
         report.checked["dilaton"] = "skipped: needs level bound >= 1"
@@ -218,16 +208,15 @@ def validate_open_genus0(f0: BigSeries, f0o: BigSeries, theory: TheoryData
     tr = theory.trunc
     amax = tr.level_max
     report = ResidualReport()
-    derivs = _Derivatives()
-    report.add_rows(_open_families(f0, theory), f0o, derivs)
+    report.add_rows(_open_families(f0, theory), f0o)
     report.checked["open_string"] = f"single equation, degree window <= {tr.deg_max - 1}"
     if amax >= 1:
         report.add("open_dilaton", (), -t11_partial(f0o, 1, theory) - f0o
-                   + _euler_sum(f0o, theory.all_vars(), derivs))
+                   + _euler_sum(f0o, theory.all_vars()))
         report.checked["open_dilaton"] = "single equation"
     else:
         report.checked["open_dilaton"] = "skipped: needs level bound >= 1"
-    pairing = t11_partial(derivs.partial(f0o, ((s_var(0), 1),)), 0, theory)
+    pairing = t11_partial(derivative(f0o, s_var(0)), 0, theory)
     level0 = {key: coef for key, coef in pairing.terms.items()
               if all(level == 0 for (_k, _a, level), _e in key[1])}
     norm = BigSeries(level0, tr, pairing.rel, _checked=True) - 1
@@ -249,19 +238,19 @@ def omega(f0: BigSeries, alpha: int, a: int, beta: int, b: int,
     amax = theory.trunc.level_max
     if a > amax or b > amax:
         raise IndexError(f"two-point index outside level window {amax}")
-    return restrict_small(partial_many(f0, [t_var(alpha, a), t_var(beta, b)]), theory)
+    return restrict_small(derivative(f0, t_var(alpha, a), t_var(beta, b)), theory)
 
 
 def gamma(f0o: BigSeries, alpha: int, a: int, theory: TheoryData) -> JetPoly:
     if a > theory.trunc.level_max:
         raise IndexError("index outside level window")
-    return restrict_small(partial(f0o, t_var(alpha, a)), theory)
+    return restrict_small(derivative(f0o, t_var(alpha, a)), theory)
 
 
 def delta(f0o: BigSeries, a: int, theory: TheoryData) -> JetPoly:
     if a > theory.trunc.level_max:
         raise IndexError("index outside level window")
-    return restrict_small(partial(f0o, s_var(a)), theory)
+    return restrict_small(derivative(f0o, s_var(a)), theory)
 
 
 @dataclass
@@ -379,10 +368,10 @@ _ID = [((), Fraction(1))]  # the spec of a table that holds a series as it is
 
 
 def _spec_monomials(specs: Sequence[tuple[tuple[BigVar, ...], Fraction]]
-                    ) -> list[tuple[BigMonomial, Fraction]]:
+                    ) -> tuple[tuple[BigMonomial, Fraction], ...]:
     """(variables, scale) specs as (monomial, scale), dropping zero scales."""
-    return [(mono_from_factors((var, 1) for var in dvars), scale)
-            for dvars, scale in specs if scale]
+    return tuple((mono_from_factors((var, 1) for var in dvars), scale)
+                 for dvars, scale in specs if scale)
 
 
 def _mono_div(m: BigMonomial | None, d: BigMonomial) -> BigMonomial | None:
@@ -441,35 +430,18 @@ class _Table:
         return self.buckets.get(w, ())
 
 
-class _Derivatives:
-    """The partial derivatives and table values of one validator call, each
-    computed once."""
+def spec_sum(series: BigSeries, specs: tuple[tuple[BigMonomial, Fraction], ...]
+             ) -> BigSeries:
+    """sum_spec scale * d^k series / d(spec monomial), computed once per value."""
+    return series.derived(("spec", specs), _spec_sum, specs)
 
-    def __init__(self):
-        self._memo: dict[tuple, BigSeries] = {}
-        self._alive: list[BigSeries] = []  # keeps the ids in the keys unique
 
-    def partial(self, series: BigSeries, d: BigMonomial) -> BigSeries:
-        """d^k series / d(d), for a monomial d."""
-        if not d:
-            return series
-        key = (id(series), d)
-        if key not in self._memo:
-            var = d[-1][0]
-            self._alive.append(series)
-            self._memo[key] = partial(self.partial(series, mono_div_var(d, var)), var)
-        return self._memo[key]
-
-    def value(self, series: BigSeries, specs: list[tuple[BigMonomial, Fraction]]
-              ) -> BigSeries:
-        """sum_spec scale * d^k series / d(spec vars)."""
-        key = (id(series), tuple(specs))
-        if key not in self._memo:
-            self._alive.append(series)
-            terms = [self.partial(series, d) * scale if scale != 1
-                     else self.partial(series, d) for d, scale in specs]
-            self._memo[key] = sum(terms[1:], terms[0])
-        return self._memo[key]
+def _spec_sum(series: BigSeries, specs) -> BigSeries:
+    terms = []
+    for d, scale in specs:
+        term = derivative(series, *(var for var, exp in d for _ in range(exp)))
+        terms.append(term * scale if scale != 1 else term)
+    return sum(terms[1:], terms[0])
 
 
 def slice_product(a: _Table, b: _Table, weight: int, deg_cap: int
@@ -520,12 +492,12 @@ class _Rows:
             out[m] = scale * _falling(m, d)
         return out
 
-    def residual(self, f: BigSeries, derivs: _Derivatives) -> BigSeries:
+    def residual(self, f: BigSeries) -> BigSeries:
         """The spec derivatives of f minus the sum of the table products, where
         a fed table stands for f."""
-        out = derivs.value(f, self.specs)
+        out = spec_sum(f, self.specs)
         for pair in self.products:
-            a, b = (derivs.value(f if t.fed else t.series, t.specs) for t in pair)
+            a, b = (spec_sum(f if t.fed else t.series, t.specs) for t in pair)
             out = out - a * b
         return out
 
@@ -752,7 +724,7 @@ def _unit_derivative(seed: JetPoly, theory: TheoryData) -> JetPoly:
     got = JetPoly.zero(seed.trunc)
     for alpha in range(1, theory.n + 1):
         if theory.avec[alpha - 1]:
-            got = got + jet_partial(seed, vvar(alpha, 0)) * theory.avec[alpha - 1]
+            got = got + derivative(seed, vvar(alpha, 0)) * theory.avec[alpha - 1]
     return got
 
 

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import JetPoly
+from .algebra import JetPoly, derivative
 from .bigphase import (
     KIND_T,
     BigSeries,
     BigVar,
     TheoryData,
     eval_jetpoly,
-    partial,
     phitop,
     restrict_small,
     s_var,
@@ -31,7 +30,6 @@ from .bigphase import (
 from .genus0 import (
     NoSolutionError,
     ResidualReport,
-    _Derivatives,
     _ID,
     _Rows,
     _Table,
@@ -39,6 +37,7 @@ from .genus0 import (
     _march,
     _seed_coeffs,
     _spec_monomials,
+    spec_sum,
 )
 
 
@@ -82,7 +81,7 @@ def _apply_trr1(f: BigSeries, x: BigVar, f0: BigSeries | None, f0o: BigSeries,
     if x[2] + 1 > theory.trunc.level_max:
         raise IndexError("operator index outside level window")
     rows = _trr1_rows(x, f0, f0o, _first_partials(theory), theory, source=False)
-    return rows.residual(f, _Derivatives())
+    return rows.residual(f)
 
 
 def apply_trr1_t(f: BigSeries, alpha: int, a: int, f0: BigSeries,
@@ -106,7 +105,7 @@ def validate_open_genus1(f0: BigSeries, f0o: BigSeries, f1o: BigSeries,
     """Residuals of the open genus-1 recursion relations over the window."""
     amax = theory.trunc.level_max
     report = ResidualReport()
-    report.add_rows(_genus1_families(f0, f0o, theory), f1o, _Derivatives())
+    report.add_rows(_genus1_families(f0, f0o, theory), f1o)
     report.checked["open_trr1_t"] = f"alpha<= {theory.n}, a<= {amax - 1}"
     report.checked["open_trr1_s"] = f"a<= {amax - 1}"
     return report
@@ -114,7 +113,7 @@ def validate_open_genus1(f0: BigSeries, f0o: BigSeries, f1o: BigSeries,
 
 def boundary_pairing(f0o: BigSeries, theory: TheoryData) -> BigSeries:
     """d^2 F0o / dt11_0 ds_0, the series whose log drives the closed form."""
-    return t11_partial(partial(f0o, s_var(0)), 0, theory)
+    return t11_partial(derivative(f0o, s_var(0)), 0, theory)
 
 
 def f1o_closed_form(f0: BigSeries, f0o: BigSeries, go: JetPoly,
@@ -186,8 +185,7 @@ def f1_closed_form(f0: BigSeries, g: JetPoly, theory: TheoryData) -> BigSeries:
     matrix eta^{alpha mu} d^3F0/dt11_0 dt{mu}_0 dt{beta}_0 plus the initial
     function evaluated along the solution."""
     nus = range(1, theory.n + 1)
-    derivs = _Derivatives()
-    raised = [[derivs.value(f0, _spec_monomials(
+    raised = [[spec_sum(f0, _spec_monomials(
         [((t_var(g, 0), t_var(mu, 0), t_var(beta, 0)), a * theory.eta_inv[alpha - 1][mu - 1])
          for g, a in enumerate(theory.avec, 1) for mu in nus])) for beta in nus]
         for alpha in nus]
@@ -219,6 +217,6 @@ def validate_closed_genus1(f0: BigSeries, f1: BigSeries,
                       + [(_Table([(d + (t_var(alpha, a),), c) for d, c in third], f0), unit)])
                 for alpha in nus for a in range(amax)]
     report = ResidualReport()
-    report.add_rows(families, f1, _Derivatives())
+    report.add_rows(families, f1)
     report.checked["trr1"] = f"alpha<= {theory.n}, a<= {amax - 1}"
     return report

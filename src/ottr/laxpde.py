@@ -26,13 +26,14 @@ from .algebra import (
     JetPoly,
     JetTruncation,
     coef_phi_power,
+    derivative,
     dx,
     exponent_of,
     fvar,
-    jet_partial,
     mono_max_index,
     phi_degree,
     phivar,
+    power,
     standard_degree,
     vvar,
 )
@@ -46,14 +47,13 @@ from .bigphase import (
     mono_degree,
     mono_mul_var,
     mono_weight,
-    partial,
-    partial_many,
     restrict_window,
     restrict_window_up,
     s_var,
     t11_partial,
     t_var,
     vtop,
+    x_jet,
 )
 from .genus0 import (
     ResidualReport,
@@ -143,14 +143,14 @@ class LinearDiffOp:
 def _first_order_coeff(two_point: JetPoly, go: JetPoly,
                        extra: JetPoly | None, theory: TheoryData) -> JetPoly:
     jt = theory.trunc.jet()
-    go_phi = jet_partial(go, phivar(0))
-    tp_phi = jet_partial(two_point, phivar(0))
+    go_phi = derivative(go, phivar(0))
+    tp_phi = derivative(two_point, phivar(0))
     acc = JetPoly.zero(jt)
     for beta in range(1, theory.n + 1):
         vb = vvar(beta, 0)
-        bracket = (go_phi * jet_partial(two_point, vb)
-                   - jet_partial(go, vb) * tp_phi
-                   + jet_partial(tp_phi, vb) * Fraction(1, 2))
+        bracket = (go_phi * derivative(two_point, vb)
+                   - derivative(go, vb) * tp_phi
+                   + derivative(tp_phi, vb) * Fraction(1, 2))
         acc = acc + bracket * JetPoly.var(vvar(beta, 1), jt)
     if extra is not None:
         acc = acc + extra
@@ -176,7 +176,7 @@ def build_interior_op(alpha: int, a: int, table: TwoPointTable, go: JetPoly,
     gam = table.gamma[(alpha, a)]
     extra = JetPoly.zero(theory.trunc.jet())
     for beta in range(1, theory.n + 1):
-        gvb = jet_partial(go, vvar(beta, 0))
+        gvb = derivative(go, vvar(beta, 0))
         if gvb.is_zero():
             continue
         for g in range(1, theory.n + 1):
@@ -198,46 +198,33 @@ def build_boundary_op(a: int, table: TwoPointTable, go: JetPoly,
 
 
 def first_order_rhs(a_slices: dict[int, tuple[BigSeries, BigSeries]],
-                    f0: BigSeries, f1: BigSeries, theory: TheoryData,
-                    powers: list[BigSeries] | None = None
+                    f0: BigSeries, f1: BigSeries, theory: TheoryData
                     ) -> tuple[BigSeries, BigSeries]:
     """First-order slices of sum_i a_i Q_i(f) for f = f0 + eps f1.
 
     The eps^0 slice is sum a_i^{[0]} (Xf0)^i; the eps^1 slice adds the
     coefficient corrections, the linearization in Xf1, and the second-jet
-    term from the eps expansion of Q_i.
+    term from the eps expansion of Q_i.  The powers of Xf0 are kept with it.
     """
     tr = theory.trunc
     xf0 = t11_partial(f0, 0, theory)
     xf1 = t11_partial(f1, 0, theory)
-    xxf0 = t11_partial(xf0, 0, theory)
-    imax = max(a_slices, default=0)
-    if powers is None:
-        powers = [BigSeries.const(1, tr)]
-    while len(powers) <= imax:
-        powers.append(powers[-1] * xf0)
+    xxf0 = x_jet(f0, 2, theory)
     rhs0 = BigSeries.zero(tr)
     rhs1 = BigSeries.zero(tr)
     for i, (a0, a1) in sorted(a_slices.items()):
-        rhs0 = rhs0 + a0 * powers[i]
-        rhs1 = rhs1 + a1 * powers[i]
+        rhs0 = rhs0 + a0 * power(xf0, i)
+        rhs1 = rhs1 + a1 * power(xf0, i)
         if i >= 1:
-            rhs1 = rhs1 + a0 * powers[i - 1] * xf1 * i
+            rhs1 = rhs1 + a0 * power(xf0, i - 1) * xf1 * i
         if i >= 2:
-            rhs1 = rhs1 + a0 * powers[i - 2] * xxf0 * comb(i, 2)
+            rhs1 = rhs1 + a0 * power(xf0, i - 2) * xxf0 * comb(i, 2)
     return rhs0, rhs1
-
-
-def pde_first_order_rhs(op: LinearDiffOp, f0: BigSeries, f1: BigSeries,
-                        sol_v, theory: TheoryData
-                        ) -> tuple[BigSeries, BigSeries]:
-    """Evaluate an operator's first-order action on f = f0 + eps f1."""
-    return first_order_rhs(op.eval_slices(sol_v, theory), f0, f1, theory)
 
 
 @dataclass
 class EvolutionSystem:
-    """All interior/boundary flows of one instance, with shared caches."""
+    """All interior/boundary flows of one instance, each operator evaluated once."""
 
     theory: TheoryData
     f0: BigSeries
@@ -246,7 +233,6 @@ class EvolutionSystem:
     go: JetPoly
     ops: dict[tuple, LinearDiffOp] = field(default_factory=dict)
     a_evals: dict[tuple, dict[int, tuple[BigSeries, BigSeries]]] = field(default_factory=dict)
-    powers: list[BigSeries] = field(default_factory=list)
 
     @classmethod
     def build(cls, f0: BigSeries, f0o: BigSeries, f1o: BigSeries,
@@ -268,7 +254,6 @@ class EvolutionSystem:
             op.check_homogeneity()
             sys.ops[("s", a)] = op
             sys.a_evals[("s", a)] = op.eval_slices(sol_v, theory)
-        sys.powers = [BigSeries.const(1, theory.trunc)]
         return sys
 
     def flow_var(self, label: tuple):
@@ -277,10 +262,9 @@ class EvolutionSystem:
     def residual(self, label: tuple) -> BigSeries:
         """Joint residual (eps^0 slice) + eps (eps^1 slice) for one flow."""
         var = self.flow_var(label)
-        rhs0, rhs1 = first_order_rhs(self.a_evals[label], self.f0o, self.f1o,
-                                     self.theory, self.powers)
-        res0 = partial(self.f0o, var) - rhs0
-        res1 = partial(self.f1o, var) - rhs1
+        rhs0, rhs1 = first_order_rhs(self.a_evals[label], self.f0o, self.f1o, self.theory)
+        res0 = derivative(self.f0o, var) - rhs0
+        res1 = derivative(self.f1o, var) - rhs1
         eps = BigSeries({(1, ONE): Fraction(1)}, self.theory.trunc, None, _checked=True)
         return res0 + eps * res1
 
@@ -304,24 +288,19 @@ class EvolutionSystem:
         tr = self.theory.trunc
         m_series = BigSeries({(0, mono): Fraction(1)}, tr, None, _checked=True)
         xm = t11_partial(m_series, 0, self.theory)
+        xf0 = t11_partial(self.f0o, 0, self.theory)
         last = BigSeries.zero(tr)
         for label in sorted(self.ops):
             var = self.flow_var(label)
-            change = partial(m_series, var)
+            change = derivative(m_series, var)
             if not xm.is_zero():
                 for i, (a0, _) in self.a_evals[label].items():
                     if i >= 1:
-                        change = change - a0 * self.powers_at(i - 1) * xm * i
+                        change = change - a0 * power(xf0, i - 1) * xm * i
             if not change.is_zero():
                 return change
             last = change
         return last
-
-    def powers_at(self, i: int) -> BigSeries:
-        xf0 = t11_partial(self.f0o, 0, self.theory)
-        while len(self.powers) <= i:
-            self.powers.append(self.powers[-1] * xf0)
-        return self.powers[i]
 
 
 def linear_evolution_residual(f0: BigSeries, f0o: BigSeries, f1o: BigSeries,
@@ -336,10 +315,11 @@ def linear_evolution_residual(f0: BigSeries, f0o: BigSeries, f1o: BigSeries,
 # ---------------------------------------------------------------------------
 
 def _eps_shift(series: BigSeries, k: int, cap: int) -> BigSeries:
-    terms = {}
-    for (e, m), c in series.terms.items():
-        if e + k <= cap:
-            terms[(e + k, m)] = c
+    """eps^k * series without the terms past eps^cap; series itself when that
+    changes nothing, so it keeps what was derived from it."""
+    terms = {(e + k, m): c for (e, m), c in series.terms.items() if e + k <= cap}
+    if not k and len(terms) == len(series.terms):
+        return series
     return BigSeries(terms, series.trunc, series.rel, _checked=True)
 
 
@@ -411,16 +391,15 @@ class PseudoDiffOp:
         acc: dict[int, BigSeries] = {}
         for i, ci in self.coeffs.items():
             for j, cj in other.coeffs.items():
-                shifted = cj
                 for k in range(self.EPS_CAP + 1):
                     if i + j - k < self.floor:
                         break
                     coef = _gbinom(i, k)
                     if coef:
-                        term = ci * _eps_shift(shifted, k, self.EPS_CAP) * coef
+                        shifted = _eps_shift(x_jet(cj, k, self.theory), k, self.EPS_CAP)
+                        term = ci * shifted * coef
                         key = i + j - k
                         acc[key] = acc[key] + term if key in acc else term
-                    shifted = t11_partial(shifted, 0, self.theory)
         return PseudoDiffOp(acc, self.theory)._clean()
 
     def plus_part(self) -> "PseudoDiffOp":
@@ -538,7 +517,7 @@ def pst_generate(theory: TheoryData, w_eps2: BigSeries | None = None) -> PstResu
     jt = tr_big.jet()
     v = JetPoly.var(vvar(1, 0), jt)
     f0_big = solve_closed_order_by_order(v * v * v * Fraction(1, 6), theory_big).series
-    w = partial_many(f0_big, [t_var(1, 0), t_var(1, 0)])
+    w = derivative(f0_big, t_var(1, 0), t_var(1, 0))
     if w_eps2 is not None:
         eps2 = BigSeries({(2, ONE): Fraction(1)}, tr_big, None, _checked=True)
         w = w + eps2 * restrict_window_up(w_eps2, tr_big)
@@ -555,6 +534,9 @@ def pst_generate(theory: TheoryData, w_eps2: BigSeries | None = None) -> PstResu
     def partial_series(g: int) -> BigSeries:
         return BigSeries.from_coeffs(coeffs[g], tr_big, rel=rel_of[g])
 
+    # F0o and F1o so far, each rebuilt only when its own slice grows: slice 1
+    # reads one complete F0o, and what is derived from it is computed once
+    f = [partial_series(0), partial_series(1)]
     for g, cap in rel_of.items():
         grades = [("t", wgt) for wgt in range(1, cap * amax + 1)]
         grades += [("s", sd) for sd in range(1, cap + 1)]
@@ -562,29 +544,25 @@ def pst_generate(theory: TheoryData, w_eps2: BigSeries | None = None) -> PstResu
             # the flows with a target of this grade and degree <= cap
             levels = (range(amax + 1) if kind == "s"
                       else [p for p in range(1, amax + 1) if p <= grade <= cap * p])
-            f0, f1 = partial_series(0), partial_series(1)
-            powers = [BigSeries.const(1, tr_big)]
-            pinned: dict[BigMonomial, Fraction] = {}
             for p in levels:
                 var = t_var(1, p) if kind == "t" else s_var(p)
-                rhs = first_order_rhs(flows[(kind, p)], f0, f1, theory_big, powers)[g]
+                rhs = first_order_rhs(flows[(kind, p)], *f, theory_big)[g]
                 if rhs.rel is not None and rhs.rel < cap - 1:
                     raise PstIntegrationError((kind, p), None,
                                               "flow window too small for target")
                 for (_e, down), c in rhs.terms.items():
                     m = mono_mul_var(down, var)
                     if mono_degree(m) <= cap and _filled_by(m) == (kind, p, grade):
-                        pinned[m] = c / exponent_of(m, var)
-            coeffs[g].update(pinned)
-    f0o_big = partial_series(0)
-    f1o_big = partial_series(1)
+                        coeffs[g][m] = c / exponent_of(m, var)
+            f[g] = partial_series(g)
+    f0o, f1o = f
 
     report = ResidualReport()
     eps = BigSeries({(1, ONE): Fraction(1)}, tr_big, None, _checked=True)
     for kind, p in sorted(flows):
         var = t_var(1, p) if kind == "t" else s_var(p)
-        rhs0, rhs1 = first_order_rhs(flows[(kind, p)], f0o_big, f1o_big, theory_big)
-        res = (partial(f0o_big, var) - rhs0) + eps * (partial(f1o_big, var) - rhs1)
+        rhs0, rhs1 = first_order_rhs(flows[(kind, p)], f0o, f1o, theory_big)
+        res = (derivative(f0o, var) - rhs0) + eps * (derivative(f1o, var) - rhs1)
         res = restrict_window(res, tr)
         if not res.is_zero():
             mono = min(res.terms)[1]
@@ -594,5 +572,5 @@ def pst_generate(theory: TheoryData, w_eps2: BigSeries | None = None) -> PstResu
         report.add(f"lax_{kind}", (p,), res)
     report.checked["lax_t"] = f"p<= {amax}, both eps slices"
     report.checked["lax_s"] = f"p<= {amax}, both eps slices"
-    return PstResult(restrict_window(f0_big, tr), restrict_window(f0o_big, tr),
-                     restrict_window(f1o_big, tr), report)
+    return PstResult(restrict_window(f0_big, tr), restrict_window(f0o, tr),
+                     restrict_window(f1o, tr), report)

@@ -6,10 +6,10 @@ sorted, coefficients are in lowest terms, and parsing a file then re-emitting
 it reproduces the bytes exactly.  The parser is strict: non-canonical
 coefficients or integers, stray spaces, unknown variable kinds, terms outside
 the declared truncation, reliable degrees above the degree bound, carriage
-returns, non-ASCII text, a missing or doubled final newline, and report
-entries or range lines out of their sorted order are rejected with line and
-column positions.  The grading and the variable names of a series come from
-its class, so both series kinds share one code path.
+returns, non-ASCII text, a missing or doubled final newline, and term lines,
+operator blocks, report entries or range lines out of their sorted order are
+rejected with line and column positions.  The grading and the variable names
+of a series come from its class, so both series kinds share one code path.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ _SERIES_KINDS = {
 }
 _SERIES_TAGS = {cls: tag for tag, (cls, _) in _SERIES_KINDS.items()}
 
-# Integers as ``str(int)`` writes them; ASCII digits only.
-_INT = re.compile(r"-?(?:0|[1-9][0-9]*)").fullmatch
+# Integers as ``str(int)`` writes them; ASCII digits only, and no ``-0``.
+_INT = re.compile(r"0|-?[1-9][0-9]*").fullmatch
 _NAT = r"(0|[1-9][0-9]*)"
 # One variable of a term line: kind:alpha:index:exponent.
 _VAR = re.compile(rf"([^:]*):{_NAT}:{_NAT}:{_NAT}").fullmatch
@@ -285,6 +285,9 @@ def _parse_series(numbered: list[tuple[int, str]], cls: type[SparseSeries],
         key, coef, degree = _parse_term(line, line_no, cls, theory)
         if key in terms:
             raise ParseError("duplicate term", line_no)
+        if terms and key < next(reversed(terms)):
+            raise ParseError("terms must be sorted by eps power and monomial",
+                             line_no, line.index(" eps=") + 2)
         if not coef:
             raise ParseError("zero coefficients are not stored", line_no)
         if rel is not None and degree > rel:
@@ -351,6 +354,9 @@ def parse(text: str):
             rel = _parse_rel(fields[3], "rel", line_no, jt.deg0_max)
             if key in coeffs:
                 raise ParseError("duplicate coefficient block", line_no)
+            if coeffs and key < next(reversed(coeffs)):
+                raise ParseError("coefficient blocks must be sorted by (i, j)",
+                                 line_no, fields[1][1])
             coeffs[key] = _parse_series(term_lines, JetPoly, jt, rel, theory)
         return LinearDiffOp(coeffs, meta), theory
     if kind == "report":

@@ -24,7 +24,6 @@ from ottr.bigphase import (
     t_var,
 )
 from ottr.genus0 import (
-    monomials_up_to,
     principal_flow,
     solve_open_order_by_order,
     validate_closed_genus0,
@@ -47,6 +46,8 @@ from ottr.laxpde import (
     qpoly_truncation,
 )
 from ottr.serialize import emit, parse
+
+from monomials import monomials_up_to
 
 
 def _report(n: int, ok: bool, text: str) -> None:

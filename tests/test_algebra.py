@@ -13,10 +13,12 @@ from ottr.algebra import (
     PhiJetError,
     TruncationMismatchError,
     coef_phi_power,
+    derivative,
     dx,
     jet_partial,
     mono_from_factors,
     phivar,
+    power,
     standard_degree,
     vvar,
 )
@@ -92,6 +94,21 @@ class TestJetPartial:
     def test_mixed(self):
         p = V(1) * V(1, 1) * V(1, 1)
         assert jet_partial(p, vvar(1, 1)) == 2 * V(1) * V(1, 1)
+
+
+class TestDerivedMemo:
+    def test_derivative_shares_one_chain_per_value(self):
+        p = V(1) * V(1) * V(1, 1) + V(1, 1) * V(1, 1)
+        x, y = vvar(1, 0), vvar(1, 1)
+        assert derivative(p, y, x) is derivative(p, x, y)
+        assert derivative(p, x, y) == jet_partial(jet_partial(p, x), y)
+        assert derivative(p) is p
+
+    def test_power_is_kept_with_its_base(self):
+        p = V(1) + V(1, 1)
+        assert power(p, 3) is power(p, 3)
+        assert power(p, 3) == JetPoly.const(1, TR) * p * p * p
+        assert power(p, 0) == JetPoly.const(1, TR)
 
 
 class TestStandardDegree:

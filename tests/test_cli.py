@@ -72,6 +72,21 @@ def test_negative_windows_are_vacuous_not_pass(verb, nfiles, tmp_path, capsys):
     assert emit(*parse(text)) == text
 
 
+def test_window_zero_still_compares_coefficients(tmp_path, capsys):
+    """A window of 0 is not vacuous: the constant term of a third derivative
+    is a degree-3 coefficient, so an extra t1_0^2 t1_1 breaks trr0 there."""
+    assert main(["gen-example", "witten-rank1", "--degree", "3", "--amax", "1",
+                 "--outdir", str(tmp_path)]) == 0
+    f0 = tmp_path / "f0.ottr"
+    cubic = "term 1/6 eps=0 vars=t:1:0:3\n"
+    f0.write_text(f0.read_text().replace(cubic, "term 1 eps=0 vars=t:1:0:2,t:1:1:1\n" + cubic))
+    capsys.readouterr()
+    code = main(["validate-genus0", str(f0)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "trr0 (1, 0, 1, 0, 1, 0): NONZERO (window<= 0)" in out
+
+
 def test_upward_truncation_override_rejected(fixture_dir, capsys):
     code = main(["validate-genus0", str(fixture_dir / "f0.ottr"),
                  "--degree", "9"])

@@ -3,14 +3,13 @@
 import random
 from fractions import Fraction
 
-from ottr.algebra import JetPoly, phivar, vvar
+from ottr.algebra import JetPoly, derivative, phivar, vvar
 from ottr.bigphase import (
     BigSeries,
     TheoryData,
     Truncation,
     mono_from_factors,
     partial,
-    partial_many,
     phitop,
     relabel_component,
     restrict_small,
@@ -78,10 +77,10 @@ class TestRecursionOperators:
         lg = series_log(boundary_pairing(f0o, theory8))
         for a in range(theory8.trunc.level_max):
             lhs = apply_trr1_t(lg, 1, a, f0, f0o, theory8)
-            rhs = partial_many(f0o, [t_var(1, a), s_var(0)])
+            rhs = derivative(f0o, t_var(1, a), s_var(0))
             assert series_eq(lhs, rhs), a
             lhs = apply_trr1_s(lg, a, f0o, theory8)
-            rhs = partial_many(f0o, [s_var(a), s_var(0)])
+            rhs = derivative(f0o, s_var(a), s_var(0))
             assert series_eq(lhs, rhs), a
 
 
@@ -101,7 +100,7 @@ class TestOpenGenus1:
     def test_zero_candidate_fails(self, f0, f0o, theory8):
         report = validate_open_genus1(f0, f0o, BigSeries.zero(TR), theory8)
         res = report.entry("open_trr1_t", (1, 0)).residual
-        expect = -partial_many(f0o, [t_var(1, 0), s_var(0)]) * Fraction(1, 2)
+        expect = -derivative(f0o, t_var(1, 0), s_var(0)) * Fraction(1, 2)
         assert series_eq(res, expect)
         assert not report.all_zero
 
@@ -146,7 +145,7 @@ class TestClosedGenus1:
 
     def test_t1_coefficient_against_direct_log(self, f0, theory8):
         # independent route: series-log of the single matrix entry
-        m = partial_many(t11_partial(f0, 0, theory8), [t_var(1, 0), t_var(1, 0)])
+        m = derivative(t11_partial(f0, 0, theory8), t_var(1, 0), t_var(1, 0))
         direct = series_log(m) * Fraction(1, 24)
         assert direct.coefficient(((t_var(1, 1), 1),)) == Fraction(1, 24)
 

@@ -7,6 +7,7 @@ import pytest
 from ottr.algebra import (
     JetPoly,
     JetTruncation,
+    derivative,
     dx,
     fvar,
     phivar,
@@ -18,7 +19,6 @@ from ottr.bigphase import (
     BigSeries,
     TheoryData,
     Truncation,
-    partial_many,
     series_eq,
     s_var,
     t_var,
@@ -39,7 +39,6 @@ from ottr.laxpde import (
     build_interior_op,
     first_order_rhs,
     linear_evolution_residual,
-    pde_first_order_rhs,
     pst_generate,
     qpoly,
     qpoly_expansion_residual,
@@ -195,7 +194,7 @@ class TestFirstOrderRhs:
     def test_operator_interface(self, f0, f0o, theory8):
         op = LinearDiffOp({(0, 0): JetPoly.const(2, JT)})
         zero = BigSeries.zero(TR)
-        rhs0, _ = pde_first_order_rhs(op, f0o, zero, vtop(f0, theory8), theory8)
+        rhs0, _ = first_order_rhs(op.eval_slices(vtop(f0, theory8), theory8), f0o, zero, theory8)
         assert rhs0.constant_term() == 2
 
 
@@ -257,7 +256,7 @@ class TestLaxFlows:
         assert pst.report.all_zero
 
     def test_half_power_is_bare_derivative(self, pst, theory6):
-        w = partial_many(pst.f0, [t_var(1, 0), t_var(1, 0)])
+        w = derivative(pst.f0, t_var(1, 0), t_var(1, 0))
         ctx = KdVLaxContext.build(w, theory6)
         half = ctx.half_power_plus(0)
         assert set(half.coeffs) == {1}
@@ -265,8 +264,8 @@ class TestLaxFlows:
         assert len(half.coeffs[1].terms) == 1
 
     def test_three_half_power(self, pst, theory6):
-        w = partial_many(pst.f0, [t_var(1, 0), t_var(1, 0)])
-        wx = partial_many(pst.f0, [t_var(1, 0)] * 3)
+        w = derivative(pst.f0, t_var(1, 0), t_var(1, 0))
+        wx = derivative(pst.f0, *[t_var(1, 0)] * 3)
         ctx = KdVLaxContext.build(w, theory6)
         op = ctx.half_power_plus(1)
         assert series_eq(op.coeffs[3], BigSeries.const(1, theory6.trunc))
@@ -326,7 +325,7 @@ class TestLaxFlows:
     def test_forms_equivalence(self, pst, theory6):
         """The action-on-exponential form and the expanded first-order form
         produce identical flow residuals through first order."""
-        w = partial_many(pst.f0, [t_var(1, 0), t_var(1, 0)])
+        w = derivative(pst.f0, t_var(1, 0), t_var(1, 0))
         ctx = KdVLaxContext.build(w, theory6)
         tr = theory6.trunc
         eps = BigSeries({(1, ()): Fraction(1)}, tr, None, _checked=True)

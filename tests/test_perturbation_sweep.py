@@ -14,13 +14,13 @@ import pytest
 from ottr.algebra import JetPoly, phivar, vvar
 from ottr.bigphase import BigSeries, TheoryData, Truncation
 from ottr.genus0 import (
-    monomials_up_to,
     solve_closed_order_by_order,
     solve_open_order_by_order,
     validate_closed_genus0,
     validate_open_genus0,
 )
 from ottr.genus1 import solve_f1o, validate_open_genus1
+from monomials import monomials_up_to
 
 TR = Truncation.of(4, 2)
 TH = TheoryData.rank1(TR)

@@ -3,11 +3,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ottr.algebra import JetPoly, phivar, vvar
 from ottr.bigphase import BigSeries, TheoryData, Truncation, s_var, t_var
-from ottr.genus0 import validate_closed_genus0
-from ottr.laxpde import LinearDiffOp
+from ottr.genus0 import (
+    solve_closed_order_by_order,
+    solve_open_order_by_order,
+    two_point_table,
+    validate_closed_genus0,
+    validate_open_genus0,
+)
+from ottr.laxpde import LinearDiffOp, build_interior_op
 from ottr.serialize import ParseError, ReportFile, emit, load, parse
 
 TR = Truncation.of(8, 3)
@@ -157,6 +165,12 @@ class TestStrictness:
         ("report", "status=zero window=4", "status=zero window=-4", 4, "zero"),
         ("report", "status=nonzero window=4", "status=nonzero window=-4", 5, "nonzero"),
         ("report", "kind report", "kind report x", 3, "kind"),
+        ("bigseries", "eps=1 vars=s", "eps=-0 vars=s", 6, "-0"),
+        ("operator", "j=1", "j=-0", 7, "-0"),
+        ("report", "status=zero window=4", "status=zero window=-0", 4, "-0"),
+        ("bigseries", "term 1 eps=0", "term 1 eps=1", 5, "eps=0"),
+        ("operator", "term 5/2 eps=0", "term 5/2 eps=1", 6, "eps=0"),
+        ("operator", "coef i=0 j=0", "coef i=3 j=0", 7, "i=2"),
     ])
     def test_line_ends_and_report_order_rejected(self, sample, old, new, line, culprit):
         """Each input either re-emits byte for byte or is refused at a position."""
@@ -237,3 +251,46 @@ def test_determinism_under_assembly_order(f0, theory8):
     shuffled = BigSeries(dict(reversed(list(f0.terms.items()))), theory8.trunc,
                          f0.rel, _checked=True)
     assert emit(shuffled, theory8) == emit(f0, theory8)
+
+
+def _fuzz_files() -> list[str]:
+    """A D4/A1 bigseries, jetpoly, operator and report file, as emitted."""
+    theory = TheoryData.rank1(Truncation.of(4, 1))
+    jt = theory.trunc.jet()
+    v, phi = JetPoly.var(vvar(1, 0), jt), JetPoly.var(phivar(0), jt)
+    f0 = solve_closed_order_by_order(v * v * v * Fraction(1, 6), theory).series
+    f0o = solve_open_order_by_order(f0, v * phi + phi * phi * phi * Fraction(1, 6),
+                                    theory).series
+    go = phi * phi * phi * Fraction(-2, 3) + v * Fraction(1, 2)
+    op = build_interior_op(1, 1, two_point_table(f0, f0o, theory), go, theory)
+    return [emit(value, theory)
+            for value in (f0o, go, op, validate_open_genus0(f0, f0o, theory))]
+
+
+FUZZ_FILES = _fuzz_files()
+
+
+@st.composite
+def _mutations(draw) -> str:
+    """One valid file with one byte replaced, inserted or deleted, read as
+    `load` reads it.  Half the positions are digits and half the bytes are
+    small digits or a minus sign, where sign and ordering mistakes hide."""
+    data = draw(st.sampled_from(FUZZ_FILES)).encode("ascii")
+    digits = [i for i, ch in enumerate(data) if chr(ch).isdigit()]
+    at = draw(st.one_of(st.sampled_from(digits), st.integers(0, len(data) - 1)))
+    how = draw(st.sampled_from(["replace", "insert", "delete"]))
+    byte = draw(st.one_of(st.sampled_from(b"-012"), st.integers(0, 255)))
+    new = bytes([byte]) if how != "delete" else b""
+    return (data[:at] + new + data[at + (how != "insert"):]).decode("latin-1")
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_mutations())
+def test_byte_mutation_reemits_or_is_refused(mutated):
+    """The parser is total: a mutated file re-emits byte for byte or raises
+    ParseError, and nothing else."""
+    try:
+        value, theory = parse(mutated)
+    except ParseError:
+        return
+    assert emit(value, theory) == mutated
