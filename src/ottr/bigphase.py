@@ -374,14 +374,6 @@ def restrict_window(f: BigSeries, trunc: Truncation) -> BigSeries:
     return BigSeries(acc, trunc, rel, _checked=True)
 
 
-def restrict_window_up(f: BigSeries, trunc: Truncation) -> BigSeries:
-    """Re-home a series into a wider window (bounds may only grow)."""
-    if (trunc.deg_max < f.trunc.deg_max or trunc.level_max < f.trunc.level_max
-            or trunc.eps_max < f.trunc.eps_max):
-        raise ValueError("windows may only grow")
-    return BigSeries(dict(f.terms), trunc, f.rel, _checked=True)
-
-
 def relabel_component(f: BigSeries, alpha: int, trunc: Truncation) -> BigSeries:
     """Embed a rank-1 series as component alpha of a higher-rank theory."""
     acc = {}

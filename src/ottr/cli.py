@@ -4,10 +4,11 @@ Exit codes: 0 = every checked residual is zero, 1 = some residual is
 nonzero, 2 = input or format problem, including a negative ``--degree`` or
 ``--amax``, files of one verb with different theory blocks, and an input
 whose reliable window is too small for some check to compare any
-coefficient (a report then ends ``# overall: VACUOUS``), 3 = internal
-inconsistency such as a solver contradiction, 141 = standard output was
-closed early (``ottr ... | head -1``); the rest of the output is dropped
-without a traceback.  All verbs are deterministic: the same inputs produce
+coefficient (a report then ends ``# overall: VACUOUS``, and ``compare``
+prints a ``vacuous`` line), 3 = internal inconsistency such as a solver
+contradiction, 141 = standard output was closed early
+(``ottr ... | head -1``); the rest of the output is dropped without a
+traceback.  All verbs are deterministic: the same inputs produce
 byte-identical outputs.
 """
 
@@ -283,6 +284,11 @@ def cmd_compare(args) -> int:
     (b,), theory_b = _load_inputs(args.second)
     if theory_a.trunc != theory_b.trunc:
         raise CliInputError("cannot compare across truncations; restrict first")
+    window = min((r for r in (a.rel, b.rel, args.up_to_degree) if r is not None),
+                 default=None)
+    if window is not None and window < 0:
+        print(f"vacuous: the shared reliable window degree <= {window} holds no coefficient")
+        return EXIT_INPUT
     same = series_eq(a, b, up_to=args.up_to_degree)
     print("equal on the shared reliable window" if same else "values differ")
     return EXIT_OK if same else EXIT_RESIDUAL

@@ -48,7 +48,6 @@ from .bigphase import (
     mono_mul_var,
     mono_weight,
     restrict_window,
-    restrict_window_up,
     s_var,
     t11_partial,
     t_var,
@@ -323,13 +322,6 @@ def _eps_shift(series: BigSeries, k: int, cap: int) -> BigSeries:
     return BigSeries(terms, series.trunc, series.rel, _checked=True)
 
 
-def _gbinom(i: int, k: int) -> Fraction:
-    num = 1
-    for t in range(k):
-        num *= i - t
-    return Fraction(num, factorial(k))
-
-
 def _dfact_odd(n: int) -> int:
     out = 1
     for t in range(1, n + 1, 2):
@@ -341,11 +333,11 @@ def _dfact_odd(n: int) -> int:
 class PseudoDiffOp:
     """sum_i c_i (eps d/dx)^i with series coefficients, truncated mod eps^2.
 
-    Negative powers are kept down to `floor`, one below the deepest power
-    2*Amax+2 of the square root of the Lax operator that the flows use;
-    compositions use the symbol rule (eps d/dx)^i . c = sum_k binom(i,k) eps^k
-    (X^k c) (eps d/dx)^{i-k}, which terminates at k=1 under the first-order
-    eps cap.
+    Products follow one coefficient rule, `composed_at`: the symbol rule
+    (eps d/dx)^i . d = sum_k binom(i,k) eps^k (X^k d) (eps d/dx)^{i-k} stops
+    at k=1 under the first-order eps cap, so each coefficient of a product
+    is a sum over the coefficients of the left factor.  `compose` keeps only
+    the differential part, the only part a flow reads.
     """
 
     coeffs: dict[int, BigSeries]
@@ -353,15 +345,9 @@ class PseudoDiffOp:
 
     EPS_CAP = 1
 
-    @property
-    def floor(self) -> int:
-        return -(2 * self.theory.trunc.level_max + 3)
-
     def _clean(self) -> "PseudoDiffOp":
         kept = {}
         for i, c in self.coeffs.items():
-            if i < self.floor:
-                continue
             c = _eps_shift(c, 0, self.EPS_CAP)
             if not c.is_zero():
                 kept[i] = c
@@ -374,37 +360,35 @@ class PseudoDiffOp:
     def coefficient(self, i: int) -> BigSeries:
         return self.coeffs.get(i, BigSeries.zero(self.theory.trunc))
 
-    def __add__(self, other: "PseudoDiffOp") -> "PseudoDiffOp":
-        acc = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            acc[i] = acc[i] + c if i in acc else c
-        return PseudoDiffOp(acc, self.theory)._clean()
-
-    def __sub__(self, other: "PseudoDiffOp") -> "PseudoDiffOp":
-        return self + other.scale(Fraction(-1))
-
     def scale(self, c) -> "PseudoDiffOp":
         return PseudoDiffOp({i: s * c for i, s in self.coeffs.items()},
                             self.theory)._clean()
 
-    def compose(self, other: "PseudoDiffOp") -> "PseudoDiffOp":
-        acc: dict[int, BigSeries] = {}
-        for i, ci in self.coeffs.items():
-            for j, cj in other.coeffs.items():
-                for k in range(self.EPS_CAP + 1):
-                    if i + j - k < self.floor:
-                        break
-                    coef = _gbinom(i, k)
-                    if coef:
-                        shifted = _eps_shift(x_jet(cj, k, self.theory), k, self.EPS_CAP)
-                        term = ci * shifted * coef
-                        key = i + j - k
-                        acc[key] = acc[key] + term if key in acc else term
-        return PseudoDiffOp(acc, self.theory)._clean()
+    def composed_at(self, other: "PseudoDiffOp", n: int) -> BigSeries | None:
+        """The coefficient of (eps d/dx)^n in self . other, cleaned as
+        `_clean` cleans; None when it is zero.
 
-    def plus_part(self) -> "PseudoDiffOp":
-        return PseudoDiffOp({i: c for i, c in self.coeffs.items() if i >= 0},
-                            self.theory)
+        It is sum_i c_i d_{n-i} + sum_i i eps (X d_{n+1-i}) over the
+        coefficients c of self and d of other.
+        """
+        d = other.coeffs
+        terms = [c * d[n - i] for i, c in self.coeffs.items() if n - i in d]
+        terms += [c * _eps_shift(x_jet(d[n + 1 - i], 1, self.theory), 1, self.EPS_CAP) * i
+                  for i, c in self.coeffs.items() if i and n + 1 - i in d]
+        if not terms:
+            return None
+        acc = _eps_shift(sum(terms[1:], terms[0]), 0, self.EPS_CAP)
+        return None if acc.is_zero() else acc
+
+    def compose(self, other: "PseudoDiffOp") -> "PseudoDiffOp":
+        """(self . other)_+, the coefficients from the top index down to 0."""
+        top = max(self.coeffs, default=0) + max(other.coeffs, default=0)
+        out = {}
+        for n in range(top, -1, -1):
+            c = self.composed_at(other, n)
+            if c is not None:
+                out[n] = c
+        return PseudoDiffOp(out, self.theory)
 
     def slices(self) -> dict[int, tuple[BigSeries, BigSeries]]:
         return {i: (c.eps_slice(0), c.eps_slice(1)) for i, c in self.coeffs.items()}
@@ -413,9 +397,16 @@ class PseudoDiffOp:
 @dataclass
 class KdVLaxContext:
     """The KdV Lax operator L = (eps d/dx)^2 + 2w, its square root, and the
-    powers L^p, each composed once and kept."""
+    powers L^p, each composed once and kept.
 
-    w: BigSeries
+    The root r = (eps d/dx) + r_{-1} (eps d/dx)^{-1} + ... comes from the
+    triangular recursion: the coefficient of (eps d/dx)^{1-k} in r . r is
+    2 r_{-k} plus terms in r_{-1}, ..., r_{1-k} only, so
+    r_{-k} = (L_{1-k} - (r . r)_{1-k}) / 2 with r taken through depth k-1.
+    It runs to depth 2*Amax+2, which covers every coefficient that
+    (L^{p+1/2})_+ reads for p <= Amax.
+    """
+
     lax: PseudoDiffOp
     root: PseudoDiffOp
     theory: TheoryData
@@ -428,12 +419,14 @@ class KdVLaxContext:
                 raise ValueError("w must have even eps content only")
         lax = PseudoDiffOp({2: BigSeries.const(1, theory.trunc), 0: w * 2}, theory)._clean()
         root = PseudoDiffOp({1: BigSeries.const(1, theory.trunc)}, theory)
-        for k in range(1, -root.floor):
-            defect = lax - root.compose(root)
-            r = defect.coefficient(1 - k) * Fraction(1, 2)
-            if not r.is_zero():
-                root = root + PseudoDiffOp({-k: r}, theory)
-        return cls(w, lax, root, theory, [PseudoDiffOp.identity(theory), lax])
+        for k in range(1, 2 * theory.trunc.level_max + 3):
+            square = root.composed_at(root, 1 - k)
+            defect = lax.coefficient(1 - k)
+            if square is not None:
+                defect = defect - square
+            if not defect.is_zero():
+                root.coeffs[-k] = defect * Fraction(1, 2)
+        return cls(lax, root, theory, [PseudoDiffOp.identity(theory), lax])
 
     def lax_power(self, p: int) -> PseudoDiffOp:
         while len(self.powers) <= p:
@@ -442,7 +435,7 @@ class KdVLaxContext:
 
     def half_power_plus(self, p: int) -> PseudoDiffOp:
         """(L^{p+1/2})_+ for integer p >= 0."""
-        return self.lax_power(p).compose(self.root).plus_part()
+        return self.lax_power(p).compose(self.root)
 
     def t_flow_slices(self, p: int) -> dict[int, tuple[BigSeries, BigSeries]]:
         op = self.half_power_plus(p).scale(Fraction(1, _dfact_odd(2 * p + 1)))
@@ -487,7 +480,7 @@ def _filled_by(m: BigMonomial) -> tuple[str, int, int]:
     return "t", mono_max_index(m), mono_weight(m)
 
 
-def pst_generate(theory: TheoryData, w_eps2: BigSeries | None = None) -> PstResult:
+def pst_generate(theory: TheoryData) -> PstResult:
     """Integrate the rank-1 Lax flows for the open potential of disk theory.
 
     The pure-level-zero sector of both eps slices vanishes (no stable disk
@@ -517,11 +510,7 @@ def pst_generate(theory: TheoryData, w_eps2: BigSeries | None = None) -> PstResu
     jt = tr_big.jet()
     v = JetPoly.var(vvar(1, 0), jt)
     f0_big = solve_closed_order_by_order(v * v * v * Fraction(1, 6), theory_big).series
-    w = derivative(f0_big, t_var(1, 0), t_var(1, 0))
-    if w_eps2 is not None:
-        eps2 = BigSeries({(2, ONE): Fraction(1)}, tr_big, None, _checked=True)
-        w = w + eps2 * restrict_window_up(w_eps2, tr_big)
-    ctx = KdVLaxContext.build(w, theory_big)
+    ctx = KdVLaxContext.build(derivative(f0_big, t_var(1, 0), t_var(1, 0)), theory_big)
 
     flows: dict[tuple, dict[int, tuple[BigSeries, BigSeries]]] = {}
     for p in range(amax + 1):

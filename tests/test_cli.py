@@ -164,6 +164,36 @@ def test_compare_verb(fixture_dir, tmp_path, capsys):
     assert differs == 1
 
 
+@pytest.fixture(scope="module")
+def compare_d4(tmp_path_factory):
+    """The D4/A1 f0 and f0o, a copy g0 of f0 with its cubic coefficient
+    changed, and an empty series with rel=-1."""
+    outdir = tmp_path_factory.mktemp("compare")
+    assert main(["gen-example", "open-rank1", "--degree", "4", "--amax", "1",
+                 "--outdir", str(outdir)]) == 0
+    f0 = (outdir / "f0.ottr").read_text()
+    cubic = "term 1/6 eps=0 vars=t:1:0:3\n"
+    assert cubic in f0
+    (outdir / "g0.ottr").write_text(f0.replace(cubic, "term 1/5 eps=0 vars=t:1:0:3\n"))
+    (outdir / "empty.ottr").write_text(
+        "ottr-series-v1\ntheory rank=1 eta=1 A=1 Dt=4 Amax=1 Dv=4 J=3 E=2\n"
+        "kind bigseries rel=-1\nend\n")
+    return outdir
+
+
+@pytest.mark.parametrize("first, second, extra", [
+    ("f0.ottr", "g0.ottr", ["--up-to-degree", "-1"]),
+    ("f0.ottr", "f0o.ottr", ["--up-to-degree", "-1"]),
+    ("empty.ottr", "f0.ottr", []),
+])
+def test_compare_on_a_negative_window_is_vacuous(compare_d4, first, second, extra, capsys):
+    capsys.readouterr()
+    code = main(["compare", str(compare_d4 / first), str(compare_d4 / second), *extra])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out == "vacuous: the shared reliable window degree <= -1 holds no coefficient\n"
+
+
 def test_gen_example_variants(tmp_path):
     for name in ("witten-rank1", "witten-n2", "genus1-rank1"):
         outdir = tmp_path / name

@@ -47,6 +47,16 @@ GEN_PST_D4_A1 = {
     "flows.report.ottr": "78e42620a8314da95c878ea1f47d32e8126cd95038a2623e68d26eac57e902cd",
 }
 
+# `gen-pst --degree 6 --amax 2`, recorded before the square root of L was
+# built by its triangular recursion; it reaches the p = 2 flows and a
+# depth-6 root, which D4/A1 does not
+GEN_PST_D6_A2 = {
+    "f0.ottr": F0,
+    "f0o.ottr": F0O,
+    "f1o.ottr": "378b44c35788eb504e715d270245dc2c04c575e08db1ca85f0579104e30c1427",
+    "flows.report.ottr": "2077e7d6c22331d3d5e36dc6bcd9781adf0e64ba7a0ddc57824689a19ebfbd7c",
+}
+
 
 def _digests(outdir) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -75,3 +85,9 @@ def test_gen_pst_outputs_are_golden(tmp_path, capsys):
     assert main(["gen-pst", "--degree", "4", "--amax", "1", "--outdir", str(tmp_path)]) == 0
     capsys.readouterr()
     assert _digests(tmp_path) == GEN_PST_D4_A1
+
+
+def test_gen_pst_d6_a2_outputs_are_golden(tmp_path, capsys):
+    assert main(["gen-pst", *WINDOW, "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert _digests(tmp_path) == GEN_PST_D6_A2

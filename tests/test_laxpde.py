@@ -23,8 +23,10 @@ from ottr.bigphase import (
     s_var,
     t_var,
     vtop,
+    x_jet,
 )
 from ottr.genus0 import (
+    solve_closed_order_by_order,
     solve_open_order_by_order,
     two_point_table,
     validate_open_genus0,
@@ -294,10 +296,15 @@ class TestLaxFlows:
         assert series_eq(pst.f1o, again)
 
     def test_eps2_part_of_w_is_invisible(self, pst, theory6):
-        fake = BigSeries.var(t_var(1, 0), theory6.trunc) * 3
-        other = pst_generate(theory6, w_eps2=fake)
-        assert series_eq(pst.f0o, other.f0o)
-        assert series_eq(pst.f1o, other.f1o)
+        tr = theory6.trunc
+        w = derivative(pst.f0, t_var(1, 0), t_var(1, 0))
+        eps2 = BigSeries({(2, ()): Fraction(1)}, tr, None, _checked=True)
+        w2 = w + eps2 * BigSeries.var(t_var(1, 0), tr) * 3
+        assert w2 != w
+        ctx, ctx2 = KdVLaxContext.build(w, theory6), KdVLaxContext.build(w2, theory6)
+        for p in range(tr.level_max + 1):
+            assert ctx.t_flow_slices(p) == ctx2.t_flow_slices(p), p
+            assert ctx.s_flow_slices(p) == ctx2.s_flow_slices(p), p
 
     def test_inconsistent_flow_fails_mixed_partials(self, monkeypatch):
         """A doubled t1 flow pins the s-free data, which the s flows then
@@ -346,6 +353,57 @@ class TestLaxFlows:
             rhs0, rhs1 = first_order_rhs(slices, pst.f0o, pst.f1o, theory6)
             assert series_eq(direct0, rhs0), p
             assert series_eq(direct1, rhs1), p
+
+
+@pytest.fixture(scope="module", params=[(4, 1), (6, 2)], ids=["D4A1", "D6A2"])
+def lax_ctx(request):
+    deg, amax = request.param
+    theory = TheoryData.rank1(Truncation.of(deg, amax))
+    v = JetPoly.var(vvar(1, 0), theory.trunc.jet())
+    f0 = solve_closed_order_by_order(v * v * v * Fraction(1, 6), theory).series
+    return KdVLaxContext.build(derivative(f0, t_var(1, 0), t_var(1, 0)), theory)
+
+
+def _eps_times(series, k):
+    """eps^k * series mod eps^2, keeping the reliable degree."""
+    terms = {(e + k, m): c for (e, m), c in series.terms.items() if e + k <= 1}
+    return BigSeries(terms, series.trunc, series.rel, _checked=True)
+
+
+def _full_compose(a, b):
+    """Every coefficient of a . b mod eps^2, negative indices included, as a
+    double loop over coefficient pairs with the symbol rule
+    (eps d/dx)^i . d = d (eps d/dx)^i + i eps (X d) (eps d/dx)^{i-1}."""
+    acc = {}
+    for i, ci in a.coeffs.items():
+        for j, cj in b.coeffs.items():
+            for k, binom in ((0, 1), (1, i)):
+                if binom:
+                    term = ci * _eps_times(x_jet(cj, k, a.theory), k) * binom
+                    acc[i + j - k] = acc[i + j - k] + term if i + j - k in acc else term
+    acc = {n: _eps_times(c, 0) for n, c in acc.items()}
+    return {n: c for n, c in acc.items() if not c.is_zero()}
+
+
+class TestCoefficientRule:
+    def test_root_squares_to_lax(self, lax_ctx):
+        amax = lax_ctx.theory.trunc.level_max
+        for n in range(2, -(2 * amax + 2), -1):
+            assert lax_ctx.root.composed_at(lax_ctx.root, n) == lax_ctx.lax.coeffs.get(n), n
+
+    def test_compose_is_the_plus_part_of_the_full_product(self, lax_ctx):
+        for p in range(lax_ctx.theory.trunc.level_max + 1):
+            power = lax_ctx.lax_power(p)
+            for other in (lax_ctx.root, lax_ctx.lax):
+                full = _full_compose(power, other)
+                want = {n: c for n, c in full.items() if n >= 0}
+                assert power.compose(other).coeffs == want, p
+
+    def test_composed_at_matches_the_full_product_at_negative_indices(self, lax_ctx):
+        root = lax_ctx.root
+        full = _full_compose(root, root)
+        for n in range(max(full), min(full) - 1, -1):
+            assert root.composed_at(root, n) == full.get(n), n
 
 
 def _eval_q_slices(q, f0, f1, theory):

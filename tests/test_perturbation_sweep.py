@@ -3,8 +3,10 @@
 On the D4/A2 genus1-rank1 window, each dense monomial below an input's
 reliable degree is added to that input alone; the validator of the input
 must then report some entry NONZERO.  Monomials no equation constrains are
-skipped: the solvers' free monomials, and the constant term of F1o, which
-every genus-1 relation sees only through derivatives.
+skipped: the solvers' free monomials, and the constant terms of F1o and F1,
+which every genus-1 relation sees only through derivatives.  The closed
+genus-1 potential is reliable only to degree Dt - 3, so its sweep runs on
+D7/A2.
 """
 
 from fractions import Fraction
@@ -19,7 +21,12 @@ from ottr.genus0 import (
     validate_closed_genus0,
     validate_open_genus0,
 )
-from ottr.genus1 import solve_f1o, validate_open_genus1
+from ottr.genus1 import (
+    f1_closed_form,
+    solve_f1o,
+    validate_closed_genus1,
+    validate_open_genus1,
+)
 from monomials import monomials_up_to
 
 TR = Truncation.of(4, 2)
@@ -39,9 +46,10 @@ def window():
 
 def _sweep(f: BigSeries, variables, skip, check) -> int:
     """Perturb f by each monomial below its reliable degree; return the count."""
+    assert check(f).all_zero
     monos = [m for m in monomials_up_to(variables, f.rel - 1) if m not in skip]
     for m in monos:
-        bumped = f + BigSeries.from_coeffs({m: Fraction(1)}, TR, rel=f.rel)
+        bumped = f + BigSeries.from_coeffs({m: Fraction(1)}, f.trunc, rel=f.rel)
         assert not check(bumped).all_zero, f"perturbation by {m} not caught"
     return len(monos)
 
@@ -65,3 +73,15 @@ def test_open_genus1_catches_every_perturbation(window):
     count = _sweep(f1o, TH.all_vars(), {()},
                    lambda f: validate_open_genus1(closed.series, opened.series, f, TH))
     assert count == 27
+
+
+def test_closed_genus1_catches_every_perturbation():
+    theory = TheoryData.rank1(Truncation.of(7, 2))
+    jt = theory.trunc.jet()
+    v = JetPoly.var(vvar(1, 0), jt)
+    f0 = solve_closed_order_by_order(v * v * v * Fraction(1, 6), theory).series
+    f1 = f1_closed_form(f0, JetPoly.zero(jt), theory)
+    assert f1.rel == 4
+    count = _sweep(f1, theory.t_vars(), {()},
+                   lambda f: validate_closed_genus1(f0, f, theory))
+    assert count == 19
