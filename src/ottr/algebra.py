@@ -8,6 +8,15 @@ truncated in three directions: a degree bound, a bound on the variables'
 variables count toward the degree) and which truncation fields bound the
 degree and the index; `ottr.bigphase.BigSeries` is the other subclass.
 
+Every product, `*` or one of a sum of products `dot`, runs one loop over
+packed integers: each factor becomes ``(degree, key, numerator)`` rows sorted
+by degree, over one common denominator.  A key holds one exponent field per
+variable present, lowest variable lowest, and the eps power in the top field,
+so a monomial product is a sum of keys.  The field width is the bit length of
+twice the top exponent present, never derived from the degree bound, which
+jet order >= 1 variables do not count toward.  `Fraction` and monomial tuples
+appear only when the result is unpacked into its terms, the one stored form.
+
 This module's own subclass, `JetPoly`, is the ring of differential
 polynomials in jet variables
 
@@ -34,8 +43,12 @@ the result lives exactly as long as that value.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 from typing import Callable, Iterable, Mapping
 
 KIND_V = 0
@@ -283,10 +296,14 @@ class SparseSeries:
 
     def valuation(self) -> int | None:
         """Effective degree valuation for reliability bookkeeping."""
-        v = min((self.mono_degree(m) for _, m in self.terms), default=None)
-        if self.rel is None:
-            return v
-        return self.rel + 1 if v is None else min(v, self.rel + 1)
+        rows = self.by_degree()
+        return _rel_min(rows[0][0] if rows else None, _rel_add(self.rel, 1))
+
+    def by_degree(self) -> list[tuple[int, int, Monomial, Fraction]]:
+        """The terms as (degree, eps, monomial, coefficient) rows sorted by
+        degree, computed once per value."""
+        return self.derived(("by_degree",), lambda p: sorted(
+            ((p.mono_degree(m), e, m, c) for (e, m), c in p.terms.items()), key=itemgetter(0)))
 
     def sorted_terms(self) -> list[tuple[TermKey, Fraction]]:
         return sorted(self.terms.items())
@@ -345,40 +362,11 @@ class SparseSeries:
         cls = type(self)
         if isinstance(other, (int, Fraction)):
             c = frac(other)
-            if not c:
-                return cls.zero(self.trunc, self.rel)
-            return cls({k: c * v for k, v in self.terms.items()},
+            return cls({k: c * v for k, v in self.terms.items() if c},
                        self.trunc, self.rel, _checked=True)
         if not isinstance(other, cls):
             return NotImplemented
-        self._check_compatible(other)
-        tr = self.trunc
-        deg_max = self.bounds(tr)[0]
-        rel = _rel_cap(_rel_min(_rel_add(self.rel, other.valuation()),
-                                _rel_add(other.rel, self.valuation())), deg_max)
-        cap = deg_max if rel is None else rel
-        deg = self.mono_degree
-        # Both factors sorted by degree, so each loop stops at the first pair
-        # past the cap.
-        a = sorted(((deg(m), e, m, c) for (e, m), c in self.terms.items()))
-        b = sorted(((deg(m), e, m, c) for (e, m), c in other.terms.items()))
-        acc: dict[TermKey, Fraction] = {}
-        for d1, e1, m1, c1 in a:
-            if b and d1 + b[0][0] > cap:
-                break
-            for d2, e2, m2, c2 in b:
-                if d1 + d2 > cap:
-                    break
-                eps = e1 + e2
-                if eps > tr.eps_max:
-                    continue
-                key = (eps, mono_mul(m1, m2))
-                s = acc.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
-        return cls(acc, tr, rel, _checked=True)
+        return dot(cls.zero(self.trunc), [(self, other, 1)])
 
     __rmul__ = __mul__
 
@@ -409,6 +397,70 @@ class SparseSeries:
 
     def __repr__(self):
         return f"{type(self).__name__}({self})"
+
+
+def dot(start: SparseSeries,
+        products: Iterable[tuple[SparseSeries, SparseSeries, int | Fraction]]
+        ) -> SparseSeries:
+    """start + the sum of c * a * b over the (a, b, c) in products, as the
+    chain ``start + a*b*c + ...`` of `*` and `+` gives it: the sum's rel is
+    the least of start's and each ``a * b``'s.  All products, start as
+    ``start * 1`` too, add into one packed accumulator (see the module
+    docstring); a key past a limit has an eps power past the bound."""
+    cls, tr = type(start), start.trunc
+    deg_max = cls.bounds(tr)[0]
+    plan, rel = [], None
+    for a, b, c in [(start, cls.const(1, tr), 1), *products]:
+        start._check_compatible(a)
+        start._check_compatible(b)
+        r = _rel_min(_rel_add(a.rel, b.valuation()), _rel_add(b.rel, a.valuation()))
+        rel = _rel_min(rel, _rel_cap(r, deg_max))
+        plan.append((a.by_degree(), b.by_degree(), frac(c)))
+    # Every product stops at the sum's cap: what lies past it is dropped anyway.
+    cap = deg_max if rel is None else rel
+    live = [(ra[:bisect_right(ra, cap - rb[0][0], key=itemgetter(0))],
+             rb[:bisect_right(rb, cap - ra[0][0], key=itemgetter(0))], c)
+            for ra, rb, c in plan if c and ra and rb]
+    factors = {f for ra, rb, _c in live for *_, m, _q in ra + rb for f in m}
+    names = sorted({v for v, _x in factors})
+    width = (2 * max((x for _v, x in factors), default=0)).bit_length()
+    shift = {v: i * width for i, v in enumerate(names)}
+    eps_shift = len(names) * width
+
+    def pack(rows: list) -> tuple[int, list[tuple[int, int, int]]]:
+        den = lcm(*(q.denominator for *_, q in rows))
+        out = []
+        for d, e, m, q in rows:
+            k = e << eps_shift
+            for v, x in m:
+                k += x << shift[v]
+            out.append((d, k, q.numerator * (den // q.denominator)))
+        return den, out
+
+    live = [(*pack(ra), *pack(rb), c) for ra, rb, c in live]
+    den = lcm(*(da * db * c.denominator for da, _pa, db, _pb, c in live))
+    limit = (tr.eps_max + 1) << eps_shift
+    acc: dict[int, int] = defaultdict(int)
+    for da, pa, db, pb, c in live:
+        scale = c.numerator * (den // (da * db * c.denominator))
+        for d1, k1, n1 in pa:
+            n1 *= scale
+            for d2, k2, n2 in pb:
+                if d1 + d2 > cap:
+                    break
+                acc[k1 + k2] += n1 * n2
+    mask, low = (1 << width) - 1, (1 << eps_shift) - 1
+    terms: dict[TermKey, Fraction] = {}
+    for k, n in acc.items():
+        if n and k < limit:
+            mono, rest, i = [], k & low, 0
+            while rest:
+                if rest & mask:
+                    mono.append((names[i], rest & mask))
+                rest >>= width
+                i += 1
+            terms[(k >> eps_shift, tuple(mono))] = Fraction(n, den)
+    return cls(terms, tr, rel, _checked=True)
 
 
 def poly_eq(p: SparseSeries, q: SparseSeries, *, up_to: int | None = None) -> bool:
@@ -443,9 +495,6 @@ def partial(p: SparseSeries, var: Var) -> SparseSeries:
             break
     rel = None if p.rel is None else p.rel - p.var_degree(var)
     return type(p)(acc, p.trunc, rel, _checked=True)
-
-
-jet_partial = partial
 
 
 def derivative(p: SparseSeries, *variables: Var) -> SparseSeries:

@@ -42,7 +42,6 @@ from .algebra import (
     mono_mul,
     partial,  # the loop behind `derivative`, re-exported under its own name
     phivar,
-    poly_eq as series_eq,
     vvar,
 )
 

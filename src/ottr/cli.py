@@ -20,14 +20,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import JetPoly, JetOverflowError, phivar, vvar
+from .algebra import JetPoly, JetOverflowError, phivar, poly_eq, vvar
 from .bigphase import (
     BigSeries,
     TheoryData,
     Truncation,
     relabel_component,
     restrict_window,
-    series_eq,
 )
 from .genus0 import (
     NoSolutionError,
@@ -203,7 +202,7 @@ def cmd_derive_genus1(args) -> int:
     else:
         f1o = f1o_closed_form(f0, f0o, go, theory)
         other = solve_f1o(f0, f0o, go, theory)
-        if not series_eq(f1o, other):
+        if not poly_eq(f1o, other):
             print("derivations disagree", file=sys.stderr)
             return EXIT_INTERNAL
         print("solver and closed form agree on the shared window")
@@ -289,7 +288,7 @@ def cmd_compare(args) -> int:
     if window is not None and window < 0:
         print(f"vacuous: the shared reliable window degree <= {window} holds no coefficient")
         return EXIT_INPUT
-    same = series_eq(a, b, up_to=args.up_to_degree)
+    same = poly_eq(a, b, up_to=args.up_to_degree)
     print("equal on the shared reliable window" if same else "values differ")
     return EXIT_OK if same else EXIT_RESIDUAL
 

@@ -37,6 +37,7 @@ from .algebra import (
     KIND_V,
     JetPoly,
     derivative,
+    dot,
     dx,
     exponent_of,
     mono_div_var,
@@ -495,11 +496,9 @@ class _Rows:
     def residual(self, f: BigSeries) -> BigSeries:
         """The spec derivatives of f minus the sum of the table products, where
         a fed table stands for f."""
-        out = spec_sum(f, self.specs)
-        for pair in self.products:
-            a, b = (spec_sum(f if t.fed else t.series, t.specs) for t in pair)
-            out = out - a * b
-        return out
+        return dot(spec_sum(f, self.specs),
+                   [(*(spec_sum(f if t.fed else t.series, t.specs) for t in pair), -1)
+                    for pair in self.products])
 
 
 def _row_order(key: tuple[int, BigMonomial]) -> tuple:

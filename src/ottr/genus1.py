@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import JetPoly, derivative
+from .algebra import JetPoly, derivative, dot
 from .bigphase import (
     KIND_T,
     BigSeries,
@@ -170,14 +170,10 @@ def _det(matrix: list[list[BigSeries]]) -> BigSeries:
     n = len(matrix)
     if n == 1:
         return matrix[0][0]
-    acc = None
-    for j in range(n):
-        minor = [[matrix[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = matrix[0][j] * _det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    minors = [[[matrix[i][k] for k in range(n) if k != j] for i in range(1, n)]
+              for j in range(n)]
+    return dot(BigSeries.zero(matrix[0][0].trunc),
+               [(matrix[0][j], _det(minors[j]), (-1) ** j) for j in range(n)])
 
 
 def f1_closed_form(f0: BigSeries, g: JetPoly, theory: TheoryData) -> BigSeries:

@@ -27,6 +27,7 @@ from .algebra import (
     JetTruncation,
     coef_phi_power,
     derivative,
+    dot,
     dx,
     exponent_of,
     fvar,
@@ -199,26 +200,34 @@ def build_boundary_op(a: int, table: TwoPointTable, go: JetPoly,
 def first_order_rhs(a_slices: dict[int, tuple[BigSeries, BigSeries]],
                     f0: BigSeries, f1: BigSeries, theory: TheoryData
                     ) -> tuple[BigSeries, BigSeries]:
-    """First-order slices of sum_i a_i Q_i(f) for f = f0 + eps f1.
+    """First-order slices of sum_i a_i Q_i(f) for f = f0 + eps f1."""
+    return (first_order_rhs0(a_slices, f0, theory),
+            first_order_rhs1(a_slices, f0, f1, theory))
 
-    The eps^0 slice is sum a_i^{[0]} (Xf0)^i; the eps^1 slice adds the
-    coefficient corrections, the linearization in Xf1, and the second-jet
-    term from the eps expansion of Q_i.  The powers of Xf0 are kept with it.
-    """
-    tr = theory.trunc
+
+def first_order_rhs0(a_slices: dict[int, tuple[BigSeries, BigSeries]],
+                     f0: BigSeries, theory: TheoryData) -> BigSeries:
+    """The eps^0 slice, sum a_i^{[0]} (Xf0)^i; Xf0 keeps its powers."""
+    xf0 = t11_partial(f0, 0, theory)
+    return dot(BigSeries.zero(theory.trunc),
+               [(a0, power(xf0, i), 1) for i, (a0, _a1) in sorted(a_slices.items())])
+
+
+def first_order_rhs1(a_slices: dict[int, tuple[BigSeries, BigSeries]],
+                     f0: BigSeries, f1: BigSeries, theory: TheoryData) -> BigSeries:
+    """The eps^1 slice: the coefficient corrections, the linearization in Xf1,
+    and the second-jet term from the eps expansion of Q_i."""
     xf0 = t11_partial(f0, 0, theory)
     xf1 = t11_partial(f1, 0, theory)
     xxf0 = x_jet(f0, 2, theory)
-    rhs0 = BigSeries.zero(tr)
-    rhs1 = BigSeries.zero(tr)
+    products = []
     for i, (a0, a1) in sorted(a_slices.items()):
-        rhs0 = rhs0 + a0 * power(xf0, i)
-        rhs1 = rhs1 + a1 * power(xf0, i)
+        products.append((a1, power(xf0, i), 1))
         if i >= 1:
-            rhs1 = rhs1 + a0 * power(xf0, i - 1) * xf1 * i
+            products.append((a0 * power(xf0, i - 1), xf1, i))
         if i >= 2:
-            rhs1 = rhs1 + a0 * power(xf0, i - 2) * xxf0 * comb(i, 2)
-    return rhs0, rhs1
+            products.append((a0 * power(xf0, i - 2), xxf0, comb(i, 2)))
+    return dot(BigSeries.zero(theory.trunc), products)
 
 
 @dataclass
@@ -293,9 +302,9 @@ class EvolutionSystem:
             var = self.flow_var(label)
             change = derivative(m_series, var)
             if not xm.is_zero():
-                for i, (a0, _) in self.a_evals[label].items():
-                    if i >= 1:
-                        change = change - a0 * power(xf0, i - 1) * xm * i
+                change = dot(change, [(a0 * power(xf0, i - 1), xm, -i)
+                                      for i, (a0, _) in self.a_evals[label].items()
+                                      if i >= 1])
             if not change.is_zero():
                 return change
             last = change
@@ -403,8 +412,8 @@ class KdVLaxContext:
     triangular recursion: the coefficient of (eps d/dx)^{1-k} in r . r is
     2 r_{-k} plus terms in r_{-1}, ..., r_{1-k} only, so
     r_{-k} = (L_{1-k} - (r . r)_{1-k}) / 2 with r taken through depth k-1.
-    It runs to depth 2*Amax+2, which covers every coefficient that
-    (L^{p+1/2})_+ reads for p <= Amax.
+    It runs to depth 2*Amax: (L^{p+1/2})_+ = (L^p . r)_+ for p <= Amax
+    reads r_{-k} only for k <= 2p, since L^p has order 2p.
     """
 
     lax: PseudoDiffOp
@@ -419,7 +428,7 @@ class KdVLaxContext:
                 raise ValueError("w must have even eps content only")
         lax = PseudoDiffOp({2: BigSeries.const(1, theory.trunc), 0: w * 2}, theory)._clean()
         root = PseudoDiffOp({1: BigSeries.const(1, theory.trunc)}, theory)
-        for k in range(1, 2 * theory.trunc.level_max + 3):
+        for k in range(1, 2 * theory.trunc.level_max + 1):
             square = root.composed_at(root, 1 - k)
             defect = lax.coefficient(1 - k)
             if square is not None:
@@ -535,7 +544,8 @@ def pst_generate(theory: TheoryData) -> PstResult:
                       else [p for p in range(1, amax + 1) if p <= grade <= cap * p])
             for p in levels:
                 var = t_var(1, p) if kind == "t" else s_var(p)
-                rhs = first_order_rhs(flows[(kind, p)], *f, theory_big)[g]
+                rhs = (first_order_rhs1(flows[(kind, p)], *f, theory_big) if g
+                       else first_order_rhs0(flows[(kind, p)], f[0], theory_big))
                 if rhs.rel is not None and rhs.rel < cap - 1:
                     raise PstIntegrationError((kind, p), None,
                                               "flow window too small for target")
