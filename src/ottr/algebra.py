@@ -404,24 +404,30 @@ def dot(start: SparseSeries,
         ) -> SparseSeries:
     """start + the sum of c * a * b over the (a, b, c) in products, as the
     chain ``start + a*b*c + ...`` of `*` and `+` gives it: the sum's rel is
-    the least of start's and each ``a * b``'s.  All products, start as
-    ``start * 1`` too, add into one packed accumulator (see the module
-    docstring); a key past a limit has an eps power past the bound."""
+    the least of start's and each ``a * b``'s.  Start's terms and all
+    products add into one packed accumulator (see the module docstring); a
+    key past a limit has an eps power past the bound."""
     cls, tr = type(start), start.trunc
     deg_max = cls.bounds(tr)[0]
-    plan, rel = [], None
-    for a, b, c in [(start, cls.const(1, tr), 1), *products]:
+    plan, rel = [], start.rel
+    for a, b, c in products:
         start._check_compatible(a)
         start._check_compatible(b)
-        r = _rel_min(_rel_add(a.rel, b.valuation()), _rel_add(b.rel, a.valuation()))
+        # a factor's valuation counts only beside a finite rel of its partner
+        r = _rel_min(None if a.rel is None else _rel_add(a.rel, b.valuation()),
+                     None if b.rel is None else _rel_add(b.rel, a.valuation()))
         rel = _rel_min(rel, _rel_cap(r, deg_max))
         plan.append((a.by_degree(), b.by_degree(), frac(c)))
     # Every product stops at the sum's cap: what lies past it is dropped anyway.
     cap = deg_max if rel is None else rel
+    rs = [row for row in start.by_degree() if row[0] <= cap] if start.terms else []
     live = [(ra[:bisect_right(ra, cap - rb[0][0], key=itemgetter(0))],
              rb[:bisect_right(rb, cap - ra[0][0], key=itemgetter(0))], c)
             for ra, rb, c in plan if c and ra and rb]
-    factors = {f for ra, rb, _c in live for *_, m, _q in ra + rb for f in m}
+    if not live and rel == start.rel and len(rs) == len(start.terms):
+        return start  # nothing to add
+    factors = {f for rows in [rs, *(ra + rb for ra, rb, _c in live)]
+               for *_, m, _q in rows for f in m}
     names = sorted({v for v, _x in factors})
     width = (2 * max((x for _v, x in factors), default=0)).bit_length()
     shift = {v: i * width for i, v in enumerate(names)}
@@ -437,10 +443,14 @@ def dot(start: SparseSeries,
             out.append((d, k, q.numerator * (den // q.denominator)))
         return den, out
 
+    ds, ps = pack(rs)
     live = [(*pack(ra), *pack(rb), c) for ra, rb, c in live]
-    den = lcm(*(da * db * c.denominator for da, _pa, db, _pb, c in live))
+    den = lcm(ds, *(da * db * c.denominator for da, _pa, db, _pb, c in live))
     limit = (tr.eps_max + 1) << eps_shift
     acc: dict[int, int] = defaultdict(int)
+    scale = den // ds
+    for _d, k, n in ps:
+        acc[k] += n * scale
     for da, pa, db, pb, c in live:
         scale = c.numerator * (den // (da * db * c.denominator))
         for d1, k1, n1 in pa:

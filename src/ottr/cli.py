@@ -46,9 +46,8 @@ from .genus1 import (
 )
 from .laxpde import (
     PstIntegrationError,
-    build_boundary_op,
-    build_interior_op,
     linear_evolution_residual,
+    operators,
     pst_generate,
     qpoly,
     qpoly_truncation,
@@ -238,21 +237,10 @@ def cmd_qpoly(args) -> int:
 
 def cmd_build_operators(args) -> int:
     f0, f0o, go, theory = _load_with_go(args)
-    table = two_point_table(f0, f0o, theory)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    amax = theory.trunc.level_max
-    for alpha in range(1, theory.n + 1):
-        for a in range(amax + 1):
-            op = build_interior_op(alpha, a, table, go, theory)
-            op.check_homogeneity()
-            path = outdir / f"Lint_{alpha}_{a}.ottr"
-            serialize.dump(op, theory, path)
-            print(f"wrote {path}")
-    for a in range(amax + 1):
-        op = build_boundary_op(a, table, go, theory)
-        op.check_homogeneity()
-        path = outdir / f"Lboun_{a}.ottr"
+    for _label, op in operators(two_point_table(f0, f0o, theory), go, theory):
+        path = outdir / f"L{'_'.join(map(str, op.meta))}.ottr"  # Lint_1_0, Lboun_0, ...
         serialize.dump(op, theory, path)
         print(f"wrote {path}")
     return EXIT_OK

@@ -13,15 +13,19 @@ negative window compares no coefficient: its entry, and a report without a
 nonzero entry, is vacuous.
 
 The solvers extend a small-phase-space seed by marching in descendent weight.
-Each is a list of row families run by one engine, `_march`.  At weight w each
-row is affine in the weight-w unknowns, with a right-hand side that is a
-sparse product of lower-weight tables.  The engine activates the rows with a
-nonzero right-hand side, closes them under shared unknowns, and solves them
-in the dense row order.  Every row it skips lies in a connected component
-whose right-hand sides all vanish, so it reads 0 = 0 under the zero default:
-skipping it changes no coefficient and no inconsistency report.  Monomials no
-row contains (one-point data and, in the closed case, two-point data without
-a unit-direction factor) and non-pivot unknowns are zero and recorded as free.
+Each is a list of row families run by one engine, `_march`, which keeps the
+solution as one series per solved weight.  A derivative table (`_Table`) is
+a kernel value at every weight: `spec_sum` of a weight slice of its source.
+At weight w each row is affine in the weight-w unknowns, and a family's
+right-hand sides are one kernel `dot` over the products of lower-weight table
+parts, the same product loop the validators use.  The engine activates the
+rows with a nonzero right-hand side, closes them under shared unknowns, and
+solves them in the dense row order.  Every row it skips lies in a connected
+component whose right-hand sides all vanish, so it reads 0 = 0 under the
+zero default: skipping it changes no coefficient and no inconsistency report.
+Monomials no row contains (one-point data and, in the closed case, two-point
+data without a unit-direction factor) and non-pivot unknowns are zero and
+recorded as free.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .bigphase import (
     BigSeries,
     BigVar,
     TheoryData,
+    Truncation,
     big_var_name,
     mono_degree,
     mono_from_factors,
@@ -160,12 +165,22 @@ def _index_pairs(theory: TheoryData) -> list[tuple[int, int, int, int]]:
             if (beta, b) <= (gamma, c)]
 
 
-def _euler_sum(f: BigSeries, variables: Sequence[BigVar]) -> BigSeries:
-    """sum_x x df/dx over the variables."""
-    res = BigSeries.zero(f.trunc)
+def _string_and_dilaton(report: ResidualReport, prefix: str, f: BigSeries, scaled: BigSeries,
+                        variables: Sequence[BigVar], theory: TheoryData) -> None:
+    """The string range line, from the window its entry checked (Dt - 1 if
+    exact), and the dilaton equation -X_1 f - scaled + sum_x x df/dx = 0,
+    where scaled is f times the dilaton weight."""
+    window = report.entry(prefix + "string").window
+    window = theory.trunc.deg_max - 1 if window is None else window
+    report.checked[prefix + "string"] = f"single equation, degree window <= {window}"
+    if theory.trunc.level_max < 1:
+        report.checked[prefix + "dilaton"] = "skipped: needs level bound >= 1"
+        return
+    euler = BigSeries.zero(f.trunc)
     for x in variables:
-        res = res + BigSeries.var(x, f.trunc) * derivative(f, x)
-    return res
+        euler = euler + BigSeries.var(x, f.trunc) * derivative(f, x)
+    report.add(prefix + "dilaton", (), -t11_partial(f, 1, theory) - scaled + euler)
+    report.checked[prefix + "dilaton"] = "single equation"
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +189,7 @@ def _euler_sum(f: BigSeries, variables: Sequence[BigVar]) -> BigSeries:
 
 def validate_closed_genus0(f0: BigSeries, theory: TheoryData) -> ResidualReport:
     """Residuals of the closed genus-0 axioms over the truncation window."""
-    tr = theory.trunc
-    amax = tr.level_max
+    amax = theory.trunc.level_max
     nus = range(1, theory.n + 1)
     families = _closed_families(theory) + [
         _Rows(("two_point_shift", (alpha, a, beta, b)),
@@ -186,13 +200,7 @@ def validate_closed_genus0(f0: BigSeries, theory: TheoryData) -> ResidualReport:
         for alpha, a, beta, b in _index_pairs(theory) if max(a, b) < amax]
     report = ResidualReport()
     report.add_rows(families, f0)
-    report.checked["string"] = f"single equation, degree window <= {tr.deg_max - 1}"
-    if amax >= 1:
-        report.add("dilaton", (), -t11_partial(f0, 1, theory) - f0 * 2
-                   + _euler_sum(f0, theory.t_vars()))
-        report.checked["dilaton"] = "single equation"
-    else:
-        report.checked["dilaton"] = "skipped: needs level bound >= 1"
+    _string_and_dilaton(report, "", f0, f0 * 2, theory.t_vars(), theory)
     report.checked["trr0"] = (f"alpha<= {theory.n}, a<= {amax - 1}, "
                               f"(beta,b)<=(gamma,c) with b,c<= {amax}")
     report.checked["two_point_shift"] = f"a,b<= {amax - 1}, symmetric pairs once"
@@ -210,13 +218,7 @@ def validate_open_genus0(f0: BigSeries, f0o: BigSeries, theory: TheoryData
     amax = tr.level_max
     report = ResidualReport()
     report.add_rows(_open_families(f0, theory), f0o)
-    report.checked["open_string"] = f"single equation, degree window <= {tr.deg_max - 1}"
-    if amax >= 1:
-        report.add("open_dilaton", (), -t11_partial(f0o, 1, theory) - f0o
-                   + _euler_sum(f0o, theory.all_vars()))
-        report.checked["open_dilaton"] = "single equation"
-    else:
-        report.checked["open_dilaton"] = "skipped: needs level bound >= 1"
+    _string_and_dilaton(report, "open_", f0o, f0o, theory.all_vars(), theory)
     pairing = t11_partial(derivative(f0o, s_var(0)), 0, theory)
     level0 = {key: coef for key, coef in pairing.terms.items()
               if all(level == 0 for (_k, _a, level), _e in key[1])}
@@ -394,41 +396,19 @@ def _falling(m: BigMonomial, d: BigMonomial) -> int:
     return k
 
 
-class _Table:
-    """Incrementally maintained derivative of a coefficient table.
+def weight_slices(series: BigSeries) -> list[BigSeries]:
+    """The eps-free terms of series by descendent weight, each slice with the
+    series' rel, computed once per value."""
+    return series.derived(("weight_slices",), _weight_slices)
 
-    Entries are weight-bucketed lists of (degree, monomial, coefficient) for
-    the series sum_spec scale * d^k F / d(spec vars).  A table built from a
-    series keeps it and fills its buckets with the eps-free terms on first
-    use; one built without is `fed` the solved coefficients one at a time.
-    Duplicate monomials in a bucket are allowed; consumers accumulate.
-    """
 
-    def __init__(self, specs: Sequence[tuple[tuple[BigVar, ...], Fraction]],
-                 series: BigSeries | None = None):
-        self.specs = _spec_monomials(specs)
-        self.series = series
-        self.fed = series is None
-        self.buckets: dict[int, list[tuple[int, BigMonomial, Fraction]]] | None = (
-            {} if self.fed else None)
-
-    def push(self, mono: BigMonomial, coef: Fraction) -> None:
-        for d, scale in self.specs:
-            cur = _mono_div(mono, d)
-            if cur is not None:
-                self.buckets.setdefault(mono_weight(cur), []).append(
-                    (mono_degree(cur), cur, coef * _falling(mono, d) * scale))
-
-    def push_all(self, coeffs: dict[BigMonomial, Fraction]) -> None:
-        for mono, coef in coeffs.items():
-            self.push(mono, coef)
-
-    def bucket(self, w: int) -> list[tuple[int, BigMonomial, Fraction]]:
-        if self.buckets is None:
-            self.buckets = {}
-            self.push_all({mono: coef for (eps, mono), coef in self.series.terms.items()
-                           if not eps})
-        return self.buckets.get(w, ())
+def _weight_slices(series: BigSeries) -> list[BigSeries]:
+    by_weight: dict[int, dict] = defaultdict(dict)
+    for (eps, mono), coef in series.terms.items():
+        if not eps:
+            by_weight[mono_weight(mono)][(0, mono)] = coef
+    return [BigSeries(by_weight.get(w, {}), series.trunc, series.rel, _checked=True)
+            for w in range(max(by_weight, default=-1) + 1)]
 
 
 def spec_sum(series: BigSeries, specs: tuple[tuple[BigMonomial, Fraction], ...]
@@ -445,20 +425,38 @@ def _spec_sum(series: BigSeries, specs) -> BigSeries:
     return sum(terms[1:], terms[0])
 
 
-def slice_product(a: _Table, b: _Table, weight: int, deg_cap: int
-                  ) -> dict[BigMonomial, Fraction]:
-    """Coefficients of the product of two tables at one output weight."""
-    out: dict[BigMonomial, Fraction] = defaultdict(Fraction)
-    for w1 in range(weight + 1):
-        lhs = a.bucket(w1)
-        rhs = b.bucket(weight - w1)
-        if not lhs or not rhs:
-            continue
-        for d1, m1, c1 in lhs:
-            for d2, m2, c2 in rhs:
-                if d1 + d2 <= deg_cap:
-                    out[mono_mul(m1, m2)] += c1 * c2
-    return {m: c for m, c in out.items() if c}
+class _Table:
+    """The derivative sum_spec scale * d^k F / d(spec vars), weight by weight.
+
+    Its weight-w part is `spec_sum(slice, specs)` of the weight-(w + table
+    weight) slice of its source: `weight_slices(series)` for a table built
+    from a series, and the engine's solved slices for a fed table, one built
+    without, which stands for the potential under solution or test.  Every
+    spec has the table weight.  A slice never changes once present, so the
+    table keeps each nonzero part itself; a memo on the slice would hash the
+    `Fraction` scales at every lookup.
+    """
+
+    def __init__(self, specs: Sequence[tuple[tuple[BigVar, ...], Fraction]],
+                 series: BigSeries | None = None):
+        self.specs = _spec_monomials(specs)
+        self.weight = mono_weight(self.specs[0][0])
+        self.series = series
+        self.slices: list[BigSeries] | None = None
+        self.seen, self.nonzero = 0, {}
+
+    def parts(self, solved: list[BigSeries]) -> dict[int, BigSeries]:
+        """The nonzero parts by weight, over every slice present."""
+        slices = solved if self.series is None else self.slices or weight_slices(self.series)
+        if slices is not self.slices:  # first use, or the slices of a new solve
+            self.slices, self.seen, self.nonzero = slices, self.weight, {}
+        if self.seen < len(slices):
+            for s in range(self.seen, len(slices)):
+                part = _spec_sum(slices[s], self.specs) if slices[s].terms else slices[s]
+                if part.terms:
+                    self.nonzero[s - self.weight] = part
+            self.seen = len(slices)
+        return self.nonzero
 
 
 class _Rows:
@@ -477,13 +475,18 @@ class _Rows:
         self.offset = mono_weight(self.specs[0][0])
         self.arity = mono_degree(self.specs[0][0])
 
-    def rhs(self, weight: int, cap: int) -> dict[BigMonomial, Fraction]:
-        """Nonzero right-hand sides of the rows whose unknowns have this weight."""
-        out: dict[BigMonomial, Fraction] = defaultdict(Fraction)
-        for a, b in self.products if weight >= self.offset else ():
-            for m, c in slice_product(a, b, weight - self.offset, cap - self.arity).items():
-                out[m] += c
-        return {m: c for m, c in out.items() if c}
+    def rhs(self, weight: int, solved: list[BigSeries], cap: int) -> BigSeries:
+        """The right-hand sides of the rows whose unknowns have this weight, as
+        one series in mu: one `dot` over the nonzero pairs of table parts, cut
+        at degree cap - arity by its start.  `solved` holds the fed tables'
+        slices by weight."""
+        w = weight - self.offset
+        pairs = []
+        for a, b in self.products if w >= 0 else ():
+            right = b.parts(solved)
+            pairs += [(part, right[w - w1], 1) for w1, part in a.parts(solved).items()
+                      if w - w1 in right]
+        return dot(BigSeries.zero(solved[0].trunc, cap - self.arity), pairs)
 
     def pins(self, mu: BigMonomial) -> dict[BigMonomial, Fraction]:
         """The left-hand side of the row at mu."""
@@ -497,7 +500,8 @@ class _Rows:
         """The spec derivatives of f minus the sum of the table products, where
         a fed table stands for f."""
         return dot(spec_sum(f, self.specs),
-                   [(*(spec_sum(f if t.fed else t.series, t.specs) for t in pair), -1)
+                   [(*(spec_sum(f if t.series is None else t.series, t.specs)
+                       for t in pair), -1)
                     for pair in self.products])
 
 
@@ -572,15 +576,22 @@ def _eliminate(rows) -> dict[BigMonomial, Fraction]:
     return assign
 
 
-def _march(families: list[_Rows], known: dict[BigMonomial, Fraction],
-           variables: Sequence[BigVar], cap: int, level_max: int) -> list[BigMonomial]:
+@dataclass
+class SolveResult:
+    """A solved potential plus the monomials the equations left unconstrained."""
+
+    series: BigSeries
+    free: list[BigMonomial]
+
+
+def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
+           variables: Sequence[BigVar], cap: int, trunc: Truncation) -> SolveResult:
     """Solve the row families weight by weight over the nonzero support.
 
-    `known` holds the weight-0 data on entry and every nonzero coefficient of
-    weight >= 1 and degree <= cap is added to it.  Returns the free monomials,
-    weight by weight.
+    `seed` holds the weight-0 data.  Each solved weight becomes one slice of
+    degree <= cap, the seed the first; the fed tables read these slices.  The
+    result has rel = cap and lists the free monomials weight by weight.
     """
-    fed = {id(t): t for fam in families for pair in fam.products for t in pair if t.fed}
     index: dict[BigVar, list[tuple[int, BigMonomial]]] = {}
     for i, fam in enumerate(families):
         for d, _scale in fam.specs:
@@ -604,12 +615,11 @@ def _march(families: list[_Rows], known: dict[BigMonomial, Fraction],
             if mono_weight(m) and next(rows_through(m), None) is None:
                 structural.setdefault(mono_weight(m), set()).add(m)
 
-    for table in fed.values():
-        table.push_all(known)
+    solved = [BigSeries.from_coeffs(seed, trunc, rel=cap)]
     free: list[BigMonomial] = []
-    for w in range(1, cap * level_max + 1):
+    for w in range(1, cap * trunc.level_max + 1):
         active = {(i, mu): rhs for i, fam in enumerate(families)
-                  for mu, rhs in fam.rhs(w, cap).items()}
+                  for (_eps, mu), rhs in fam.rhs(w, solved, cap).terms.items()}
         # close under shared unknowns: every other row is in a zero component
         todo = list(active)
         unknowns: set[BigMonomial] = set()
@@ -625,19 +635,9 @@ def _march(families: list[_Rows], known: dict[BigMonomial, Fraction],
                               for i, mu in sorted(active, key=_row_order)])
         free.extend(sorted(m for m in unknowns | structural.get(w, set())
                            if m not in assign))
-        solved = {m: c for m, c in assign.items() if c}
-        known.update(solved)
-        for table in fed.values():
-            table.push_all(solved)
-    return free
-
-
-@dataclass
-class SolveResult:
-    """A solved potential plus the monomials the equations left unconstrained."""
-
-    series: BigSeries
-    free: list[BigMonomial]
+        solved.append(BigSeries.from_coeffs(assign, trunc, rel=cap))
+    terms = {key: c for part in solved for key, c in part.terms.items()}
+    return SolveResult(BigSeries(terms, trunc, cap, _checked=True), free)
 
 
 def _hessian_specs(alpha: int, a: int, nu: int, theory: TheoryData) -> list:
@@ -718,13 +718,17 @@ def _open_families(f0: BigSeries, theory: TheoryData) -> list[_Rows]:
     return families
 
 
-def _unit_derivative(seed: JetPoly, theory: TheoryData) -> JetPoly:
-    """sum_g A^g d seed / dv{g}_0, the string equation on the small phase space."""
+def _check_seed(seed: JetPoly, want: JetPoly, theory: TheoryData, equation: str,
+                must: str) -> None:
+    """SeedError unless sum_g A^g d seed / dv{g}_0, the string equation on the
+    small phase space, equals want."""
     got = JetPoly.zero(seed.trunc)
     for alpha in range(1, theory.n + 1):
         if theory.avec[alpha - 1]:
             got = got + derivative(seed, vvar(alpha, 0)) * theory.avec[alpha - 1]
-    return got
+    if got.terms != want.terms:
+        raise SeedError(f"seed fails the restricted {equation} at "
+                        f"{_first_mismatch(got, want)} (unit derivative must {must})")
 
 
 def solve_closed_order_by_order(seed: JetPoly, theory: TheoryData) -> SolveResult:
@@ -741,30 +745,19 @@ def solve_closed_order_by_order(seed: JetPoly, theory: TheoryData) -> SolveResul
             if coef:
                 want = want + (JetPoly.var(vvar(alpha, 0), seed.trunc)
                                * JetPoly.var(vvar(beta, 0), seed.trunc)) * (coef / 2)
-    got = _unit_derivative(seed, theory)
-    if got.terms != want.terms:
-        raise SeedError("seed fails the restricted string equation at "
-                        f"{_first_mismatch(got, want)} "
-                        "(unit derivative must be the metric quadratic)")
+    _check_seed(seed, want, theory, "string equation", "be the metric quadratic")
 
-    known = _seed_coeffs(seed, theory, allow_phi=False)
-    free = _march(_closed_families(theory), known, theory.t_vars(), tr.deg_max, tr.level_max)
-    return SolveResult(BigSeries.from_coeffs(known, tr, rel=tr.deg_max), free)
+    return _march(_closed_families(theory), _seed_coeffs(seed, theory, allow_phi=False),
+                  theory.t_vars(), tr.deg_max, tr)
 
 
 def solve_open_order_by_order(f0: BigSeries, seed: JetPoly,
                               theory: TheoryData) -> SolveResult:
     """Extend an open seed to a potential killing the open string/TRR residuals."""
     tr = theory.trunc
-    want = JetPoly.var(phivar(0), seed.trunc)
-    got = _unit_derivative(seed, theory)
-    if got.terms != want.terms:
-        raise SeedError("seed fails the restricted open string equation at "
-                        f"{_first_mismatch(got, want)} "
-                        "(unit derivative must equal phi)")
+    _check_seed(seed, JetPoly.var(phivar(0), seed.trunc), theory, "open string equation",
+                "equal phi")
 
-    known = _seed_coeffs(seed, theory, allow_phi=True)
     cap_out = tr.deg_max if f0.rel is None else min(tr.deg_max, f0.rel)
-    free = _march(_open_families(f0, theory), known, theory.all_vars(), cap_out,
-                  tr.level_max)
-    return SolveResult(BigSeries.from_coeffs(known, tr, rel=cap_out), free)
+    return _march(_open_families(f0, theory), _seed_coeffs(seed, theory, allow_phi=True),
+                  theory.all_vars(), cap_out, tr)

@@ -144,10 +144,8 @@ def solve_f1o(f0: BigSeries, f0o: BigSeries, go: JetPoly,
     # the right-hand sides read one extra degree of the genus-0 data, so the
     # output window sits one below the narrowest trusted input window
     relout = min(rel for rel in (tr.deg_max, f0.rel, f0o.rel) if rel is not None) - 1
-    known = _seed_coeffs(go, theory, allow_phi=True)
-    _march(_genus1_families(f0, f0o, theory), known, theory.all_vars(), relout,
-           tr.level_max)
-    series = BigSeries.from_coeffs(known, tr, rel=relout)
+    series = _march(_genus1_families(f0, f0o, theory), _seed_coeffs(go, theory, allow_phi=True),
+                    theory.all_vars(), relout, tr).series
     report = validate_open_genus1(f0, f0o, series, theory)
     if not report.all_zero:
         bad = report.failures()[0]

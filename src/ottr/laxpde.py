@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
+from typing import Iterator
 
 from .algebra import (
     ONE,
@@ -197,6 +198,19 @@ def build_boundary_op(a: int, table: TwoPointTable, go: JetPoly,
     return LinearDiffOp(_phi_power_coeffs(dl, first), ("boun", a))
 
 
+def operators(table: TwoPointTable, go: JetPoly, theory: TheoryData
+              ) -> Iterator[tuple[tuple, LinearDiffOp]]:
+    """Every interior operator, then every boundary one, under its flow label
+    ("t", alpha, a) or ("s", a), each checked homogeneous as it is built."""
+    levels = range(theory.trunc.level_max + 1)
+    for label in ([("t", alpha, a) for alpha in range(1, theory.n + 1) for a in levels]
+                  + [("s", a) for a in levels]):
+        op = (build_interior_op(*label[1:], table, go, theory) if label[0] == "t"
+              else build_boundary_op(label[1], table, go, theory))
+        op.check_homogeneity()
+        yield label, op
+
+
 def first_order_rhs(a_slices: dict[int, tuple[BigSeries, BigSeries]],
                     f0: BigSeries, f1: BigSeries, theory: TheoryData
                     ) -> tuple[BigSeries, BigSeries]:
@@ -241,27 +255,18 @@ class EvolutionSystem:
     go: JetPoly
     ops: dict[tuple, LinearDiffOp] = field(default_factory=dict)
     a_evals: dict[tuple, dict[int, tuple[BigSeries, BigSeries]]] = field(default_factory=dict)
+    linear: dict[tuple, BigSeries] = field(default_factory=dict)
 
     @classmethod
     def build(cls, f0: BigSeries, f0o: BigSeries, f1o: BigSeries,
               theory: TheoryData, go: JetPoly | None = None) -> "EvolutionSystem":
         if go is None:
             go = extract_go(f1o, theory)
-        table = two_point_table(f0, f0o, theory)
         sys = cls(theory, f0, f0o, f1o, go)
         sol_v = vtop(f0, theory)
-        amax = theory.trunc.level_max
-        for alpha in range(1, theory.n + 1):
-            for a in range(amax + 1):
-                op = build_interior_op(alpha, a, table, go, theory)
-                op.check_homogeneity()
-                sys.ops[("t", alpha, a)] = op
-                sys.a_evals[("t", alpha, a)] = op.eval_slices(sol_v, theory)
-        for a in range(amax + 1):
-            op = build_boundary_op(a, table, go, theory)
-            op.check_homogeneity()
-            sys.ops[("s", a)] = op
-            sys.a_evals[("s", a)] = op.eval_slices(sol_v, theory)
+        for label, op in operators(two_point_table(f0, f0o, theory), go, theory):
+            sys.ops[label] = op
+            sys.a_evals[label] = op.eval_slices(sol_v, theory)
         return sys
 
     def flow_var(self, label: tuple):
@@ -290,21 +295,23 @@ class EvolutionSystem:
         """Change of some flow's eps^1 residual under f1o -> f1o + mono.
 
         The first-order system is linear in f1o, so the change is
-        d(mono)/d(flow) - sum_i i a_i^{[0]} (Xf0)^{i-1} X(mono); the first
-        flow with a nonzero change is returned (zero series if none).
+        d(mono)/d(flow) - sum_i i a_i^{[0]} (Xf0)^{i-1} X(mono), whose sum is
+        built once per flow; the first flow with a nonzero change is returned
+        (zero series if none).
         """
         tr = self.theory.trunc
         m_series = BigSeries({(0, mono): Fraction(1)}, tr, None, _checked=True)
         xm = t11_partial(m_series, 0, self.theory)
-        xf0 = t11_partial(self.f0o, 0, self.theory)
         last = BigSeries.zero(tr)
         for label in sorted(self.ops):
-            var = self.flow_var(label)
-            change = derivative(m_series, var)
+            change = derivative(m_series, self.flow_var(label))
             if not xm.is_zero():
-                change = dot(change, [(a0 * power(xf0, i - 1), xm, -i)
-                                      for i, (a0, _) in self.a_evals[label].items()
-                                      if i >= 1])
+                if label not in self.linear:
+                    xf0 = t11_partial(self.f0o, 0, self.theory)
+                    self.linear[label] = dot(BigSeries.zero(tr), [
+                        (a0, power(xf0, i - 1), i)
+                        for i, (a0, _a1) in self.a_evals[label].items() if i >= 1])
+                change = dot(change, [(self.linear[label], xm, -1)])
             if not change.is_zero():
                 return change
             last = change

@@ -108,6 +108,79 @@ class TestClosedValidation:
         assert not report.all_zero
 
 
+    def test_string_range_line_names_the_checked_window(self):
+        """A D6/A2 f0 cut to rel=4 checks the string equation up to degree 3,
+        and its range line says so; at rel=Dt it reads Dt - 1 as before."""
+        tr = Truncation.of(6, 2)
+        th = TheoryData.rank1(tr)
+        v = JetPoly.var(vvar(1, 0), tr.jet())
+        full = solve_closed_order_by_order(v * v * v * Fraction(1, 6), th).series
+        cut = BigSeries(full.terms, tr, 4)
+        report = validate_closed_genus0(cut, th)
+        assert report.entry("string").window == 3
+        assert report.checked["string"] == "single equation, degree window <= 3"
+        assert "# string: single equation, degree window <= 3" in report.summary()
+        report = validate_closed_genus0(full, th)
+        assert report.checked["string"] == "single equation, degree window <= 5"
+        open_seed = JetPoly.var(phivar(0), tr.jet())
+        open_seed = v * open_seed + open_seed * open_seed * open_seed * Fraction(1, 6)
+        f0o = solve_open_order_by_order(full, open_seed, th).series
+        report = validate_open_genus0(full, BigSeries(f0o.terms, tr, 4), th)
+        assert report.entry("open_string").window == 3
+        assert report.checked["open_string"] == "single equation, degree window <= 3"
+
+
+class TestRowSolve:
+    """The exact row solve behind every solver: propagation, then elimination."""
+
+    X = ((t_var(1, 1), 1),)
+    Y = ((t_var(1, 2), 1),)
+
+    def rows(self, third_rhs=None):
+        rows = [({self.X: Fraction(1), self.Y: Fraction(1)}, Fraction(3), ("sum",)),
+                ({self.X: Fraction(1), self.Y: Fraction(-1)}, Fraction(1), ("difference",))]
+        if third_rhs is not None:  # twice the first row
+            rows.append(({self.X: Fraction(2), self.Y: Fraction(2)}, third_rhs, ("double",)))
+        return rows
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        import ottr.genus0 as genus0
+
+        calls = []
+        real = genus0._eliminate
+
+        def spy(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(genus0, "_eliminate", spy)
+        return calls
+
+    def test_coupled_pair_solved_by_elimination(self, eliminations):
+        from ottr.genus0 import _solve_rows
+
+        assign = _solve_rows(self.rows())
+        assert eliminations == [2]  # no row has a single unknown
+        assert assign == {self.X: Fraction(2), self.Y: Fraction(1)}
+
+    def test_inconsistent_dependent_row_raises_with_its_label(self, eliminations):
+        from ottr.genus0 import _solve_rows
+
+        with pytest.raises(NoSolutionError) as err:
+            _solve_rows(self.rows(third_rhs=Fraction(7)))
+        assert eliminations == [3]
+        assert err.value.label == ("double",)
+        assert str(err.value) == "inconsistent constraint ('double',)"
+
+    def test_consistent_dependent_row_is_accepted(self, eliminations):
+        from ottr.genus0 import _solve_rows
+
+        assign = _solve_rows(self.rows(third_rhs=Fraction(6)))
+        assert eliminations == [3]
+        assert assign == {self.X: Fraction(2), self.Y: Fraction(1)}
+
+
 class TestOpenSolver:
     def test_validates(self, f0, f0o, theory8):
         report = validate_open_genus0(f0, f0o, theory8)
