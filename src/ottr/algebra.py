@@ -10,10 +10,15 @@ degree and the index; `ottr.bigphase.BigSeries` is the other subclass.
 
 Every product, `*` or one of a sum of products `dot`, runs one loop over
 packed integers: each factor becomes ``(degree, key, numerator)`` rows sorted
-by degree, over one common denominator.  A key holds one exponent field per
-variable present, lowest variable lowest, and the eps power in the top field,
-so a monomial product is a sum of keys.  The field width is the bit length of
-twice the top exponent present, never derived from the degree bound, which
+by degree, over one common denominator.  A key holds the eps power in its
+lowest field, wide enough for the eps sum of two factors; then one exponent
+field per kind and index for the kinds with alpha 0 (``s``, or ``phi`` then
+``f``); then, on top, one field per ``(alpha, index)`` of kind 0
+(``t``/``v``), so the rank needs no bound.  A monomial product is a sum of
+keys.  The layout depends on the class, the truncation and the field width
+alone, never on the partner, so each value keeps its packed rows per width
+and is packed once.  The field width is the bit length of twice the top
+exponent among a call's operands, never derived from the degree bound, which
 jet order >= 1 variables do not count toward.  `Fraction` and monomial tuples
 appear only when the result is unpacked into its terms, the one stored form.
 
@@ -47,6 +52,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping
@@ -330,19 +336,25 @@ class SparseSeries:
             return NotImplemented
         self._check_compatible(other)
         rel = _rel_min(self.rel, other.rel)
-        acc = dict(self.terms)
-        for key, coef in other.terms.items():
-            s = acc.get(key, Fraction(0)) + coef
+        a, b = self._terms_upto(rel), other._terms_upto(rel)
+        acc = dict(a)
+        acc.update(b)
+        for key in a.keys() & b.keys():
+            s = a[key] + b[key]
             if s:
                 acc[key] = s
             else:
-                acc.pop(key, None)
-        if rel is not None:
-            deg = self.mono_degree
-            acc = {k: c for k, c in acc.items() if deg(k[1]) <= rel}
+                del acc[key]
         return type(self)(acc, self.trunc, rel, _checked=True)
 
     __radd__ = __add__
+
+    def _terms_upto(self, rel: int | None) -> Mapping[TermKey, Fraction]:
+        """The terms of degree <= rel; no value stores a term above its own rel."""
+        if rel is None or (self.rel is not None and self.rel <= rel):
+            return self.terms
+        deg = self.mono_degree
+        return {k: c for k, c in self.terms.items() if deg(k[1]) <= rel}
 
     def __neg__(self):
         return type(self)({k: -c for k, c in self.terms.items()}, self.trunc,
@@ -399,14 +411,93 @@ class SparseSeries:
         return f"{type(self).__name__}({self})"
 
 
+class _Layout(dict):
+    """The packed-key layout of one class and truncation at one field width:
+    maps each variable to the shift of its exponent field.
+
+    The eps power takes the lowest field, wide enough for the eps sum of two
+    factors.  Above it come the kinds with alpha 0 (``s``, or ``phi`` then
+    ``f``), one field per kind and index; kind 0 (``t``/``v``) takes one field
+    per ``(alpha, index)`` on top, so the rank needs no bound.  A variable past
+    the class's index bound would alias the next field, so it raises the
+    class's overflow error.
+    """
+
+    def __init__(self, cls: type[SparseSeries], trunc, width: int):
+        super().__init__()
+        self.cls, self.width = cls, width
+        self.index_max = cls.bounds(trunc)[1]
+        self.eps_bits = (2 * trunc.eps_max).bit_length()
+        n = self.index_max + 1
+        self.low = [(kind, 0, i) for kind in sorted(cls.kind_names)[1:] for i in range(n)]
+        self.top_shift = self.eps_bits + len(self.low) * width
+        self.eps_mask = (1 << self.eps_bits) - 1
+        self.low_mask = (1 << self.top_shift) - 1
+        self.top: list[Var] = []  # the kind-0 variable of each top field so far
+        for f, var in enumerate(self.low):
+            self[var] = self.eps_bits + f * width
+
+    def __missing__(self, var: Var) -> int:
+        kind, alpha, index = var
+        if kind or index > self.index_max:
+            raise self.cls.overflow_error(
+                f"{self.cls.index_name} exceeds bound {self.index_max} "
+                f"in {self.cls.var_name(var)}")
+        n = self.index_max + 1
+        field = (alpha - 1) * n + index
+        while len(self.top) <= field:
+            self.top.append((0, len(self.top) // n + 1, len(self.top) % n))
+        self[var] = shift = self.top_shift + field * self.width
+        return shift
+
+    def unpack(self, key: int) -> TermKey:
+        """The (eps power, monomial) of a key, kind-0 factors first as they sort."""
+        width, mask = self.width, (1 << self.width) - 1
+        mono = []
+        for fields, names in ((key >> self.top_shift, self.top),
+                              ((key & self.low_mask) >> self.eps_bits, self.low)):
+            i = 0
+            while fields:
+                if fields & mask:
+                    mono.append((names[i], fields & mask))
+                fields >>= width
+                i += 1
+        return key & self.eps_mask, tuple(mono)
+
+
+_layout = cache(_Layout)  # one layout per class, truncation and width
+
+
+def _top_exponent(p: SparseSeries) -> int:
+    return max((x for _e, m in p.terms for _v, x in m), default=0)
+
+
+def _pack(p: SparseSeries, layout: _Layout) -> tuple[int, list[tuple[int, int, int]]]:
+    """(den, [(degree, key, numerator)]): p's `by_degree` rows over their
+    common denominator, keyed in the layout."""
+    rows = p.by_degree()
+    den = lcm(*(q.denominator for *_, q in rows))
+    out = []
+    for d, e, m, q in rows:
+        k = e
+        for v, x in m:
+            k += x << layout[v]
+        out.append((d, k, q.numerator * (den // q.denominator)))
+    return den, out
+
+
 def dot(start: SparseSeries,
         products: Iterable[tuple[SparseSeries, SparseSeries, int | Fraction]]
         ) -> SparseSeries:
     """start + the sum of c * a * b over the (a, b, c) in products, as the
     chain ``start + a*b*c + ...`` of `*` and `+` gives it: the sum's rel is
-    the least of start's and each ``a * b``'s.  Start's terms and all
-    products add into one packed accumulator (see the module docstring); a
-    key past a limit has an eps power past the bound."""
+    the least of start's and each ``a * b``'s.
+
+    Start's terms and all products add into one packed accumulator (see the
+    module docstring).  The field width is the bit length of twice the top
+    exponent among the call's operands.  Each operand keeps its packed rows
+    per width in its memo, so the call only cuts them at the sum's cap and
+    multiplies.  A product key whose eps field exceeds the bound is dropped."""
     cls, tr = type(start), start.trunc
     deg_max = cls.bounds(tr)[0]
     plan, rel = [], start.rel
@@ -417,59 +508,49 @@ def dot(start: SparseSeries,
         r = _rel_min(None if a.rel is None else _rel_add(a.rel, b.valuation()),
                      None if b.rel is None else _rel_add(b.rel, a.valuation()))
         rel = _rel_min(rel, _rel_cap(r, deg_max))
-        plan.append((a.by_degree(), b.by_degree(), frac(c)))
+        c = frac(c)
+        if c and a.terms and b.terms:
+            plan.append((a, b, c))
     # Every product stops at the sum's cap: what lies past it is dropped anyway.
     cap = deg_max if rel is None else rel
-    rs = [row for row in start.by_degree() if row[0] <= cap] if start.terms else []
-    live = [(ra[:bisect_right(ra, cap - rb[0][0], key=itemgetter(0))],
-             rb[:bisect_right(rb, cap - ra[0][0], key=itemgetter(0))], c)
-            for ra, rb, c in plan if c and ra and rb]
-    if not live and rel == start.rel and len(rs) == len(start.terms):
+    ns = bisect_right(start.by_degree(), cap, key=itemgetter(0)) if start.terms else 0
+    live = []
+    for a, b, c in plan:
+        ra, rb = a.by_degree(), b.by_degree()
+        na = bisect_right(ra, cap - rb[0][0], key=itemgetter(0))
+        nb = bisect_right(rb, cap - ra[0][0], key=itemgetter(0))
+        if na and nb:
+            live.append((a, na, b, c))
+    if not live and rel == start.rel and ns == len(start.terms):
         return start  # nothing to add
-    factors = {f for rows in [rs, *(ra + rb for ra, rb, _c in live)]
-               for *_, m, _q in rows for f in m}
-    names = sorted({v for v, _x in factors})
-    width = (2 * max((x for _v, x in factors), default=0)).bit_length()
-    shift = {v: i * width for i, v in enumerate(names)}
-    eps_shift = len(names) * width
+    operands = [p for a, _na, b, _c in live for p in (a, b)]
+    if ns:
+        operands.append(start)
+    width = (2 * max((p.derived(("top",), _top_exponent) for p in operands),
+                     default=0)).bit_length()
+    layout = _layout(cls, tr, width)
 
-    def pack(rows: list) -> tuple[int, list[tuple[int, int, int]]]:
-        den = lcm(*(q.denominator for *_, q in rows))
-        out = []
-        for d, e, m, q in rows:
-            k = e << eps_shift
-            for v, x in m:
-                k += x << shift[v]
-            out.append((d, k, q.numerator * (den // q.denominator)))
-        return den, out
+    def packed(p: SparseSeries):
+        return p.derived(("packed", width), _pack, layout)
 
-    ds, ps = pack(rs)
-    live = [(*pack(ra), *pack(rb), c) for ra, rb, c in live]
-    den = lcm(ds, *(da * db * c.denominator for da, _pa, db, _pb, c in live))
-    limit = (tr.eps_max + 1) << eps_shift
+    ds, ps = packed(start) if ns else (1, [])
+    live = [(*packed(a), na, *packed(b), c) for a, na, b, c in live]
+    den = lcm(ds, *(da * db * c.denominator for da, _pa, _na, db, _pb, c in live))
     acc: dict[int, int] = defaultdict(int)
     scale = den // ds
-    for _d, k, n in ps:
+    for _d, k, n in ps[:ns]:
         acc[k] += n * scale
-    for da, pa, db, pb, c in live:
+    for da, pa, na, db, pb, c in live:
         scale = c.numerator * (den // (da * db * c.denominator))
-        for d1, k1, n1 in pa:
+        for d1, k1, n1 in pa[:na]:
             n1 *= scale
             for d2, k2, n2 in pb:
-                if d1 + d2 > cap:
+                if d1 + d2 > cap:  # b's rows are sorted by degree
                     break
                 acc[k1 + k2] += n1 * n2
-    mask, low = (1 << width) - 1, (1 << eps_shift) - 1
-    terms: dict[TermKey, Fraction] = {}
-    for k, n in acc.items():
-        if n and k < limit:
-            mono, rest, i = [], k & low, 0
-            while rest:
-                if rest & mask:
-                    mono.append((names[i], rest & mask))
-                rest >>= width
-                i += 1
-            terms[(k >> eps_shift, tuple(mono))] = Fraction(n, den)
+    eps_mask, eps_max, unpack = layout.eps_mask, tr.eps_max, layout.unpack
+    terms = {unpack(k): Fraction(n, den) for k, n in acc.items()
+             if n and k & eps_mask <= eps_max}
     return cls(terms, tr, rel, _checked=True)
 
 
@@ -501,7 +582,7 @@ def partial(p: SparseSeries, var: Var) -> SparseSeries:
             else:
                 factors[idx] = (v, exp - 1)
             # distinct monomials stay distinct after removing one factor of var
-            acc[(eps, tuple(factors))] = coef * exp
+            acc[(eps, tuple(factors))] = coef if exp == 1 else coef * exp
             break
     rel = None if p.rel is None else p.rel - p.var_degree(var)
     return type(p)(acc, p.trunc, rel, _checked=True)

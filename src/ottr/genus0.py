@@ -18,9 +18,10 @@ solution as one series per solved weight.  A derivative table (`_Table`) is
 a kernel value at every weight: `spec_sum` of a weight slice of its source.
 At weight w each row is affine in the weight-w unknowns, and a family's
 right-hand sides are one kernel `dot` over the products of lower-weight table
-parts, the same product loop the validators use.  The engine activates the
-rows with a nonzero right-hand side, closes them under shared unknowns, and
-solves them in the dense row order.  Every row it skips lies in a connected
+parts, the same product loop the validators use, evaluated only at the
+weights where two nonzero table parts meet below the degree cap.  The engine
+activates the rows with a nonzero right-hand side, closes them under shared
+unknowns, and solves them in the dense row order.  Every row it skips lies in a connected
 component whose right-hand sides all vanish, so it reads 0 = 0 under the
 zero default: skipping it changes no coefficient and no inconsistency report.
 Monomials no row contains (one-point data and, in the closed case, two-point
@@ -72,7 +73,14 @@ class SeedError(ValueError):
 
 
 class NoSolutionError(Exception):
-    """The staged linear system became inconsistent."""
+    """The staged linear system became inconsistent.
+
+    `label` names the conflicting row.  `weight` is the descendent weight
+    whose rows conflict, set by the solver engine; it stays None when the
+    failure belongs to no weight stage.
+    """
+
+    weight: int | None = None
 
     def __init__(self, label, message):
         self.label = label
@@ -433,8 +441,8 @@ class _Table:
     from a series, and the engine's solved slices for a fed table, one built
     without, which stands for the potential under solution or test.  Every
     spec has the table weight.  A slice never changes once present, so the
-    table keeps each nonzero part itself; a memo on the slice would hash the
-    `Fraction` scales at every lookup.
+    table keeps each nonzero part itself (`nonzero`, by weight); a memo on the
+    slice would hash the `Fraction` scales at every lookup.
     """
 
     def __init__(self, specs: Sequence[tuple[tuple[BigVar, ...], Fraction]],
@@ -445,18 +453,20 @@ class _Table:
         self.slices: list[BigSeries] | None = None
         self.seen, self.nonzero = 0, {}
 
-    def parts(self, solved: list[BigSeries]) -> dict[int, BigSeries]:
-        """The nonzero parts by weight, over every slice present."""
+    def refresh(self, solved: list[BigSeries]) -> list[int]:
+        """Take in the slices present since the last call; returns the
+        weights of the new nonzero parts."""
         slices = solved if self.series is None else self.slices or weight_slices(self.series)
         if slices is not self.slices:  # first use, or the slices of a new solve
             self.slices, self.seen, self.nonzero = slices, self.weight, {}
-        if self.seen < len(slices):
-            for s in range(self.seen, len(slices)):
-                part = _spec_sum(slices[s], self.specs) if slices[s].terms else slices[s]
-                if part.terms:
-                    self.nonzero[s - self.weight] = part
-            self.seen = len(slices)
-        return self.nonzero
+        new = []
+        for s in range(self.seen, len(slices)):
+            part = _spec_sum(slices[s], self.specs) if slices[s].terms else slices[s]
+            if part.terms:
+                self.nonzero[s - self.weight] = part
+                new.append(s - self.weight)
+        self.seen = max(self.seen, len(slices))
+        return new
 
 
 class _Rows:
@@ -475,18 +485,17 @@ class _Rows:
         self.offset = mono_weight(self.specs[0][0])
         self.arity = mono_degree(self.specs[0][0])
 
-    def rhs(self, weight: int, solved: list[BigSeries], cap: int) -> BigSeries:
+    def rhs(self, weight: int, cap: int, trunc: Truncation) -> BigSeries:
         """The right-hand sides of the rows whose unknowns have this weight, as
-        one series in mu: one `dot` over the nonzero pairs of table parts, cut
-        at degree cap - arity by its start.  `solved` holds the fed tables'
-        slices by weight."""
+        one series in mu: one `dot` over the pairs of the tables' nonzero
+        parts, cut at degree cap - arity by its start."""
         w = weight - self.offset
         pairs = []
-        for a, b in self.products if w >= 0 else ():
-            right = b.parts(solved)
-            pairs += [(part, right[w - w1], 1) for w1, part in a.parts(solved).items()
+        for a, b in self.products:
+            right = b.nonzero
+            pairs += [(part, right[w - w1], 1) for w1, part in a.nonzero.items()
                       if w - w1 in right]
-        return dot(BigSeries.zero(solved[0].trunc, cap - self.arity), pairs)
+        return dot(BigSeries.zero(trunc, cap - self.arity), pairs)
 
     def pins(self, mu: BigMonomial) -> dict[BigMonomial, Fraction]:
         """The left-hand side of the row at mu."""
@@ -591,6 +600,13 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
     `seed` holds the weight-0 data.  Each solved weight becomes one slice of
     degree <= cap, the seed the first; the fed tables read these slices.  The
     result has rel = cap and lists the free monomials weight by weight.
+
+    A family's right-hand sides at a weight are nonzero only if two nonzero
+    parts of one of its products sum to that weight less the family's
+    offset, and their lowest degrees to at most cap - arity, the degree its
+    right-hand sides are cut at.  Each table is refreshed once per weight,
+    and each new part marks the families it makes due, so only those are
+    evaluated.  A conflict raises `NoSolutionError` with its weight.
     """
     index: dict[BigVar, list[tuple[int, BigMonomial]]] = {}
     for i, fam in enumerate(families):
@@ -615,11 +631,27 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
             if mono_weight(m) and next(rows_through(m), None) is None:
                 structural.setdefault(mono_weight(m), set()).add(m)
 
+    # each table with the families it feeds and its partner in their product
+    feeds: dict[_Table, list[tuple[int, _Table]]] = {}
+    for i, fam in enumerate(families):
+        for a, b in fam.products:
+            feeds.setdefault(a, []).append((i, b))
+            feeds.setdefault(b, []).append((i, a))
+    due: dict[int, set[int]] = defaultdict(set)  # weight -> families to evaluate
+
     solved = [BigSeries.from_coeffs(seed, trunc, rel=cap)]
     free: list[BigMonomial] = []
     for w in range(1, cap * trunc.level_max + 1):
-        active = {(i, mu): rhs for i, fam in enumerate(families)
-                  for (_eps, mu), rhs in fam.rhs(w, solved, cap).terms.items()}
+        for table, users in feeds.items():
+            for j in table.refresh(solved):
+                low = table.nonzero[j].by_degree()[0][0]
+                for i, partner in users:
+                    room = cap - families[i].arity - low  # the degree the partner may have
+                    for k, part in partner.nonzero.items():
+                        if part.by_degree()[0][0] <= room:
+                            due[j + k + families[i].offset].add(i)
+        active = {(i, mu): rhs for i in sorted(due.pop(w, ()))
+                  for (_eps, mu), rhs in families[i].rhs(w, cap, trunc).terms.items()}
         # close under shared unknowns: every other row is in a zero component
         todo = list(active)
         unknowns: set[BigMonomial] = set()
@@ -631,8 +663,13 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
                     if key not in active:
                         active[key] = Fraction(0)
                         todo.append(key)
-        assign = _solve_rows([(families[i].pins(mu), active[(i, mu)], families[i].label + (mu,))
-                              for i, mu in sorted(active, key=_row_order)])
+        try:
+            assign = _solve_rows([(families[i].pins(mu), active[(i, mu)],
+                                   families[i].label + (mu,))
+                                  for i, mu in sorted(active, key=_row_order)])
+        except NoSolutionError as err:
+            err.weight = w
+            raise
         free.extend(sorted(m for m in unknowns | structural.get(w, set())
                            if m not in assign))
         solved.append(BigSeries.from_coeffs(assign, trunc, rel=cap))

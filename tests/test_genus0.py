@@ -171,6 +171,7 @@ class TestRowSolve:
             _solve_rows(self.rows(third_rhs=Fraction(7)))
         assert eliminations == [3]
         assert err.value.label == ("double",)
+        assert err.value.weight is None  # no weight stage outside the engine
         assert str(err.value) == "inconsistent constraint ('double',)"
 
     def test_consistent_dependent_row_is_accepted(self, eliminations):
@@ -207,7 +208,8 @@ class TestOpenSolver:
         f0 = f0 + BigSeries.from_coeffs({bad: Fraction(1)}, tr, rel=f0.rel)
         with pytest.raises(NoSolutionError) as err:
             solve_open_order_by_order(f0, v * phi + phi * phi * phi * Fraction(1, 6), th)
-        assert err.value.label[:2] == ("open_trr_t", (1, 0, s_var(0)))
+        assert err.value.label == ("open_trr_t", (1, 0, s_var(0)), ((t_var(1, 1), 1),))
+        assert err.value.weight == 2  # the weight of the unknown t1_1^2 s_0
 
     def test_idempotence(self, f0o, open_seed, theory8):
         from ottr.bigphase import restrict_small

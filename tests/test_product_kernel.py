@@ -1,21 +1,28 @@
-"""The packed product loop (`*` and `dot`) against the tuple/Fraction double loop."""
+"""The kernel against plain reference loops: the packed product loop (`*` and
+`dot`) against the tuple/Fraction double loop, and `+`, `-` and `partial`
+against dict merges."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ottr.algebra import (
+    ONE,
+    JetOverflowError,
     JetPoly,
     JetTruncation,
     dot,
     fvar,
+    mono_div_var,
     mono_from_factors,
     mono_mul,
+    partial,
     phivar,
     vvar,
 )
-from ottr.bigphase import BigSeries, Truncation, s_var, t_var
+from ottr.bigphase import BigSeries, LevelOverflowError, Truncation, s_var, t_var
 
 TR = Truncation.of(5, 2, eps_max=2)
 JT = JetTruncation(3, 3, 2)
@@ -52,11 +59,27 @@ def _reference_mul(p, q):
     return cls(acc, tr, rel, _checked=True)
 
 
+def _rel_min(*rels):
+    finite = [r for r in rels if r is not None]
+    return min(finite) if finite else None
+
+
+def _reference_sum(cls, tr, rel, signed_terms):
+    """Sum of (sign, terms) by a dict merge, every term cut at rel."""
+    acc = {}
+    for sign, terms in signed_terms:
+        for key, coef in terms.items():
+            acc[key] = acc.get(key, Fraction(0)) + sign * coef
+    deg = cls.mono_degree
+    return cls({k: c for k, c in acc.items() if c and (rel is None or deg(k[1]) <= rel)},
+               tr, rel, _checked=True)
+
+
 def _reference_dot(start, products):
-    out = start
-    for a, b, c in products:
-        out = out + _reference_mul(a, b) * c
-    return out
+    muls = [(_reference_mul(a, b), frac_c) for a, b, frac_c in products]
+    rel = _rel_min(start.rel, *(m.rel for m, _c in muls))
+    return _reference_sum(type(start), start.trunc, rel,
+                          [(1, start.terms)] + [(c, m.terms) for m, c in muls])
 
 
 def _same(x, y):
@@ -139,3 +162,136 @@ def test_field_width_follows_the_exponents_not_the_degree_bound():
     p9 = JetPoly({(0, ((vvar(1, 1), 9),)): Fraction(1)}, JT)
     assert p9 * p9 == JetPoly({(0, ((vvar(1, 1), 18),)): Fraction(1)}, JT)
     assert (p9 * v11).terms == {(0, ((vvar(1, 1), 10),)): Fraction(1)}
+
+
+def test_rank3_variables_at_the_top_level():
+    """Kind 0 takes one field per (alpha, level) on top of the s fields."""
+    top = [BigSeries.var(v, TR) for v in (t_var(3, 2), t_var(1, 2), s_var(2), t_var(2, 0))]
+    p = top[0] * top[0] + top[1] * top[2] + top[3] + BigSeries.const(Fraction(1, 3), TR)
+    q = top[2] * top[2] * Fraction(-2, 5) + top[0] * top[3] + top[1]
+    assert _same(p * q, _reference_mul(p, q))
+    assert _same(dot(q, [(p, q, 2), (q, q, Fraction(1, 7))]),
+                 _reference_dot(q, [(p, q, 2), (q, q, Fraction(1, 7))]))
+
+
+def test_high_jet_exponent_widens_the_field():
+    p = (JetPoly({(0, ((vvar(1, 1), 40),)): Fraction(1, 2)}, JT)
+         + JetPoly.var(vvar(1, 0), JT) * JetPoly.var(phivar(2), JT))
+    q = JetPoly({(1, ((vvar(1, 1), 39), (fvar(3), 2))): Fraction(3)}, JT) + JetPoly.var(vvar(2, 3), JT)
+    assert (p * p).coefficient(((vvar(1, 1), 80),)) == Fraction(1, 4)
+    for a, b in ((p, p), (p, q), (q, q)):
+        assert _same(a * b, _reference_mul(a, b))
+    assert _same(dot(q, [(p, q, -1), (q, p, 1)]), _reference_dot(q, [(p, q, -1), (q, p, 1)]))
+
+
+def test_eps_sums_past_the_bound_are_dropped():
+    """eps takes the lowest field, wide enough for the sum 2 * eps_max."""
+    a = BigSeries({(2, ((t_var(1, 0), 1),)): Fraction(1), (1, ((s_var(0), 1),)): Fraction(2),
+                   (1, ONE): Fraction(1, 2), (0, ((t_var(1, 1), 1),)): Fraction(1, 2),
+                   (2, ONE): Fraction(1)}, TR)
+    b = BigSeries({(2, ONE): Fraction(1), (1, ((t_var(1, 1), 1),)): Fraction(-1)}, TR)
+    product = a * b
+    assert _same(product, _reference_mul(a, b))
+    assert {e for e, _m in product.terms} == {1, 2}
+    assert _same(dot(a, [(a, b, 3), (b, b, 1)]), _reference_dot(a, [(a, b, 3), (b, b, 1)]))
+
+
+def test_one_factor_packed_at_two_widths():
+    p = BigSeries.var(t_var(1, 0), TR) + BigSeries.var(s_var(1), TR)
+    q = BigSeries({(0, ((t_var(1, 1), 4),)): Fraction(1, 3)}, TR)
+    zero = BigSeries.zero(TR)
+    assert _same(dot(zero, [(p, p, 1)]), _reference_mul(p, p))  # width 2
+    assert _same(dot(zero, [(p, q, 1)]), _reference_mul(p, q))  # width 4
+    assert _same(dot(zero, [(p, p, 1)]), _reference_mul(p, p))  # width 2 again
+    assert {key[1] for key in p._memo if key[0] == "packed"} == {2, 4}
+
+
+def test_dot_with_nothing_to_add_returns_start_unpacked():
+    start = BigSeries.var(t_var(1, 0), TR) + BigSeries.var(s_var(2), TR)
+    assert dot(start, [(start, BigSeries.zero(TR), 1), (start, start, 0)]) is start
+    assert not any(key[0] == "packed" for key in start._memo or ())
+
+
+@pytest.mark.parametrize("value, other, error", [
+    (BigSeries({(0, ((t_var(1, 3), 1),)): Fraction(1)}, TR, _checked=True),
+     BigSeries.var(t_var(1, 0), TR), LevelOverflowError),
+    (BigSeries({(0, ((s_var(3), 2),)): Fraction(1)}, TR, _checked=True),
+     BigSeries.var(s_var(0), TR), LevelOverflowError),
+    (JetPoly({(0, ((phivar(4), 1),)): Fraction(1)}, JT, _checked=True),
+     JetPoly.var(phivar(3), JT), JetOverflowError),
+    (JetPoly({(0, ((vvar(2, 4), 1),)): Fraction(1)}, JT, _checked=True),
+     JetPoly.var(vvar(1, 0), JT), JetOverflowError),
+])
+def test_index_past_the_bound_raises_the_class_overflow_error(value, other, error):
+    """Its field would alias the next variable's; only `_checked` lets it in."""
+    with pytest.raises(error):
+        value * other
+    with pytest.raises(error):
+        dot(other, [(other, value, 1)])
+
+
+# -- `+`, `-` and `partial` ----------------------------------------------------
+
+REL_CASES = ["equal", "both None", "left None", "right None", "left smaller", "right smaller"]
+
+
+@st.composite
+def add_cases(draw):
+    """Two values sharing some keys, some of them cancelling, with rels in
+    one of the REL_CASES relations."""
+    variables = [t_var(alpha, a) for alpha in (1, 2) for a in range(3)] + [s_var(a) for a in range(3)]
+    factors = st.lists(st.tuples(st.sampled_from(variables), st.integers(1, 3)), max_size=3)
+    keys = st.tuples(st.integers(0, TR.eps_max), factors.map(mono_from_factors))
+    left = draw(st.dictionaries(keys, coefs, max_size=8))
+    right = draw(st.dictionaries(keys, coefs, max_size=8))
+    for key in draw(st.lists(st.sampled_from(sorted(left)), max_size=4)) if left else ():
+        right[key] = -left[key] if draw(st.booleans()) else draw(coefs)
+    case = draw(st.sampled_from(REL_CASES))
+    r1, r2 = sorted(draw(st.lists(st.integers(-1, 5), min_size=2, max_size=2)))
+    rel_left, rel_right = {
+        "equal": (r1, r1), "both None": (None, None), "left None": (None, r1),
+        "right None": (r1, None), "left smaller": (r1, r2), "right smaller": (r2, r1),
+    }[case]
+    return BigSeries(left, TR, rel_left), BigSeries(right, TR, rel_right)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(add_cases())
+def test_add_and_sub_match_the_reference_merge(case):
+    a, b = case
+    rel = _rel_min(a.rel, b.rel)
+    assert _same(a + b, _reference_sum(BigSeries, TR, rel, [(1, a.terms), (1, b.terms)]))
+    assert _same(a - b, _reference_sum(BigSeries, TR, rel, [(1, a.terms), (-1, b.terms)]))
+    assert _same(b + a, a + b)
+
+
+def _reference_partial(p, var):
+    acc = {}
+    for (eps, mono), coef in p.terms.items():
+        rest = mono_div_var(mono, var)
+        if rest is not None:
+            acc[(eps, rest)] = coef * dict(mono)[var]
+    rel = None if p.rel is None else p.rel - p.var_degree(var)
+    return type(p)(acc, p.trunc, rel)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(big_series(2), st.sampled_from([t_var(1, 0), t_var(2, 1), s_var(0), s_var(2)]))
+def test_partial_matches_the_reference(p, var):
+    assert _same(partial(p, var), _reference_partial(p, var))
+
+
+def _within_rel(value):
+    deg = type(value).mono_degree
+    return value.rel is None or all(deg(m) <= value.rel for _e, m in value.terms)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(ranks.flatmap(lambda n: dot_cases(big_series(n))),
+       st.sampled_from([t_var(1, 0), t_var(1, 2), s_var(1)]), coefs)
+def test_no_kernel_operation_stores_a_term_above_its_rel(case, var, scalar):
+    start, products = case
+    results = [dot(start, products), start * scalar, start.eps_slice(1), partial(start, var)]
+    for a, b, _c in products:
+        results += [a + b, a - b, a * b, partial(a * b, var)]
+    assert all(_within_rel(r) for r in results)

@@ -15,6 +15,7 @@ from ottr.bigphase import (
     Truncation,
     mono_from_factors,
     relabel_component,
+    t_var,
 )
 from ottr.genus0 import (
     NoSolutionError,
@@ -124,7 +125,8 @@ def test_rank3_inconsistent_seed_has_no_solution():
     """t3^4 breaks WDVV: the solver must report the failing trr0 row."""
     with pytest.raises(NoSolutionError) as err:
         solve_closed_order_by_order(_rank3_seed(3), TH3)
-    assert err.value.label[:2] == ("trr0", (2, 0, 3, 0, 3, 0))
+    assert err.value.label == ("trr0", (2, 0, 3, 0, 3, 0), ((t_var(2, 0), 1), (t_var(3, 0), 1)))
+    assert err.value.weight == 1  # the weight of the unknown t2_0 t2_1 t3_0^3
 
 
 def test_rank3_consistent_quartic_solves():
