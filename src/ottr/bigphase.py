@@ -4,8 +4,11 @@ Series live in the variables ``t{alpha}_{a}`` (1 <= alpha <= N, 0 <= a <=
 level bound) and ``s_{a}``, with exact rational coefficients and an optional
 eps power per term.  The module also houses the theory context (rank, metric,
 unit direction, truncation bounds), the small-phase-space restriction onto
-jet variables, the distinguished solutions built from genus-0 potentials, and
-substitution of differential polynomials along those solutions.
+jet variables, the distinguished solutions built from genus-0 potentials and
+the boundary pairing, the logarithm of a series, and substitution of
+differential polynomials along those solutions.  The genus-1 closed forms
+take the logarithm of the boundary pairing and of a determinant; it comes
+from its degree recurrence, one kernel `dot` per degree.
 
 The x-direction is never introduced as a variable: every x-dependence enters
 through the shift ``t{gamma}_0 -> t{gamma}_0 + A^gamma x``, so d/dx acts on
@@ -36,6 +39,7 @@ from .algebra import (
     _rel_cap,
     _rel_min,
     derivative,
+    dot,
     frac,
     mono_from_factors,
     mono_max_index,
@@ -263,15 +267,7 @@ def vtop(f0: BigSeries, theory: TheoryData) -> list[BigSeries]:
 
 def _vtop(f0: BigSeries, theory: TheoryData) -> tuple[BigSeries, ...]:
     base = t11_partial(f0, 0, theory)
-    out = []
-    for alpha in range(1, theory.n + 1):
-        acc = BigSeries.zero(f0.trunc, base.rel if base.rel is None else base.rel - 1)
-        for mu in range(1, theory.n + 1):
-            coef = theory.eta_inv[alpha - 1][mu - 1]
-            if coef:
-                acc = acc + derivative(base, t_var(mu, 0)) * coef
-        out.append(acc)
-    return tuple(out)
+    return tuple(_t11_partial(base, 0, row) for row in theory.eta_inv)
 
 
 def phitop(f0o: BigSeries, theory: TheoryData) -> BigSeries:
@@ -279,40 +275,33 @@ def phitop(f0o: BigSeries, theory: TheoryData) -> BigSeries:
     return t11_partial(f0o, 0, theory)
 
 
+def boundary_pairing(f0o: BigSeries, theory: TheoryData) -> BigSeries:
+    """d^2 F0o / dt11_0 ds_0, the series whose log drives the open genus-1
+    closed form and whose level-0 part the open normalization checks."""
+    return t11_partial(derivative(f0o, s_var(0)), 0, theory)
+
+
 def series_log(f: BigSeries) -> BigSeries:
-    """log f for a series with constant term exactly 1."""
+    """log f for a series with constant term exactly 1, with f's rel.
+
+    With E the degree operator, f * E(log f) = E(f) gives the degree-n slice
+    g_n of log f from the slices f_n of f (f_0 = 1) as
+    n g_n = n f_n - sum_{0<k<n} k g_k f_{n-k}: one `dot` per degree (J. C. P.
+    Miller's recurrence, Knuth, TAOCP vol. 2, section 4.7).  Eps powers are
+    constants for E, so the slices carry them along.
+    """
     if f.constant_term() != 1 or any(f.terms.get((e, ONE)) for e in range(1, f.trunc.eps_max + 1)):
         raise ValueError("series_log needs constant term 1")
-    x = f - 1
-    out = BigSeries.zero(f.trunc, f.rel)
-    power = BigSeries.const(1, f.trunc)
     top = f.trunc.deg_max if f.rel is None else min(f.trunc.deg_max, f.rel)
-    for k in range(1, top + 1):
-        power = power * x
-        if power.is_zero():
-            break
-        out = out + power * Fraction((-1) ** (k + 1), k)
-    return BigSeries(out.terms, f.trunc, f.rel, _checked=True)
-
-
-def series_exp(f: BigSeries) -> BigSeries:
-    """exp f for a series with zero constant term."""
-    if f.constant_term() != 0:
-        raise ValueError("series_exp needs zero constant term")
-    val = f.valuation()
-    if val is not None and val < 1:
-        raise ValueError("series_exp needs zero constant term")
-    out = BigSeries.const(1, f.trunc, f.rel)
-    power = BigSeries.const(1, f.trunc)
-    top = f.trunc.deg_max if f.rel is None else min(f.trunc.deg_max, f.rel)
-    fact = Fraction(1)
-    for k in range(1, top + 1):
-        power = power * f
-        if power.is_zero():
-            break
-        fact *= k
-        out = out + power * (1 / fact)
-    return BigSeries(out.terms, f.trunc, f.rel, _checked=True)
+    rows = [{} for _ in range(top + 1)]
+    for d, e, m, c in f.by_degree():
+        rows[d][(e, m)] = c
+    fs = [BigSeries(r, f.trunc, None, _checked=True) for r in rows]
+    gs = [BigSeries.zero(f.trunc)]
+    for n in range(1, top + 1):
+        gs.append(dot(fs[n], [(gs[k], fs[n - k], Fraction(-k, n)) for k in range(1, n)]))
+    return BigSeries({key: c for g in gs for key, c in g.terms.items()}, f.trunc, f.rel,
+                     _checked=True)
 
 
 def eval_jetpoly(p: JetPoly, sol_v: Sequence[BigSeries],

@@ -58,6 +58,7 @@ from .bigphase import (
     TheoryData,
     Truncation,
     big_var_name,
+    boundary_pairing,
     mono_degree,
     mono_from_factors,
     mono_weight,
@@ -184,9 +185,8 @@ def _string_and_dilaton(report: ResidualReport, prefix: str, f: BigSeries, scale
     if theory.trunc.level_max < 1:
         report.checked[prefix + "dilaton"] = "skipped: needs level bound >= 1"
         return
-    euler = BigSeries.zero(f.trunc)
-    for x in variables:
-        euler = euler + BigSeries.var(x, f.trunc) * derivative(f, x)
+    euler = dot(BigSeries.zero(f.trunc),
+                [(BigSeries.var(x, f.trunc), derivative(f, x), 1) for x in variables])
     report.add(prefix + "dilaton", (), -t11_partial(f, 1, theory) - scaled + euler)
     report.checked[prefix + "dilaton"] = "single equation"
 
@@ -227,7 +227,7 @@ def validate_open_genus0(f0: BigSeries, f0o: BigSeries, theory: TheoryData
     report = ResidualReport()
     report.add_rows(_open_families(f0, theory), f0o)
     _string_and_dilaton(report, "open_", f0o, f0o, theory.all_vars(), theory)
-    pairing = t11_partial(derivative(f0o, s_var(0)), 0, theory)
+    pairing = boundary_pairing(f0o, theory)
     level0 = {key: coef for key, coef in pairing.terms.items()
               if all(level == 0 for (_k, _a, level), _e in key[1])}
     norm = BigSeries(level0, tr, pairing.rel, _checked=True) - 1
@@ -696,6 +696,14 @@ def _string_rows(label: str, d1: dict[BigVar, _Table], source: BigSeries,
                  shift + [(_Table(_ID, -source), unit)])
 
 
+def _metric_quadratic(cls, var, trunc, theory: TheoryData):
+    """(1/2) eta_{alpha beta} x_alpha x_beta as a cls value, x_alpha = var(alpha)."""
+    nus = range(1, theory.n + 1)
+    return dot(cls.zero(trunc), [(cls.var(var(alpha), trunc), cls.var(var(beta), trunc),
+                                  theory.eta[alpha - 1][beta - 1] / 2)
+                                 for alpha in nus for beta in nus])
+
+
 def _closed_families(theory: TheoryData) -> list[_Rows]:
     """The closed genus-0 string equation and recursion relations (trr0).
 
@@ -703,13 +711,7 @@ def _closed_families(theory: TheoryData) -> list[_Rows]:
     """
     tr = theory.trunc
     nus = range(1, theory.n + 1)
-    metric = BigSeries.zero(tr)
-    for alpha in nus:
-        for beta in nus:
-            coef = theory.eta[alpha - 1][beta - 1]
-            if coef:
-                metric = metric + (BigSeries.var(t_var(alpha, 0), tr)
-                                   * BigSeries.var(t_var(beta, 0), tr)) * (coef / 2)
+    metric = _metric_quadratic(BigSeries, lambda alpha: t_var(alpha, 0), tr, theory)
     pairs = {(beta, b, gamma, c): (t_var(beta, b), t_var(gamma, c))
              for beta, b, gamma, c in _index_pairs(theory)}
     third = {(nu, pair): _Table([((t_var(nu, 0), *dvars), Fraction(1))])
@@ -775,13 +777,7 @@ def solve_closed_order_by_order(seed: JetPoly, theory: TheoryData) -> SolveResul
     NoSolutionError when some stage has no consistent extension.
     """
     tr = theory.trunc
-    want = JetPoly.zero(seed.trunc)
-    for alpha in range(1, theory.n + 1):
-        for beta in range(1, theory.n + 1):
-            coef = theory.eta[alpha - 1][beta - 1]
-            if coef:
-                want = want + (JetPoly.var(vvar(alpha, 0), seed.trunc)
-                               * JetPoly.var(vvar(beta, 0), seed.trunc)) * (coef / 2)
+    want = _metric_quadratic(JetPoly, vvar, seed.trunc, theory)
     _check_seed(seed, want, theory, "string equation", "be the metric quadratic")
 
     return _march(_closed_families(theory), _seed_coeffs(seed, theory, allow_phi=False),

@@ -12,18 +12,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import JetPoly, derivative, dot
+from .algebra import JetPoly, dot
 from .bigphase import (
     KIND_T,
     BigSeries,
     BigVar,
     TheoryData,
+    boundary_pairing,
     eval_jetpoly,
     phitop,
     restrict_small,
     s_var,
     series_log,
-    t11_partial,
     t_var,
     vtop,
 )
@@ -109,11 +109,6 @@ def validate_open_genus1(f0: BigSeries, f0o: BigSeries, f1o: BigSeries,
     report.checked["open_trr1_t"] = f"alpha<= {theory.n}, a<= {amax - 1}"
     report.checked["open_trr1_s"] = f"a<= {amax - 1}"
     return report
-
-
-def boundary_pairing(f0o: BigSeries, theory: TheoryData) -> BigSeries:
-    """d^2 F0o / dt11_0 ds_0, the series whose log drives the closed form."""
-    return t11_partial(derivative(f0o, s_var(0)), 0, theory)
 
 
 def f1o_closed_form(f0: BigSeries, f0o: BigSeries, go: JetPoly,

@@ -43,6 +43,7 @@ from .bigphase import (
     KIND_S,
     BigMonomial,
     BigSeries,
+    BigVar,
     TheoryData,
     Truncation,
     eval_jetpoly,
@@ -244,6 +245,15 @@ def first_order_rhs1(a_slices: dict[int, tuple[BigSeries, BigSeries]],
     return dot(BigSeries.zero(theory.trunc), products)
 
 
+def evolution_residual(a_slices: dict[int, tuple[BigSeries, BigSeries]],
+                       f0o: BigSeries, f1o: BigSeries, var: BigVar, theory: TheoryData
+                       ) -> BigSeries:
+    """(dF0o/dvar - rhs0) + eps (dF1o/dvar - rhs1) for the flow along var."""
+    rhs0, rhs1 = first_order_rhs(a_slices, f0o, f1o, theory)
+    eps = BigSeries({(1, ONE): Fraction(1)}, theory.trunc, None, _checked=True)
+    return (derivative(f0o, var) - rhs0) + eps * (derivative(f1o, var) - rhs1)
+
+
 @dataclass
 class EvolutionSystem:
     """All interior/boundary flows of one instance, each operator evaluated once."""
@@ -274,12 +284,8 @@ class EvolutionSystem:
 
     def residual(self, label: tuple) -> BigSeries:
         """Joint residual (eps^0 slice) + eps (eps^1 slice) for one flow."""
-        var = self.flow_var(label)
-        rhs0, rhs1 = first_order_rhs(self.a_evals[label], self.f0o, self.f1o, self.theory)
-        res0 = derivative(self.f0o, var) - rhs0
-        res1 = derivative(self.f1o, var) - rhs1
-        eps = BigSeries({(1, ONE): Fraction(1)}, self.theory.trunc, None, _checked=True)
-        return res0 + eps * res1
+        return evolution_residual(self.a_evals[label], self.f0o, self.f1o,
+                                  self.flow_var(label), self.theory)
 
     def residual_report(self) -> ResidualReport:
         report = ResidualReport()
@@ -388,12 +394,12 @@ class PseudoDiffOp:
         coefficients c of self and d of other.
         """
         d = other.coeffs
-        terms = [c * d[n - i] for i, c in self.coeffs.items() if n - i in d]
-        terms += [c * _eps_shift(x_jet(d[n + 1 - i], 1, self.theory), 1, self.EPS_CAP) * i
-                  for i, c in self.coeffs.items() if i and n + 1 - i in d]
-        if not terms:
+        products = [(c, d[n - i], 1) for i, c in self.coeffs.items() if n - i in d]
+        products += [(c, _eps_shift(x_jet(d[n + 1 - i], 1, self.theory), 1, self.EPS_CAP), i)
+                     for i, c in self.coeffs.items() if i and n + 1 - i in d]
+        if not products:
             return None
-        acc = _eps_shift(sum(terms[1:], terms[0]), 0, self.EPS_CAP)
+        acc = _eps_shift(dot(BigSeries.zero(self.theory.trunc), products), 0, self.EPS_CAP)
         return None if acc.is_zero() else acc
 
     def compose(self, other: "PseudoDiffOp") -> "PseudoDiffOp":
@@ -564,12 +570,9 @@ def pst_generate(theory: TheoryData) -> PstResult:
     f0o, f1o = f
 
     report = ResidualReport()
-    eps = BigSeries({(1, ONE): Fraction(1)}, tr_big, None, _checked=True)
     for kind, p in sorted(flows):
         var = t_var(1, p) if kind == "t" else s_var(p)
-        rhs0, rhs1 = first_order_rhs(flows[(kind, p)], f0o, f1o, theory_big)
-        res = (derivative(f0o, var) - rhs0) + eps * (derivative(f1o, var) - rhs1)
-        res = restrict_window(res, tr)
+        res = restrict_window(evolution_residual(flows[(kind, p)], f0o, f1o, var, theory_big), tr)
         if not res.is_zero():
             mono = min(res.terms)[1]
             raise PstIntegrationError((kind, p), mono,

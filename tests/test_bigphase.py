@@ -12,12 +12,12 @@ from ottr.bigphase import (
     TheoryData,
     Truncation,
     eval_jetpoly,
+    mono_degree,
     mono_from_factors,
     partial,
     phitop,
     restrict_small,
     s_var,
-    series_exp,
     series_log,
     t11_partial,
     t_var,
@@ -128,13 +128,52 @@ class TestLogExp:
         for k in range(1, 9):
             assert lg.coefficient(mono(k)) == Fraction((-1) ** (k + 1), k)
 
-    def test_exp_roundtrip(self):
-        f = BigSeries.const(1, TR) + T(1, 0) + S(0) * T(1, 2) * Fraction(2, 3)
-        assert poly_eq(series_exp(series_log(f)), f)
-
     def test_domain_error(self):
         with pytest.raises(ValueError):
             series_log(T(1, 0))
+
+
+def _power_sum_log(f):
+    """log f as the power sum of (-1)^(k+1) (f - 1)^k / k, cut at f's rel."""
+    x = f - 1
+    out = BigSeries.zero(f.trunc, f.rel)
+    power = BigSeries.const(1, f.trunc)
+    top = f.trunc.deg_max if f.rel is None else min(f.trunc.deg_max, f.rel)
+    for k in range(1, top + 1):
+        power = power * x
+        out = out + power * Fraction((-1) ** (k + 1), k)
+    return BigSeries(out.terms, f.trunc, f.rel, _checked=True)
+
+
+def _euler(f):
+    """E(f): each term times its degree."""
+    return BigSeries({(e, m): c * mono_degree(m) for (e, m), c in f.terms.items() if m},
+                     f.trunc, f.rel, _checked=True)
+
+
+@st.composite
+def log_arguments(draw):
+    """1 + a series without constant terms, rank 1-2, eps_max 0-2, rel None, 0
+    or finite."""
+    rank, eps_max = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    tr = Truncation.of(5, 2, eps_max=eps_max)
+    variables = ([t_var(alpha, a) for alpha in range(1, rank + 1) for a in range(3)]
+                 + [s_var(a) for a in range(3)])
+    factors = st.lists(st.tuples(st.sampled_from(variables), st.integers(1, 3)),
+                       min_size=1, max_size=3)
+    keys = st.tuples(st.integers(0, eps_max), factors.map(mono_from_factors))
+    coefs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    terms = draw(st.dictionaries(keys, coefs, max_size=7))
+    terms[(0, ())] = Fraction(1)
+    return BigSeries(terms, tr, draw(st.one_of(st.none(), st.just(0), st.integers(1, 5))))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(log_arguments())
+def test_series_log_is_the_power_sum_and_solves_its_degree_equation(f):
+    lg = series_log(f)
+    assert lg == _power_sum_log(f)  # terms and rel
+    assert poly_eq(_euler(f), f * _euler(lg))
 
 
 class TestEvalJetPoly:

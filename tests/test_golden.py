@@ -36,6 +36,21 @@ GOLDEN = {
     },
 }
 
+# `gen-example genus1-rank1 --degree 8 --amax 3 --go G`: the log closed
+# form plus a nonzero Go along the solutions, at the window of the benchmarks
+GO_WINDOW = ["--degree", "8", "--amax", "3"]
+GO_D8_A3 = {
+    "f0.ottr": "5151c6fd533df1c4021b4fa6e4a84ba011fa1fb566456cfabd69c4cff20ed1c6",
+    "f0o.ottr": "ca490b47387f8cc49833ee2fc341740f38b5b26c66158d8f4c0c3cb53d36559f",
+    "f1.ottr": "ceb19b0b05afe46d3e8c9c1e800c6371abe360111bdc5c63096d5d540c927076",
+}
+GOLDEN_GO = {
+    "phi3": {**GO_D8_A3,
+             "f1o.ottr": "46b42d0b2fdbae647e0483af0ba0408539e296b7fa80a30595158cbd7df50401"},
+    "vphi": {**GO_D8_A3,
+             "f1o.ottr": "5ae943fbc3644c7c5a9dc9cfc3b29c5c1dd50f63081769bada3ac0cbb6ebd39c"},
+}
+
 F1O_SOLVE_PHI3 = "3e2e5225dcea1b1910321eec09c49424e6e9b67a2eaa754720f0e4ed34570550"
 
 # `gen-pst --degree 4 --amax 1`, recorded before the Lax flows were
@@ -68,6 +83,14 @@ def test_gen_example_outputs_are_golden(name, tmp_path, capsys):
     assert main(["gen-example", name, *WINDOW, "--outdir", str(tmp_path)]) == 0
     capsys.readouterr()
     assert _digests(tmp_path) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("go", sorted(GOLDEN_GO))
+def test_gen_example_with_go_is_golden(go, tmp_path, capsys):
+    assert main(["gen-example", "genus1-rank1", *GO_WINDOW, "--go", go,
+                 "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert _digests(tmp_path) == GOLDEN_GO[go]
 
 
 def test_derive_genus1_solve_output_is_golden(tmp_path, capsys):
