@@ -1,26 +1,35 @@
 """Sparse graded series over exact rationals: the shared kernel and jet polynomials.
 
-`SparseSeries` is the one sparse-polynomial kernel of the package.  Its terms
-map ``(eps power, monomial)`` to a nonzero `fractions.Fraction`; a monomial is
-a sorted tuple of ``((kind, alpha, index), exponent)`` pairs.  Values are
-truncated in three directions: a degree bound, a bound on the variables'
-``index``, and a maximal eps power.  A subclass fixes the grading (which
-variables count toward the degree) and which truncation fields bound the
-degree and the index; `ottr.bigphase.BigSeries` is the other subclass.
+`SparseSeries` is the one sparse-polynomial kernel of the package.  A value
+stores its terms in one form: packed integer rows over one denominator.
+``rows[d]`` maps the packed key of each term of degree d to an integer
+numerator, and the term's coefficient is that numerator over `den`, the lcm
+of the reduced denominators, so equal values have equal stored forms and
+``==`` and ``hash`` read them directly.  Values are truncated in three
+directions: a degree bound, a bound on the variables' ``index``, and a
+maximal eps power.  A subclass fixes the grading (which variables count
+toward the degree) and which truncation fields bound the degree and the
+index; `ottr.bigphase.BigSeries` is the other subclass.
 
-Every product, `*` or one of a sum of products `dot`, runs one loop over
-packed integers: each factor becomes ``(degree, key, numerator)`` rows sorted
-by degree, over one common denominator.  A key holds the eps power in its
-lowest field, wide enough for the eps sum of two factors; then one exponent
-field per kind and index for the kinds with alpha 0 (``s``, or ``phi`` then
-``f``); then, on top, one field per ``(alpha, index)`` of kind 0
-(``t``/``v``), so the rank needs no bound.  A monomial product is a sum of
-keys.  The layout depends on the class, the truncation and the field width
-alone, never on the partner, so each value keeps its packed rows per width
-and is packed once.  The field width is the bit length of twice the top
-exponent among a call's operands, never derived from the degree bound, which
-jet order >= 1 variables do not count toward.  `Fraction` and monomial tuples
-appear only when the result is unpacked into its terms, the one stored form.
+A key holds the eps power in its lowest field, wide enough for the eps sum
+of two factors; then one exponent field per kind and index for the kinds
+with alpha 0 (``s``, or ``phi`` then ``f``); then, on top, one field per
+``(alpha, index)`` of kind 0 (``t``/``v``), so the rank needs no bound.  A
+monomial product is a sum of keys, a partial derivative subtracts one unit
+from a field, and an eps shift adds to the lowest one.  The layout depends
+on the class and the truncation alone.  Every variable of a `BigSeries`
+counts toward its degree and no product above the degree bound is kept, so
+no exponent exceeds the bound and one field width serves every value.  A
+`JetPoly`'s jet order >= 1 exponents have no bound, so its fields carry a
+guard bit (Monagan & Pearce, CASC 2007): stored exponents stay below half a
+field, a sum of two keys never carries into the next field, and a result
+that sets a guard bit is moved to a wider layout.  Each `JetPoly` takes the
+narrowest width that fits it, so its stored form stays canonical.
+
+`terms` maps ``(eps power, monomial)`` to a nonzero `fractions.Fraction`;
+it is a read-only view unpacked from the keys once per value, for the
+readers outside the kernel (emission, the solver's rows, tests).  A monomial
+is a sorted tuple of ``((kind, alpha, index), exponent)`` pairs.
 
 This module's own subclass, `JetPoly`, is the ring of differential
 polynomials in jet variables
@@ -31,8 +40,8 @@ polynomials in jet variables
   the exponential-conjugation polynomials,
 
 graded by total degree in jet-order-zero variables, with the jet order as the
-bounded index.  Coefficients are `fractions.Fraction`, so canonical forms
-compare exactly; there is no floating-point mode.
+bounded index.  Coefficients are exact rationals, so canonical forms compare
+exactly; there is no floating-point mode.
 
 Each value also carries a *reliable degree* ``rel``: the degree up to which
 its coefficients agree with the untruncated object it approximates.
@@ -48,13 +57,13 @@ the result lives exactly as long as that value.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm
-from operator import itemgetter
+from itertools import chain
+from math import gcd, lcm
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
 KIND_V = 0
@@ -216,23 +225,30 @@ def _rel_cap(rel: int | None, bound: int) -> int | None:
 
 # -- the kernel --------------------------------------------------------------
 
+Rows = list[dict[int, int]]  # rows[d]: packed key -> numerator, for degree d
+
+
 class SparseSeries:
-    """A truncated sparse series with exact rational coefficients.
+    """A truncated sparse series with exact rational coefficients, kept as
+    packed integer rows over one denominator (see the module docstring).
 
     Subclasses declare the grading and the bounds; everything else lives here.
     Operands of different subclasses never mix: arithmetic between them is a
     TypeError, and equal truncations are required within one subclass.
 
-    No code may write `terms`, `trunc` or `rel` after `__init__`: the memo of
+    No code may write `den`, `rows`, `layout`, `trunc` or `rel` after
+    construction, nor change a row: values share rows, and the memo of
     derived series (`derived`) is valid only because a value never changes.
     """
 
-    __slots__ = ("terms", "trunc", "rel", "_memo")
+    __slots__ = ("den", "rows", "layout", "trunc", "rel", "_memo")
 
     # Declared by each subclass.
     mono_degree: Callable[[Monomial], int]  # the grading of a monomial
     var_degree: Callable[[Var], int]  # the degree of one variable
     bounds: Callable[[object], tuple[int, int]]  # trunc -> (degree, index) bounds
+    base_width: Callable[[object], int]  # trunc -> the narrowest field width
+    widens: bool  # exponents may outgrow the degree bound: guarded fields
     overflow_error: type[ValueError]  # raised for a variable past the index bound
     index_name: str
     var_name: Callable[[Var], str]
@@ -241,18 +257,19 @@ class SparseSeries:
 
     def __init__(self, terms: Mapping[TermKey, Fraction], trunc,
                  rel: int | None = None, _checked: bool = False):
-        if rel is not None and rel > self.bounds(trunc)[0]:
-            raise ValueError(f"reliable degree {rel} above the degree bound "
-                             f"{self.bounds(trunc)[0]}")
-        if _checked:
-            self.terms = dict(terms)
-        else:
-            deg_max, index_max = self.bounds(trunc)
-            kept: dict[TermKey, Fraction] = {}
-            for (eps, mono), coef in terms.items():
-                coef = frac(coef)
-                if not coef:
-                    continue
+        """The value of (eps power, monomial) -> coefficient terms.  Unless
+        `_checked` vouches that every term is in range, terms past the eps,
+        degree or reliable-degree bound are dropped."""
+        deg_max, index_max = self.bounds(trunc)
+        if rel is not None and rel > deg_max:
+            raise ValueError(f"reliable degree {rel} above the degree bound {deg_max}")
+        parts = []
+        for (eps, mono), coef in terms.items():
+            coef = frac(coef)
+            if not coef:
+                continue
+            d = self.mono_degree(mono)
+            if not _checked:
                 if eps < 0:
                     raise ValueError("negative eps power")
                 if eps > trunc.eps_max:
@@ -260,22 +277,60 @@ class SparseSeries:
                 if mono_max_index(mono) > index_max:
                     raise self.overflow_error(
                         f"{self.index_name} exceeds bound {index_max} in {mono}")
-                d = self.mono_degree(mono)
-                if d > deg_max:
+                if d > deg_max or (rel is not None and d > rel):
                     continue
-                if rel is not None and d > rel:
-                    continue
-                kept[(eps, mono)] = coef
-            self.terms = kept
-        self.trunc = trunc
-        self.rel = rel
-        self._memo: dict | None = None
+            parts.append((d, eps, mono, coef.numerator, coef.denominator))
+        self._pack(trunc, rel, parts)
+
+    @classmethod
+    def from_parts(cls, trunc, rel: int | None,
+                   parts: Iterable[tuple[int, int, Monomial, int, int]]):
+        """The value of (degree, eps, monomial, numerator, denominator) parts,
+        each nonzero, in lowest terms and in range, their monomials distinct."""
+        p = object.__new__(cls)
+        p._pack(trunc, rel, list(parts))
+        return p
+
+    def _pack(self, trunc, rel, parts) -> None:
+        width = self.base_width(trunc)
+        if self.widens:
+            top = max((x for _d, _e, mono, _n, _q in parts for _v, x in mono), default=0)
+            width = max(width, top.bit_length() + 1)
+        layout = _layout(type(self), trunc, width)
+        den = lcm(*(q for *_, q in parts))
+        rows: Rows = [{} for _ in range(max((d for d, *_ in parts), default=-1) + 1)]
+        for d, eps, mono, n, q in parts:
+            rows[d][layout.pack(eps, mono)] = n * (den // q)
+        self.den, self.rows, self.layout = den, rows, layout
+        self.trunc, self.rel, self._memo = trunc, rel, None
+
+    @staticmethod
+    def from_rows(layout: "_Layout", den: int, rows: Rows, rel: int | None,
+                  grown: bool = False):
+        """The value of packed rows over den in layout, put in canonical form:
+        trailing empty rows trimmed, den reduced, and, if `grown` (a product
+        or an x-derivative may have raised an exponent) or the layout is
+        wider than the class's base, the narrowest layout that fits.  Only
+        trailing empty rows are removed from the list in place."""
+        cls, trunc = layout.cls, layout.trunc
+        while rows and not rows[-1]:
+            rows.pop()
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(row.values() for row in rows))
+            if g != 1:
+                den //= g
+                rows = [{k: n // g for k, n in row.items()} for row in rows]
+        if cls.widens and (grown or layout.width > cls.base_width(trunc)):
+            layout, rows = _fitted(layout, rows)
+        p = object.__new__(cls)
+        p.den, p.rows, p.layout, p.trunc, p.rel, p._memo = den, rows, layout, trunc, rel, None
+        return p
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, trunc, rel: int | None = None):
-        return cls({}, trunc, rel, _checked=True)
+        return cls.from_parts(trunc, rel, ())
 
     @classmethod
     def const(cls, value, trunc, rel: int | None = None):
@@ -291,25 +346,41 @@ class SparseSeries:
     # -- inspection --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.rows
+
+    @property
+    def terms(self) -> Mapping[TermKey, Fraction]:
+        """The (eps power, monomial) -> coefficient view of the rows."""
+        return _Terms(self)
+
+    def min_degree(self) -> int | None:
+        """The least degree of a stored term; None for zero."""
+        return next((d for d, row in enumerate(self.rows) if row), None)
 
     def coefficient(self, mono: Monomial, eps: int = 0) -> Fraction:
-        return self.terms.get((eps, mono), Fraction(0))
+        layout, d = self.layout, self.mono_degree(mono)
+        if (0 <= eps <= self.trunc.eps_max and d < len(self.rows)
+                and mono_max_index(mono) <= layout.index_max
+                and all(x <= layout.max_exponent for _v, x in mono)):
+            n = self.rows[d].get(layout.pack(eps, mono))
+            if n:
+                return Fraction(n, self.den)
+        return Fraction(0)
 
     def eps_slice(self, j: int):
-        terms = {(0, m): c for (e, m), c in self.terms.items() if e == j}
-        return type(self)(terms, self.trunc, self.rel, _checked=True)
+        """The terms of eps power j, moved to eps power 0."""
+        mask = self.layout.eps_mask
+        rows = [{k - j: n for k, n in row.items() if k & mask == j} for row in self.rows]
+        return self.from_rows(self.layout, self.den, rows, self.rel)
 
     def valuation(self) -> int | None:
         """Effective degree valuation for reliability bookkeeping."""
-        rows = self.by_degree()
-        return _rel_min(rows[0][0] if rows else None, _rel_add(self.rel, 1))
+        return _rel_min(self.min_degree(), _rel_add(self.rel, 1))
 
-    def by_degree(self) -> list[tuple[int, int, Monomial, Fraction]]:
-        """The terms as (degree, eps, monomial, coefficient) rows sorted by
-        degree, computed once per value."""
-        return self.derived(("by_degree",), lambda p: sorted(
-            ((p.mono_degree(m), e, m, c) for (e, m), c in p.terms.items()), key=itemgetter(0)))
+    def cut(self, rel: int | None):
+        """The terms of degree <= rel, with reliable degree rel."""
+        rows = self.rows if rel is None else self.rows[:max(rel + 1, 0)]
+        return self.from_rows(self.layout, self.den, rows, rel)
 
     def sorted_terms(self) -> list[tuple[TermKey, Fraction]]:
         return sorted(self.terms.items())
@@ -329,43 +400,28 @@ class SparseSeries:
             raise TruncationMismatchError(
                 f"incompatible truncations {self.trunc} vs {other.trunc}")
 
-    def __add__(self, other):
+    def _operand(self, other):
+        """other as a value of this class, or None if it cannot be one."""
         if isinstance(other, (int, Fraction)):
-            other = self.const(other, self.trunc)
+            return self.const(other, self.trunc)
         if not isinstance(other, type(self)):
-            return NotImplemented
+            return None
         self._check_compatible(other)
-        rel = _rel_min(self.rel, other.rel)
-        a, b = self._terms_upto(rel), other._terms_upto(rel)
-        acc = dict(a)
-        acc.update(b)
-        for key in a.keys() & b.keys():
-            s = a[key] + b[key]
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
-        return type(self)(acc, self.trunc, rel, _checked=True)
+        return other
+
+    def __add__(self, other):
+        other = self._operand(other)
+        return NotImplemented if other is None else _sum(self, other, 1)
 
     __radd__ = __add__
 
-    def _terms_upto(self, rel: int | None) -> Mapping[TermKey, Fraction]:
-        """The terms of degree <= rel; no value stores a term above its own rel."""
-        if rel is None or (self.rel is not None and self.rel <= rel):
-            return self.terms
-        deg = self.mono_degree
-        return {k: c for k, c in self.terms.items() if deg(k[1]) <= rel}
-
     def __neg__(self):
-        return type(self)({k: -c for k, c in self.terms.items()}, self.trunc,
-                          self.rel, _checked=True)
+        rows = [{k: -n for k, n in row.items()} for row in self.rows]
+        return self.from_rows(self.layout, self.den, rows, self.rel)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.const(other, self.trunc)
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self + (-other)
+        other = self._operand(other)
+        return NotImplemented if other is None else _sum(self, other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -374,8 +430,8 @@ class SparseSeries:
         cls = type(self)
         if isinstance(other, (int, Fraction)):
             c = frac(other)
-            return cls({k: c * v for k, v in self.terms.items() if c},
-                       self.trunc, self.rel, _checked=True)
+            rows = [{k: n * c.numerator for k, n in row.items()} for row in self.rows] if c else []
+            return self.from_rows(self.layout, self.den * c.denominator, rows, self.rel)
         if not isinstance(other, cls):
             return NotImplemented
         return dot(cls.zero(self.trunc), [(self, other, 1)])
@@ -385,14 +441,15 @@ class SparseSeries:
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return (self.terms == other.terms and self.trunc == other.trunc
-                and self.rel == other.rel)
+        return (self.trunc == other.trunc and self.rel == other.rel and self.den == other.den
+                and self.layout is other.layout and self.rows == other.rows)
 
     def __hash__(self):
-        return hash((frozenset(self.terms.items()), self.trunc, self.rel))
+        return hash((self.den, tuple(frozenset(row.items()) for row in self.rows),
+                     self.layout.width, self.trunc, self.rel))
 
     def __str__(self):
-        if not self.terms:
+        if not self.rows:
             return "0"
         parts = []
         for (eps, mono), coef in self.sorted_terms():
@@ -411,6 +468,36 @@ class SparseSeries:
         return f"{type(self).__name__}({self})"
 
 
+class _Terms(Mapping):
+    """A value's read-only terms: its rows unpacked once, on the first read
+    that needs more than the count."""
+
+    __slots__ = ("_p",)
+
+    def __init__(self, p: SparseSeries):
+        self._p = p
+
+    def _unpacked(self) -> dict[TermKey, Fraction]:
+        return self._p.derived(("terms",), _unpacked)
+
+    def __len__(self):
+        return sum(map(len, self._p.rows))
+
+    def __getitem__(self, key):
+        return self._unpacked()[key]
+
+    def __iter__(self):
+        return iter(self._unpacked())
+
+    def items(self):
+        return self._unpacked().items()
+
+
+def _unpacked(p: SparseSeries) -> dict[TermKey, Fraction]:
+    unpack, den = p.layout.unpack, p.den
+    return {unpack(k): Fraction(n, den) for row in p.rows for k, n in row.items()}
+
+
 class _Layout(dict):
     """The packed-key layout of one class and truncation at one field width:
     maps each variable to the shift of its exponent field.
@@ -420,12 +507,15 @@ class _Layout(dict):
     ``f``), one field per kind and index; kind 0 (``t``/``v``) takes one field
     per ``(alpha, index)`` on top, so the rank needs no bound.  A variable past
     the class's index bound would alias the next field, so it raises the
-    class's overflow error.
+    class's overflow error.  A class that `widens` keeps the top bit of each
+    field as its guard, so no stored exponent exceeds `max_exponent`.
     """
 
     def __init__(self, cls: type[SparseSeries], trunc, width: int):
         super().__init__()
-        self.cls, self.width = cls, width
+        self.cls, self.trunc, self.width = cls, trunc, width
+        self.mask = (1 << width) - 1
+        self.max_exponent = self.mask >> 1 if cls.widens else self.mask
         self.index_max = cls.bounds(trunc)[1]
         self.eps_bits = (2 * trunc.eps_max).bit_length()
         n = self.index_max + 1
@@ -450,9 +540,15 @@ class _Layout(dict):
         self[var] = shift = self.top_shift + field * self.width
         return shift
 
+    def pack(self, eps: int, mono: Monomial) -> int:
+        key = eps
+        for var, exp in mono:
+            key += exp << self[var]
+        return key
+
     def unpack(self, key: int) -> TermKey:
         """The (eps power, monomial) of a key, kind-0 factors first as they sort."""
-        width, mask = self.width, (1 << self.width) - 1
+        width, mask = self.width, self.mask
         mono = []
         for fields, names in ((key >> self.top_shift, self.top),
                               ((key & self.low_mask) >> self.eps_bits, self.low)):
@@ -464,26 +560,71 @@ class _Layout(dict):
                 i += 1
         return key & self.eps_mask, tuple(mono)
 
+    def field_mask(self, keep: Callable[[Var], bool]) -> int:
+        """The fields, so far, of the variables that keep accepts."""
+        return sum(self.mask << shift for var, shift in self.items() if keep(var))
+
+    def guard(self) -> int:
+        """The top bit of every exponent field so far."""
+        return sum(1 << (shift + self.width - 1) for shift in self.values())
+
+    def moved(self, rows: Rows, other: "_Layout") -> Rows:
+        """rows, keyed in this layout, keyed in other."""
+        pack, unpack = other.pack, self.unpack
+        return [{pack(*unpack(k)): n for k, n in row.items()} for row in rows]
+
 
 _layout = cache(_Layout)  # one layout per class, truncation and width
 
 
-def _top_exponent(p: SparseSeries) -> int:
-    return max((x for _e, m in p.terms for _v, x in m), default=0)
+def _fitted(layout: _Layout, rows: Rows) -> tuple[_Layout, Rows]:
+    """The narrowest layout at least the class's base width whose guard bits
+    no exponent of rows sets, and rows keyed in it."""
+    cls, trunc = layout.cls, layout.trunc
+    base = cls.base_width(trunc)
+    if layout.width == base:
+        guard = layout.guard()
+        if not any(k & guard for row in rows for k in row):
+            return layout, rows
+    top = max((x for row in rows for k in row for _v, x in layout.unpack(k)[1]), default=0)
+    wide = _layout(cls, trunc, max(base, top.bit_length() + 1))
+    return (layout, rows) if wide is layout else (wide, layout.moved(rows, wide))
 
 
-def _pack(p: SparseSeries, layout: _Layout) -> tuple[int, list[tuple[int, int, int]]]:
-    """(den, [(degree, key, numerator)]): p's `by_degree` rows over their
-    common denominator, keyed in the layout."""
-    rows = p.by_degree()
-    den = lcm(*(q.denominator for *_, q in rows))
-    out = []
-    for d, e, m, q in rows:
-        k = e
-        for v, x in m:
-            k += x << layout[v]
-        out.append((d, k, q.numerator * (den // q.denominator)))
-    return den, out
+def _aligned(values: Iterable[SparseSeries]) -> tuple[_Layout, list[Rows]]:
+    """The widest layout among values, and each value's rows keyed in it."""
+    values = list(values)
+    layout = max((p.layout for p in values), key=attrgetter("width"))
+    return layout, [p.rows if p.layout is layout else p.layout.moved(p.rows, layout)
+                    for p in values]
+
+
+def _sum(a: SparseSeries, b: SparseSeries, sign: int) -> SparseSeries:
+    """a + sign * b; the sum's rel is the lesser, and both are cut at it."""
+    rel = _rel_min(a.rel, b.rel)
+    layout, (ra, rb) = _aligned((a, b))
+    size = max(len(ra), len(rb))
+    if rel is not None:
+        size = min(size, max(rel + 1, 0))
+    den = lcm(a.den, b.den)
+    sa, sb = den // a.den, sign * (den // b.den)
+    rows = []
+    for d in range(size):
+        x = ra[d] if d < len(ra) else {}
+        y = rb[d] if d < len(rb) else {}
+        if not y or not x:
+            row, s = (x, sa) if x else (y, sb)
+            rows.append(row if s == 1 else {k: n * s for k, n in row.items()})
+            continue
+        row = dict(x) if sa == 1 else {k: n * sa for k, n in x.items()}
+        for k, n in y.items():
+            s = row.get(k, 0) + n * sb
+            if s:
+                row[k] = s
+            else:
+                del row[k]
+        rows.append(row)
+    return SparseSeries.from_rows(layout, den, rows, rel)
 
 
 def dot(start: SparseSeries,
@@ -493,11 +634,11 @@ def dot(start: SparseSeries,
     chain ``start + a*b*c + ...`` of `*` and `+` gives it: the sum's rel is
     the least of start's and each ``a * b``'s.
 
-    Start's terms and all products add into one packed accumulator (see the
-    module docstring).  The field width is the bit length of twice the top
-    exponent among the call's operands.  Each operand keeps its packed rows
-    per width in its memo, so the call only cuts them at the sum's cap and
-    multiplies.  A product key whose eps field exceeds the bound is dropped."""
+    Start's rows and all products add into one accumulator per degree, over
+    the lcm of the operands' denominators, and the accumulators are the
+    result's rows.  The rows of each factor are cut at the sum's cap, so no
+    product above it is formed.  A product key whose eps field exceeds the
+    bound is dropped.  With nothing to add or cut, the result is start."""
     cls, tr = type(start), start.trunc
     deg_max = cls.bounds(tr)[0]
     plan, rel = [], start.rel
@@ -509,49 +650,35 @@ def dot(start: SparseSeries,
                      None if b.rel is None else _rel_add(b.rel, a.valuation()))
         rel = _rel_min(rel, _rel_cap(r, deg_max))
         c = frac(c)
-        if c and a.terms and b.terms:
+        if c and a.rows and b.rows:
             plan.append((a, b, c))
     # Every product stops at the sum's cap: what lies past it is dropped anyway.
-    cap = deg_max if rel is None else rel
-    ns = bisect_right(start.by_degree(), cap, key=itemgetter(0)) if start.terms else 0
-    live = []
-    for a, b, c in plan:
-        ra, rb = a.by_degree(), b.by_degree()
-        na = bisect_right(ra, cap - rb[0][0], key=itemgetter(0))
-        nb = bisect_right(rb, cap - ra[0][0], key=itemgetter(0))
-        if na and nb:
-            live.append((a, na, b, c))
-    if not live and rel == start.rel and ns == len(start.terms):
+    size = max((deg_max if rel is None else rel) + 1, 0)  # the degrees kept
+    live = [(a, b, c) for a, b, c in plan if a.min_degree() + b.min_degree() < size]
+    if not live and rel == start.rel and len(start.rows) <= size:
         return start  # nothing to add
-    operands = [p for a, _na, b, _c in live for p in (a, b)]
-    if ns:
-        operands.append(start)
-    width = (2 * max((p.derived(("top",), _top_exponent) for p in operands),
-                     default=0)).bit_length()
-    layout = _layout(cls, tr, width)
-
-    def packed(p: SparseSeries):
-        return p.derived(("packed", width), _pack, layout)
-
-    ds, ps = packed(start) if ns else (1, [])
-    live = [(*packed(a), na, *packed(b), c) for a, na, b, c in live]
-    den = lcm(ds, *(da * db * c.denominator for da, _pa, _na, db, _pb, c in live))
-    acc: dict[int, int] = defaultdict(int)
-    scale = den // ds
-    for _d, k, n in ps[:ns]:
-        acc[k] += n * scale
-    for da, pa, na, db, pb, c in live:
-        scale = c.numerator * (den // (da * db * c.denominator))
-        for d1, k1, n1 in pa[:na]:
-            n1 *= scale
-            for d2, k2, n2 in pb:
-                if d1 + d2 > cap:  # b's rows are sorted by degree
-                    break
-                acc[k1 + k2] += n1 * n2
-    eps_mask, eps_max, unpack = layout.eps_mask, tr.eps_max, layout.unpack
-    terms = {unpack(k): Fraction(n, den) for k, n in acc.items()
-             if n and k & eps_mask <= eps_max}
-    return cls(terms, tr, rel, _checked=True)
+    layout, rows = _aligned([start] + [p for a, b, _c in live for p in (a, b)])
+    den = lcm(start.den, *(a.den * b.den * c.denominator for a, b, c in live))
+    acc: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(size)]
+    scale = den // start.den
+    for target, row in zip(acc, rows[0]):
+        for k, n in row.items():
+            target[k] = n * scale
+    for i, (a, b, c) in enumerate(live):
+        ra, rb = rows[2 * i + 1], rows[2 * i + 2]
+        scale = c.numerator * (den // (a.den * b.den * c.denominator))
+        for d1, row in enumerate(ra[:size - b.min_degree()]):
+            if not row:
+                continue
+            parts = [(acc[d1 + d2], r2) for d2, r2 in enumerate(rb[:size - d1]) if r2]
+            for k1, n1 in row.items():
+                n1 *= scale
+                for target, r2 in parts:
+                    for k2, n2 in r2.items():
+                        target[k1 + k2] += n1 * n2
+    eps_mask, eps_max = layout.eps_mask, tr.eps_max
+    out = [{k: n for k, n in row.items() if n and k & eps_mask <= eps_max} for row in acc]
+    return SparseSeries.from_rows(layout, den, out, rel, grown=True)
 
 
 def poly_eq(p: SparseSeries, q: SparseSeries, *, up_to: int | None = None) -> bool:
@@ -559,33 +686,37 @@ def poly_eq(p: SparseSeries, q: SparseSeries, *, up_to: int | None = None) -> bo
     if p.trunc != q.trunc:
         raise TruncationMismatchError("cannot compare across truncations")
     window = _rel_min(_rel_min(p.rel, q.rel), up_to)
-    if window is None:
-        return p.terms == q.terms
-    deg = p.mono_degree
-    for a, b in ((p, q), (q, p)):
-        for key, coef in a.terms.items():
-            if deg(key[1]) <= window and b.terms.get(key) != coef:
-                return False
+    _, (rp, rq) = _aligned((p, q))
+    size = max(len(rp), len(rq))
+    if window is not None:
+        size = min(size, max(window + 1, 0))
+    for d in range(size):
+        x = rp[d] if d < len(rp) else {}
+        y = rq[d] if d < len(rq) else {}
+        # n/p.den == m/q.den for every key of both
+        if x.keys() != y.keys() or any(n * q.den != y[k] * p.den for k, n in x.items()):
+            return False
     return True
 
 
 def partial(p: SparseSeries, var: Var) -> SparseSeries:
-    """Formal partial derivative; rel drops by the degree of var."""
-    acc: dict[TermKey, Fraction] = {}
-    for (eps, mono), coef in p.terms.items():
-        for idx, (v, exp) in enumerate(mono):
-            if v != var:
-                continue
-            factors = list(mono)
-            if exp == 1:
-                del factors[idx]
-            else:
-                factors[idx] = (v, exp - 1)
-            # distinct monomials stay distinct after removing one factor of var
-            acc[(eps, tuple(factors))] = coef if exp == 1 else coef * exp
-            break
-    rel = None if p.rel is None else p.rel - p.var_degree(var)
-    return type(p)(acc, p.trunc, rel, _checked=True)
+    """Formal partial derivative; rel drops by the degree of var.  Each key
+    loses one unit of var's field, its numerator gaining the exponent."""
+    drop = p.var_degree(var)
+    rel = None if p.rel is None else p.rel - drop
+    layout = p.layout
+    rows = []
+    if var[2] <= layout.index_max:  # no term holds a variable past the bound
+        shift, mask = layout[var], layout.mask
+        unit = 1 << shift
+        for row in p.rows[drop:]:
+            out = {}
+            for k, n in row.items():
+                x = k >> shift & mask
+                if x:
+                    out[k - unit] = n * x
+            rows.append(out)
+    return SparseSeries.from_rows(layout, p.den, rows, rel)
 
 
 def derivative(p: SparseSeries, *variables: Var) -> SparseSeries:
@@ -614,7 +745,8 @@ class JetPoly(SparseSeries):
     """A truncated differential polynomial with exact rational coefficients.
 
     Graded by total degree in jet-order-zero variables; the jet order is the
-    bounded index.
+    bounded index.  Its exponent fields are guarded (`widens`); the base
+    width holds exponents up to the degree bound plus the jet bound.
     """
 
     __slots__ = ()
@@ -629,6 +761,11 @@ class JetPoly(SparseSeries):
     def bounds(trunc) -> tuple[int, int]:
         return trunc.deg0_max, trunc.jet_max
 
+    @staticmethod
+    def base_width(trunc) -> int:
+        return (trunc.deg0_max + trunc.jet_max).bit_length() + 1
+
+    widens = True
     overflow_error = JetOverflowError
     index_name = "jet order"
     var_name = staticmethod(var_name)
@@ -645,27 +782,32 @@ class JetPoly(SparseSeries):
 
 
 def dx(p: JetPoly) -> JetPoly:
-    """Total x-derivative: bumps one jet order per term by the Leibniz rule."""
-    tr = p.trunc
-    acc: dict[TermKey, Fraction] = {}
+    """Total x-derivative: bumps one jet order per term by the Leibniz rule,
+    moving one unit of a key from a variable's field to the next jet's."""
+    tr, layout = p.trunc, p.layout
+    edge = layout.field_mask(lambda var: var[2] == tr.jet_max)
+    if any(k & edge for row in p.rows for k in row):
+        var = next(v for (_e, mono), _c in p.sorted_terms() for v, _x in mono
+                   if v[2] == tr.jet_max)
+        raise JetOverflowError(f"dx would raise {var_name(var)} past jet bound {tr.jet_max}")
+    rows: Rows = [{} for _ in p.rows]
     has_deg0 = False
-    for (eps, mono), coef in p.terms.items():
-        for var, exp in mono:
-            kind, alpha, jet = var
-            if jet == 0:
-                has_deg0 = True
-            if jet + 1 > tr.jet_max:
-                raise JetOverflowError(
-                    f"dx would raise {var_name(var)} past jet bound {tr.jet_max}")
-            raised = ((kind, alpha, jet + 1), 1)
-            key = (eps, mono_mul(mono_div_var(mono, var), (raised,)))
-            s = acc.get(key, Fraction(0)) + coef * exp
-            if s:
-                acc[key] = s
-            else:
-                del acc[key]
+    for d, row in enumerate(p.rows):
+        for k, n in row.items():
+            for var, exp in layout.unpack(k)[1]:
+                kind, alpha, jet = var
+                has_deg0 = has_deg0 or jet == 0
+                target = rows[d - 1] if jet == 0 else rows[d]
+                key = k - (1 << layout[var]) + (1 << layout[(kind, alpha, jet + 1)])
+                s = target.get(key, 0) + n * exp
+                if s:
+                    target[key] = s
+                else:
+                    del target[key]
     rel = p.rel if (p.rel is None or not has_deg0) else p.rel - 1
-    return JetPoly(acc, tr, rel)
+    if rel is not None:
+        rows = rows[:max(rel + 1, 0)]
+    return JetPoly.from_rows(layout, p.den, rows, rel, grown=True)
 
 
 def standard_degree(p: JetPoly) -> dict[int, JetPoly]:

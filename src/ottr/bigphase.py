@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .algebra import (
@@ -137,6 +138,12 @@ class BigSeries(SparseSeries):
     def bounds(trunc) -> tuple[int, int]:
         return trunc.deg_max, trunc.level_max
 
+    @staticmethod
+    def base_width(trunc) -> int:
+        """Every variable counts toward the degree, so no exponent exceeds it."""
+        return max(trunc.deg_max.bit_length(), 1)
+
+    widens = False
     overflow_error = LevelOverflowError
     index_name = "level"
     var_name = staticmethod(big_var_name)
@@ -153,7 +160,7 @@ class BigSeries(SparseSeries):
         return cls({(0, mono): c for mono, c in coeffs.items()}, trunc, rel)
 
     def constant_term(self, eps: int = 0) -> Fraction:
-        return self.terms.get((eps, ONE), Fraction(0))
+        return self.coefficient(ONE, eps)
 
 
 def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
@@ -243,19 +250,18 @@ def x_jet(f: BigSeries, k: int, theory: TheoryData) -> BigSeries:
 
 
 def restrict_small(f: BigSeries, theory: TheoryData) -> JetPoly:
-    """Restriction to the small phase space: t{g}_0 -> v{g}, s_0 -> phi."""
+    """Restriction to the small phase space: t{g}_0 -> v{g}, s_0 -> phi.
+    Only the keys without a positive-level field are unpacked."""
     jt = theory.trunc.jet()
+    layout = f.layout
+    upper = layout.field_mask(lambda var: var[2] > 0)
     acc = {}
-    for (eps, mono), coef in f.terms.items():
-        if mono_max_index(mono) > 0:
-            continue
-        factors = []
-        for (kind, alpha, level), exp in mono:
-            if kind == KIND_T:
-                factors.append((vvar(alpha, 0), exp))
-            else:
-                factors.append((phivar(0), exp))
-        acc[(eps, mono_from_factors(factors))] = coef
+    for row in f.rows:
+        for key, n in row.items():
+            if not key & upper:
+                eps, mono = layout.unpack(key)
+                acc[(eps, tuple((vvar(alpha, 0) if kind == KIND_T else phivar(0), exp)
+                                for (kind, alpha, _level), exp in mono))] = Fraction(n, f.den)
     return JetPoly(acc, jt, _rel_cap(f.rel, jt.deg0_max))
 
 
@@ -290,18 +296,19 @@ def series_log(f: BigSeries) -> BigSeries:
     Miller's recurrence, Knuth, TAOCP vol. 2, section 4.7).  Eps powers are
     constants for E, so the slices carry them along.
     """
-    if f.constant_term() != 1 or any(f.terms.get((e, ONE)) for e in range(1, f.trunc.eps_max + 1)):
+    if not f.rows or f.rows[0] != {0: f.den}:  # the key of eps^0 * 1 is 0
         raise ValueError("series_log needs constant term 1")
     top = f.trunc.deg_max if f.rel is None else min(f.trunc.deg_max, f.rel)
-    rows = [{} for _ in range(top + 1)]
-    for d, e, m, c in f.by_degree():
-        rows[d][(e, m)] = c
-    fs = [BigSeries(r, f.trunc, None, _checked=True) for r in rows]
+    fs = [BigSeries.from_rows(f.layout, f.den, [{}] * n + f.rows[n:n + 1], None)
+          for n in range(top + 1)]
     gs = [BigSeries.zero(f.trunc)]
     for n in range(1, top + 1):
         gs.append(dot(fs[n], [(gs[k], fs[n - k], Fraction(-k, n)) for k in range(1, n)]))
-    return BigSeries({key: c for g in gs for key, c in g.terms.items()}, f.trunc, f.rel,
-                     _checked=True)
+    # g_n holds degree n alone
+    den = lcm(*(g.den for g in gs))
+    rows = [{k: c * (den // g.den) for k, c in g.rows[n].items()} if len(g.rows) > n else {}
+            for n, g in enumerate(gs)]
+    return BigSeries.from_rows(f.layout, den, rows, f.rel)
 
 
 def eval_jetpoly(p: JetPoly, sol_v: Sequence[BigSeries],
@@ -338,10 +345,7 @@ def eval_jetpoly(p: JetPoly, sol_v: Sequence[BigSeries],
         rel = _rel_cap(_rel_min(out.rel, p.rel), trunc.deg_max)
     else:
         rel = -1
-    terms = out.terms
-    if rel is not None:
-        terms = {k: c for k, c in terms.items() if mono_degree(k[1]) <= rel}
-    return BigSeries(terms, trunc, rel, _checked=True)
+    return out.cut(rel)
 
 
 def restrict_window(f: BigSeries, trunc: Truncation) -> BigSeries:

@@ -18,6 +18,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .algebra import JetPoly, JetOverflowError, phivar, poly_eq, vvar
@@ -281,7 +282,9 @@ def cmd_compare(args) -> int:
     return EXIT_OK if same else EXIT_RESIDUAL
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ottr",
         description="exact verification of open topological recursion data")

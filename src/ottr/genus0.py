@@ -228,9 +228,9 @@ def validate_open_genus0(f0: BigSeries, f0o: BigSeries, theory: TheoryData
     report.add_rows(_open_families(f0, theory), f0o)
     _string_and_dilaton(report, "open_", f0o, f0o, theory.all_vars(), theory)
     pairing = boundary_pairing(f0o, theory)
-    level0 = {key: coef for key, coef in pairing.terms.items()
-              if all(level == 0 for (_k, _a, level), _e in key[1])}
-    norm = BigSeries(level0, tr, pairing.rel, _checked=True) - 1
+    upper = pairing.layout.field_mask(lambda var: var[2] > 0)  # the positive levels
+    level0 = [{k: n for k, n in row.items() if not k & upper} for row in pairing.rows]
+    norm = BigSeries.from_rows(pairing.layout, pairing.den, level0, pairing.rel) - 1
     report.add("normalization", (), norm)
     report.checked["normalization"] = ("d^2F0o/dt11_0 ds_0 restricted to "
                                        "positive levels = 0 is identically 1")
@@ -411,11 +411,14 @@ def weight_slices(series: BigSeries) -> list[BigSeries]:
 
 
 def _weight_slices(series: BigSeries) -> list[BigSeries]:
-    by_weight: dict[int, dict] = defaultdict(dict)
-    for (eps, mono), coef in series.terms.items():
-        if not eps:
-            by_weight[mono_weight(mono)][(0, mono)] = coef
-    return [BigSeries(by_weight.get(w, {}), series.trunc, series.rel, _checked=True)
+    layout = series.layout
+    by_weight: dict[int, list[dict]] = defaultdict(lambda: [{} for _ in series.rows])
+    for d, row in enumerate(series.rows):
+        for key, n in row.items():
+            if not key & layout.eps_mask:
+                weight = sum(level * exp for (_k, _a, level), exp in layout.unpack(key)[1])
+                by_weight[weight][d][key] = n
+    return [BigSeries.from_rows(layout, series.den, by_weight.get(w, []), series.rel)
             for w in range(max(by_weight, default=-1) + 1)]
 
 
@@ -461,8 +464,8 @@ class _Table:
             self.slices, self.seen, self.nonzero = slices, self.weight, {}
         new = []
         for s in range(self.seen, len(slices)):
-            part = _spec_sum(slices[s], self.specs) if slices[s].terms else slices[s]
-            if part.terms:
+            part = slices[s] if slices[s].is_zero() else _spec_sum(slices[s], self.specs)
+            if not part.is_zero():
                 self.nonzero[s - self.weight] = part
                 new.append(s - self.weight)
         self.seen = max(self.seen, len(slices))
@@ -644,29 +647,31 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
     for w in range(1, cap * trunc.level_max + 1):
         for table, users in feeds.items():
             for j in table.refresh(solved):
-                low = table.nonzero[j].by_degree()[0][0]
+                low = table.nonzero[j].min_degree()
                 for i, partner in users:
                     room = cap - families[i].arity - low  # the degree the partner may have
                     for k, part in partner.nonzero.items():
-                        if part.by_degree()[0][0] <= room:
+                        if part.min_degree() <= room:
                             due[j + k + families[i].offset].add(i)
         active = {(i, mu): rhs for i in sorted(due.pop(w, ()))
                   for (_eps, mu), rhs in families[i].rhs(w, cap, trunc).terms.items()}
-        # close under shared unknowns: every other row is in a zero component
+        # close under shared unknowns: every other row is in a zero component;
+        # each row's left-hand side is built once and carried into the solve
         todo = list(active)
         unknowns: set[BigMonomial] = set()
+        lhs: dict[tuple[int, BigMonomial], dict[BigMonomial, Fraction]] = {}
         while todo:
-            i, mu = todo.pop()
-            for m in families[i].pins(mu).keys() - unknowns:
+            i, mu = key = todo.pop()
+            lhs[key] = families[i].pins(mu)
+            for m in lhs[key].keys() - unknowns:
                 unknowns.add(m)
-                for key in rows_through(m):
-                    if key not in active:
-                        active[key] = Fraction(0)
-                        todo.append(key)
+                for row in rows_through(m):
+                    if row not in active:
+                        active[row] = Fraction(0)
+                        todo.append(row)
         try:
-            assign = _solve_rows([(families[i].pins(mu), active[(i, mu)],
-                                   families[i].label + (mu,))
-                                  for i, mu in sorted(active, key=_row_order)])
+            assign = _solve_rows([(lhs[key], active[key], families[key[0]].label + (key[1],))
+                                  for key in sorted(active, key=_row_order)])
         except NoSolutionError as err:
             err.weight = w
             raise

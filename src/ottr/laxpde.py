@@ -23,7 +23,6 @@ from math import comb, factorial
 from typing import Iterator
 
 from .algebra import (
-    ONE,
     JetPoly,
     JetTruncation,
     coef_phi_power,
@@ -213,45 +212,60 @@ def operators(table: TwoPointTable, go: JetPoly, theory: TheoryData
 
 
 def first_order_rhs(a_slices: dict[int, tuple[BigSeries, BigSeries]],
-                    f0: BigSeries, f1: BigSeries, theory: TheoryData
+                    f0: BigSeries, f1: BigSeries, theory: TheoryData,
+                    starts: tuple[BigSeries, BigSeries] | None = None
                     ) -> tuple[BigSeries, BigSeries]:
-    """First-order slices of sum_i a_i Q_i(f) for f = f0 + eps f1."""
-    return (first_order_rhs0(a_slices, f0, theory),
-            first_order_rhs1(a_slices, f0, f1, theory))
+    """First-order slices of sum_i a_i Q_i(f) for f = f0 + eps f1; given
+    starts (s0, s1), the differences (s0 - slice0, s1 - slice1) instead."""
+    s0, s1 = (None, None) if starts is None else starts
+    return (first_order_rhs0(a_slices, f0, theory, s0),
+            first_order_rhs1(a_slices, f0, f1, theory, s1))
+
+
+def _start_and_sign(start: BigSeries | None, theory: TheoryData) -> tuple[BigSeries, int]:
+    """A slice's `dot` start and the sign of its products: the slice itself
+    from zero, or start minus the slice."""
+    return (BigSeries.zero(theory.trunc), 1) if start is None else (start, -1)
 
 
 def first_order_rhs0(a_slices: dict[int, tuple[BigSeries, BigSeries]],
-                     f0: BigSeries, theory: TheoryData) -> BigSeries:
-    """The eps^0 slice, sum a_i^{[0]} (Xf0)^i; Xf0 keeps its powers."""
+                     f0: BigSeries, theory: TheoryData, start: BigSeries | None = None
+                     ) -> BigSeries:
+    """The eps^0 slice, sum a_i^{[0]} (Xf0)^i (start minus it, given a
+    start); Xf0 keeps its powers."""
     xf0 = t11_partial(f0, 0, theory)
-    return dot(BigSeries.zero(theory.trunc),
-               [(a0, power(xf0, i), 1) for i, (a0, _a1) in sorted(a_slices.items())])
+    start, sign = _start_and_sign(start, theory)
+    return dot(start, [(a0, power(xf0, i), sign) for i, (a0, _a1) in sorted(a_slices.items())])
 
 
 def first_order_rhs1(a_slices: dict[int, tuple[BigSeries, BigSeries]],
-                     f0: BigSeries, f1: BigSeries, theory: TheoryData) -> BigSeries:
-    """The eps^1 slice: the coefficient corrections, the linearization in Xf1,
-    and the second-jet term from the eps expansion of Q_i."""
+                     f0: BigSeries, f1: BigSeries, theory: TheoryData,
+                     start: BigSeries | None = None) -> BigSeries:
+    """The eps^1 slice (start minus it, given a start): the coefficient
+    corrections, the linearization in Xf1, and the second-jet term from the
+    eps expansion of Q_i."""
     xf0 = t11_partial(f0, 0, theory)
     xf1 = t11_partial(f1, 0, theory)
     xxf0 = x_jet(f0, 2, theory)
+    start, sign = _start_and_sign(start, theory)
     products = []
     for i, (a0, a1) in sorted(a_slices.items()):
-        products.append((a1, power(xf0, i), 1))
+        products.append((a1, power(xf0, i), sign))
         if i >= 1:
-            products.append((a0 * power(xf0, i - 1), xf1, i))
+            products.append((a0 * power(xf0, i - 1), xf1, sign * i))
         if i >= 2:
-            products.append((a0 * power(xf0, i - 2), xxf0, comb(i, 2)))
-    return dot(BigSeries.zero(theory.trunc), products)
+            products.append((a0 * power(xf0, i - 2), xxf0, sign * comb(i, 2)))
+    return dot(start, products)
 
 
 def evolution_residual(a_slices: dict[int, tuple[BigSeries, BigSeries]],
                        f0o: BigSeries, f1o: BigSeries, var: BigVar, theory: TheoryData
                        ) -> BigSeries:
-    """(dF0o/dvar - rhs0) + eps (dF1o/dvar - rhs1) for the flow along var."""
-    rhs0, rhs1 = first_order_rhs(a_slices, f0o, f1o, theory)
-    eps = BigSeries({(1, ONE): Fraction(1)}, theory.trunc, None, _checked=True)
-    return (derivative(f0o, var) - rhs0) + eps * (derivative(f1o, var) - rhs1)
+    """(dF0o/dvar - rhs0) + eps (dF1o/dvar - rhs1) for the flow along var:
+    each slice one `dot` from the derivative, the eps^1 one shifted by key."""
+    res0, res1 = first_order_rhs(a_slices, f0o, f1o, theory,
+                                 starts=(derivative(f0o, var), derivative(f1o, var)))
+    return res0 + _eps_shift(res1, 1, theory.trunc.eps_max)
 
 
 @dataclass
@@ -336,12 +350,15 @@ def linear_evolution_residual(f0: BigSeries, f0o: BigSeries, f1o: BigSeries,
 # ---------------------------------------------------------------------------
 
 def _eps_shift(series: BigSeries, k: int, cap: int) -> BigSeries:
-    """eps^k * series without the terms past eps^cap; series itself when that
-    changes nothing, so it keeps what was derived from it."""
-    terms = {(e + k, m): c for (e, m), c in series.terms.items() if e + k <= cap}
-    if not k and len(terms) == len(series.terms):
+    """eps^k * series without the terms past eps^cap (or the eps bound): k
+    added to each key's eps field; series itself when that changes nothing,
+    so it keeps what was derived from it."""
+    mask, cap = series.layout.eps_mask, min(cap, series.trunc.eps_max)
+    if not k and not any(key & mask > cap for row in series.rows for key in row):
         return series
-    return BigSeries(terms, series.trunc, series.rel, _checked=True)
+    rows = [{key + k: n for key, n in row.items() if (key & mask) + k <= cap}
+            for row in series.rows]
+    return BigSeries.from_rows(series.layout, series.den, rows, series.rel)
 
 
 def _dfact_odd(n: int) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .algebra import JetPoly, SparseSeries
 from .bigphase import BigSeries, TheoryData, Truncation, big_var_name
@@ -32,6 +33,9 @@ _SERIES_KINDS = {
 }
 _SERIES_TAGS = {cls: tag for tag, (cls, _) in _SERIES_KINDS.items()}
 
+# Coefficients as ``str(Fraction)`` writes them, up to two more checks: a
+# denominator above 1 and coprime to the numerator.
+_RATIONAL = re.compile(r"(-?[1-9][0-9]*)(?:/([1-9][0-9]*))?|0").fullmatch
 # Integers as ``str(int)`` writes them; ASCII digits only, and no ``-0``.
 _INT = re.compile(r"0|-?[1-9][0-9]*").fullmatch
 _NAT = r"(0|[1-9][0-9]*)"
@@ -158,6 +162,18 @@ def _parse_frac(tok: str, line_no: int, col: int) -> Fraction:
     return val
 
 
+def _parse_coef(tok: str, line_no: int, col: int) -> tuple[int, int]:
+    """(numerator, denominator) of a canonical coefficient, read without
+    `Fraction`; any other token gets `_parse_frac`'s error."""
+    match = _RATIONAL(tok)
+    if match is not None:
+        num, den = int(match[1] or 0), int(match[2] or 1)
+        if match[2] is None or (den > 1 and gcd(num, den) == 1):
+            return num, den
+    val = _parse_frac(tok, line_no, col)  # raises: tok is not canonical
+    return val.numerator, val.denominator
+
+
 def _parse_int(tok: str, what: str, line_no: int, col: int) -> int:
     if not _INT(tok):
         raise ParseError(f"bad {what} {tok!r}", line_no, col)
@@ -234,7 +250,7 @@ def _parse_term(line: str, line_no: int, cls: type[SparseSeries],
     fields = _fields(line, line_no)
     if len(fields) != 4:
         raise ParseError("malformed term line", line_no)
-    coef = _parse_frac(fields[1][0], line_no, fields[1][1])
+    num, den = _parse_coef(fields[1][0], line_no, fields[1][1])
     tr = theory.trunc
     eps = _int_kv(fields[2], "eps", line_no)
     if eps < 0 or eps > tr.eps_max:
@@ -272,7 +288,7 @@ def _parse_term(line: str, line_no: int, cls: type[SparseSeries],
     degree = cls.mono_degree(mono)
     if degree > deg_max:
         raise ParseError("term degree outside truncation", line_no)
-    return (eps, mono), coef, degree
+    return (eps, mono), num, den, degree
 
 
 def _parse_series(numbered: list[tuple[int, str]], cls: type[SparseSeries],
@@ -282,18 +298,18 @@ def _parse_series(numbered: list[tuple[int, str]], cls: type[SparseSeries],
     for line_no, line in numbered:
         if not line.startswith("term "):
             raise ParseError(f"unexpected line {line!r}", line_no)
-        key, coef, degree = _parse_term(line, line_no, cls, theory)
+        key, num, den, degree = _parse_term(line, line_no, cls, theory)
         if key in terms:
             raise ParseError("duplicate term", line_no)
         if terms and key < next(reversed(terms)):
             raise ParseError("terms must be sorted by eps power and monomial",
                              line_no, line.index(" eps=") + 2)
-        if not coef:
+        if not num:
             raise ParseError("zero coefficients are not stored", line_no)
         if rel is not None and degree > rel:
             raise ParseError("term beyond the declared reliable degree", line_no)
-        terms[key] = coef
-    return cls(terms, trunc, rel, _checked=True)
+        terms[key] = num, den, degree
+    return cls.from_parts(trunc, rel, ((d, e, m, n, q) for (e, m), (n, q, d) in terms.items()))
 
 
 def parse(text: str):

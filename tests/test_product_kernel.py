@@ -1,8 +1,11 @@
 """The kernel against plain reference loops: the packed product loop (`*` and
 `dot`) against the tuple/Fraction double loop, and `+`, `-` and `partial`
-against dict merges."""
+against dict merges; and the stored form of every result against its
+canonical-form invariants."""
 
+import functools
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +25,8 @@ from ottr.algebra import (
     phivar,
     vvar,
 )
-from ottr.bigphase import BigSeries, LevelOverflowError, Truncation, s_var, t_var
+from ottr.bigphase import BigSeries, LevelOverflowError, TheoryData, Truncation, s_var, t_var
+from ottr.serialize import emit, parse
 
 TR = Truncation.of(5, 2, eps_max=2)
 JT = JetTruncation(3, 3, 2)
@@ -197,37 +201,50 @@ def test_eps_sums_past_the_bound_are_dropped():
 
 
 def test_one_factor_packed_at_two_widths():
+    """Small and large exponents in one call, in either order: a `BigSeries`
+    at its one width, and a `JetPoly` factor whose partners sit at two field
+    widths, with results that widen and narrow again."""
     p = BigSeries.var(t_var(1, 0), TR) + BigSeries.var(s_var(1), TR)
     q = BigSeries({(0, ((t_var(1, 1), 4),)): Fraction(1, 3)}, TR)
     zero = BigSeries.zero(TR)
-    assert _same(dot(zero, [(p, p, 1)]), _reference_mul(p, p))  # width 2
-    assert _same(dot(zero, [(p, q, 1)]), _reference_mul(p, q))  # width 4
-    assert _same(dot(zero, [(p, p, 1)]), _reference_mul(p, p))  # width 2 again
-    assert {key[1] for key in p._memo if key[0] == "packed"} == {2, 4}
+    for a, b in ((p, p), (p, q), (q, p), (p, p)):
+        assert _same(dot(zero, [(a, b, 1)]), _reference_mul(a, b))
+    assert _same(dot(p, [(p, q, 2), (q, q, -1), (p, p, 1)]),
+                 _reference_dot(p, [(p, q, 2), (q, q, -1), (p, p, 1)]))
+    small = JetPoly.var(vvar(1, 1), JT) + JetPoly.var(phivar(0), JT)
+    big = JetPoly({(0, ((vvar(1, 1), 40),)): Fraction(2, 3)}, JT)
+    for a, b in ((small, small), (small, big), (big, big), (big, small), (small, small)):
+        assert _same(a * b, _reference_mul(a, b))
+    assert (big * big).coefficient(((vvar(1, 1), 80),)) == Fraction(4, 9)
+    assert big * small - small * big == JetPoly.zero(JT)  # narrowed back to the base
+    assert _same(dot(small, [(big, small, 1), (small, big, -1), (small, small, 3)]),
+                 _reference_dot(small, [(big, small, 1), (small, big, -1), (small, small, 3)]))
 
 
 def test_dot_with_nothing_to_add_returns_start_unpacked():
     start = BigSeries.var(t_var(1, 0), TR) + BigSeries.var(s_var(2), TR)
     assert dot(start, [(start, BigSeries.zero(TR), 1), (start, start, 0)]) is start
-    assert not any(key[0] == "packed" for key in start._memo or ())
+    assert dot(start, []) is start
 
 
 @pytest.mark.parametrize("value, other, error", [
-    (BigSeries({(0, ((t_var(1, 3), 1),)): Fraction(1)}, TR, _checked=True),
+    (functools.partial(BigSeries, {(0, ((t_var(1, 3), 1),)): Fraction(1)}, TR),
      BigSeries.var(t_var(1, 0), TR), LevelOverflowError),
-    (BigSeries({(0, ((s_var(3), 2),)): Fraction(1)}, TR, _checked=True),
+    (functools.partial(BigSeries, {(0, ((s_var(3), 2),)): Fraction(1)}, TR),
      BigSeries.var(s_var(0), TR), LevelOverflowError),
-    (JetPoly({(0, ((phivar(4), 1),)): Fraction(1)}, JT, _checked=True),
+    (functools.partial(JetPoly, {(0, ((phivar(4), 1),)): Fraction(1)}, JT),
      JetPoly.var(phivar(3), JT), JetOverflowError),
-    (JetPoly({(0, ((vvar(2, 4), 1),)): Fraction(1)}, JT, _checked=True),
+    (functools.partial(JetPoly, {(0, ((vvar(2, 4), 1),)): Fraction(1)}, JT),
      JetPoly.var(vvar(1, 0), JT), JetOverflowError),
 ])
 def test_index_past_the_bound_raises_the_class_overflow_error(value, other, error):
-    """Its field would alias the next variable's; only `_checked` lets it in."""
-    with pytest.raises(error):
-        value * other
-    with pytest.raises(error):
-        dot(other, [(other, value, 1)])
+    """Its field would alias the next variable's, so not even a `_checked`
+    value can hold it: building one raises, while values within the bound
+    still multiply."""
+    for checked in (True, False):
+        with pytest.raises(error):
+            value(_checked=checked)
+    assert _same(other * other, _reference_mul(other, other))
 
 
 # -- `+`, `-` and `partial` ----------------------------------------------------
@@ -286,12 +303,42 @@ def _within_rel(value):
     return value.rel is None or all(deg(m) <= value.rel for _e, m in value.terms)
 
 
+BIG_THEORY = TheoryData.build(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 0, 0], TR)
+JET_THEORY = TheoryData.build(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 0, 0],
+                              Truncation(5, 2, JT.deg0_max, JT.jet_max, JT.eps_max))
+
+
+def _check_stored_form(value, theory):
+    """No term above rel, and the stored form is canonical: the terms rebuild
+    the same denominator and keys, equal values hash equal, no smaller
+    denominator holds the value, and the text form parses back to it."""
+    assert _within_rel(value)
+    rebuilt = type(value)(dict(value.terms), value.trunc, value.rel)
+    assert rebuilt == value and (rebuilt.den, rebuilt.rows) == (value.den, value.rows)
+    assert hash(rebuilt) == hash(value)
+    assert value.den == lcm(*(c.denominator for c in value.terms.values()))
+    assert parse(emit(value, theory))[0] == value
+
+
+def _kernel_results(start, products, var, scalar):
+    results = [dot(start, products), start * scalar, -start, start.eps_slice(1),
+               partial(start, var)]
+    for a, b, _c in products:
+        results += [a + b, a - b, a * b, partial(a * b, var)]
+    return results
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(ranks.flatmap(lambda n: dot_cases(big_series(n))),
        st.sampled_from([t_var(1, 0), t_var(1, 2), s_var(1)]), coefs)
 def test_no_kernel_operation_stores_a_term_above_its_rel(case, var, scalar):
-    start, products = case
-    results = [dot(start, products), start * scalar, start.eps_slice(1), partial(start, var)]
-    for a, b, _c in products:
-        results += [a + b, a - b, a * b, partial(a * b, var)]
-    assert all(_within_rel(r) for r in results)
+    for value in _kernel_results(*case, var, scalar):
+        _check_stored_form(value, BIG_THEORY)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(dot_cases(jet_polys()), st.sampled_from([vvar(1, 0), vvar(1, 1), phivar(1), fvar(3)]),
+       coefs)
+def test_no_jet_operation_stores_a_term_above_its_rel(case, var, scalar):
+    for value in _kernel_results(*case, var, scalar):
+        _check_stored_form(value, JET_THEORY)

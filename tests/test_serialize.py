@@ -16,7 +16,16 @@ from ottr.genus0 import (
     validate_open_genus0,
 )
 from ottr.laxpde import LinearDiffOp, build_interior_op
-from ottr.serialize import ParseError, ReportFile, emit, load, parse
+from ottr.serialize import (
+    FORMAT_TAG,
+    ParseError,
+    ReportFile,
+    _parse_coef,
+    emit,
+    emit_theory,
+    load,
+    parse,
+)
 
 TR = Truncation.of(8, 3)
 TH = TheoryData.rank1(TR)
@@ -251,6 +260,31 @@ def test_determinism_under_assembly_order(f0, theory8):
     shuffled = BigSeries(dict(reversed(list(f0.terms.items()))), theory8.trunc,
                          f0.rel, _checked=True)
     assert emit(shuffled, theory8) == emit(f0, theory8)
+
+
+@pytest.mark.parametrize("tok", ["+1", "01", "-0", "0", "2/4", "3/1", "1/-2", "1/0", "1_0",
+                                 "1e3", "-1/3", "7"])
+def test_coefficient_tokens_follow_the_fraction_rule(tok):
+    """The coefficient reader accepts exactly the tokens with
+    str(Fraction(tok)) == tok, each as that rational, and refuses every other
+    token with that rule's message at the token's column."""
+    try:
+        want = Fraction(tok)
+        message = None if str(want) == tok else (
+            f"coefficient {tok!r} is not canonical (expected {want})")
+    except (ValueError, ZeroDivisionError):
+        message = f"malformed coefficient {tok!r}"
+    text = (f"{FORMAT_TAG}\n{emit_theory(TH)}\nkind bigseries rel=-\n"
+            f"term {tok} eps=0 vars=t:1:0:1\nend\n")
+    if message is None:
+        assert _parse_coef(tok, 4, 6) == (want.numerator, want.denominator)
+        if want:  # a zero coefficient is refused later, as never stored
+            assert parse(text)[0].coefficient(((t_var(1, 0), 1),)) == want
+        return
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (str(err.value), err.value.line, err.value.col) == (
+        f"line 4, col 6: {message}", 4, 6)
 
 
 def _fuzz_files() -> list[str]:
