@@ -28,8 +28,9 @@ narrowest width that fits it, so its stored form stays canonical.
 
 `terms` maps ``(eps power, monomial)`` to a nonzero `fractions.Fraction`;
 it is a read-only view unpacked from the keys once per value, for the
-readers outside the kernel (emission, the solver's rows, tests).  A monomial
-is a sorted tuple of ``((kind, alpha, index), exponent)`` pairs.
+readers outside the kernel (substitution, seeds, the Lax integrator,
+tests).  A monomial is a sorted tuple of ``((kind, alpha, index), exponent)``
+pairs.
 
 This module's own subclass, `JetPoly`, is the ring of differential
 polynomials in jet variables
@@ -194,14 +195,6 @@ def mono_max_index(m: Monomial) -> int:
 
 def mono_deg0(m: Monomial) -> int:
     return sum(exp for (kind, alpha, jet), exp in m if jet == 0)
-
-
-def mono_std_degree(m: Monomial) -> int:
-    """Standard degree of a monomial: deg v{a}_i = deg phi_i = i, deg f_i = i-1."""
-    total = 0
-    for (kind, alpha, jet), exp in m:
-        total += exp * (jet - 1 if kind == KIND_F else jet)
-    return total
 
 
 def _rel_min(a: int | None, b: int | None) -> int | None:
@@ -811,40 +804,35 @@ def dx(p: JetPoly) -> JetPoly:
 
 
 def standard_degree(p: JetPoly) -> dict[int, JetPoly]:
-    """Decompose into homogeneous slices of the standard gradation (deg eps = -1)."""
-    buckets: dict[int, dict[TermKey, Fraction]] = {}
-    for (eps, mono), coef in p.terms.items():
-        d = mono_std_degree(mono) - eps
-        buckets.setdefault(d, {})[(eps, mono)] = coef
-    return {d: JetPoly(terms, p.trunc, p.rel, _checked=True)
-            for d, terms in sorted(buckets.items())}
+    """Decompose into homogeneous slices of the standard gradation, read off
+    each key: deg v{a}_i = deg phi_i = i, deg f_i = i - 1, deg eps = -1."""
+    layout = p.layout
+    grades = [(shift, jet - (kind == KIND_F)) for (kind, _a, jet), shift in layout.items()]
+    buckets: dict[int, Rows] = defaultdict(lambda: [{} for _ in p.rows])
+    for d, row in enumerate(p.rows):
+        for k, n in row.items():
+            grade = sum(g * (k >> s & layout.mask) for s, g in grades) - (k & layout.eps_mask)
+            buckets[grade][d][k] = n
+    return {g: JetPoly.from_rows(layout, p.den, rows, p.rel)
+            for g, rows in sorted(buckets.items())}
 
 
 def coef_phi_power(p: JetPoly, i: int) -> JetPoly:
-    """Coefficient of phi^i; requires that no positive phi jets are present."""
+    """Coefficient of phi^i; requires that no positive phi jets are present.
+    The keys with i in phi's field lose it, and their degree drops by i."""
     if i < 0:
         raise ValueError("phi power must be >= 0")
-    phi0 = phivar(0)
-    for _, mono in p.terms:
-        for (kind, alpha, jet), _ in mono:
-            if kind == KIND_PHI and jet > 0:
-                raise PhiJetError("positive phi jets present; eliminate them first")
-    acc: dict[TermKey, Fraction] = {}
-    for (eps, mono), coef in p.terms.items():
-        entry = dict(mono)
-        if entry.pop(phi0, 0) != i:
-            continue
-        acc[(eps, tuple(sorted(entry.items())))] = coef
-    rel = None if p.rel is None else p.rel - i
-    return JetPoly(acc, p.trunc, rel, _checked=True)
+    layout = p.layout
+    jets = layout.field_mask(lambda var: var[0] == KIND_PHI and var[2] > 0)
+    if any(k & jets for row in p.rows for k in row):
+        raise PhiJetError("positive phi jets present; eliminate them first")
+    shift = layout[phivar(0)]
+    rows = [{k - (i << shift): n for k, n in row.items() if k >> shift & layout.mask == i}
+            for row in p.rows[i:]]
+    return JetPoly.from_rows(layout, p.den, rows, None if p.rel is None else p.rel - i)
 
 
 def phi_degree(p: JetPoly) -> int:
     """Highest power of phi (jet order zero) appearing in p."""
-    phi0 = phivar(0)
-    best = 0
-    for _, mono in p.terms:
-        for var, exp in mono:
-            if var == phi0:
-                best = max(best, exp)
-    return best
+    shift, mask = p.layout[phivar(0)], p.layout.mask
+    return max((k >> shift & mask for row in p.rows for k in row), default=0)

@@ -43,8 +43,6 @@ from .algebra import (
     dot,
     frac,
     mono_from_factors,
-    mono_max_index,
-    mono_mul,
     partial,  # the loop behind `derivative`, re-exported under its own name
     phivar,
     vvar,
@@ -114,10 +112,6 @@ def mono_degree(m: BigMonomial) -> int:
 def mono_weight(m: BigMonomial) -> int:
     """Total descendent weight: the level sum counted with exponents."""
     return sum(level * exp for (kind, alpha, level), exp in m)
-
-
-def mono_mul_var(m: BigMonomial, var: BigVar) -> BigMonomial:
-    return mono_mul(m, ((var, 1),))
 
 
 class BigSeries(SparseSeries):
@@ -353,17 +347,11 @@ def restrict_window(f: BigSeries, trunc: Truncation) -> BigSeries:
     if (trunc.deg_max > f.trunc.deg_max or trunc.level_max > f.trunc.level_max
             or trunc.eps_max > f.trunc.eps_max):
         raise ValueError("windows may only shrink")
-    acc = {}
-    for (eps, mono), coef in f.terms.items():
-        if eps > trunc.eps_max:
-            continue
-        if mono_max_index(mono) > trunc.level_max:
-            continue
-        if mono_degree(mono) > trunc.deg_max:
-            continue
-        acc[(eps, mono)] = coef
-    rel = _rel_min(f.rel, trunc.deg_max)
-    return BigSeries(acc, trunc, rel, _checked=True)
+    old, new = f.layout, BigSeries.zero(trunc).layout
+    high = old.field_mask(lambda var: var[2] > trunc.level_max)
+    rows = [{k: n for k, n in row.items() if not k & high and k & old.eps_mask <= trunc.eps_max}
+            for row in f.rows[:trunc.deg_max + 1]]
+    return BigSeries.from_rows(new, f.den, old.moved(rows, new), _rel_min(f.rel, trunc.deg_max))
 
 
 def relabel_component(f: BigSeries, alpha: int, trunc: Truncation) -> BigSeries:

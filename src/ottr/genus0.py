@@ -19,11 +19,14 @@ a kernel value at every weight: `spec_sum` of a weight slice of its source.
 At weight w each row is affine in the weight-w unknowns, and a family's
 right-hand sides are one kernel `dot` over the products of lower-weight table
 parts, the same product loop the validators use, evaluated only at the
-weights where two nonzero table parts meet below the degree cap.  The engine
-activates the rows with a nonzero right-hand side, closes them under shared
-unknowns, and solves them in the dense row order.  Every row it skips lies in a connected
-component whose right-hand sides all vanish, so it reads 0 = 0 under the
-zero default: skipping it changes no coefficient and no inconsistency report.
+weights where two nonzero table parts meet below the degree cap.  Rows and
+unknowns are packed keys of the series layout, so the engine reads each
+right-hand side from its stored rows.  It activates the rows with a nonzero
+right-hand side, closes them under shared unknowns, and solves them; only a
+conflict or a stall is solved again in the dense row order, over monomials.
+Every row it skips lies in a connected component whose right-hand sides all
+vanish, so it reads 0 = 0 under the zero default: skipping it changes no
+coefficient and no inconsistency report.
 Monomials no row contains (one-point data and, in the closed case, two-point
 data without a unit-direction factor) and non-pivot unknowns are zero and
 recorded as free.
@@ -35,6 +38,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm, perm
 from typing import Sequence
 
 from .algebra import (
@@ -44,9 +48,6 @@ from .algebra import (
     derivative,
     dot,
     dx,
-    exponent_of,
-    mono_div_var,
-    mono_mul,
     phivar,
     var_name,
     vvar,
@@ -385,38 +386,16 @@ def _spec_monomials(specs: Sequence[tuple[tuple[BigVar, ...], Fraction]]
                  for dvars, scale in specs if scale)
 
 
-def _mono_div(m: BigMonomial | None, d: BigMonomial) -> BigMonomial | None:
-    for var, exp in d:
-        for _ in range(exp):
-            if m is None:
-                return None
-            m = mono_div_var(m, var)
-    return m
-
-
-def _falling(m: BigMonomial, d: BigMonomial) -> int:
-    """The factor d^k m / d(d) picks up: prod over x^c in d of e(e-1)...(e-c+1)."""
-    k = 1
-    for var, exp in d:
-        e = exponent_of(m, var)
-        for i in range(exp):
-            k *= e - i
-    return k
-
-
-def weight_slices(series: BigSeries) -> list[BigSeries]:
-    """The eps-free terms of series by descendent weight, each slice with the
-    series' rel, computed once per value."""
-    return series.derived(("weight_slices",), _weight_slices)
-
-
 def _weight_slices(series: BigSeries) -> list[BigSeries]:
-    layout = series.layout
+    """The eps-free terms of series by descendent weight, each slice with the
+    series' rel; the weight of a key is read off its positive-level fields."""
+    layout, mask = series.layout, series.layout.mask
+    levels = [(shift, var[2]) for var, shift in layout.items() if var[2]]
     by_weight: dict[int, list[dict]] = defaultdict(lambda: [{} for _ in series.rows])
     for d, row in enumerate(series.rows):
         for key, n in row.items():
             if not key & layout.eps_mask:
-                weight = sum(level * exp for (_k, _a, level), exp in layout.unpack(key)[1])
+                weight = sum(level * (key >> shift & mask) for shift, level in levels)
                 by_weight[weight][d][key] = n
     return [BigSeries.from_rows(layout, series.den, by_weight.get(w, []), series.rel)
             for w in range(max(by_weight, default=-1) + 1)]
@@ -440,12 +419,13 @@ class _Table:
     """The derivative sum_spec scale * d^k F / d(spec vars), weight by weight.
 
     Its weight-w part is `spec_sum(slice, specs)` of the weight-(w + table
-    weight) slice of its source: `weight_slices(series)` for a table built
-    from a series, and the engine's solved slices for a fed table, one built
-    without, which stands for the potential under solution or test.  Every
-    spec has the table weight.  A slice never changes once present, so the
-    table keeps each nonzero part itself (`nonzero`, by weight); a memo on the
-    slice would hash the `Fraction` scales at every lookup.
+    weight) slice of its source: `_weight_slices(series)`, kept with the
+    series, for a table built from a series, and the engine's solved slices
+    for a fed table, one built without, which stands for the potential under
+    solution or test.  Every spec has the table weight.  A slice never
+    changes once present, so the table keeps each nonzero part itself
+    (`nonzero`, by weight) and its least degree (`low`); a memo on the slice
+    would hash the `Fraction` scales at every lookup.
     """
 
     def __init__(self, specs: Sequence[tuple[tuple[BigVar, ...], Fraction]],
@@ -454,19 +434,20 @@ class _Table:
         self.weight = mono_weight(self.specs[0][0])
         self.series = series
         self.slices: list[BigSeries] | None = None
-        self.seen, self.nonzero = 0, {}
+        self.seen, self.nonzero, self.low = 0, {}, {}
 
     def refresh(self, solved: list[BigSeries]) -> list[int]:
         """Take in the slices present since the last call; returns the
         weights of the new nonzero parts."""
-        slices = solved if self.series is None else self.slices or weight_slices(self.series)
+        slices = solved if self.series is None else (
+            self.slices or self.series.derived(("weight_slices",), _weight_slices))
         if slices is not self.slices:  # first use, or the slices of a new solve
-            self.slices, self.seen, self.nonzero = slices, self.weight, {}
+            self.slices, self.seen, self.nonzero, self.low = slices, self.weight, {}, {}
         new = []
         for s in range(self.seen, len(slices)):
             part = slices[s] if slices[s].is_zero() else _spec_sum(slices[s], self.specs)
             if not part.is_zero():
-                self.nonzero[s - self.weight] = part
+                self.nonzero[s - self.weight], self.low[s - self.weight] = part, part.min_degree()
                 new.append(s - self.weight)
         self.seen = max(self.seen, len(slices))
         return new
@@ -500,14 +481,6 @@ class _Rows:
                       if w - w1 in right]
         return dot(BigSeries.zero(trunc, cap - self.arity), pairs)
 
-    def pins(self, mu: BigMonomial) -> dict[BigMonomial, Fraction]:
-        """The left-hand side of the row at mu."""
-        out: dict[BigMonomial, Fraction] = {}
-        for d, scale in self.specs:
-            m = mono_mul(mu, d)
-            out[m] = scale * _falling(m, d)
-        return out
-
     def residual(self, f: BigSeries) -> BigSeries:
         """The spec derivatives of f minus the sum of the table products, where
         a fed table stands for f."""
@@ -517,28 +490,33 @@ class _Rows:
                     for pair in self.products])
 
 
-def _row_order(key: tuple[int, BigMonomial]) -> tuple:
+def _row_order(i: int, mu: BigMonomial) -> tuple:
     """The dense order: family first, then mu by degree and sorted factor list."""
-    i, mu = key
     return i, mono_degree(mu), tuple(var for var, exp in mu for _ in range(exp))
 
 
-def _solve_rows(rows: list[tuple[dict[BigMonomial, Fraction], Fraction, tuple]]
-                ) -> dict[BigMonomial, Fraction]:
-    """Exact solve: single-unknown propagation in row order, then elimination."""
-    assign: dict[BigMonomial, Fraction] = {}
+def _solve_rows(rows: list[tuple[dict, Fraction, tuple]], ordered: bool = True
+                ) -> dict | None:
+    """Exact solve: single-unknown propagation in row order, then elimination.
+
+    Propagation fixes the same values in any row order; the label of a
+    conflict and the pivots of an elimination depend on it.  So for rows in
+    no order (`ordered` false) a conflict or a stall gives None."""
+    assign: dict = {}
     pending = rows
     while True:
         progressed = False
         deferred = []
         for lhs, rhs, label in pending:
-            reduced: dict[BigMonomial, Fraction] = {}
+            reduced: dict = {}
             for m, c in lhs.items():
                 if m in assign:
                     rhs -= c * assign[m]
                 else:
                     reduced[m] = c
             if not reduced:
+                if rhs and not ordered:
+                    return None
                 if rhs:
                     raise NoSolutionError(
                         label, f"inconsistent constraint {label}: 0 = {rhs}")
@@ -553,13 +531,15 @@ def _solve_rows(rows: list[tuple[dict[BigMonomial, Fraction], Fraction, tuple]]
         if not pending or not progressed:
             break
     if pending:
+        if not ordered:
+            return None
         assign.update(_eliminate(pending))
     return assign
 
 
-def _eliminate(rows) -> dict[BigMonomial, Fraction]:
+def _eliminate(rows) -> dict:
     """Gaussian elimination in row order, pivoting on each row's least unknown."""
-    pivots: list[tuple[BigMonomial, dict, Fraction]] = []
+    pivots: list[tuple[object, dict, Fraction]] = []
     for lhs, rhs, label in rows:  # fresh dicts from _solve_rows, reduced in place
         for pvar, plhs, prhs in pivots:
             if pvar in lhs:
@@ -579,7 +559,7 @@ def _eliminate(rows) -> dict[BigMonomial, Fraction]:
         pcoef = lhs.pop(pvar)
         plhs = {m: c / pcoef for m, c in lhs.items()}
         pivots.append((pvar, plhs, rhs / pcoef))
-    assign: dict[BigMonomial, Fraction] = {}
+    assign: dict = {}
     for pvar, plhs, prhs in reversed(pivots):
         val = prhs
         for m, c in plhs.items():
@@ -610,29 +590,47 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
     right-hand sides are cut at.  Each table is refreshed once per weight,
     and each new part marks the families it makes due, so only those are
     evaluated.  A conflict raises `NoSolutionError` with its weight.
-    """
-    index: dict[BigVar, list[tuple[int, BigMonomial]]] = {}
-    for i, fam in enumerate(families):
-        for d, _scale in fam.specs:
-            var = max(d, key=lambda factor: factor[0][2])[0]
-            index.setdefault(var, []).append((i, mono_div_var(d, var)))
 
-    def rows_through(m: BigMonomial):
-        for var, _exp in m:
-            for i, rest in index.get(var, ()):
-                mu = _mono_div(mono_div_var(m, var), rest)
-                if mu is not None:
-                    yield i, mu
+    A row is (family, key of mu), read off the stored right-hand side, and
+    its unknowns are mu plus each spec key, with the falling factorial of the
+    spec's fields.  A weight whose propagation conflicts or stalls is solved
+    again in `_row_order` over monomials, pivoting on the least.
+    """
+    solved = [BigSeries.from_coeffs(seed, trunc, rel=cap)]
+    layout, mask, zero = solved[0].layout, solved[0].layout.mask, Fraction(0)
+    # each family's specs as (key, scale, (field shift, exponent) per factor),
+    # an integral scale as an int, and an index of them by the field of their
+    # top-level factor
+    packed: list[list[tuple[int, Fraction | int, list[tuple[int, int]]]]] = []
+    index: dict[int, list[tuple[int, int, list[tuple[int, int]]]]] = {}
+    for i, fam in enumerate(families):
+        packed.append([])
+        for d, scale in fam.specs:
+            key, fields = layout.pack(0, d), [(layout[var], exp) for var, exp in d]
+            packed[i].append((key, scale.numerator if scale.denominator == 1 else scale, fields))
+            top = max(d, key=lambda factor: factor[0][2])[0]
+            index.setdefault(layout[top], []).append((i, key, fields))
+
+    def rows_through(m: int):
+        """The rows (family, key of mu) that have the unknown m."""
+        for shift, specs in index.items():
+            if m >> shift & mask:
+                for i, key, fields in specs:
+                    for s, c in fields:
+                        if m >> s & mask < c:
+                            break
+                    else:
+                        yield i, m - key
 
     # Monomials no row contains.  A recursion family reaches every monomial of
     # positive weight and of at least its arity through a positive-level
     # factor, so only lower degrees need a look.
-    structural: dict[int, set[BigMonomial]] = {}
+    structural: dict[int, list[BigMonomial]] = {}
     for d in range(1, min(max((fam.arity for fam in families), default=0), cap + 1)):
         for combo in combinations_with_replacement(sorted(variables), d):
             m = mono_from_factors((var, 1) for var in combo)
-            if mono_weight(m) and next(rows_through(m), None) is None:
-                structural.setdefault(mono_weight(m), set()).add(m)
+            if mono_weight(m) and next(rows_through(layout.pack(0, m)), None) is None:
+                structural.setdefault(mono_weight(m), []).append(m)
 
     # each table with the families it feeds and its partner in their product
     feeds: dict[_Table, list[tuple[int, _Table]]] = {}
@@ -642,44 +640,70 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
             feeds.setdefault(b, []).append((i, a))
     due: dict[int, set[int]] = defaultdict(set)  # weight -> families to evaluate
 
-    solved = [BigSeries.from_coeffs(seed, trunc, rel=cap)]
     free: list[BigMonomial] = []
+    values, degrees = {}, {}  # every solved unknown: its value and its degree
     for w in range(1, cap * trunc.level_max + 1):
         for table, users in feeds.items():
             for j in table.refresh(solved):
-                low = table.nonzero[j].min_degree()
                 for i, partner in users:
-                    room = cap - families[i].arity - low  # the degree the partner may have
-                    for k, part in partner.nonzero.items():
-                        if part.min_degree() <= room:
+                    room = cap - families[i].arity - table.low[j]  # the partner's degree
+                    for k, low in partner.low.items():
+                        if low <= room:
                             due[j + k + families[i].offset].add(i)
-        active = {(i, mu): rhs for i in sorted(due.pop(w, ()))
-                  for (_eps, mu), rhs in families[i].rhs(w, cap, trunc).terms.items()}
+        active, todo = {}, []  # row -> right-hand side; (family, mu, degree of mu)
+        for i in due.pop(w, ()):
+            rhs = families[i].rhs(w, cap, trunc)
+            for d, row in enumerate(rhs.rows):
+                for mu, n in row.items():
+                    active[i, mu] = Fraction(n, rhs.den)
+                    todo.append((i, mu, d))
         # close under shared unknowns: every other row is in a zero component;
         # each row's left-hand side is built once and carried into the solve
-        todo = list(active)
-        unknowns: set[BigMonomial] = set()
-        lhs: dict[tuple[int, BigMonomial], dict[BigMonomial, Fraction]] = {}
+        unknowns, lhs = {}, {}  # unknown -> its degree; row -> its left-hand side
         while todo:
-            i, mu = key = todo.pop()
-            lhs[key] = families[i].pins(mu)
-            for m in lhs[key].keys() - unknowns:
-                unknowns.add(m)
-                for row in rows_through(m):
-                    if row not in active:
-                        active[row] = Fraction(0)
-                        todo.append(row)
-        try:
-            assign = _solve_rows([(lhs[key], active[key], families[key[0]].label + (key[1],))
-                                  for key in sorted(active, key=_row_order)])
-        except NoSolutionError as err:
-            err.weight = w
-            raise
-        free.extend(sorted(m for m in unknowns | structural.get(w, set())
-                           if m not in assign))
-        solved.append(BigSeries.from_coeffs(assign, trunc, rel=cap))
-    terms = {key: c for part in solved for key, c in part.terms.items()}
-    return SolveResult(BigSeries(terms, trunc, cap, _checked=True), free)
+            i, mu, d = todo.pop()
+            row = lhs[i, mu] = {}
+            degree = d + families[i].arity
+            for key, scale, fields in packed[i]:
+                m = mu + key
+                k = 1
+                for s, c in fields:
+                    k *= perm(m >> s & mask, c)
+                row[m] = scale * k
+                if m not in unknowns:
+                    unknowns[m] = degree
+                    for j, nu in rows_through(m):
+                        if (j, nu) not in active:
+                            active[j, nu] = zero
+                            todo.append((j, nu, degree - families[j].arity))
+        assign = _solve_rows([(lhs[key], rhs, key) for key, rhs in active.items()], False)
+        if assign is None:  # again in the dense order, over monomials and Fractions
+            mus = {key: layout.unpack(key[1])[1] for key in active}
+            rows = [({layout.unpack(m)[1]: Fraction(c) for m, c in lhs[key].items()},
+                     active[key], families[key[0]].label + (mus[key],))
+                    for key in sorted(active, key=lambda key: _row_order(key[0], mus[key]))]
+            try:
+                monos = _solve_rows(rows)
+            except NoSolutionError as err:
+                err.weight = w
+                raise
+            assign = {layout.pack(0, m): value for m, value in monos.items()}
+        free.extend(sorted([layout.unpack(m)[1] for m in unknowns if m not in assign]
+                           + structural.get(w, [])))
+        solved.append(_from_values(layout, assign, unknowns, cap))
+        values.update(assign)
+        degrees.update(unknowns)
+    return SolveResult(solved[0] + _from_values(layout, values, degrees, cap), free)
+
+
+def _from_values(layout, values: dict, degrees: dict, rel: int) -> BigSeries:
+    """The series of the nonzero key -> value pairs, each key at its degree."""
+    den = lcm(*(v.denominator for v in values.values()))
+    rows: list[dict[int, int]] = [{} for _ in range(rel + 1)]
+    for key, v in values.items():
+        if v:
+            rows[degrees[key]][key] = v.numerator * (den // v.denominator)
+    return BigSeries.from_rows(layout, den, rows, rel)
 
 
 def _hessian_specs(alpha: int, a: int, nu: int, theory: TheoryData) -> list:

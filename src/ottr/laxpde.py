@@ -32,6 +32,7 @@ from .algebra import (
     exponent_of,
     fvar,
     mono_max_index,
+    mono_mul,
     phi_degree,
     phivar,
     power,
@@ -47,7 +48,6 @@ from .bigphase import (
     Truncation,
     eval_jetpoly,
     mono_degree,
-    mono_mul_var,
     mono_weight,
     restrict_window,
     s_var,
@@ -87,17 +87,11 @@ def qpoly_expansion_residual(i: int, trunc: JetTruncation | None = None) -> JetP
     """Q_i minus its two leading eps orders; divisible by eps^2."""
     if trunc is None:
         trunc = qpoly_truncation(i)
-    res = qpoly(i, trunc)
     f1 = JetPoly.var(fvar(1), trunc)
-    lead = JetPoly.const(1, trunc)
-    for _ in range(i):
-        lead = lead * f1
-    res = res - lead
+    res = qpoly(i, trunc) - power(f1, i)
     if i >= 2:
-        sub = JetPoly.eps(trunc) * JetPoly.var(fvar(2), trunc) * comb(i, 2)
-        for _ in range(i - 2):
-            sub = sub * f1
-        res = res - sub
+        eps_f2 = JetPoly.eps(trunc) * JetPoly.var(fvar(2), trunc)
+        res = res - eps_f2 * comb(i, 2) * power(f1, i - 2)
     return res
 
 
@@ -580,7 +574,7 @@ def pst_generate(theory: TheoryData) -> PstResult:
                     raise PstIntegrationError((kind, p), None,
                                               "flow window too small for target")
                 for (_e, down), c in rhs.terms.items():
-                    m = mono_mul_var(down, var)
+                    m = mono_mul(down, ((var, 1),))
                     if mono_degree(m) <= cap and _filled_by(m) == (kind, p, grade):
                         coeffs[g][m] = c / exponent_of(m, var)
             f[g] = partial_series(g)

@@ -66,12 +66,8 @@ class ReportFile:
         return all(zero for _, _, zero, _ in self.entries)
 
 
-def _fmt_frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _fmt_vec(vec) -> str:
-    return ",".join(_fmt_frac(x) for x in vec)
+    return ",".join(map(str, vec))
 
 
 def _fmt_mat(mat) -> str:
@@ -94,12 +90,15 @@ def emit_theory(theory: TheoryData) -> str:
 
 
 def _emit_terms(value: SparseSeries) -> list[str]:
-    names = value.kind_names
+    """The term lines in (eps, monomial) order, coefficients as `str(Fraction)`."""
+    names, unpack, den = value.kind_names, value.layout.unpack, value.den
     lines = []
-    for (eps, mono), coef in value.sorted_terms():
+    for (eps, mono), n in sorted((unpack(k), n) for row in value.rows for k, n in row.items()):
+        g = gcd(n, den)
+        coef = str(n // g) if g == den else f"{n // g}/{den // g}"
         vars_txt = ",".join(f"{names[k]}:{a}:{i}:{e}"
                             for (k, a, i), e in mono) or "-"
-        lines.append(f"term {_fmt_frac(coef)} eps={eps} vars={vars_txt}")
+        lines.append(f"term {coef} eps={eps} vars={vars_txt}")
     return lines
 
 
@@ -185,15 +184,21 @@ def _int_or_text(tok: str):
     return int(tok) if _INT(tok) else tok
 
 
+def _parts(txt: str, sep: str, col: int):
+    """The sep-separated parts of a field value, each with its column."""
+    for part in txt.split(sep):
+        yield part, col
+        col += len(part) + 1
+
+
 def _parse_index(txt: str, names: dict, line_no: int, col: int) -> tuple:
     """A report index: canonical integers and the theory's variable names."""
     out = []
-    for part in txt.split(":") if txt != "-" else ():
+    for part, col in _parts(txt, ":", col) if txt != "-" else ():
         val = int(part) if _INT(part) else names.get(part)
         if val is None:
             raise ParseError(f"bad index part {part!r}", line_no, col)
         out.append(val)
-        col += len(part) + 1
     return tuple(out)
 
 
@@ -233,10 +238,10 @@ def _parse_theory(line: str, line_no: int) -> TheoryData:
         raise ParseError("malformed theory line", line_no)
     rank = _int_kv(fields[1], "rank", line_no)
     eta_txt, col = _kv(fields[2], "eta", line_no)
-    eta = [[_parse_frac(x, line_no, col) for x in row.split(",")]
-           for row in eta_txt.split(";")]
+    eta = [[_parse_frac(x, line_no, c) for x, c in _parts(row, ",", row_col)]
+           for row, row_col in _parts(eta_txt, ";", col)]
     a_txt, col = _kv(fields[3], "A", line_no)
-    avec = [_parse_frac(x, line_no, col) for x in a_txt.split(",")]
+    avec = [_parse_frac(x, line_no, c) for x, c in _parts(a_txt, ",", col)]
     tr = Truncation(*(_int_kv(f, key, line_no) for f, key in
                       zip(fields[4:], ("Dt", "Amax", "Dv", "J", "E"))))
     try:

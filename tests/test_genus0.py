@@ -182,6 +182,47 @@ class TestRowSolve:
         assert assign == {self.X: Fraction(2), self.Y: Fraction(1)}
 
 
+class TestMarchDenseOrder:
+    """Rows that propagation cannot settle reach elimination through the engine.
+
+    Each family below has one row, at mu = t1_0, in the two weight-1 unknowns
+    X = t1_0 t1_1 and Y = t1_0 s_1; its right-hand side is rhs * t1_0.
+    """
+
+    TR = Truncation.of(2, 1)
+    X = mono_from_factors([(t_var(1, 0), 1), (t_var(1, 1), 1)])
+    Y = mono_from_factors([(t_var(1, 0), 1), (s_var(1), 1)])
+    MU = ((t_var(1, 0), 1),)
+
+    def march(self, *rows):
+        """rows: (name, coefficient of X, coefficient of Y, rhs) each."""
+        from ottr.genus0 import _ID, _march, _Rows, _Table
+
+        one = _Table(_ID, BigSeries.const(1, self.TR))
+        families = [_Rows((name,), [((t_var(1, 1),), Fraction(x)), ((s_var(1),), Fraction(y))],
+                          [(one, _Table(_ID, BigSeries.var(t_var(1, 0), self.TR) * rhs))])
+                    for name, x, y, rhs in rows]
+        theory = TheoryData.rank1(self.TR)
+        return _march(families, {}, theory.all_vars(), 2, self.TR)
+
+    def test_coupled_rows_are_eliminated(self):
+        result = self.march(("sum", 1, 1, 3), ("difference", 1, -1, 1))
+        assert result.series.terms == {(0, self.X): Fraction(2), (0, self.Y): Fraction(1)}
+        assert result.free == []
+
+    def test_non_pivot_unknown_is_free(self):
+        result = self.march(("sum", 1, 1, 3))
+        assert result.series.terms == {(0, self.X): Fraction(3)}  # pivot on the least, X
+        assert result.free == [self.Y]
+
+    def test_inconsistent_dependent_row_is_reported_at_its_weight(self):
+        with pytest.raises(NoSolutionError) as err:
+            self.march(("sum", 1, 1, 3), ("difference", 1, -1, 1), ("double", 2, 2, 7))
+        assert err.value.label == ("double", self.MU)
+        assert str(err.value) == f"inconsistent constraint {('double', self.MU)}"
+        assert err.value.weight == 1
+
+
 class TestOpenSolver:
     def test_validates(self, f0, f0o, theory8):
         report = validate_open_genus0(f0, f0o, theory8)

@@ -102,8 +102,14 @@ def sample_report():
                       {"open_trr_t": "alpha<= 1", "string": "single equation"}), TH
 
 
+def sample_rank2():
+    # theory rank=2 eta=1,0;0,1 A=1,1: eta's last entry at col 25, A's at 31
+    th = TheoryData.build(2, [[1, 0], [0, 1]], [1, 1], TR)
+    return BigSeries.var(t_var(1, 0), TR) * BigSeries.var(t_var(2, 0), TR), th
+
+
 SAMPLES = {"bigseries": sample_series, "jetpoly": sample_jetpoly,
-           "operator": sample_operator, "report": sample_report}
+           "operator": sample_operator, "report": sample_report, "rank2": sample_rank2}
 
 
 class TestStrictness:
@@ -131,6 +137,11 @@ class TestStrictness:
         ("operator", "coef i=0", "coef i=x", "x"),
         ("operator", "j=1", "j=01", "01"),
         ("operator", "coef i=2 j=1", "coef i=2  j=1", " j=1"),
+        ("rank2", "eta=1,0;0,1", "eta=1,0;0,x", "x A="),
+        ("rank2", "eta=1,0;0,1", "eta=1,0;q,1", "q,1 "),
+        ("rank2", "eta=1,0;0,1", "eta=1,0;0,1/1", "1/1 "),
+        ("rank2", "A=1,1", "A=1,2/4", "2/4 "),
+        ("rank2", "A=1,1", "A=,1", ",1 "),
     ])
     def test_malformed_field_rejected_with_position(self, sample, old, new, culprit):
         good = emit(*SAMPLES[sample]())
