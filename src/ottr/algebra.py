@@ -147,17 +147,6 @@ def var_name(var: Var) -> str:
 
 # -- monomials ---------------------------------------------------------------
 
-def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    acc = dict(m1)
-    for var, exp in m2:
-        acc[var] = acc.get(var, 0) + exp
-    return tuple(sorted(acc.items()))
-
-
 def mono_from_factors(factors: Iterable[tuple[Var, int]]) -> Monomial:
     acc: dict[Var, int] = {}
     for var, exp in factors:
@@ -166,26 +155,6 @@ def mono_from_factors(factors: Iterable[tuple[Var, int]]) -> Monomial:
         if exp:
             acc[var] = acc.get(var, 0) + exp
     return tuple(sorted(acc.items()))
-
-
-def exponent_of(m: Monomial, var: Var) -> int:
-    for v, e in m:
-        if v == var:
-            return e
-    return 0
-
-
-def mono_div_var(m: Monomial, var: Var) -> Monomial | None:
-    """Remove one factor of var, or None if absent."""
-    for idx, (v, e) in enumerate(m):
-        if v == var:
-            factors = list(m)
-            if e == 1:
-                del factors[idx]
-            else:
-                factors[idx] = (v, e - 1)
-            return tuple(factors)
-    return None
 
 
 def mono_max_index(m: Monomial) -> int:

@@ -29,10 +29,7 @@ from .algebra import (
     derivative,
     dot,
     dx,
-    exponent_of,
     fvar,
-    mono_max_index,
-    mono_mul,
     phi_degree,
     phivar,
     power,
@@ -40,15 +37,12 @@ from .algebra import (
     vvar,
 )
 from .bigphase import (
-    KIND_S,
     BigMonomial,
     BigSeries,
     BigVar,
     TheoryData,
     Truncation,
     eval_jetpoly,
-    mono_degree,
-    mono_weight,
     restrict_window,
     s_var,
     t11_partial,
@@ -59,6 +53,7 @@ from .bigphase import (
 from .genus0 import (
     ResidualReport,
     TwoPointTable,
+    _from_values,
     solve_closed_order_by_order,
     two_point_table,
 )
@@ -235,21 +230,32 @@ def first_order_rhs0(a_slices: dict[int, tuple[BigSeries, BigSeries]],
 def first_order_rhs1(a_slices: dict[int, tuple[BigSeries, BigSeries]],
                      f0: BigSeries, f1: BigSeries, theory: TheoryData,
                      start: BigSeries | None = None) -> BigSeries:
-    """The eps^1 slice (start minus it, given a start): the coefficient
-    corrections, the linearization in Xf1, and the second-jet term from the
-    eps expansion of Q_i."""
-    xf0 = t11_partial(f0, 0, theory)
+    """The eps^1 slice (start minus it, given a start): `_rhs1_parts` with
+    Xf1 put in, one `dot` from its f1-free part."""
+    free, linear = _rhs1_parts(a_slices, f0, theory, start)
     xf1 = t11_partial(f1, 0, theory)
+    return dot(free, [(b, xf1, c) for b, c in linear])
+
+
+def _rhs1_parts(a_slices: dict[int, tuple[BigSeries, BigSeries]], f0: BigSeries,
+                theory: TheoryData, start: BigSeries | None = None
+                ) -> tuple[BigSeries, list[tuple[BigSeries, int]]]:
+    """The eps^1 slice is affine in f1: its f1-free part K, the coefficient
+    corrections and the second-jet term from the eps expansion of Q_i (start
+    minus K, given a start), and the coefficients b_i = a_i^{[0]} (Xf0)^{i-1}
+    of Xf1, each with its weight i (negated, given a start).  The slice's rel
+    is the least over the same products as one `dot` of them all."""
+    xf0 = t11_partial(f0, 0, theory)
     xxf0 = x_jet(f0, 2, theory)
     start, sign = _start_and_sign(start, theory)
-    products = []
+    free, linear = [], []
     for i, (a0, a1) in sorted(a_slices.items()):
-        products.append((a1, power(xf0, i), sign))
+        free.append((a1, power(xf0, i), sign))
         if i >= 1:
-            products.append((a0 * power(xf0, i - 1), xf1, sign * i))
+            linear.append((a0 * power(xf0, i - 1), sign * i))
         if i >= 2:
-            products.append((a0 * power(xf0, i - 2), xxf0, sign * comb(i, 2)))
-    return dot(start, products)
+            free.append((a0 * power(xf0, i - 2), xxf0, sign * comb(i, 2)))
+    return dot(start, free), linear
 
 
 def evolution_residual(a_slices: dict[int, tuple[BigSeries, BigSeries]],
@@ -447,9 +453,9 @@ class KdVLaxContext:
 
     @classmethod
     def build(cls, w: BigSeries, theory: TheoryData) -> "KdVLaxContext":
-        for (e, _m) in w.terms:
-            if e % 2:
-                raise ValueError("w must have even eps content only")
+        mask = w.layout.eps_mask
+        if any((key & mask) % 2 for row in w.rows for key in row):
+            raise ValueError("w must have even eps content only")
         lax = PseudoDiffOp({2: BigSeries.const(1, theory.trunc), 0: w * 2}, theory)._clean()
         root = PseudoDiffOp({1: BigSeries.const(1, theory.trunc)}, theory)
         for k in range(1, 2 * theory.trunc.level_max + 1):
@@ -501,16 +507,20 @@ class PstResult:
     report: ResidualReport
 
 
-def _filled_by(m: BigMonomial) -> tuple[str, int, int]:
-    """The flow that pins m and the grade it is pinned at: (kind, p, grade).
+def _filled_by(key: int, fields: dict[str, list[int]], mask: int) -> tuple[str, int, int]:
+    """The flow that pins the monomial m of key and the grade it is pinned
+    at: (kind, p, grade), read off the exponent fields; fields["s"][level]
+    and fields["t"][level] are the shifts of s_level and t1_level.
 
     With s-factors: s_p, p the top s-level, at the s-degree of m.  Without:
     t1_p, p the top level, at the weight of m.
     """
-    s_part = [(level, e) for (kind, _a, level), e in m if kind == KIND_S]
-    if s_part:
-        return "s", max(level for level, _e in s_part), sum(e for _l, e in s_part)
-    return "t", mono_max_index(m), mono_weight(m)
+    s = [key >> shift & mask for shift in fields["s"]]
+    if any(s):
+        return "s", max(level for level, x in enumerate(s) if x), sum(s)
+    t = [key >> shift & mask for shift in fields["t"]]
+    return ("t", max(level for level, x in enumerate(t) if x),
+            sum(level * x for level, x in enumerate(t)))
 
 
 def pst_generate(theory: TheoryData) -> PstResult:
@@ -527,17 +537,27 @@ def pst_generate(theory: TheoryData) -> PstResult:
     kind in m, m has the grade being filled and degree <= the slice's cap,
     and, for a t flow, m is s-free.  Every other coefficient stays zero.  A
     flow with targets at a grade must be reliable up to their degree, cap - 1,
-    or the window is too small.  Every flow equation is then re-checked as an
-    exact residual; the first failure aborts.
+    or the window is too small.  Once F0o is complete, each flow's eps^1
+    right-hand side is affine in F1o (the first-order system is linear): its
+    F1o-free part and the coefficients of XF1o are formed once per flow, and
+    each eps^1 grade is one `dot` from them.  Grades are pinned on packed
+    keys.  Every flow equation is then re-checked as an exact residual; the
+    first failure aborts.
     """
     if theory.n != 1 or theory.avec != (Fraction(1),):
         raise ValueError("the Lax generator is a rank-1, unit-direction construction")
     tr = theory.trunc
     dmax, amax = tr.deg_max, tr.level_max
     # The flow coefficients carry iterated x-derivatives of w, each of which
-    # costs one reliable degree, so the closed sector is solved on an
-    # enlarged window and the results are restricted at the end.
-    margin = 4 * amax + 6
+    # costs one reliable degree, so the closed sector is solved on a window
+    # enlarged by a margin and the results are restricted at the end.  On the
+    # window D_big = Dt + margin, the t_p flow is reliable to D_big - 2p - 1
+    # (t_0 is exact), s_0 to D_big - 2 and s_p to D_big - 3 for p >= 1, so
+    # the least reliable flow is t_Amax, to D_big - 2*Amax - 1, for Amax >= 1
+    # and s_0, to D_big - 2, for Amax = 0; its right-hand side is reliable as
+    # far.  The targets of slice 0 (cap = Dt) need rel >= Dt - 1 (the guard
+    # below), so the margin is max(2*Amax, 1).
+    margin = max(2 * amax, 1)
     tr_big = Truncation(dmax + margin, amax, tr.deg0_max, tr.jet_max, tr.eps_max)
     theory_big = TheoryData.build(theory.n, theory.eta, theory.avec, tr_big)
     jt = tr_big.jet()
@@ -550,34 +570,44 @@ def pst_generate(theory: TheoryData) -> PstResult:
         flows[("t", p)] = ctx.t_flow_slices(p)
         flows[("s", p)] = ctx.s_flow_slices(p)
 
-    coeffs: dict[int, dict[BigMonomial, Fraction]] = {0: {}, 1: {}}
-    rel_of = {0: dmax, 1: dmax - 1}
-
-    def partial_series(g: int) -> BigSeries:
-        return BigSeries.from_coeffs(coeffs[g], tr_big, rel=rel_of[g])
-
+    layout = f0_big.layout
+    fields = {"s": [layout[s_var(p)] for p in range(amax + 1)],
+              "t": [layout[t_var(1, p)] for p in range(amax + 1)]}
+    rel_of = (dmax, dmax - 1)
+    values: list[dict[int, Fraction]] = [{}, {}]  # each slice's pinned keys
+    degrees: dict[int, int] = {}
     # F0o and F1o so far, each rebuilt only when its own slice grows: slice 1
     # reads one complete F0o, and what is derived from it is computed once
-    f = [partial_series(0), partial_series(1)]
-    for g, cap in rel_of.items():
+    f = [BigSeries.zero(tr_big, rel) for rel in rel_of]
+    for g, cap in enumerate(rel_of):
+        if g:  # each flow's eps^1 right-hand side as its F1o-free part and XF1o terms
+            affine = {flow: _rhs1_parts(a, f[0], theory_big) for flow, a in flows.items()}
         grades = [("t", wgt) for wgt in range(1, cap * amax + 1)]
         grades += [("s", sd) for sd in range(1, cap + 1)]
         for kind, grade in grades:
             # the flows with a target of this grade and degree <= cap
             levels = (range(amax + 1) if kind == "s"
                       else [p for p in range(1, amax + 1) if p <= grade <= cap * p])
+            known = len(values[g])
             for p in levels:
-                var = t_var(1, p) if kind == "t" else s_var(p)
-                rhs = (first_order_rhs1(flows[(kind, p)], *f, theory_big) if g
-                       else first_order_rhs0(flows[(kind, p)], f[0], theory_big))
+                if g:
+                    free, linear = affine[kind, p]
+                    xf1 = t11_partial(f[1], 0, theory_big)
+                    rhs = dot(free, [(b, xf1, c) for b, c in linear])
+                else:
+                    rhs = first_order_rhs0(flows[(kind, p)], f[0], theory_big)
                 if rhs.rel is not None and rhs.rel < cap - 1:
                     raise PstIntegrationError((kind, p), None,
                                               "flow window too small for target")
-                for (_e, down), c in rhs.terms.items():
-                    m = mono_mul(down, ((var, 1),))
-                    if mono_degree(m) <= cap and _filled_by(m) == (kind, p, grade):
-                        coeffs[g][m] = c / exponent_of(m, var)
-            f[g] = partial_series(g)
+                shift = fields[kind][p]
+                for d, row in enumerate(rhs.rows[:cap]):  # m = down * x_p of degree <= cap
+                    for down, n in row.items():
+                        m = down + (1 << shift)
+                        if _filled_by(m, fields, layout.mask) == (kind, p, grade):
+                            values[g][m] = Fraction(n, rhs.den * (m >> shift & layout.mask))
+                            degrees[m] = d + 1
+            if len(values[g]) > known:
+                f[g] = _from_values(layout, values[g], degrees, cap)
     f0o, f1o = f
 
     report = ResidualReport()

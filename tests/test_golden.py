@@ -73,6 +73,49 @@ GEN_PST_D6_A2 = {
 }
 
 
+# `gen-pst --degree D --amax A` at more windows, recorded before the closed
+# sector was solved at the flows' margin and the eps^1 slice split as an
+# affine map: D/A0 has no t flow to pin with, A3 reaches the p = 3 flows
+GEN_PST = {
+    (3, 0): {
+        "f0.ottr": "ef8cf68a500b6b59a9117e0b97d5e0fead74f84adc1e5b10a18df4fabce11609",
+        "f0o.ottr": "383610e0bc3e89016dddd60309ba351695474bdf6989dd8e6251146de6e27127",
+        "f1o.ottr": "21abff5d74d9c896c3279289ef0b0fe35ca3ed2f6f9c7bd0b7124be1c0d8b36f",
+        "flows.report.ottr": "95262f939bcfc26cac7ad43083f261c2ae8faaa205b1e7ccbb3f8b5c12a46d89",
+    },
+    (5, 0): {
+        "f0.ottr": "a0c0b98d0c90670806b36b2252be448ee1b5d3d8d0ec120871b945d09fea065f",
+        "f0o.ottr": "0827ec60829dcf062386111b7e8648cef95f0cd5745fa71bdcffedda602b1537",
+        "f1o.ottr": "dc1571f9afceb90b66fe04cf2a09d1d4a7cf2b524c906cca8a44f54b26d9d824",
+        "flows.report.ottr": "820a479159150e165c89f7bbce92816cc08aba8cd794467e39b36cf7bbfe79c5",
+    },
+    (3, 2): {
+        "f0.ottr": "f1487a18dc0110d09dbd97ad803ec4598efa293562af870391af8d634fcca77b",
+        "f0o.ottr": "1d842e6288e860bc529a294a73f26dc57573d1f528cdb1880824eff94de6d196",
+        "f1o.ottr": "67abfb11a4f2d8b2491f94ce519abdb28c589110797c3c01483603e9f10a94a2",
+        "flows.report.ottr": "6a1c71b6e4631441adc54179fdc9f3339b974c43e2b48f8fe27836ae2e4cab71",
+    },
+    (7, 2): {
+        "f0.ottr": "f25ce8aeb07e6bbe82e57bc306f6bd5c7f29968d1fc7f774a964656e5eebdf58",
+        "f0o.ottr": "625a539f1c906a8abcbf920cc8f2763a828b85dcfd556316e463551aec47d983",
+        "f1o.ottr": "11eb2f7bf5e9ca0b155d2e43ddd325b951714a9a96cb79d6de0f49194c938cd6",
+        "flows.report.ottr": "56330007455af63eb20651e2dbac3e0bd2547735e2c73cc8881133509759dae6",
+    },
+    (4, 3): {
+        "f0.ottr": "462f857719cb0e049d7aa3cb28d41652ad2d8abdce9747c7e19ec9a6393c60d7",
+        "f0o.ottr": "968ff33a1bd541ced99bbab14adc5e461bfca7e8ad92ddb8473ef2f51ed68674",
+        "f1o.ottr": "b0c242d532c769ea9c7f93d90e62ba232291b13a1f04acc4c12d8f9d3f81358e",
+        "flows.report.ottr": "8ea7109dbabaff935e223a5aeb9dc53d207f35a94f18166b7e6c17be83338b1c",
+    },
+    (5, 3): {
+        "f0.ottr": "5c7053bc41673d4ca08cdc47df8a6e79ac55bdbb0559034555ba55c815d8b684",
+        "f0o.ottr": "3e7b4d1042dce95e415335a9cc5ffa596f3393f1a95e9a5cf19d73ead7a9360e",
+        "f1o.ottr": "c653245a5f1fb8f0eb3b07326d73a440ab60a7d5f30f15fc1e70edcb931b0a11",
+        "flows.report.ottr": "b66eaa1c67fc75541fbf91dd9c1111506834e86564ae8ab07d2b1952e598e5a7",
+    },
+}
+
+
 def _digests(outdir) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(outdir.iterdir())}
@@ -114,3 +157,11 @@ def test_gen_pst_d6_a2_outputs_are_golden(tmp_path, capsys):
     assert main(["gen-pst", *WINDOW, "--outdir", str(tmp_path)]) == 0
     capsys.readouterr()
     assert _digests(tmp_path) == GEN_PST_D6_A2
+
+
+@pytest.mark.parametrize("degree, amax", sorted(GEN_PST), ids=lambda x: str(x))
+def test_gen_pst_windows_are_golden(degree, amax, tmp_path, capsys):
+    assert main(["gen-pst", "--degree", str(degree), "--amax", str(amax),
+                 "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert _digests(tmp_path) == GEN_PST[degree, amax]

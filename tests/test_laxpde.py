@@ -1,6 +1,7 @@
 """Q-polynomials, evolution operators, first-order residuals, Lax flows."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -8,10 +9,12 @@ from ottr.algebra import (
     JetPoly,
     JetTruncation,
     derivative,
+    dot,
     dx,
     fvar,
     phivar,
     poly_eq,
+    power,
     standard_degree,
     vvar,
 )
@@ -20,6 +23,7 @@ from ottr.bigphase import (
     TheoryData,
     Truncation,
     s_var,
+    t11_partial,
     t_var,
     vtop,
     x_jet,
@@ -40,6 +44,7 @@ from ottr.laxpde import (
     build_boundary_op,
     build_interior_op,
     first_order_rhs,
+    first_order_rhs1,
     linear_evolution_residual,
     pst_generate,
     qpoly,
@@ -200,6 +205,38 @@ class TestFirstOrderRhs:
         assert rhs0.constant_term() == 2
 
 
+    @pytest.mark.parametrize("bumped", [False, True])
+    def test_eps1_slice_is_one_dot_of_its_products(self, f0, f0o, theory8, bumped):
+        """The eps^1 slice from its f1-free part and its Xf1 coefficients has
+        the terms and rel of one `dot` over all of its products, from zero and
+        from a start, on the operators `check-evolution` evaluates."""
+        phi = JetPoly.var(phivar(0), JT)
+        go = phi * phi * phi * Fraction(1, 6)
+        f1o = f1o_closed_form(f0, f0o, go, theory8)
+        if bumped:
+            f1o = f1o + BigSeries({(0, ((t_var(1, 1), 1), (s_var(0), 2))): Fraction(3)}, TR)
+        system = EvolutionSystem.build(f0, f0o, f1o, theory8, go)
+        for label, a_slices in sorted(system.a_evals.items()):
+            for start in (None, derivative(f1o, system.flow_var(label))):
+                got = first_order_rhs1(a_slices, f0o, f1o, theory8, start)
+                want = _rhs1_one_dot(a_slices, f0o, f1o, theory8, start)
+                assert got == want and got.rel == want.rel, (label, start is None)
+
+
+def _rhs1_one_dot(a_slices, f0, f1, theory, start):
+    """The eps^1 slice as one `dot` of every product (start minus it, given
+    a start): the form `first_order_rhs1` must reproduce."""
+    xf0, xf1, xxf0 = t11_partial(f0, 0, theory), t11_partial(f1, 0, theory), x_jet(f0, 2, theory)
+    sign = 1 if start is None else -1
+    products = []
+    for i, (a0, a1) in sorted(a_slices.items()):
+        products.append((a1, power(xf0, i), sign))
+        if i >= 1:
+            products.append((a0 * power(xf0, i - 1), xf1, sign * i))
+        if i >= 2:
+            products.append((a0 * power(xf0, i - 2), xxf0, sign * comb(i, 2)))
+    return dot(BigSeries.zero(theory.trunc) if start is None else start, products)
+
 class TestEvolutionResidual:
     @pytest.mark.parametrize("go_name", ["zero", "phi3"])
     def test_residual_vanishes(self, f0, f0o, theory8, go_name):
@@ -324,6 +361,52 @@ class TestLaxFlows:
         assert info.value.mono == ((t_var(1, 0), 1), (s_var(0), 1))
         assert str(info.value).endswith("mixed-partial consistency at t1_0*s_0")
 
+    @pytest.mark.parametrize("amax", [0, 1, 2, 3])
+    def test_least_flow_rel_sets_the_margin(self, amax):
+        """The premise of `pst_generate`'s margin max(2*Amax, 1): on the
+        enlarged window D_big, t_p is reliable to D_big - 2p - 1 (t_0
+        exactly), s_0 to D_big - 2 and s_p to D_big - 3, so the least is
+        D_big - 2*Amax - 1 for Amax >= 1 and D_big - 2 for Amax = 0."""
+        dbig = 3 + max(2 * amax, 1)
+        ctx = _lax_context(TheoryData.rank1(Truncation.of(dbig, amax)))
+        rels = {}
+        for p in range(amax + 1):
+            for kind, slices in (("t", ctx.t_flow_slices(p)), ("s", ctx.s_flow_slices(p))):
+                rels[kind, p] = min((x.rel for pair in slices.values() for x in pair
+                                     if x.rel is not None), default=None)
+        want = {("t", 0): None, ("s", 0): dbig - 2}
+        for p in range(1, amax + 1):
+            want["t", p], want["s", p] = dbig - 2 * p - 1, dbig - 3
+        assert rels == want
+        assert min(r for r in rels.values() if r is not None) == (
+            dbig - 2 * amax - 1 if amax else dbig - 2)
+
+    @pytest.mark.parametrize("amax", [0, 1, 2, 3])
+    def test_flow_window_guard(self, monkeypatch, amax):
+        """The least reliable flow (t_Amax, or s_0 at Amax = 0) made one degree
+        less reliable leaves its targets short of cap - 1: the guard names it."""
+        kind = "t" if amax else "s"
+        flow_slices = getattr(KdVLaxContext, f"{kind}_flow_slices")
+
+        def cut(ctx, p):
+            slices = flow_slices(ctx, p)
+            if p != amax:
+                return slices
+            return {i: tuple(x if x.rel is None else x.cut(x.rel - 1) for x in pair)
+                    for i, pair in slices.items()}
+
+        monkeypatch.setattr(KdVLaxContext, f"{kind}_flow_slices", cut)
+        with pytest.raises(PstIntegrationError) as info:
+            pst_generate(TheoryData.rank1(Truncation.of(4, amax)))
+        assert info.value.flow == (kind, amax)
+        assert info.value.mono is None
+        assert str(info.value) == "flow window too small for target"
+
+    def test_odd_eps_w_is_rejected(self, theory6):
+        w = BigSeries({(1, ((t_var(1, 0), 1),)): Fraction(1)}, theory6.trunc)
+        with pytest.raises(ValueError, match="^w must have even eps content only$"):
+            KdVLaxContext.build(w, theory6)
+
     def test_rank_restriction(self, theory8):
         th2 = TheoryData.build(2, [[1, 0], [0, 1]], [1, 1], theory8.trunc)
         with pytest.raises(ValueError):
@@ -358,7 +441,11 @@ class TestLaxFlows:
 @pytest.fixture(scope="module", params=[(4, 1), (6, 2)], ids=["D4A1", "D6A2"])
 def lax_ctx(request):
     deg, amax = request.param
-    theory = TheoryData.rank1(Truncation.of(deg, amax))
+    return _lax_context(TheoryData.rank1(Truncation.of(deg, amax)))
+
+
+def _lax_context(theory):
+    """The Lax context of the rank-1 Witten f0 on the window of theory."""
     v = JetPoly.var(vvar(1, 0), theory.trunc.jet())
     f0 = solve_closed_order_by_order(v * v * v * Fraction(1, 6), theory).series
     return KdVLaxContext.build(derivative(f0, t_var(1, 0), t_var(1, 0)), theory)

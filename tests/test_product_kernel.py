@@ -18,15 +18,15 @@ from ottr.algebra import (
     JetTruncation,
     dot,
     fvar,
-    mono_div_var,
     mono_from_factors,
-    mono_mul,
     partial,
     phivar,
     vvar,
 )
 from ottr.bigphase import BigSeries, LevelOverflowError, TheoryData, Truncation, s_var, t_var
 from ottr.serialize import emit, parse
+
+from monomials import mono_div_var, mono_mul
 
 TR = Truncation.of(5, 2, eps_max=2)
 JT = JetTruncation(3, 3, 2)
