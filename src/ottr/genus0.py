@@ -275,7 +275,7 @@ class TwoPointTable:
     theory: TheoryData
 
 
-def two_point_table(f0: BigSeries, f0o: BigSeries | None,
+def two_point_table(f0: BigSeries, f0o: BigSeries,
                     theory: TheoryData) -> TwoPointTable:
     amax = theory.trunc.level_max
     idx = [(alpha, a) for alpha in range(1, theory.n + 1) for a in range(amax + 1)]
@@ -283,8 +283,6 @@ def two_point_table(f0: BigSeries, f0o: BigSeries | None,
     for i in idx:
         for j in idx:
             om[i + j] = om[j + i] if j < i else omega(f0, *i, *j, theory)
-    if f0o is None:
-        return TwoPointTable(om, {}, {}, theory)
     return TwoPointTable(om, {i: gamma(f0o, *i, theory) for i in idx},
                          {a: delta(f0o, a, theory) for a in range(amax + 1)}, theory)
 

@@ -101,9 +101,6 @@ class LinearDiffOp:
     coeffs: dict[tuple[int, int], JetPoly]
     meta: tuple = ()
 
-    def order(self) -> int:
-        return max((i for i, _ in self.coeffs), default=0)
-
     def check_homogeneity(self) -> None:
         """Coefficient of eps^j must be homogeneous of standard degree j."""
         for (i, j), poly in self.coeffs.items():

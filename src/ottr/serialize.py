@@ -10,6 +10,9 @@ returns, non-ASCII text, a missing or doubled final newline, and term lines,
 operator blocks, report entries or range lines out of their sorted order are
 rejected with line and column positions.  The grading and the variable names
 of a series come from its class, so both series kinds share one code path.
+Term lines are split once and checked on their fields, each distinct
+``kind:alpha:index:exponent`` piece once per series; a column is computed
+only for a refusal.
 """
 
 from __future__ import annotations
@@ -150,38 +153,25 @@ def _fields(line: str, line_no: int) -> list[tuple[str, int]]:
     return out
 
 
-def _parse_frac(tok: str, line_no: int, col: int) -> Fraction:
-    try:
-        val = Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"malformed coefficient {tok!r}", line_no, col) from None
-    if str(val) != tok:
-        raise ParseError(f"coefficient {tok!r} is not canonical "
-                         f"(expected {val!s})", line_no, col)
-    return val
-
-
 def _parse_coef(tok: str, line_no: int, col: int) -> tuple[int, int]:
-    """(numerator, denominator) of a canonical coefficient, read without
-    `Fraction`; any other token gets `_parse_frac`'s error."""
+    """(numerator, denominator) of a rational token, which must be written as
+    `str(Fraction)` writes it."""
     match = _RATIONAL(tok)
     if match is not None:
         num, den = int(match[1] or 0), int(match[2] or 1)
         if match[2] is None or (den > 1 and gcd(num, den) == 1):
             return num, den
-    val = _parse_frac(tok, line_no, col)  # raises: tok is not canonical
-    return val.numerator, val.denominator
+    try:
+        val = Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"malformed coefficient {tok!r}", line_no, col) from None
+    raise ParseError(f"coefficient {tok!r} is not canonical (expected {val!s})", line_no, col)
 
 
 def _parse_int(tok: str, what: str, line_no: int, col: int) -> int:
     if not _INT(tok):
         raise ParseError(f"bad {what} {tok!r}", line_no, col)
     return int(tok)
-
-
-def _int_or_text(tok: str):
-    """An index part: an int when written canonically, else the text itself."""
-    return int(tok) if _INT(tok) else tok
 
 
 def _parts(txt: str, sep: str, col: int):
@@ -238,10 +228,10 @@ def _parse_theory(line: str, line_no: int) -> TheoryData:
         raise ParseError("malformed theory line", line_no)
     rank = _int_kv(fields[1], "rank", line_no)
     eta_txt, col = _kv(fields[2], "eta", line_no)
-    eta = [[_parse_frac(x, line_no, c) for x, c in _parts(row, ",", row_col)]
+    eta = [[Fraction(*_parse_coef(x, line_no, c)) for x, c in _parts(row, ",", row_col)]
            for row, row_col in _parts(eta_txt, ";", col)]
     a_txt, col = _kv(fields[3], "A", line_no)
-    avec = [_parse_frac(x, line_no, c) for x, c in _parts(a_txt, ",", col)]
+    avec = [Fraction(*_parse_coef(x, line_no, c)) for x, c in _parts(a_txt, ",", col)]
     tr = Truncation(*(_int_kv(f, key, line_no) for f, key in
                       zip(fields[4:], ("Dt", "Amax", "Dv", "J", "E"))))
     try:
@@ -250,65 +240,85 @@ def _parse_theory(line: str, line_no: int) -> TheoryData:
         raise ParseError(str(exc), line_no) from None
 
 
-def _parse_term(line: str, line_no: int, cls: type[SparseSeries],
-                theory: TheoryData):
-    fields = _fields(line, line_no)
-    if len(fields) != 4:
-        raise ParseError("malformed term line", line_no)
-    num, den = _parse_coef(fields[1][0], line_no, fields[1][1])
-    tr = theory.trunc
-    eps = _int_kv(fields[2], "eps", line_no)
-    if eps < 0 or eps > tr.eps_max:
-        raise ParseError(f"eps power {eps} outside truncation", line_no, fields[2][1])
-    vars_txt, col = _kv(fields[3], "vars", line_no)
-    deg_max, index_max = cls.bounds(tr)  # a theory's bounds cover both kinds
-    factors = []
-    if vars_txt != "-":
-        for piece in vars_txt.split(","):
-            match = _VAR(piece)
-            if match is None:
-                raise ParseError(f"malformed variable {piece!r}", line_no, col)
-            name = match[1]
-            kind = cls.kind_codes.get(name)
-            if kind is None:
-                raise ParseError(f"unknown variable kind {name!r}", line_no, col)
-            alpha, idx, exp = int(match[2]), int(match[3]), int(match[4])
-            if exp < 1:
-                raise ParseError("exponents must be positive", line_no, col)
-            if kind == 0:  # v resp. t, the only kind with a component index
-                if not 1 <= alpha <= theory.n:
-                    raise ParseError(f"component index {alpha} outside rank",
-                                     line_no, col)
-            elif alpha != 0:
-                raise ParseError(f"{name}-variables carry no component index",
-                                 line_no, col)
-            if idx > index_max:
-                raise ParseError(f"{cls.index_name} {idx} outside truncation",
-                                 line_no, col)
-            factors.append(((kind, alpha, idx), exp))
-            col += len(piece) + 1
-        if factors != sorted(factors) or len({v for v, _ in factors}) != len(factors):
-            raise ParseError("variables not in canonical order", line_no)
-    mono = tuple(factors)
-    degree = cls.mono_degree(mono)
-    if degree > deg_max:
-        raise ParseError("term degree outside truncation", line_no)
-    return (eps, mono), num, den, degree
+def _check_piece(piece: str, cls: type[SparseSeries], rank: int, index_max: int):
+    """A kind:alpha:index:exponent piece as (kind, alpha, index, exponent,
+    degree); ValueError with the reason if it is refused."""
+    match = _VAR(piece)
+    if match is None:
+        raise ValueError(f"malformed variable {piece!r}")
+    name = match[1]
+    kind = cls.kind_codes.get(name)
+    if kind is None:
+        raise ValueError(f"unknown variable kind {name!r}")
+    alpha, idx, exp = int(match[2]), int(match[3]), int(match[4])
+    if exp < 1:
+        raise ValueError("exponents must be positive")
+    if kind == 0 and not 1 <= alpha <= rank:  # v resp. t, the only kind with a component index
+        raise ValueError(f"component index {alpha} outside rank")
+    if kind != 0 and alpha != 0:
+        raise ValueError(f"{name}-variables carry no component index")
+    if idx > index_max:
+        raise ValueError(f"{cls.index_name} {idx} outside truncation")
+    return kind, alpha, idx, exp, cls.var_degree((kind, alpha, idx)) * exp
 
 
 def _parse_series(numbered: list[tuple[int, str]], cls: type[SparseSeries],
                   trunc, rel: int | None, theory: TheoryData) -> SparseSeries:
     """A series from its term lines; every term is checked here."""
+    deg_max, index_max = cls.bounds(trunc)
+    # Each distinct piece is checked once per call.  The cache is local:
+    # kind codes, rank and index bound differ between theories and kinds.
+    seen: dict[str, tuple[int, int, int, int, int]] = {}
     terms = {}
     for line_no, line in numbered:
-        if not line.startswith("term "):
-            raise ParseError(f"unexpected line {line!r}", line_no)
-        key, num, den, degree = _parse_term(line, line_no, cls, theory)
-        if key in terms:
-            raise ParseError("duplicate term", line_no)
-        if terms and key < next(reversed(terms)):
-            raise ParseError("terms must be sorted by eps power and monomial",
-                             line_no, line.index(" eps=") + 2)
+        fields = line.split(" ")
+        if len(fields) != 4 or fields[0] != "term" or "" in fields:
+            if not line.startswith("term "):
+                raise ParseError(f"unexpected line {line!r}", line_no)
+            _fields(line, line_no)  # refuses an empty field at its column
+            raise ParseError("malformed term line", line_no)
+        _, coef, eps_txt, vars_txt = fields
+        num, den = _parse_coef(coef, line_no, 6)
+        col = 7 + len(coef)  # of the eps field
+        if not eps_txt.startswith("eps="):
+            raise ParseError(f"expected eps=..., got {eps_txt!r}", line_no, col)
+        eps = _parse_int(eps_txt[4:], "eps", line_no, col + 4)
+        if eps < 0 or eps > trunc.eps_max:
+            raise ParseError(f"eps power {eps} outside truncation", line_no, col)
+        if not vars_txt.startswith("vars="):
+            raise ParseError(f"expected vars=..., got {vars_txt!r}", line_no,
+                             col + len(eps_txt) + 1)
+        # Each term builds its own tuples: shared ones keep fewer containers
+        # alive, so the garbage collector runs less often and more dead copies
+        # of a re-imported package stay alive at the peak (ROADMAP item 1).
+        factors = []
+        degree = 0
+        prev = ()
+        ordered = True
+        pieces = vars_txt[5:].split(",") if vars_txt != "vars=-" else ()
+        for piece in pieces:
+            got = seen.get(piece)
+            if got is None:
+                try:
+                    got = seen[piece] = _check_piece(piece, cls, theory.n, index_max)
+                except ValueError as exc:
+                    raise ParseError(str(exc), line_no, len(line) - len(vars_txt) + 6 + sum(
+                        len(p) + 1 for p in pieces[:pieces.index(piece)])) from None
+            kind, alpha, idx, exp, d = got
+            var = (kind, alpha, idx)
+            ordered = ordered and prev < var
+            prev = var
+            factors.append((var, exp))
+            degree += d
+        if not ordered:
+            raise ParseError("variables not in canonical order", line_no)
+        if degree > deg_max:
+            raise ParseError("term degree outside truncation", line_no)
+        key = (eps, tuple(factors))
+        if terms and key <= next(reversed(terms)):  # the keys so far rise
+            if key in terms:
+                raise ParseError("duplicate term", line_no)
+            raise ParseError("terms must be sorted by eps power and monomial", line_no, col)
         if not num:
             raise ParseError("zero coefficients are not stored", line_no)
         if rel is not None and degree > rel:
@@ -352,7 +362,7 @@ def parse(text: str):
         if len(kind_fields) != 3:
             raise ParseError("malformed kind line", 3)
         meta_txt, _ = _kv(kind_fields[2], "meta", 3)
-        meta = tuple(_int_or_text(x) for x in meta_txt.split(":")) \
+        meta = tuple(int(x) if _INT(x) else x for x in meta_txt.split(":")) \
             if meta_txt != "-" else ()
         # each coef line opens a block of the term lines that follow it
         blocks: list[tuple[int, str, list]] = []

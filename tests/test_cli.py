@@ -217,6 +217,21 @@ def test_gen_pst_smoke(tmp_path):
     assert (outdir / "flows.report.ottr").exists()
 
 
+@pytest.mark.xfail(strict=True, reason="known defect: check-evolution claims a window "
+                   "that gen-pst's D3/A1 output cannot vouch for")
+def test_check_evolution_passes_gen_pst_output(tmp_path, capsys):
+    """`gen-pst` output is right up to its `rel`, so `check-evolution` on it
+    must pass.  At D3/A1 it reports `evolution_s (1,)` NONZERO at
+    `window<= 1`; the Go extracted from that `f1o` is 0 with `rel` 2."""
+    d = tmp_path
+    assert main(["gen-pst", "--degree", "3", "--amax", "1", "--outdir", str(d)]) == 0
+    capsys.readouterr()
+    code = main(["check-evolution", "--f0", str(d / "f0.ottr"), "--f0o", str(d / "f0o.ottr"),
+                 "--f1o", str(d / "f1o.ottr")])
+    assert "NONZERO" not in capsys.readouterr().out
+    assert code == 0
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 @pytest.mark.parametrize("verb", [["gen-example", "witten-rank1"], ["gen-example", "witten-n2"],
                                   ["gen-example", "open-rank1"],

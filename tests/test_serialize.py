@@ -1,5 +1,6 @@
 """Serialization: byte-identical round trips and strict rejection."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -339,3 +340,75 @@ def test_byte_mutation_reemits_or_is_refused(mutated):
     except ParseError:
         return
     assert emit(value, theory) == mutated
+
+
+# sha256 of the outcomes of every single-byte mutant of FUZZ_FILES (each byte
+# deleted, or replaced by each of `_SWEEP_BYTES`), recorded before the term
+# reader checked each variable piece once per call.
+_SWEEP_SHA256 = "33f254455fd42b38b8e5c1ba76cbceeaf604de96e6adfc1e2afa57cec07698dc"
+_SWEEP_BYTES = ("-", "0", "2", " ", ",", ":")
+
+
+def test_single_byte_mutants_keep_their_errors():
+    """Every mutant parses or is refused with the same message, line and
+    column as before."""
+    rows = []
+    for f, text in enumerate(FUZZ_FILES):
+        for at in range(len(text)):
+            for new in ("", *_SWEEP_BYTES):
+                try:
+                    parse(text[:at] + new + text[at + 1:])
+                    outcome = "ok"
+                except ParseError as exc:
+                    outcome = str(exc)
+                rows.append(f"{f}\t{at}\t{new or 'del'}\t{outcome}")
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == _SWEEP_SHA256
+
+
+def _series_text(theory: TheoryData, kind: str, *vars_fields: str) -> str:
+    """A series file with one coefficient-1 term line per `eps=E vars=...`."""
+    terms = [f"term 1 {fld}" for fld in vars_fields]
+    return "\n".join([FORMAT_TAG, emit_theory(theory), f"kind {kind} rel=-", *terms,
+                      "end"]) + "\n"
+
+
+def _refusal(text: str) -> tuple[str, int, str]:
+    """The message, line and refused text of a file that must not parse."""
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    line = text.split("\n")[err.value.line - 1]
+    return str(err.value).split(": ", 1)[1], err.value.line, line[err.value.col - 1:]
+
+
+class TestPieceChecks:
+    """Each distinct variable piece is checked once per series, against that
+    series' own theory and kind, and before the checks of the whole line."""
+
+    def test_component_index_is_checked_against_each_files_rank(self):
+        rank2 = TheoryData.build(2, [[1, 0], [0, 1]], [1, 1], TR)
+        parse(_series_text(rank2, "bigseries", "eps=0 vars=t:1:0:1,t:2:0:1"))
+        assert _refusal(_series_text(TH, "bigseries", "eps=0 vars=t:1:0:1,t:2:0:1")) == (
+            "component index 2 outside rank", 4, "t:2:0:1")
+
+    def test_kind_names_are_checked_against_each_files_kind(self):
+        parse(_series_text(TH, "jetpoly", "eps=0 vars=v:1:0:1"))
+        assert _refusal(_series_text(TH, "bigseries", "eps=0 vars=v:1:0:1")) == (
+            "unknown variable kind 'v'", 4, "v:1:0:1")
+
+    @pytest.mark.parametrize("vars_field", ["t:1:0:1,t:1:0:1", "t:1:0:1,t:1:0:2",
+                                            "s:0:0:1,t:1:0:1"])
+    def test_seen_pieces_still_obey_the_canonical_order(self, vars_field):
+        text = _series_text(TH, "bigseries", "eps=0 vars=t:1:0:1", "eps=0 vars=s:0:0:1",
+                            f"eps=1 vars={vars_field}")
+        assert _refusal(text) == ("variables not in canonical order", 6,
+                                  text.split("\n")[5])
+
+    def test_a_malformed_piece_outranks_the_order_of_the_line(self):
+        text = _series_text(TH, "bigseries", "eps=0 vars=s:0:0:1,t:1:0:1,t:1:x:1")
+        assert _refusal(text) == ("malformed variable 't:1:x:1'", 4, "t:1:x:1")
+
+    def test_seen_pieces_still_count_toward_the_degree(self):
+        text = _series_text(TH, "bigseries", "eps=0 vars=t:1:0:8", "eps=0 vars=s:0:0:1",
+                            "eps=1 vars=t:1:0:8,s:0:0:1")
+        assert _refusal(text) == ("term degree outside truncation", 6,
+                                  text.split("\n")[5])
