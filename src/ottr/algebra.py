@@ -317,7 +317,10 @@ class SparseSeries:
 
     def min_degree(self) -> int | None:
         """The least degree of a stored term; None for zero."""
-        return next((d for d, row in enumerate(self.rows) if row), None)
+        for d, row in enumerate(self.rows):
+            if row:
+                return d
+        return None
 
     def coefficient(self, mono: Monomial, eps: int = 0) -> Fraction:
         layout, d = self.layout, self.mono_degree(mono)
@@ -335,10 +338,6 @@ class SparseSeries:
         rows = [{k - j: n for k, n in row.items() if k & mask == j} for row in self.rows]
         return self.from_rows(self.layout, self.den, rows, self.rel)
 
-    def valuation(self) -> int | None:
-        """Effective degree valuation for reliability bookkeeping."""
-        return _rel_min(self.min_degree(), _rel_add(self.rel, 1))
-
     def cut(self, rel: int | None):
         """The terms of degree <= rel, with reliable degree rel."""
         rows = self.rows if rel is None else self.rows[:max(rel + 1, 0)]
@@ -349,11 +348,15 @@ class SparseSeries:
 
     def derived(self, key: tuple, make: Callable, *args):
         """make(self, *args), computed once per value and key and kept with it."""
-        if self._memo is None:
-            self._memo = {}
-        if key not in self._memo:
-            self._memo[key] = make(self, *args)
-        return self._memo[key]
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        else:
+            value = memo.get(key)
+            if value is not None:
+                return value
+        value = memo[key] = make(self, *args)
+        return value
 
     # -- arithmetic --------------------------------------------------------
 
@@ -598,41 +601,54 @@ def dot(start: SparseSeries,
 
     Start's rows and all products add into one accumulator per degree, over
     the lcm of the operands' denominators, and the accumulators are the
-    result's rows.  The rows of each factor are cut at the sum's cap, so no
-    product above it is formed.  A product key whose eps field exceeds the
-    bound is dropped.  With nothing to add or cut, the result is start."""
-    cls, tr = type(start), start.trunc
-    deg_max = cls.bounds(tr)[0]
+    result's rows.  The set-up reads each factor's least degree once and is
+    linear in the live products (those with a nonzero scale whose least
+    degrees sum below the sum's cap) and in the degrees they reach: the
+    accumulators stop at the highest degree start or a live product
+    reaches, and each factor's rows run from its least degree to the cap,
+    so no product above it is formed.  A product key whose eps field
+    exceeds the bound is dropped.  With nothing to add or cut, the result
+    is start."""
+    tr = start.trunc
+    deg_max = start.bounds(tr)[0]
     plan, rel = [], start.rel
     for a, b, c in products:
-        start._check_compatible(a)
-        start._check_compatible(b)
-        # a factor's valuation counts only beside a finite rel of its partner
-        r = _rel_min(None if a.rel is None else _rel_add(a.rel, b.valuation()),
-                     None if b.rel is None else _rel_add(b.rel, a.valuation()))
-        rel = _rel_min(rel, _rel_cap(r, deg_max))
-        c = frac(c)
-        if c and a.rows and b.rows:
-            plan.append((a, b, c))
+        if a.trunc is not tr:
+            start._check_compatible(a)
+        if b.trunc is not tr:
+            start._check_compatible(b)
+        low_a, low_b = a.min_degree(), b.min_degree()
+        if a.rel is not None or b.rel is not None:
+            # a factor's valuation (its least degree, or rel + 1 if lower)
+            # counts only beside a finite rel of its partner
+            r = _rel_min(_rel_add(a.rel, _rel_min(low_b, _rel_add(b.rel, 1))),
+                         _rel_add(b.rel, _rel_min(low_a, _rel_add(a.rel, 1))))
+            rel = _rel_min(rel, _rel_cap(r, deg_max))
+        if c and low_a is not None and low_b is not None:
+            plan.append((a, b, c, low_a, low_b))
     # Every product stops at the sum's cap: what lies past it is dropped anyway.
     size = max((deg_max if rel is None else rel) + 1, 0)  # the degrees kept
-    live = [(a, b, c) for a, b, c in plan if a.min_degree() + b.min_degree() < size]
+    live = [(a, b, c, low_a, low_b) for a, b, c, low_a, low_b in plan if low_a + low_b < size]
     if not live and rel == start.rel and len(start.rows) <= size:
         return start  # nothing to add
-    layout, rows = _aligned([start] + [p for a, b, _c in live for p in (a, b)])
-    den = lcm(start.den, *(a.den * b.den * c.denominator for a, b, c in live))
-    acc: list[defaultdict[int, int]] = [defaultdict(int) for _ in range(size)]
+    top = min(max([len(start.rows)] + [len(a.rows) + len(b.rows) - 1
+                                       for a, b, *_ in live]), size)
+    layout, rows = _aligned([start] + [p for a, b, *_ in live for p in (a, b)])
+    den = lcm(start.den, *(a.den * b.den * c.denominator for a, b, c, *_ in live))
     scale = den // start.den
-    for target, row in zip(acc, rows[0]):
-        for k, n in row.items():
-            target[k] = n * scale
-    for i, (a, b, c) in enumerate(live):
+    acc: list[defaultdict[int, int]] = [
+        defaultdict(int, row if scale == 1 else {k: n * scale for k, n in row.items()})
+        for row in rows[0][:top]]
+    acc += [defaultdict(int) for _ in range(top - len(acc))]
+    for i, (a, b, c, low_a, low_b) in enumerate(live):
         ra, rb = rows[2 * i + 1], rows[2 * i + 2]
         scale = c.numerator * (den // (a.den * b.den * c.denominator))
-        for d1, row in enumerate(ra[:size - b.min_degree()]):
+        for d1 in range(low_a, min(len(ra), size - low_b)):
+            row = ra[d1]
             if not row:
                 continue
-            parts = [(acc[d1 + d2], r2) for d2, r2 in enumerate(rb[:size - d1]) if r2]
+            parts = [(acc[d1 + d2], rb[d2]) for d2 in range(low_b, min(len(rb), size - d1))
+                     if rb[d2]]
             for k1, n1 in row.items():
                 n1 *= scale
                 for target, r2 in parts:

@@ -378,9 +378,12 @@ _ID = [((), Fraction(1))]  # the spec of a table that holds a series as it is
 
 
 def _spec_monomials(specs: Sequence[tuple[tuple[BigVar, ...], Fraction]]
-                    ) -> tuple[tuple[BigMonomial, Fraction], ...]:
-    """(variables, scale) specs as (monomial, scale), dropping zero scales."""
-    return tuple((mono_from_factors((var, 1) for var in dvars), scale)
+                    ) -> tuple[tuple[BigMonomial, Fraction | int], ...]:
+    """(variables, scale) specs as (monomial, scale), dropping zero scales and
+    keeping an integral scale as an int, so a memo key holding the specs
+    hashes no `Fraction`."""
+    return tuple((mono_from_factors((var, 1) for var in dvars),
+                  scale.numerator if scale.denominator == 1 else scale)
                  for dvars, scale in specs if scale)
 
 
@@ -399,7 +402,7 @@ def _weight_slices(series: BigSeries) -> list[BigSeries]:
             for w in range(max(by_weight, default=-1) + 1)]
 
 
-def spec_sum(series: BigSeries, specs: tuple[tuple[BigMonomial, Fraction], ...]
+def spec_sum(series: BigSeries, specs: tuple[tuple[BigMonomial, Fraction | int], ...]
              ) -> BigSeries:
     """sum_spec scale * d^k series / d(spec monomial), computed once per value."""
     return series.derived(("spec", specs), _spec_sum, specs)
@@ -422,8 +425,7 @@ class _Table:
     for a fed table, one built without, which stands for the potential under
     solution or test.  Every spec has the table weight.  A slice never
     changes once present, so the table keeps each nonzero part itself
-    (`nonzero`, by weight) and its least degree (`low`); a memo on the slice
-    would hash the `Fraction` scales at every lookup.
+    (`nonzero`, by weight) and its least degree (`low`).
     """
 
     def __init__(self, specs: Sequence[tuple[tuple[BigVar, ...], Fraction]],
@@ -467,17 +469,17 @@ class _Rows:
         self.offset = mono_weight(self.specs[0][0])
         self.arity = mono_degree(self.specs[0][0])
 
-    def rhs(self, weight: int, cap: int, trunc: Truncation) -> BigSeries:
+    def rhs(self, weight: int, start: BigSeries) -> BigSeries:
         """The right-hand sides of the rows whose unknowns have this weight, as
         one series in mu: one `dot` over the pairs of the tables' nonzero
-        parts, cut at degree cap - arity by its start."""
+        parts onto start, the zero of rel cap - arity, which cuts them there."""
         w = weight - self.offset
         pairs = []
         for a, b in self.products:
             right = b.nonzero
             pairs += [(part, right[w - w1], 1) for w1, part in a.nonzero.items()
                       if w - w1 in right]
-        return dot(BigSeries.zero(trunc, cap - self.arity), pairs)
+        return dot(start, pairs)
 
     def residual(self, f: BigSeries) -> BigSeries:
         """The spec derivatives of f minus the sum of the table products, where
@@ -597,15 +599,14 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
     solved = [BigSeries.from_coeffs(seed, trunc, rel=cap)]
     layout, mask, zero = solved[0].layout, solved[0].layout.mask, Fraction(0)
     # each family's specs as (key, scale, (field shift, exponent) per factor),
-    # an integral scale as an int, and an index of them by the field of their
-    # top-level factor
+    # and an index of them by the field of their top-level factor
     packed: list[list[tuple[int, Fraction | int, list[tuple[int, int]]]]] = []
     index: dict[int, list[tuple[int, int, list[tuple[int, int]]]]] = {}
     for i, fam in enumerate(families):
         packed.append([])
         for d, scale in fam.specs:
             key, fields = layout.pack(0, d), [(layout[var], exp) for var, exp in d]
-            packed[i].append((key, scale.numerator if scale.denominator == 1 else scale, fields))
+            packed[i].append((key, scale, fields))
             top = max(d, key=lambda factor: factor[0][2])[0]
             index.setdefault(layout[top], []).append((i, key, fields))
 
@@ -637,6 +638,9 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
             feeds.setdefault(a, []).append((i, b))
             feeds.setdefault(b, []).append((i, a))
     due: dict[int, set[int]] = defaultdict(set)  # weight -> families to evaluate
+    # the start of each arity's right-hand sides: the zero that cuts them
+    starts = {arity: BigSeries.zero(trunc, cap - arity)
+              for arity in {fam.arity for fam in families}}
 
     free: list[BigMonomial] = []
     values, degrees = {}, {}  # every solved unknown: its value and its degree
@@ -650,7 +654,7 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
                             due[j + k + families[i].offset].add(i)
         active, todo = {}, []  # row -> right-hand side; (family, mu, degree of mu)
         for i in due.pop(w, ()):
-            rhs = families[i].rhs(w, cap, trunc)
+            rhs = families[i].rhs(w, starts[families[i].arity])
             for d, row in enumerate(rhs.rows):
                 for mu, n in row.items():
                     active[i, mu] = Fraction(n, rhs.den)

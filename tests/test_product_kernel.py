@@ -32,12 +32,20 @@ TR = Truncation.of(5, 2, eps_max=2)
 JT = JetTruncation(3, 3, 2)
 
 
+def _valuation(p):
+    """The least stored degree, or rel + 1 if lower: past it p may be nonzero."""
+    lows = [d for d, row in enumerate(p.rows) if row][:1]
+    if p.rel is not None:
+        lows.append(p.rel + 1)
+    return min(lows, default=None)
+
+
 def _reference_mul(p, q):
     """The product as a double loop over degree-sorted (degree, eps, monomial,
     Fraction) rows, keyed by (eps, monomial tuple)."""
     cls, tr = type(p), p.trunc
     deg_max = cls.bounds(tr)[0]
-    bounds = [r + v for r, v in ((p.rel, q.valuation()), (q.rel, p.valuation()))
+    bounds = [r + v for r, v in ((p.rel, _valuation(q)), (q.rel, _valuation(p)))
               if r is not None and v is not None]
     rel = min(bounds + [deg_max]) if bounds else None
     cap = deg_max if rel is None else rel
@@ -87,7 +95,9 @@ def _reference_dot(start, products):
 
 
 def _same(x, y):
-    return x.terms == y.terms and x.rel == y.rel and x.trunc == y.trunc
+    """Equal values with equal stored forms: denominator, rows and layout."""
+    return (x.terms == y.terms and x.rel == y.rel and x.trunc == y.trunc
+            and x.den == y.den and x.rows == y.rows and x.layout is y.layout)
 
 
 coefs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -225,6 +235,74 @@ def test_dot_with_nothing_to_add_returns_start_unpacked():
     start = BigSeries.var(t_var(1, 0), TR) + BigSeries.var(s_var(2), TR)
     assert dot(start, [(start, BigSeries.zero(TR), 1), (start, start, 0)]) is start
     assert dot(start, []) is start
+    # a product wholly past the cap that lowers no rel adds nothing either
+    cut = BigSeries.var(t_var(1, 0), TR) * BigSeries.const(1, TR, rel=1)
+    high = BigSeries({(0, ((t_var(1, 0), 3),)): Fraction(1)}, TR)
+    assert dot(cut, [(high, high, 5)]) is cut
+    assert dot(cut, [(BigSeries.zero(TR, rel=4), high, 1)]) is cut
+
+
+def _high_valuation_factors():
+    """partials of series of valuation 3 and 4: their leading rows are empty."""
+    t0, t1, s0 = (BigSeries.var(v, TR) for v in (t_var(1, 0), t_var(1, 1), s_var(0)))
+    p = t0 * t0 * t0 * t1 * Fraction(1, 2) + s0 * s0 * s0 * t0 * 3
+    q = t1 * t1 * t0 * t0 * Fraction(-2, 3) + s0 * t0 * t0 * t0 * t0
+    dp, dq = partial(p, t_var(1, 1)), partial(q, s_var(0))
+    assert [bool(row) for row in dp.rows] == [False, False, False, True]
+    assert [bool(row) for row in dq.rows] == [False, False, False, False, True]
+    return dp, dq
+
+
+def test_dot_on_factors_with_leading_empty_rows():
+    dp, dq = _high_valuation_factors()
+    t1 = BigSeries.var(t_var(1, 1), TR)
+    for a, b in ((dp, t1), (t1, dp), (dp, dp), (dq, t1), (t1 * dp, t1)):
+        assert _same(a * b, _reference_mul(a, b))
+    start = BigSeries.const(Fraction(1, 5), TR, rel=5)
+    assert _same(dot(start, [(dp, t1, 2), (t1, dq, -1), (dp, dp, 1)]),
+                 _reference_dot(start, [(dp, t1, 2), (t1, dq, -1), (dp, dp, 1)]))
+
+
+def test_dot_start_longer_than_every_product():
+    t0, t1 = BigSeries.var(t_var(1, 0), TR), BigSeries.var(t_var(1, 1), TR)
+    start = t0 * t0 * t0 * t0 * t1 * Fraction(1, 3) + t1 * 2  # degree 5
+    products = [(t0, t1, Fraction(1, 2)), (t1, BigSeries.const(7, TR), 1)]
+    result = dot(start, products)
+    assert len(result.rows) == len(start.rows)
+    assert _same(result, _reference_dot(start, products))
+    cut = [(t0, BigSeries.const(1, TR, rel=3), 1)]  # cuts start at degree 3
+    assert _same(dot(start, cut), _reference_dot(start, cut))
+
+
+def test_dot_products_past_the_cap_and_all_zero_products():
+    t0, s1 = BigSeries.var(t_var(1, 0), TR), BigSeries.var(s_var(1), TR)
+    high = t0 * t0 * t0
+    start = s1 * Fraction(2, 3) + BigSeries.const(1, TR, rel=4)
+    zero = BigSeries.zero(TR)
+    cases = [
+        [(high, high, 1)],  # degree 6 past the cap 4
+        [(high, high, 1), (s1, t0, 3)],  # one past, one live
+        [(zero, high, 1), (high, BigSeries.zero(TR, rel=2), 1), (s1, t0, 0)],
+        [(s1, t0, 1), (t0, s1, -1)],  # live products that cancel
+    ]
+    for products in cases:
+        assert _same(dot(start, products), _reference_dot(start, products))
+    assert _same(dot(zero, [(high, high, 1), (zero, zero, 2)]),
+                 _reference_dot(zero, [(high, high, 1), (zero, zero, 2)]))
+
+
+@pytest.mark.parametrize("scale", [1, -1, 3, 0])
+def test_int_and_fraction_scales_give_one_result(scale):
+    t0, s0 = BigSeries.var(t_var(1, 0), TR), BigSeries.var(s_var(0), TR)
+    a = t0 * Fraction(1, 2) + s0 * s0
+    b = BigSeries.const(Fraction(3, 4), TR, rel=3) + t0
+    start = s0 * Fraction(1, 6)
+    by_int = dot(start, [(a, b, scale), (b, b, 2)])
+    by_fraction = dot(start, [(a, b, Fraction(scale)), (b, b, Fraction(2))])
+    assert _same(by_int, by_fraction)
+    assert _same(by_int, _reference_dot(start, [(a, b, scale), (b, b, 2)]))
+    jet = JetPoly.var(vvar(1, 1), JT) + JetPoly.const(Fraction(1, 3), JT)
+    assert _same(dot(jet, [(jet, jet, scale)]), dot(jet, [(jet, jet, Fraction(scale))]))
 
 
 @pytest.mark.parametrize("value, other, error", [

@@ -4,6 +4,7 @@ These exercise the code paths a rank-1 run never touches: metric contraction
 over several components and stage rows coupling more than one unknown.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from ottr.genus0 import (
     validate_open_genus0,
 )
 from ottr.genus1 import f1o_closed_form, solve_f1o, validate_open_genus1
+from ottr.serialize import emit
 
 TR = Truncation.of(5, 1)
 TH1 = TheoryData.rank1(TR)
@@ -144,3 +146,32 @@ def test_rank3_coupled_string_rows_match_embedded_sum(rank1_pair):
                  relabel_component(f0_r1, 1, TR))
     assert poly_eq(f0, expect)
     assert validate_closed_genus0(f0, TH3_ID).all_zero
+
+
+# eta = diag(2, 1) has the inverse diag(1/2, 1), so the Hessian tables of the
+# recursion families carry a `Fraction` scale; A = (1/2, 0) puts one in the
+# string rows too.  The digests are of the emitted series and report.
+NON_INTEGRAL = [
+    ((1, 0), (Fraction(1, 3), Fraction(1, 2)),
+     "fe7954a30571689349494337ece35375cbf121e09805cedf44d2576bcbb067de",
+     "4b623ab3fff4a4f1c9f11a79cad61646139d585f1ac998207361662b710075a3"),
+    ((Fraction(1, 2), 0), (Fraction(2, 3), 1),
+     "8e3bc27d6e075cc19498b4ba1f1c2e15a7e3451df2767f1f842a6be28e59cd4b",
+     "ece6b8d1ebbc4d78d72bfc0d4b3206ab64744f90931e3a371406e0244e22560d"),
+]
+
+
+@pytest.mark.parametrize("avec, coefs, series_sha, report_sha", NON_INTEGRAL)
+def test_non_integral_scales_solve_and_validate(avec, coefs, series_sha, report_sha):
+    """Seed c1 v1^3 + c2 v1 v2^2 + v2^4/12 at D5/A2, its unit derivative the
+    metric quadratic v1^2 + v2^2/2."""
+    tr = Truncation.of(5, 2)
+    th = TheoryData.build(2, [[2, 0], [0, 1]], list(avec), tr)
+    assert th.eta_inv[0][0] == Fraction(1, 2)
+    v1, v2 = (JetPoly.var(vvar(alpha, 0), tr.jet()) for alpha in (1, 2))
+    seed = v1 * v1 * v1 * coefs[0] + v1 * v2 * v2 * coefs[1] + v2 * v2 * v2 * v2 * Fraction(1, 12)
+    f0 = solve_closed_order_by_order(seed, th).series
+    report = validate_closed_genus0(f0, th)
+    assert (len(f0.terms), len(report.entries), report.verdict) == (20, 96, "PASS")
+    for value, sha in ((f0, series_sha), (report, report_sha)):
+        assert hashlib.sha256(emit(value, th).encode("ascii")).hexdigest() == sha
