@@ -185,6 +185,19 @@ def _rel_cap(rel: int | None, bound: int) -> int | None:
     return rel if rel is None or rel <= bound else bound
 
 
+def product_rel(a_rel: int | None, a_low: int | None, b_rel: int | None,
+                b_low: int | None, deg_max: int) -> int | None:
+    """The reliable degree of a product a * b from the factors' reliable and
+    least degrees (None for a zero factor), as `dot` gives it: a factor's
+    valuation (its least degree, or rel + 1 if lower) counts only beside a
+    finite rel of its partner; None when both factors are exact."""
+    if a_rel is None and b_rel is None:
+        return None
+    r = _rel_min(_rel_add(a_rel, _rel_min(b_low, _rel_add(b_rel, 1))),
+                 _rel_add(b_rel, _rel_min(a_low, _rel_add(a_rel, 1))))
+    return _rel_cap(r, deg_max)
+
+
 # -- the kernel --------------------------------------------------------------
 
 Rows = list[dict[int, int]]  # rows[d]: packed key -> numerator, for degree d
@@ -264,7 +277,7 @@ class SparseSeries:
         for d, eps, mono, n, q in parts:
             rows[d][layout.pack(eps, mono)] = n * (den // q)
         self.den, self.rows, self.layout = den, rows, layout
-        self.trunc, self.rel, self._memo = trunc, rel, None
+        self.trunc, self.rel, self._memo = layout.trunc, rel, None
 
     @staticmethod
     def from_rows(layout: "_Layout", den: int, rows: Rows, rel: int | None,
@@ -463,6 +476,14 @@ def _unpacked(p: SparseSeries) -> dict[TermKey, Fraction]:
     return {unpack(k): Fraction(n, den) for row in p.rows for k, n in row.items()}
 
 
+@cache
+def _canonical(trunc):
+    """The first truncation seen equal to trunc.  Every layout holds it and
+    every value stores its layout's, so the values of equal truncations share
+    one truncation object and `dot` finds them compatible by identity."""
+    return trunc
+
+
 class _Layout(dict):
     """The packed-key layout of one class and truncation at one field width:
     maps each variable to the shift of its exponent field.
@@ -478,7 +499,7 @@ class _Layout(dict):
 
     def __init__(self, cls: type[SparseSeries], trunc, width: int):
         super().__init__()
-        self.cls, self.trunc, self.width = cls, trunc, width
+        self.cls, self.trunc, self.width = cls, _canonical(trunc), width
         self.mask = (1 << width) - 1
         self.max_exponent = self.mask >> 1 if cls.widens else self.mask
         self.index_max = cls.bounds(trunc)[1]
@@ -597,7 +618,7 @@ def dot(start: SparseSeries,
         ) -> SparseSeries:
     """start + the sum of c * a * b over the (a, b, c) in products, as the
     chain ``start + a*b*c + ...`` of `*` and `+` gives it: the sum's rel is
-    the least of start's and each ``a * b``'s.
+    the least of start's and each ``a * b``'s (`product_rel`).
 
     Start's rows and all products add into one accumulator per degree, over
     the lcm of the operands' denominators, and the accumulators are the
@@ -618,12 +639,7 @@ def dot(start: SparseSeries,
         if b.trunc is not tr:
             start._check_compatible(b)
         low_a, low_b = a.min_degree(), b.min_degree()
-        if a.rel is not None or b.rel is not None:
-            # a factor's valuation (its least degree, or rel + 1 if lower)
-            # counts only beside a finite rel of its partner
-            r = _rel_min(_rel_add(a.rel, _rel_min(low_b, _rel_add(b.rel, 1))),
-                         _rel_add(b.rel, _rel_min(low_a, _rel_add(a.rel, 1))))
-            rel = _rel_min(rel, _rel_cap(r, deg_max))
+        rel = _rel_min(rel, product_rel(a.rel, low_a, b.rel, low_b, deg_max))
         if c and low_a is not None and low_b is not None:
             plan.append((a, b, c, low_a, low_b))
     # Every product stops at the sum's cap: what lies past it is dropped anyway.

@@ -387,19 +387,26 @@ def _spec_monomials(specs: Sequence[tuple[tuple[BigVar, ...], Fraction]]
                  for dvars, scale in specs if scale)
 
 
-def _weight_slices(series: BigSeries) -> list[BigSeries]:
-    """The eps-free terms of series by descendent weight, each slice with the
-    series' rel; the weight of a key is read off its positive-level fields."""
+def _weight_grading(layout) -> list[tuple[int, int]]:
+    """Descendent weight as a grading of `_grade_slices`: each positive-level
+    field, counted with its level."""
+    return [(shift, var[2]) for var, shift in layout.items() if var[2]]
+
+
+def _grade_slices(series: BigSeries, grading: Sequence[tuple[int, int]], drop: int
+                  ) -> list[BigSeries]:
+    """The terms of series by grade, each slice with the series' rel.  The
+    grade of a key is the sum of its exponent fields, each counted with its
+    weight, over the (field shift, weight) pairs of grading; the keys that
+    meet the mask drop are left out."""
     layout, mask = series.layout, series.layout.mask
-    levels = [(shift, var[2]) for var, shift in layout.items() if var[2]]
-    by_weight: dict[int, list[dict]] = defaultdict(lambda: [{} for _ in series.rows])
+    by_grade: dict[int, list[dict]] = defaultdict(lambda: [{} for _ in series.rows])
     for d, row in enumerate(series.rows):
         for key, n in row.items():
-            if not key & layout.eps_mask:
-                weight = sum(level * (key >> shift & mask) for shift, level in levels)
-                by_weight[weight][d][key] = n
-    return [BigSeries.from_rows(layout, series.den, by_weight.get(w, []), series.rel)
-            for w in range(max(by_weight, default=-1) + 1)]
+            if not key & drop:
+                by_grade[sum(w * (key >> shift & mask) for shift, w in grading)][d][key] = n
+    return [BigSeries.from_rows(layout, series.den, by_grade.get(g, []), series.rel)
+            for g in range(max(by_grade, default=-1) + 1)]
 
 
 def spec_sum(series: BigSeries, specs: tuple[tuple[BigMonomial, Fraction | int], ...]
@@ -420,10 +427,10 @@ class _Table:
     """The derivative sum_spec scale * d^k F / d(spec vars), weight by weight.
 
     Its weight-w part is `spec_sum(slice, specs)` of the weight-(w + table
-    weight) slice of its source: `_weight_slices(series)`, kept with the
-    series, for a table built from a series, and the engine's solved slices
-    for a fed table, one built without, which stands for the potential under
-    solution or test.  Every spec has the table weight.  A slice never
+    weight) slice of its source: the eps-free `_grade_slices` of the series
+    by weight, kept with the series, for a table built from a series, and the
+    engine's solved slices for a fed table, one built without, which stands
+    for the potential under solution or test.  Every spec has the table weight.  A slice never
     changes once present, so the table keeps each nonzero part itself
     (`nonzero`, by weight) and its least degree (`low`).
     """
@@ -439,8 +446,10 @@ class _Table:
     def refresh(self, solved: list[BigSeries]) -> list[int]:
         """Take in the slices present since the last call; returns the
         weights of the new nonzero parts."""
-        slices = solved if self.series is None else (
-            self.slices or self.series.derived(("weight_slices",), _weight_slices))
+        series = self.series
+        slices = solved if series is None else self.slices or series.derived(
+            ("weight_slices",), _grade_slices, _weight_grading(series.layout),
+            series.layout.eps_mask)
         if slices is not self.slices:  # first use, or the slices of a new solve
             self.slices, self.seen, self.nonzero, self.low = slices, self.weight, {}, {}
         new = []

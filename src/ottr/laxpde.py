@@ -25,6 +25,7 @@ from typing import Iterator
 from .algebra import (
     JetPoly,
     JetTruncation,
+    _rel_min,
     coef_phi_power,
     derivative,
     dot,
@@ -33,6 +34,7 @@ from .algebra import (
     phi_degree,
     phivar,
     power,
+    product_rel,
     standard_degree,
     vvar,
 )
@@ -54,6 +56,8 @@ from .genus0 import (
     ResidualReport,
     TwoPointTable,
     _from_values,
+    _grade_slices,
+    _weight_grading,
     solve_closed_order_by_order,
     two_point_table,
 )
@@ -504,20 +508,68 @@ class PstResult:
     report: ResidualReport
 
 
-def _filled_by(key: int, fields: dict[str, list[int]], mask: int) -> tuple[str, int, int]:
-    """The flow that pins the monomial m of key and the grade it is pinned
-    at: (kind, p, grade), read off the exponent fields; fields["s"][level]
-    and fields["t"][level] are the shifts of s_level and t1_level.
+class _Powers:
+    """The grade slices of XF and of its powers (XF)^j, j <= top, for F given
+    grade by grade, X the unit-direction derivative at level zero.
 
-    With s-factors: s_p, p the top s-level, at the s-degree of m.  Without:
-    t1_p, p the top level, at the weight of m.
+    Each slice is formed once, when F is complete up to its grade: the slice
+    of (XF)^j at grade k is sum_{k1} (XF)^{j-1}[k1] XF[k - k1], one `dot`
+    from `start`, the zero that cuts it at the targets' degree (the relaxed
+    product of J. van der Hoeven, "Relax, but don't be too lazy", J. Symbolic
+    Comput. 34, 2002).  `low` is the least degree of XF so far, None while
+    it is zero.
     """
-    s = [key >> shift & mask for shift in fields["s"]]
-    if any(s):
-        return "s", max(level for level, x in enumerate(s) if x), sum(s)
-    t = [key >> shift & mask for shift in fields["t"]]
-    return ("t", max(level for level, x in enumerate(t) if x),
-            sum(level * x for level, x in enumerate(t)))
+
+    def __init__(self, top: int, start: BigSeries):
+        self.start, self.low = start, None
+        self.slices: list[list[BigSeries]] = [[] for _ in range(top + 1)]
+
+    def add(self, f: BigSeries, theory: TheoryData) -> None:
+        """Take in F's slice of the next grade."""
+        pw, k = self.slices, len(self.slices[0])
+        x = t11_partial(f, 0, theory)
+        self.low = _rel_min(self.low, x.min_degree())
+        pw[0].append(BigSeries.const(0 if k else 1, x.trunc))
+        if len(pw) > 1:
+            pw[1].append(x)
+        for j in range(2, len(pw)):
+            pairs = [(a, b, 1) for a, b in zip(pw[j - 1], reversed(pw[1]))
+                     if not a.is_zero() and not b.is_zero()]
+            pw[j].append(dot(self.start, pairs) if pairs else self.start)
+
+    def rhs_rel(self, guard: tuple, rel: int, deg_max: int) -> int | None:
+        """The reliable degree of a flow's whole right-hand side from the F
+        built so far, whose XF has reliable degree rel, as `dot` gives it.
+        `guard` is the start's rel and each product's (rel, least degree, j)
+        of A.  power(XF, j) is a chain of `dot`s, and the least degree of a
+        product of nonzero eps-free series is the sum of theirs if kept."""
+        powers = [(None, 0)]  # (rel, least degree) of power(XF, j)
+        for _ in range(len(self.slices) - 1):
+            rel_p, low_p = powers[-1]
+            r = product_rel(rel_p, low_p, rel, self.low, deg_max)
+            low = None if low_p is None or self.low is None else low_p + self.low
+            powers.append((r, low if low is not None and low <= r else None))
+        out, factors = guard
+        for a_rel, a_low, j in factors:
+            out = _rel_min(out, product_rel(a_rel, a_low, *powers[j], deg_max))
+        return out
+
+    def rhs(self, form: tuple, k: int) -> BigSeries:
+        """The grade-k slice of start + sum c A (XF)^j, form holding the
+        slices of start and of each A: one `dot` from start's, or from the
+        cutting zero."""
+        starts, products = form
+        pw = self.slices
+        pairs = [(a[k1], pw[j][k - k1], c) for a, j, c in products
+                 for k1 in range(min(len(a), k + 1))
+                 if not a[k1].is_zero() and not pw[j][k - k1].is_zero()]
+        rhs = starts[k] if k < len(starts) else self.start
+        return dot(rhs, pairs) if pairs else rhs
+
+
+def _upto(a: BigSeries, degree: int) -> BigSeries:
+    """The terms of a of degree <= degree, vouched for no further than a."""
+    return a.cut(_rel_min(a.rel, degree))
 
 
 def pst_generate(theory: TheoryData) -> PstResult:
@@ -525,21 +577,34 @@ def pst_generate(theory: TheoryData) -> PstResult:
 
     The pure-level-zero sector of both eps slices vanishes (no stable disk
     configurations without boundary data), which together with the flows pins
-    every coefficient up to one degree below the window.  Each eps slice g is
-    filled grade by grade: the s-free monomials by weight with the t flows,
-    then the rest by s-degree with the s flows.  At each grade every flow's
-    right-hand side is computed once from the coefficients already known, and
-    each of its terms ``down`` pins m = down * x_p to its coefficient divided
-    by the exponent of x_p in m, provided x_p is the top-level factor of its
-    kind in m, m has the grade being filled and degree <= the slice's cap,
-    and, for a t flow, m is s-free.  Every other coefficient stays zero.  A
-    flow with targets at a grade must be reliable up to their degree, cap - 1,
-    or the window is too small.  Once F0o is complete, each flow's eps^1
-    right-hand side is affine in F1o (the first-order system is linear): its
-    F1o-free part and the coefficients of XF1o are formed once per flow, and
-    each eps^1 grade is one `dot` from them.  Grades are pinned on packed
-    keys.  Every flow equation is then re-checked as an exact residual; the
-    first failure aborts.
+    every coefficient up to one degree below the window.  Each eps slice,
+    F = F0o and then F1o, is filled in two phases, each grade by grade: the
+    s-free monomials by descendent weight with the t flows t1_p, p >= 1,
+    then the rest by s-degree with the s flows s_p.  Both gradings are
+    additive under products and X = d/dt1_0 preserves them, so a flow x_p
+    pins grade g from the slice of grade g - grade(x_p) of its right-hand
+    side, which reads only grades of F already complete.  In the weight
+    phase every factor is taken s-free; in the s-degree phase the flow
+    coefficients a_i, series in t alone, lie at s-degree 0, as does X of the
+    complete s-free part of F.
+
+    The right-hand side of a flow is start + sum c A (XF)^j over fixed
+    factors A: for F0o, sum_i a_i^{[0]} (XF0o)^i; for F1o, once F0o is
+    complete, the affine split K + sum_i i b_i XF1o of `_rhs1_parts` (the
+    first-order system is linear in F1o).  Start and each A are sliced once
+    per phase, and the slices of XF and its powers are formed once each, as
+    F's grades complete (`_Powers`), so each slice of a right-hand side is
+    one `dot`, cut at degree cap - 1 for the targets of degree <= cap.
+
+    A term ``down`` of that slice pins m = down * x_p, to its coefficient
+    divided by the exponent of x_p in m, exactly when down has no factor of
+    x_p's kind above level p: then m has the grade being filled and x_p is
+    its top-level factor of that kind, which names the one flow that pins m.
+    Every other coefficient stays zero.  A flow with targets at a grade must
+    be reliable up to their degree, cap - 1, or the window is too small: its
+    whole right-hand side from F built so far, by the rule of `dot`
+    (`product_rel`), would be reliable to less.  Every flow equation is then
+    re-checked as an exact residual; the first failure aborts.
     """
     if theory.n != 1 or theory.avec != (Fraction(1),):
         raise ValueError("the Lax generator is a rank-1, unit-direction construction")
@@ -567,44 +632,67 @@ def pst_generate(theory: TheoryData) -> PstResult:
         flows[("t", p)] = ctx.t_flow_slices(p)
         flows[("s", p)] = ctx.s_flow_slices(p)
 
-    layout = f0_big.layout
-    fields = {"s": [layout[s_var(p)] for p in range(amax + 1)],
-              "t": [layout[t_var(1, p)] for p in range(amax + 1)]}
-    rel_of = (dmax, dmax - 1)
+    layout, mask, deg_max = f0_big.layout, f0_big.layout.mask, tr_big.deg_max
+    fields = {"t": [layout[t_var(1, p)] for p in range(amax + 1)],
+              "s": [layout[s_var(p)] for p in range(amax + 1)]}
+    # each phase: its grading for `_grade_slices`, the keys it leaves out
+    phases = (("t", _weight_grading(layout),
+               layout.eps_mask | sum(mask << shift for shift in fields["s"])),
+              ("s", [(shift, 1) for shift in fields["s"]], layout.eps_mask))
+    # the fields of x_p's kind above level p, which a pinning term lacks
+    above = {(kind, p): sum(mask << shift for shift in shifts[p + 1:])
+             for kind, shifts in fields.items() for p in range(amax + 1)}
     values: list[dict[int, Fraction]] = [{}, {}]  # each slice's pinned keys
     degrees: dict[int, int] = {}
-    # F0o and F1o so far, each rebuilt only when its own slice grows: slice 1
-    # reads one complete F0o, and what is derived from it is computed once
-    f = [BigSeries.zero(tr_big, rel) for rel in rel_of]
-    for g, cap in enumerate(rel_of):
-        if g:  # each flow's eps^1 right-hand side as its F1o-free part and XF1o terms
-            affine = {flow: _rhs1_parts(a, f[0], theory_big) for flow, a in flows.items()}
-        grades = [("t", wgt) for wgt in range(1, cap * amax + 1)]
-        grades += [("s", sd) for sd in range(1, cap + 1)]
-        for kind, grade in grades:
-            # the flows with a target of this grade and degree <= cap
-            levels = (range(amax + 1) if kind == "s"
-                      else [p for p in range(1, amax + 1) if p <= grade <= cap * p])
-            known = len(values[g])
-            for p in levels:
-                if g:
-                    free, linear = affine[kind, p]
-                    xf1 = t11_partial(f[1], 0, theory_big)
-                    rhs = dot(free, [(b, xf1, c) for b, c in linear])
-                else:
-                    rhs = first_order_rhs0(flows[(kind, p)], f[0], theory_big)
-                if rhs.rel is not None and rhs.rel < cap - 1:
-                    raise PstIntegrationError((kind, p), None,
-                                              "flow window too small for target")
-                shift = fields[kind][p]
-                for d, row in enumerate(rhs.rows[:cap]):  # m = down * x_p of degree <= cap
-                    for down, n in row.items():
-                        m = down + (1 << shift)
-                        if _filled_by(m, fields, layout.mask) == (kind, p, grade):
-                            values[g][m] = Fraction(n, rhs.den * (m >> shift & layout.mask))
-                            degrees[m] = d + 1
-            if len(values[g]) > known:
-                f[g] = _from_values(layout, values[g], degrees, cap)
+    f: list[BigSeries] = []  # F0o, then F1o, once complete
+    for g, cap in enumerate((dmax, dmax - 1)):
+        # each flow's right-hand side as (start, [(A, j, c), ...])
+        forms = {}
+        for flow, a in flows.items():
+            if g:
+                free, linear = _rhs1_parts(a, f[0], theory_big)
+                forms[flow] = (free, [(b, 1, c) for b, c in linear])
+            else:
+                forms[flow] = (None, [(a0, i, 1) for i, (a0, _a1) in sorted(a.items())])
+        top = max(j for _start, products in forms.values() for _a, j, _c in products)
+        guards = {flow: (None if start is None else start.rel,
+                         [(a.rel, a.min_degree(), j) for a, j, _c in products])
+                  for flow, (start, products) in forms.items()}
+        forms = {flow: (None if start is None else _upto(start, cap - 1),
+                        [(_upto(a, cap - 1), j, c) for a, j, c in products])
+                 for flow, (start, products) in forms.items()}
+        for kind, grading, drop in phases:
+            sliced = {flow: ([] if start is None else _grade_slices(start, grading, drop),
+                             [(_grade_slices(a, grading, drop), j, c) for a, j, c in products])
+                      for flow, (start, products) in forms.items()}
+            powers = _Powers(top, BigSeries.zero(tr_big, cap - 1))  # cut at the targets' degree
+            # grade 0: nothing in the weight phase (no target has weight 0),
+            # the complete s-free part in the s-degree phase
+            powers.add(_from_values(layout, values[g], degrees, cap), theory_big)
+            last = cap * amax if kind == "t" else cap
+            for grade in range(1, last + 1):
+                # the flows with a target of this grade and degree <= cap
+                levels = (range(amax + 1) if kind == "s"
+                          else [p for p in range(1, amax + 1) if p <= grade <= cap * p])
+                pinned: dict[int, Fraction] = {}
+                for p in levels:
+                    rel = powers.rhs_rel(guards[kind, p], cap - 1, deg_max)
+                    if rel is not None and rel < cap - 1:
+                        raise PstIntegrationError((kind, p), None,
+                                                  "flow window too small for target")
+                    # the slice that x_p raises to this grade
+                    rhs = powers.rhs(sliced[kind, p], grade - (p if kind == "t" else 1))
+                    shift, skip = fields[kind][p], above[kind, p]
+                    for d, row in enumerate(rhs.rows):
+                        for down, n in row.items():
+                            if not down & skip:
+                                m = down + (1 << shift)
+                                pinned[m] = Fraction(n, rhs.den * (m >> shift & mask))
+                                degrees[m] = d + 1
+                values[g].update(pinned)
+                if grade < last:
+                    powers.add(_from_values(layout, pinned, degrees, cap), theory_big)
+        f.append(_from_values(layout, values[g], degrees, cap))
     f0o, f1o = f
 
     report = ResidualReport()

@@ -113,6 +113,20 @@ GEN_PST = {
         "f1o.ottr": "c653245a5f1fb8f0eb3b07326d73a440ab60a7d5f30f15fc1e70edcb931b0a11",
         "flows.report.ottr": "b66eaa1c67fc75541fbf91dd9c1111506834e86564ae8ab07d2b1952e598e5a7",
     },
+    # recorded before the grade loop read each flow's right-hand side by
+    # grade slice: windows where that loop is most of `gen-pst`
+    (9, 3): {
+        "f0.ottr": "958959c79a876e7eb5991bd4818d66b289ea8bc9844df322d3f91d0d5a09e9ec",
+        "f0o.ottr": "970ab9c133255e61e6e81163eb46e2858480782b18725ac6c3ecb2e2bac90cff",
+        "f1o.ottr": "53d9c53d7b10cb1804abb349f4afedb891ac60e873ba334fae0bbeb83191ad08",
+        "flows.report.ottr": "8edc6ff25c10460564d2300fe72c1ddccb272a02926602094b9e9750c8b53376",
+    },
+    (10, 2): {
+        "f0.ottr": "7daed3797b5b8690f8b8d442bf78c958fbdc4b8b74e88d4164f7bd342d997862",
+        "f0o.ottr": "2d4e9e54d196593014df03ada3f62c6153cfed134ff6cc3620a4c3f26752e91e",
+        "f1o.ottr": "dcea6012294606e14d2f97dcb848bd71c1e27c14fdfa993906a7a8734bbc4a98",
+        "flows.report.ottr": "a13cd27aa8222e71361ea04bf489726f7e7444eae4fb9e54e85b0b3d6d2b3013",
+    },
 }
 
 

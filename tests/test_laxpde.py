@@ -1,5 +1,7 @@
 """Q-polynomials, evolution operators, first-order residuals, Lax flows."""
 
+import hashlib
+import itertools
 from fractions import Fraction
 from math import comb
 
@@ -51,6 +53,7 @@ from ottr.laxpde import (
     qpoly_expansion_residual,
     qpoly_truncation,
 )
+from ottr.serialize import emit
 
 TR = Truncation.of(8, 3)
 TH = TheoryData.rank1(TR)
@@ -402,6 +405,30 @@ class TestLaxFlows:
         assert info.value.mono is None
         assert str(info.value) == "flow window too small for target"
 
+    def test_guard_sweep_outcomes_are_pinned(self, monkeypatch):
+        """Every flow's slices cut by 1 and by 2 degrees, one flow at a time,
+        at D3-D6 x Amax 0-3: each run fails with the same flow, monomial and
+        message or gives the same four outputs as before the grade loop read
+        its right-hand sides by grade slice (`GUARD_SWEEP`)."""
+        flow_slices = {kind: getattr(KdVLaxContext, f"{kind}_flow_slices") for kind in "ts"}
+        outcomes = []
+        for degree, amax in itertools.product(range(3, 7), range(4)):
+            theory = TheoryData.rank1(Truncation.of(degree, amax))
+            for kind, p, by in itertools.product("ts", range(amax + 1), (1, 2)):
+                with monkeypatch.context() as m:
+                    m.setattr(KdVLaxContext, f"{kind}_flow_slices",
+                              _cut_flow(flow_slices[kind], p, by))
+                    try:
+                        r = pst_generate(theory)
+                        outcome = [hashlib.sha256(emit(x, theory).encode()).hexdigest()
+                                   for x in (r.f0, r.f0o, r.f1o, r.report)]
+                    except PstIntegrationError as err:
+                        outcome = (err.flow, err.mono, str(err))
+                outcomes.append(((degree, amax, kind, p, by), outcome))
+        assert len(outcomes) == 160
+        assert sum(isinstance(o, tuple) for _case, o in outcomes) == 40
+        assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == GUARD_SWEEP
+
     def test_odd_eps_w_is_rejected(self, theory6):
         w = BigSeries({(1, ((t_var(1, 0), 1),)): Fraction(1)}, theory6.trunc)
         with pytest.raises(ValueError, match="^w must have even eps content only$"):
@@ -436,6 +463,24 @@ class TestLaxFlows:
             rhs0, rhs1 = first_order_rhs(slices, pst.f0o, pst.f1o, theory6)
             assert poly_eq(direct0, rhs0), p
             assert poly_eq(direct1, rhs1), p
+
+
+# sha256 of the repr of [((degree, amax, kind, p, by), outcome), ...] in
+# `test_guard_sweep_outcomes_are_pinned`, recorded before the grade loop read
+# its right-hand sides by grade slice; 40 of the 160 runs fail
+GUARD_SWEEP = "7390386bc2a18752faed724e58d1f385ce6c37fd7babc0d490e0c2168e9e6b1c"
+
+
+def _cut_flow(flow_slices, p, by):
+    """flow_slices with the level-p flow's slices cut by `by` degrees below
+    their rel; exact slices stay as they are."""
+    def cut(ctx, q):
+        slices = flow_slices(ctx, q)
+        if q != p:
+            return slices
+        return {i: tuple(x if x.rel is None else x.cut(x.rel - by) for x in pair)
+                for i, pair in slices.items()}
+    return cut
 
 
 @pytest.fixture(scope="module", params=[(4, 1), (6, 2)], ids=["D4A1", "D6A2"])

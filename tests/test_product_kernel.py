@@ -16,6 +16,7 @@ from ottr.algebra import (
     JetOverflowError,
     JetPoly,
     JetTruncation,
+    TruncationMismatchError,
     dot,
     fvar,
     mono_from_factors,
@@ -303,6 +304,33 @@ def test_int_and_fraction_scales_give_one_result(scale):
     assert _same(by_int, _reference_dot(start, [(a, b, scale), (b, b, 2)]))
     jet = JetPoly.var(vvar(1, 1), JT) + JetPoly.const(Fraction(1, 3), JT)
     assert _same(dot(jet, [(jet, jet, scale)]), dot(jet, [(jet, jet, Fraction(scale))]))
+
+
+def test_equal_truncations_share_one_truncation_object():
+    """Every value stores its layout's truncation, so values built from equal
+    but distinct truncations, by any constructor and at any field width,
+    share one object and `dot` finds them compatible by identity; unequal
+    truncations still raise."""
+    a, b = Truncation.of(7, 2), Truncation.of(7, 2)
+    assert a == b and a is not b
+    t0 = BigSeries.var(t_var(1, 0), a)
+    values = [t0, BigSeries.zero(b), BigSeries.const(2, b),
+              BigSeries.from_coeffs({((s_var(1), 2),): Fraction(3)}, b),
+              BigSeries.from_parts(b, None, [(1, 0, ((t_var(1, 1), 1),), 1, 2)]),
+              BigSeries.from_rows(t0.layout, 1, [{}, dict(t0.rows[1])], None),
+              t0 * t0, dot(BigSeries.zero(b), [(t0, t0, 1)]), t0 - BigSeries.var(s_var(0), b)]
+    assert all(x.trunc is t0.trunc for x in values)
+    jt_a, jt_b = JetTruncation(3, 2, 1), JetTruncation(3, 2, 1)
+    narrow = JetPoly.var(vvar(1, 0), jt_a)
+    wide = JetPoly({(0, ((vvar(1, 1), 12),)): Fraction(1)}, jt_b)
+    assert wide.layout is not narrow.layout and wide.trunc is narrow.trunc
+    assert (narrow * wide).trunc is narrow.trunc
+    other = BigSeries.var(t_var(1, 0), Truncation.of(7, 3))
+    for combine in (lambda: t0 * other, lambda: t0 + other,
+                    lambda: dot(BigSeries.zero(a), [(t0, other, 1)]),
+                    lambda: narrow * JetPoly.var(vvar(1, 0), JetTruncation(3, 2, 2))):
+        with pytest.raises(TruncationMismatchError):
+            combine()
 
 
 @pytest.mark.parametrize("value, other, error", [
