@@ -725,8 +725,9 @@ def derivative(p: SparseSeries, *variables: Var) -> SparseSeries:
 
 
 def power(p: SparseSeries, k: int) -> SparseSeries:
-    """p^k as 1 * p * ... * p, each power computed once per value."""
-    return p.derived(("pow", k), _power, k)
+    """p^k as 1 * p * ... * p, each power computed once per value; p^1 is p
+    itself (1 * p has its terms, rel, den and layout), kept out of p's memo."""
+    return p if k == 1 else p.derived(("pow", k), _power, k)
 
 
 def _power(p: SparseSeries, k: int) -> SparseSeries:

@@ -267,7 +267,9 @@ def delta(f0o: BigSeries, a: int, theory: TheoryData) -> JetPoly:
 
 @dataclass
 class TwoPointTable:
-    """All restricted one- and two-point functions over the index window."""
+    """The restricted one-point functions over the index window, and the
+    two-point functions Omega_{g,0;alpha,a} with one index at level 0 (the
+    only ones the operators read), keyed (g, 0, alpha, a)."""
 
     omega: dict[tuple[int, int, int, int], JetPoly]
     gamma: dict[tuple[int, int], JetPoly]
@@ -279,10 +281,7 @@ def two_point_table(f0: BigSeries, f0o: BigSeries,
                     theory: TheoryData) -> TwoPointTable:
     amax = theory.trunc.level_max
     idx = [(alpha, a) for alpha in range(1, theory.n + 1) for a in range(amax + 1)]
-    om = {}
-    for i in idx:
-        for j in idx:
-            om[i + j] = om[j + i] if j < i else omega(f0, *i, *j, theory)
+    om = {(g, 0, *i): omega(f0, g, 0, *i, theory) for g in range(1, theory.n + 1) for i in idx}
     return TwoPointTable(om, {i: gamma(f0o, *i, theory) for i in idx},
                          {a: delta(f0o, a, theory) for a in range(amax + 1)}, theory)
 

@@ -201,77 +201,61 @@ def operators(table: TwoPointTable, go: JetPoly, theory: TheoryData
         yield label, op
 
 
-def first_order_rhs(a_slices: dict[int, tuple[BigSeries, BigSeries]],
-                    f0: BigSeries, f1: BigSeries, theory: TheoryData,
-                    starts: tuple[BigSeries, BigSeries] | None = None
-                    ) -> tuple[BigSeries, BigSeries]:
-    """First-order slices of sum_i a_i Q_i(f) for f = f0 + eps f1; given
-    starts (s0, s1), the differences (s0 - slice0, s1 - slice1) instead."""
-    s0, s1 = (None, None) if starts is None else starts
-    return (first_order_rhs0(a_slices, f0, theory, s0),
-            first_order_rhs1(a_slices, f0, f1, theory, s1))
+# A flow's eps slice as a form (start, [(A, j, c), ...]): the value
+# start + sum c A (XF)^j, X the unit-direction derivative at level zero.
+Form = tuple[BigSeries, list[tuple[BigSeries, int, int]]]
 
 
-def _start_and_sign(start: BigSeries | None, theory: TheoryData) -> tuple[BigSeries, int]:
-    """A slice's `dot` start and the sign of its products: the slice itself
-    from zero, or start minus the slice."""
-    return (BigSeries.zero(theory.trunc), 1) if start is None else (start, -1)
-
-
-def first_order_rhs0(a_slices: dict[int, tuple[BigSeries, BigSeries]],
-                     f0: BigSeries, theory: TheoryData, start: BigSeries | None = None
-                     ) -> BigSeries:
-    """The eps^0 slice, sum a_i^{[0]} (Xf0)^i (start minus it, given a
-    start); Xf0 keeps its powers."""
-    xf0 = t11_partial(f0, 0, theory)
-    start, sign = _start_and_sign(start, theory)
-    return dot(start, [(a0, power(xf0, i), sign) for i, (a0, _a1) in sorted(a_slices.items())])
-
-
-def first_order_rhs1(a_slices: dict[int, tuple[BigSeries, BigSeries]],
-                     f0: BigSeries, f1: BigSeries, theory: TheoryData,
-                     start: BigSeries | None = None) -> BigSeries:
-    """The eps^1 slice (start minus it, given a start): `_rhs1_parts` with
-    Xf1 put in, one `dot` from its f1-free part."""
-    free, linear = _rhs1_parts(a_slices, f0, theory, start)
-    xf1 = t11_partial(f1, 0, theory)
-    return dot(free, [(b, xf1, c) for b, c in linear])
-
-
-def _rhs1_parts(a_slices: dict[int, tuple[BigSeries, BigSeries]], f0: BigSeries,
-                theory: TheoryData, start: BigSeries | None = None
-                ) -> tuple[BigSeries, list[tuple[BigSeries, int]]]:
-    """The eps^1 slice is affine in f1: its f1-free part K, the coefficient
-    corrections and the second-jet term from the eps expansion of Q_i (start
-    minus K, given a start), and the coefficients b_i = a_i^{[0]} (Xf0)^{i-1}
-    of Xf1, each with its weight i (negated, given a start).  The slice's rel
-    is the least over the same products as one `dot` of them all."""
-    xf0 = t11_partial(f0, 0, theory)
-    xxf0 = x_jet(f0, 2, theory)
-    start, sign = _start_and_sign(start, theory)
+def flow_forms(a_slices: dict[int, tuple[BigSeries, BigSeries]], f0: BigSeries | None,
+               theory: TheoryData) -> tuple[Form, Form | None]:
+    """The eps^0 and eps^1 slices of sum_i a_i Q_i(f) for f = f0 + eps f1 as
+    forms, with F = f0 and f1: sum_i a_i^{[0]} (Xf0)^i, which needs no f0,
+    and, affine in f1, K + sum_i i b_i Xf1.  K is the f1-free part, the
+    coefficient corrections and the second-jet term from the eps expansion
+    of Q_i, as one `dot`; b_i = a_i^{[0]} (Xf0)^{i-1}.  The b_i are kept
+    apart: their sum B would give the products with Xf1 another least
+    degree, and so another rel, whenever its lowest terms cancel.  Without
+    f0 the eps^1 form is None."""
+    zero = BigSeries.zero(theory.trunc)
+    eps0 = (zero, [(a0, i, 1) for i, (a0, _a1) in sorted(a_slices.items())])
+    if f0 is None:
+        return eps0, None
+    xf0, xxf0 = t11_partial(f0, 0, theory), x_jet(f0, 2, theory)
     free, linear = [], []
     for i, (a0, a1) in sorted(a_slices.items()):
-        free.append((a1, power(xf0, i), sign))
+        free.append((a1, power(xf0, i), 1))
         if i >= 1:
-            linear.append((a0 * power(xf0, i - 1), sign * i))
+            linear.append((a0 * power(xf0, i - 1), 1, i))
         if i >= 2:
-            free.append((a0 * power(xf0, i - 2), xxf0, sign * comb(i, 2)))
-    return dot(start, free), linear
+            free.append((a0 * power(xf0, i - 2), xxf0, comb(i, 2)))
+    return eps0, (dot(zero, free), linear)
 
 
-def evolution_residual(a_slices: dict[int, tuple[BigSeries, BigSeries]],
-                       f0o: BigSeries, f1o: BigSeries, var: BigVar, theory: TheoryData
-                       ) -> BigSeries:
+def first_order_rhs(forms: tuple[Form, Form], f0: BigSeries, f1: BigSeries,
+                    theory: TheoryData) -> tuple[BigSeries, BigSeries]:
+    """The values of a flow's eps^0 and eps^1 forms at F = f0 and f1: one
+    `dot` each, (XF)^0 the constant 1."""
+    return tuple(dot(start, [(a, power(t11_partial(f, 0, theory), j), c)
+                             for a, j, c in products])
+                 for (start, products), f in zip(forms, (f0, f1)))
+
+
+def evolution_residual(forms: tuple[Form, Form], f0o: BigSeries, f1o: BigSeries,
+                       var: BigVar, theory: TheoryData) -> BigSeries:
     """(dF0o/dvar - rhs0) + eps (dF1o/dvar - rhs1) for the flow along var:
-    each slice one `dot` from the derivative, the eps^1 one shifted by key."""
-    res0, res1 = first_order_rhs(a_slices, f0o, f1o, theory,
-                                 starts=(derivative(f0o, var), derivative(f1o, var)))
+    each slice the value of its residual form, (dF/dvar, [(start, 0, -1),
+    (A, j, -c), ...]) for the flow's form (start, [(A, j, c), ...]), so one
+    `dot` from the derivative; the eps^1 one shifted by key."""
+    res0, res1 = first_order_rhs(
+        [(derivative(f, var), [(start, 0, -1)] + [(a, j, -c) for a, j, c in products])
+         for (start, products), f in zip(forms, (f0o, f1o))], f0o, f1o, theory)
     return res0 + _eps_shift(res1, 1, theory.trunc.eps_max)
 
 
 @dataclass
 class EvolutionSystem:
-    """All interior/boundary flows of one instance, each operator evaluated once."""
+    """All interior/boundary flows of one instance, each operator evaluated
+    once into its flow's forms."""
 
     theory: TheoryData
     f0: BigSeries
@@ -279,8 +263,7 @@ class EvolutionSystem:
     f1o: BigSeries
     go: JetPoly
     ops: dict[tuple, LinearDiffOp] = field(default_factory=dict)
-    a_evals: dict[tuple, dict[int, tuple[BigSeries, BigSeries]]] = field(default_factory=dict)
-    linear: dict[tuple, BigSeries] = field(default_factory=dict)
+    forms: dict[tuple, tuple[Form, Form]] = field(default_factory=dict)
 
     @classmethod
     def build(cls, f0: BigSeries, f0o: BigSeries, f1o: BigSeries,
@@ -291,7 +274,7 @@ class EvolutionSystem:
         sol_v = vtop(f0, theory)
         for label, op in operators(two_point_table(f0, f0o, theory), go, theory):
             sys.ops[label] = op
-            sys.a_evals[label] = op.eval_slices(sol_v, theory)
+            sys.forms[label] = flow_forms(op.eval_slices(sol_v, theory), f0o, theory)
         return sys
 
     def flow_var(self, label: tuple):
@@ -299,7 +282,7 @@ class EvolutionSystem:
 
     def residual(self, label: tuple) -> BigSeries:
         """Joint residual (eps^0 slice) + eps (eps^1 slice) for one flow."""
-        return evolution_residual(self.a_evals[label], self.f0o, self.f1o,
+        return evolution_residual(self.forms[label], self.f0o, self.f1o,
                                   self.flow_var(label), self.theory)
 
     def residual_report(self) -> ResidualReport:
@@ -316,9 +299,9 @@ class EvolutionSystem:
         """Change of some flow's eps^1 residual under f1o -> f1o + mono.
 
         The first-order system is linear in f1o, so the change is
-        d(mono)/d(flow) - sum_i i a_i^{[0]} (Xf0)^{i-1} X(mono), whose sum is
-        built once per flow; the first flow with a nonzero change is returned
-        (zero series if none).
+        d(mono)/d(flow) - sum_i i b_i X(mono) over the b_i of the flow's
+        eps^1 form; the first flow with a nonzero change is returned (zero
+        series if none).
         """
         tr = self.theory.trunc
         m_series = BigSeries({(0, mono): Fraction(1)}, tr, None, _checked=True)
@@ -327,12 +310,8 @@ class EvolutionSystem:
         for label in sorted(self.ops):
             change = derivative(m_series, self.flow_var(label))
             if not xm.is_zero():
-                if label not in self.linear:
-                    xf0 = t11_partial(self.f0o, 0, self.theory)
-                    self.linear[label] = dot(BigSeries.zero(tr), [
-                        (a0, power(xf0, i - 1), i)
-                        for i, (a0, _a1) in self.a_evals[label].items() if i >= 1])
-                change = dot(change, [(self.linear[label], xm, -1)])
+                _k, linear = self.forms[label][1]
+                change = dot(change, [(b, xm, -c) for b, _j, c in linear])
             if not change.is_zero():
                 return change
             last = change
@@ -514,14 +493,14 @@ class _Powers:
 
     Each slice is formed once, when F is complete up to its grade: the slice
     of (XF)^j at grade k is sum_{k1} (XF)^{j-1}[k1] XF[k - k1], one `dot`
-    from `start`, the zero that cuts it at the targets' degree (the relaxed
+    from `zero`, which cuts it at the targets' degree (the relaxed
     product of J. van der Hoeven, "Relax, but don't be too lazy", J. Symbolic
     Comput. 34, 2002).  `low` is the least degree of XF so far, None while
     it is zero.
     """
 
-    def __init__(self, top: int, start: BigSeries):
-        self.start, self.low = start, None
+    def __init__(self, top: int, zero: BigSeries):
+        self.zero, self.low = zero, None
         self.slices: list[list[BigSeries]] = [[] for _ in range(top + 1)]
 
     def add(self, f: BigSeries, theory: TheoryData) -> None:
@@ -535,7 +514,7 @@ class _Powers:
         for j in range(2, len(pw)):
             pairs = [(a, b, 1) for a, b in zip(pw[j - 1], reversed(pw[1]))
                      if not a.is_zero() and not b.is_zero()]
-            pw[j].append(dot(self.start, pairs) if pairs else self.start)
+            pw[j].append(dot(self.zero, pairs) if pairs else self.zero)
 
     def rhs_rel(self, guard: tuple, rel: int, deg_max: int) -> int | None:
         """The reliable degree of a flow's whole right-hand side from the F
@@ -563,7 +542,7 @@ class _Powers:
         pairs = [(a[k1], pw[j][k - k1], c) for a, j, c in products
                  for k1 in range(min(len(a), k + 1))
                  if not a[k1].is_zero() and not pw[j][k - k1].is_zero()]
-        rhs = starts[k] if k < len(starts) else self.start
+        rhs = starts[k] if k < len(starts) else self.zero
         return dot(rhs, pairs) if pairs else rhs
 
 
@@ -588,9 +567,9 @@ def pst_generate(theory: TheoryData) -> PstResult:
     coefficients a_i, series in t alone, lie at s-degree 0, as does X of the
     complete s-free part of F.
 
-    The right-hand side of a flow is start + sum c A (XF)^j over fixed
-    factors A: for F0o, sum_i a_i^{[0]} (XF0o)^i; for F1o, once F0o is
-    complete, the affine split K + sum_i i b_i XF1o of `_rhs1_parts` (the
+    The right-hand side of a flow is its form start + sum c A (XF)^j over
+    fixed factors A (`flow_forms`): for F0o, sum_i a_i^{[0]} (XF0o)^i; for
+    F1o, once F0o is complete, the affine split K + sum_i i b_i XF1o (the
     first-order system is linear in F1o).  Start and each A are sliced once
     per phase, and the slices of XF and its powers are formed once each, as
     F's grades complete (`_Powers`), so each slice of a right-hand side is
@@ -604,7 +583,8 @@ def pst_generate(theory: TheoryData) -> PstResult:
     be reliable up to their degree, cap - 1, or the window is too small: its
     whole right-hand side from F built so far, by the rule of `dot`
     (`product_rel`), would be reliable to less.  Every flow equation is then
-    re-checked as an exact residual; the first failure aborts.
+    re-checked as an exact residual on the enlarged window, from the same
+    forms uncut; the first failure aborts.
     """
     if theory.n != 1 or theory.avec != (Fraction(1),):
         raise ValueError("the Lax generator is a rank-1, unit-direction construction")
@@ -646,25 +626,19 @@ def pst_generate(theory: TheoryData) -> PstResult:
     degrees: dict[int, int] = {}
     f: list[BigSeries] = []  # F0o, then F1o, once complete
     for g, cap in enumerate((dmax, dmax - 1)):
-        # each flow's right-hand side as (start, [(A, j, c), ...])
-        forms = {}
-        for flow, a in flows.items():
-            if g:
-                free, linear = _rhs1_parts(a, f[0], theory_big)
-                forms[flow] = (free, [(b, 1, c) for b, c in linear])
-            else:
-                forms[flow] = (None, [(a0, i, 1) for i, (a0, _a1) in sorted(a.items())])
-        top = max(j for _start, products in forms.values() for _a, j, _c in products)
-        guards = {flow: (None if start is None else start.rel,
-                         [(a.rel, a.min_degree(), j) for a, j, _c in products])
-                  for flow, (start, products) in forms.items()}
-        forms = {flow: (None if start is None else _upto(start, cap - 1),
-                        [(_upto(a, cap - 1), j, c) for a, j, c in products])
-                 for flow, (start, products) in forms.items()}
+        # each flow's forms; those built from the complete F0o stay for the check
+        forms = {flow: flow_forms(a, f[0] if f else None, theory_big) for flow, a in flows.items()}
+        rhs_forms = {flow: pair[g] for flow, pair in forms.items()}
+        top = max(j for _start, products in rhs_forms.values() for _a, j, _c in products)
+        guards = {flow: (start.rel, [(a.rel, a.min_degree(), j) for a, j, _c in products])
+                  for flow, (start, products) in rhs_forms.items()}
+        rhs_forms = {flow: (_upto(start, cap - 1),
+                            [(_upto(a, cap - 1), j, c) for a, j, c in products])
+                     for flow, (start, products) in rhs_forms.items()}
         for kind, grading, drop in phases:
-            sliced = {flow: ([] if start is None else _grade_slices(start, grading, drop),
+            sliced = {flow: (_grade_slices(start, grading, drop),
                              [(_grade_slices(a, grading, drop), j, c) for a, j, c in products])
-                      for flow, (start, products) in forms.items()}
+                      for flow, (start, products) in rhs_forms.items()}
             powers = _Powers(top, BigSeries.zero(tr_big, cap - 1))  # cut at the targets' degree
             # grade 0: nothing in the weight phase (no target has weight 0),
             # the complete s-free part in the s-degree phase
@@ -698,7 +672,7 @@ def pst_generate(theory: TheoryData) -> PstResult:
     report = ResidualReport()
     for kind, p in sorted(flows):
         var = t_var(1, p) if kind == "t" else s_var(p)
-        res = restrict_window(evolution_residual(flows[(kind, p)], f0o, f1o, var, theory_big), tr)
+        res = restrict_window(evolution_residual(forms[kind, p], f0o, f1o, var, theory_big), tr)
         if not res.is_zero():
             mono = min(res.terms)[1]
             raise PstIntegrationError((kind, p), mono,

@@ -388,6 +388,14 @@ class TestOpenRecovery:
         from ottr.algebra import standard_degree
 
         table = two_point_table(f0, f0o, theory8)
-        for poly in list(table.omega.values()) + list(table.gamma.values()) \
-                + list(table.delta.values()):
+        idx = [(1, a) for a in range(theory8.trunc.level_max + 1)]
+        for poly in [omega(f0, *i, *j, theory8) for i in idx for j in idx] \
+                + list(table.gamma.values()) + list(table.delta.values()):
             assert set(standard_degree(poly)) <= {0}
+
+    def test_table_holds_the_level_zero_two_point_functions(self, f0, f0o, theory8):
+        table = two_point_table(f0, f0o, theory8)
+        levels = range(theory8.trunc.level_max + 1)
+        assert set(table.omega) == {(1, 0, 1, a) for a in levels}
+        for a in levels:
+            assert table.omega[1, 0, 1, a] == omega(f0, 1, a, 1, 0, theory8)

@@ -179,3 +179,51 @@ def test_gen_pst_windows_are_golden(degree, amax, tmp_path, capsys):
                  "--outdir", str(tmp_path)]) == 0
     capsys.readouterr()
     assert _digests(tmp_path) == GEN_PST[degree, amax]
+
+
+# `check-evolution --out` on `gen-pst`'s own output at D3-D8 x Amax 0-3: the
+# sha256 of the report bytes followed by stdout, and the exit code, recorded
+# before each Lax flow's right-hand side became one form per eps slice.  Six
+# windows report NONZERO and exit 1 (D3/A1-A3, D4/A2, D4/A3, D5/A3): the
+# known defect of ROADMAP item 2, also pinned by the strict xfail
+# `test_cli.py::test_check_evolution_passes_gen_pst_output`.  Fixing that
+# defect re-records these digests together with that xfail.
+CHECK_EVOLUTION_GEN_PST = {
+    (3, 0): ("affd1c3699389e9b78a20836e850bc0216c4ec39434b8b8008c1c432516b7139", 0),
+    (3, 1): ("66996d0a9bbbfa5be5a2a99de7c02dec826548b41a2a58b04bb6a851d0ef854e", 1),
+    (3, 2): ("e28cfcfef22dc559579b0b4d4a9741439a99d29575901ad0649e6cddbbd26064", 1),
+    (3, 3): ("9c5e21462f04c7e16453adf1a9f249bc84acfdb32ba38a42163fbb71edfa7d84", 1),
+    (4, 0): ("e903a88476b88c684a494df758d1937c57db5663fe994240cbe53dba2cafb76c", 0),
+    (4, 1): ("018d6e5a8d80e77c774ca3eb3f45c2adbd29082c46023c3a8d20dacf9d6ec563", 0),
+    (4, 2): ("52d464700e94200363689b41029f0e33c8a2a5675334438683b32362981a2535", 1),
+    (4, 3): ("4144381893f00176bb5fa94768169ee5361022b81edf46b58f98fdacf8ab4648", 1),
+    (5, 0): ("1a84dd5e6200e92b3017726c358d3c77bc9e82231ddf9ffb0ef1080d8ee2a981", 0),
+    (5, 1): ("50343d16fc5e552f7a8114c4a3bba51ea691e89e293f1cb1523cc9e7507fe099", 0),
+    (5, 2): ("c867a74d8cc005f5f615b2393c4d55c5a033f110b446605c1128e3c7396ab82d", 0),
+    (5, 3): ("5e622e8e4bd24778dd3b36d896b1d1e280632c60a9788ea65f3e8ba23c71b55d", 1),
+    (6, 0): ("46a2fdda9325da83faf70a3b0a4ad91406ae512de7965c73a3534fda7f5aa3c1", 0),
+    (6, 1): ("842c4073ca30c8e03e7530b9c89f84a2a1e87b5ad9d7bdd1d8f5275f4f358297", 0),
+    (6, 2): ("4627a2f68784f35e564e4ac9826fa99dd8afea4aaa3d37bd84bb960fb821904a", 0),
+    (6, 3): ("a076de077d843a7d1de62a59ceda0b4c6bbda2a2c61df8a0c24af2073ba57258", 0),
+    (7, 0): ("285abc960f4d4a43ee71185b8cb266aad81a21cdeb36b2bbfcb8ba8470049e98", 0),
+    (7, 1): ("135f298e79efb664fab62ed6bd6ea679d13bb942bcdc3a7d685698c8384b1702", 0),
+    (7, 2): ("bb0a90afb5063d62c9d44f800e306ae945e06cf0c6fe2a896adf03b4f693ae43", 0),
+    (7, 3): ("1065c61ef0d13aff4e27b5b0e7d8a33c537fa3d1c1b3d8668b1eb629118efbcb", 0),
+    (8, 0): ("db76eab3e551b0c4ab17d486a33cc5d72f923efd2bb5d42c6a4cd38f08550d7b", 0),
+    (8, 1): ("9dccde0773e1775e7996b6b276eafc68e948f2b8071ad1b18513b060f644b070", 0),
+    (8, 2): ("d94fbf38a28eff5e6b96a4758192fcb2e199a3eda6e7a54cd4c5918582ef03a0", 0),
+    (8, 3): ("dee0751b34c55621dd681f856dba1b4b8f48b640d3ff7460f0e68c36077d3662", 0),
+}
+
+
+@pytest.mark.parametrize("degree, amax", sorted(CHECK_EVOLUTION_GEN_PST), ids=lambda x: str(x))
+def test_check_evolution_windows_are_golden(degree, amax, tmp_path, capsys):
+    assert main(["gen-pst", "--degree", str(degree), "--amax", str(amax),
+                 "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    report = tmp_path / "evolution.report.ottr"
+    code = main(["check-evolution", "--f0", str(tmp_path / "f0.ottr"),
+                 "--f0o", str(tmp_path / "f0o.ottr"), "--f1o", str(tmp_path / "f1o.ottr"),
+                 "--out", str(report)])
+    digest = hashlib.sha256(report.read_bytes() + capsys.readouterr().out.encode()).hexdigest()
+    assert (digest, code) == CHECK_EVOLUTION_GEN_PST[degree, amax]

@@ -44,9 +44,11 @@ from ottr.laxpde import (
     PseudoDiffOp,
     PstIntegrationError,
     build_boundary_op,
+    _eps_shift,
     build_interior_op,
+    evolution_residual,
     first_order_rhs,
-    first_order_rhs1,
+    flow_forms,
     linear_evolution_residual,
     pst_generate,
     qpoly,
@@ -188,7 +190,7 @@ class TestFirstOrderRhs:
     def test_constant_coefficient(self, f0, f0o, theory8):
         c = BigSeries.const(Fraction(5, 3), TR)
         zero = BigSeries.zero(TR)
-        rhs0, rhs1 = first_order_rhs({0: (c, zero)}, f0o, zero, theory8)
+        rhs0, rhs1 = first_order_rhs(flow_forms({0: (c, zero)}, f0o, theory8), f0o, zero, theory8)
         assert rhs0 == c
         assert rhs1.is_zero()
 
@@ -197,38 +199,53 @@ class TestFirstOrderRhs:
 
         one = BigSeries.const(1, TR)
         zero = BigSeries.zero(TR)
-        rhs0, rhs1 = first_order_rhs({1: (one, zero)}, f0o, zero, theory8)
+        rhs0, rhs1 = first_order_rhs(flow_forms({1: (one, zero)}, f0o, theory8), f0o, zero, theory8)
         assert poly_eq(rhs0, t11_partial(f0o, 0, theory8))
         assert rhs1.is_zero()
 
     def test_operator_interface(self, f0, f0o, theory8):
         op = LinearDiffOp({(0, 0): JetPoly.const(2, JT)})
         zero = BigSeries.zero(TR)
-        rhs0, _ = first_order_rhs(op.eval_slices(vtop(f0, theory8), theory8), f0o, zero, theory8)
+        forms = flow_forms(op.eval_slices(vtop(f0, theory8), theory8), f0o, theory8)
+        rhs0, _ = first_order_rhs(forms, f0o, zero, theory8)
         assert rhs0.constant_term() == 2
 
 
     @pytest.mark.parametrize("bumped", [False, True])
     def test_eps1_slice_is_one_dot_of_its_products(self, f0, f0o, theory8, bumped):
-        """The eps^1 slice from its f1-free part and its Xf1 coefficients has
-        the terms and rel of one `dot` over all of its products, from zero and
-        from a start, on the operators `check-evolution` evaluates."""
+        """On every flow `check-evolution` evaluates, the eps^1 form's value
+        has the terms and rel of one `dot` of all its products from zero, and
+        each slice of the residual those of one `dot` of all its products
+        from the derivative (the construction before the forms)."""
         phi = JetPoly.var(phivar(0), JT)
         go = phi * phi * phi * Fraction(1, 6)
         f1o = f1o_closed_form(f0, f0o, go, theory8)
         if bumped:
             f1o = f1o + BigSeries({(0, ((t_var(1, 1), 1), (s_var(0), 2))): Fraction(3)}, TR)
         system = EvolutionSystem.build(f0, f0o, f1o, theory8, go)
-        for label, a_slices in sorted(system.a_evals.items()):
-            for start in (None, derivative(f1o, system.flow_var(label))):
-                got = first_order_rhs1(a_slices, f0o, f1o, theory8, start)
-                want = _rhs1_one_dot(a_slices, f0o, f1o, theory8, start)
-                assert got == want and got.rel == want.rel, (label, start is None)
+        sol_v = vtop(f0, theory8)
+        for label, op in sorted(system.ops.items()):
+            a_slices = op.eval_slices(sol_v, theory8)
+            got = first_order_rhs(system.forms[label], f0o, f1o, theory8)[1]
+            want = _rhs1_one_dot(a_slices, f0o, f1o, theory8, None)
+            assert got == want and got.rel == want.rel, label
+            var = system.flow_var(label)
+            got = evolution_residual(system.forms[label], f0o, f1o, var, theory8)
+            want = (_rhs0_one_dot(a_slices, f0o, theory8, derivative(f0o, var))
+                    + _eps_shift(_rhs1_one_dot(a_slices, f0o, f1o, theory8,
+                                               derivative(f1o, var)), 1, TR.eps_max))
+            assert got == want and got.rel == want.rel, label
+
+
+def _rhs0_one_dot(a_slices, f0, theory, start):
+    """start minus the eps^0 slice, one `dot` of every product."""
+    xf0 = t11_partial(f0, 0, theory)
+    return dot(start, [(a0, power(xf0, i), -1) for i, (a0, _a1) in sorted(a_slices.items())])
 
 
 def _rhs1_one_dot(a_slices, f0, f1, theory, start):
     """The eps^1 slice as one `dot` of every product (start minus it, given
-    a start): the form `first_order_rhs1` must reproduce."""
+    a start)."""
     xf0, xf1, xxf0 = t11_partial(f0, 0, theory), t11_partial(f1, 0, theory), x_jet(f0, 2, theory)
     sign = 1 if start is None else -1
     products = []
@@ -460,7 +477,8 @@ class TestLaxFlows:
                 q0, q1 = qs[i]
                 direct0 = direct0 + a0 * q0
                 direct1 = direct1 + a0 * q1 + a1 * q0
-            rhs0, rhs1 = first_order_rhs(slices, pst.f0o, pst.f1o, theory6)
+            rhs0, rhs1 = first_order_rhs(flow_forms(slices, pst.f0o, theory6),
+                                         pst.f0o, pst.f1o, theory6)
             assert poly_eq(direct0, rhs0), p
             assert poly_eq(direct1, rhs1), p
 

@@ -22,6 +22,7 @@ from ottr.algebra import (
     mono_from_factors,
     partial,
     phivar,
+    power,
     vvar,
 )
 from ottr.bigphase import BigSeries, LevelOverflowError, TheoryData, Truncation, s_var, t_var
@@ -171,6 +172,17 @@ def test_jet_products_with_high_jet_exponents(case):
         assert _same(a * b, _reference_mul(a, b))
     assert _same(dot(start, products), _reference_dot(start, products))
 
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(ranks.flatmap(big_series), jet_polys()))
+def test_powers_match_the_reference_chain(p):
+    """power(p, 1) is p itself, with the stored form of 1 * p; each higher
+    power is the reference product of the one below with p."""
+    assert power(p, 1) is p
+    assert _same(p, _reference_mul(type(p).const(1, p.trunc), p))
+    for k in range(2, 5):
+        assert _same(power(p, k), _reference_mul(power(p, k - 1), p))
 
 def test_field_width_follows_the_exponents_not_the_degree_bound():
     v11 = JetPoly.var(vvar(1, 1), JT)
