@@ -1,77 +1,1 @@
 """Exact-arithmetic toolkit for open topological recursion relations in genus <= 1."""
-
-from .algebra import (
-    JetPoly,
-    JetTruncation,
-    JetOverflowError,
-    PhiJetError,
-    TruncationMismatchError,
-    coef_phi_power,
-    dx,
-    fvar,
-    phivar,
-    poly_eq,
-    standard_degree,
-    vvar,
-)
-from .bigphase import (
-    BigSeries,
-    TheoryData,
-    Truncation,
-    eval_jetpoly,
-    partial,
-    phitop,
-    restrict_small,
-    restrict_window,
-    s_var,
-    series_log,
-    t11_partial,
-    t_var,
-    vtop,
-)
-from .genus0 import (
-    NoSolutionError,
-    ResidualEntry,
-    ResidualReport,
-    SeedError,
-    SolveResult,
-    TwoPointTable,
-    delta,
-    extended_flows,
-    gamma,
-    omega,
-    principal_flow,
-    solve_closed_order_by_order,
-    solve_open_order_by_order,
-    two_point_table,
-    validate_closed_genus0,
-    validate_open_genus0,
-)
-from .genus1 import (
-    apply_trr1_s,
-    apply_trr1_t,
-    extract_go,
-    f1_closed_form,
-    f1o_closed_form,
-    solve_f1o,
-    validate_closed_genus1,
-    validate_open_genus1,
-)
-from .laxpde import (
-    EvolutionSystem,
-    KdVLaxContext,
-    LinearDiffOp,
-    PseudoDiffOp,
-    PstIntegrationError,
-    PstResult,
-    build_boundary_op,
-    build_interior_op,
-    first_order_rhs,
-    flow_forms,
-    linear_evolution_residual,
-    pst_generate,
-    qpoly,
-    qpoly_expansion_residual,
-)
-
-__version__ = "0.1.0"

@@ -335,12 +335,12 @@ class SparseSeries:
                 return d
         return None
 
-    def coefficient(self, mono: Monomial, eps: int = 0) -> Fraction:
+    def coefficient(self, mono: Monomial) -> Fraction:
+        """The eps-free coefficient of mono."""
         layout, d = self.layout, self.mono_degree(mono)
-        if (0 <= eps <= self.trunc.eps_max and d < len(self.rows)
-                and mono_max_index(mono) <= layout.index_max
+        if (d < len(self.rows) and mono_max_index(mono) <= layout.index_max
                 and all(x <= layout.max_exponent for _v, x in mono)):
-            n = self.rows[d].get(layout.pack(eps, mono))
+            n = self.rows[d].get(layout.pack(0, mono))
             if n:
                 return Fraction(n, self.den)
         return Fraction(0)
@@ -355,9 +355,6 @@ class SparseSeries:
         """The terms of degree <= rel, with reliable degree rel."""
         rows = self.rows if rel is None else self.rows[:max(rel + 1, 0)]
         return self.from_rows(self.layout, self.den, rows, rel)
-
-    def sorted_terms(self) -> list[tuple[TermKey, Fraction]]:
-        return sorted(self.terms.items())
 
     def derived(self, key: tuple, make: Callable, *args):
         """make(self, *args), computed once per value and key and kept with it."""
@@ -430,7 +427,7 @@ class SparseSeries:
         if not self.rows:
             return "0"
         parts = []
-        for (eps, mono), coef in self.sorted_terms():
+        for (eps, mono), coef in sorted(self.terms.items()):
             factors = []
             if coef != 1 or (not mono and not eps):
                 factors.append(str(coef))
@@ -772,8 +769,8 @@ class JetPoly(SparseSeries):
     __mul__ = __rmul__ = SparseSeries.__mul__
 
     @classmethod
-    def eps(cls, trunc: JetTruncation, power: int = 1) -> "JetPoly":
-        return cls({(power, ONE): Fraction(1)}, trunc)
+    def eps(cls, trunc: JetTruncation) -> "JetPoly":
+        return cls({(1, ONE): Fraction(1)}, trunc)
 
 
 def dx(p: JetPoly) -> JetPoly:
@@ -782,7 +779,7 @@ def dx(p: JetPoly) -> JetPoly:
     tr, layout = p.trunc, p.layout
     edge = layout.field_mask(lambda var: var[2] == tr.jet_max)
     if any(k & edge for row in p.rows for k in row):
-        var = next(v for (_e, mono), _c in p.sorted_terms() for v, _x in mono
+        var = next(v for (_e, mono), _c in sorted(p.terms.items()) for v, _x in mono
                    if v[2] == tr.jet_max)
         raise JetOverflowError(f"dx would raise {var_name(var)} past jet bound {tr.jet_max}")
     rows: Rows = [{} for _ in p.rows]

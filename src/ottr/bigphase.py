@@ -74,11 +74,9 @@ class Truncation:
     eps_max: int
 
     @classmethod
-    def of(cls, deg_max: int, level_max: int, deg0_max: int | None = None,
-           jet_max: int = 3, eps_max: int = 2) -> "Truncation":
-        if deg0_max is None:
-            deg0_max = deg_max
-        return cls(deg_max, level_max, deg0_max, jet_max, eps_max)
+    def of(cls, deg_max: int, level_max: int, eps_max: int = 2) -> "Truncation":
+        """The jet window of the same degree, to jet order 3."""
+        return cls(deg_max, level_max, deg_max, 3, eps_max)
 
     def jet(self) -> JetTruncation:
         return JetTruncation(self.deg0_max, self.jet_max, self.eps_max)
@@ -153,8 +151,8 @@ class BigSeries(SparseSeries):
                     rel: int | None = None) -> "BigSeries":
         return cls({(0, mono): c for mono, c in coeffs.items()}, trunc, rel)
 
-    def constant_term(self, eps: int = 0) -> Fraction:
-        return self.coefficient(ONE, eps)
+    def constant_term(self) -> Fraction:
+        return self.coefficient(ONE)
 
 
 def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
@@ -206,8 +204,8 @@ class TheoryData:
         return cls(n, eta_t, invert_matrix(eta_t), a_t, trunc)
 
     @classmethod
-    def rank1(cls, trunc: Truncation, eta=1, a=1) -> "TheoryData":
-        return cls.build(1, [[eta]], [a], trunc)
+    def rank1(cls, trunc: Truncation) -> "TheoryData":
+        return cls.build(1, [[1]], [1], trunc)
 
     def t_vars(self, max_level: int | None = None) -> list[BigVar]:
         top = self.trunc.level_max if max_level is None else max_level

@@ -1,7 +1,8 @@
 """Command-line front end for fixture generation, validation, and reporting.
 
 Exit codes: 0 = every checked residual is zero, 1 = some residual is
-nonzero, 2 = input or format problem, including a negative ``--degree`` or
+nonzero, 2 = input, output or format problem, including an input that
+cannot be read, an output that cannot be written, a negative ``--degree`` or
 ``--amax``, files of one verb with different theory blocks, and an input
 whose reliable window is too small for some check to compare any
 coefficient (a report then ends ``# overall: VACUOUS``, and ``compare``
@@ -382,10 +383,7 @@ def main(argv=None) -> int:
     except (NoSolutionError, PstIntegrationError, JetOverflowError) as exc:
         print(f"internal inconsistency: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (SeedError, ValueError) as exc:
+    except (CliInputError, SeedError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -274,7 +274,6 @@ class TwoPointTable:
     omega: dict[tuple[int, int, int, int], JetPoly]
     gamma: dict[tuple[int, int], JetPoly]
     delta: dict[int, JetPoly]
-    theory: TheoryData
 
 
 def two_point_table(f0: BigSeries, f0o: BigSeries,
@@ -283,7 +282,7 @@ def two_point_table(f0: BigSeries, f0o: BigSeries,
     idx = [(alpha, a) for alpha in range(1, theory.n + 1) for a in range(amax + 1)]
     om = {(g, 0, *i): omega(f0, g, 0, *i, theory) for g in range(1, theory.n + 1) for i in idx}
     return TwoPointTable(om, {i: gamma(f0o, *i, theory) for i in idx},
-                         {a: delta(f0o, a, theory) for a in range(amax + 1)}, theory)
+                         {a: delta(f0o, a, theory) for a in range(amax + 1)})
 
 
 def principal_flow(f0: BigSeries, beta: int, b: int, theory: TheoryData

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import Iterator
 
 from .algebra import (
@@ -117,22 +117,15 @@ class LinearDiffOp:
     def eval_slices(self, sol_v, theory: TheoryData
                     ) -> dict[int, tuple[BigSeries, BigSeries]]:
         """Evaluate coefficients along a solution: i -> (eps^0, eps^1) series."""
+        if any(j > 1 for _i, j in self.coeffs):
+            raise ValueError("operators are truncated at first eps order")
+        vals = {ij: eval_jetpoly(poly, sol_v, None, theory) for ij, poly in self.coeffs.items()}
         zero = BigSeries.zero(theory.trunc)
-        out: dict[int, tuple[BigSeries, BigSeries]] = {}
-        for (i, j), poly in self.coeffs.items():
-            val = eval_jetpoly(poly, sol_v, None, theory)
-            cur = out.get(i, (zero, zero))
-            if j == 0:
-                out[i] = (cur[0] + val, cur[1])
-            elif j == 1:
-                out[i] = (cur[0], cur[1] + val)
-            else:
-                raise ValueError("operators are truncated at first eps order")
-        return out
+        return {i: (vals.get((i, 0), zero), vals.get((i, 1), zero))
+                for i in sorted({i for i, _j in self.coeffs})}
 
 
-def _first_order_coeff(two_point: JetPoly, go: JetPoly,
-                       extra: JetPoly | None, theory: TheoryData) -> JetPoly:
+def _first_order_coeff(two_point: JetPoly, go: JetPoly, theory: TheoryData) -> JetPoly:
     jt = theory.trunc.jet()
     go_phi = derivative(go, phivar(0))
     tp_phi = derivative(two_point, phivar(0))
@@ -143,8 +136,6 @@ def _first_order_coeff(two_point: JetPoly, go: JetPoly,
                    - derivative(go, vb) * tp_phi
                    + derivative(tp_phi, vb) * Fraction(1, 2))
         acc = acc + bracket * JetPoly.var(vvar(beta, 1), jt)
-    if extra is not None:
-        acc = acc + extra
     return acc
 
 
@@ -165,7 +156,7 @@ def build_interior_op(alpha: int, a: int, table: TwoPointTable, go: JetPoly,
     if a > theory.trunc.level_max:
         raise IndexError("operator index outside level window")
     gam = table.gamma[(alpha, a)]
-    extra = JetPoly.zero(theory.trunc.jet())
+    first = _first_order_coeff(gam, go, theory)
     for beta in range(1, theory.n + 1):
         gvb = derivative(go, vvar(beta, 0))
         if gvb.is_zero():
@@ -173,8 +164,7 @@ def build_interior_op(alpha: int, a: int, table: TwoPointTable, go: JetPoly,
         for g in range(1, theory.n + 1):
             coef = theory.eta_inv[beta - 1][g - 1]
             if coef:
-                extra = extra + gvb * dx(table.omega[(g, 0, alpha, a)]) * coef
-    first = _first_order_coeff(gam, go, extra, theory)
+                first = first + gvb * dx(table.omega[(g, 0, alpha, a)]) * coef
     return LinearDiffOp(_phi_power_coeffs(gam, first), ("int", alpha, a))
 
 
@@ -184,7 +174,7 @@ def build_boundary_op(a: int, table: TwoPointTable, go: JetPoly,
     if a > theory.trunc.level_max:
         raise IndexError("operator index outside level window")
     dl = table.delta[a]
-    first = _first_order_coeff(dl, go, None, theory)
+    first = _first_order_coeff(dl, go, theory)
     return LinearDiffOp(_phi_power_coeffs(dl, first), ("boun", a))
 
 
@@ -258,10 +248,8 @@ class EvolutionSystem:
     once into its flow's forms."""
 
     theory: TheoryData
-    f0: BigSeries
     f0o: BigSeries
     f1o: BigSeries
-    go: JetPoly
     ops: dict[tuple, LinearDiffOp] = field(default_factory=dict)
     forms: dict[tuple, tuple[Form, Form]] = field(default_factory=dict)
 
@@ -270,7 +258,7 @@ class EvolutionSystem:
               theory: TheoryData, go: JetPoly | None = None) -> "EvolutionSystem":
         if go is None:
             go = extract_go(f1o, theory)
-        sys = cls(theory, f0, f0o, f1o, go)
+        sys = cls(theory, f0o, f1o)
         sol_v = vtop(f0, theory)
         for label, op in operators(two_point_table(f0, f0o, theory), go, theory):
             sys.ops[label] = op
@@ -339,13 +327,6 @@ def _eps_shift(series: BigSeries, k: int, cap: int) -> BigSeries:
     rows = [{key + k: n for key, n in row.items() if (key & mask) + k <= cap}
             for row in series.rows]
     return BigSeries.from_rows(series.layout, series.den, rows, series.rel)
-
-
-def _dfact_odd(n: int) -> int:
-    out = 1
-    for t in range(1, n + 1, 2):
-        out *= t
-    return out
 
 
 @dataclass
@@ -457,7 +438,7 @@ class KdVLaxContext:
         return self.lax_power(p).compose(self.root)
 
     def t_flow_slices(self, p: int) -> dict[int, tuple[BigSeries, BigSeries]]:
-        op = self.half_power_plus(p).scale(Fraction(1, _dfact_odd(2 * p + 1)))
+        op = self.half_power_plus(p).scale(Fraction(1, prod(range(1, 2 * p + 2, 2))))
         return op.slices()
 
     def s_flow_slices(self, p: int) -> dict[int, tuple[BigSeries, BigSeries]]:

@@ -52,6 +52,22 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["unreadable input", "unwritable --out", "--outdir a file"])
+def test_io_errors_exit_with_input_code(case, fixture_dir, tmp_path, capsys):
+    """An input that cannot be read or an output that cannot be written is an
+    input/output problem, exit 2 with one `error:` line, not a residual."""
+    f0 = str(fixture_dir / "f0.ottr")
+    argv = {
+        "unreadable input": ["validate-genus0", str(fixture_dir)],
+        "unwritable --out": ["validate-genus0", f0, "--out", str(tmp_path / "no" / "r.ottr")],
+        "--outdir a file": ["gen-example", "witten-rank1", "--degree", "3", "--amax", "1",
+                            "--outdir", f0],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 EMPTY_D6 = ("ottr-series-v1\ntheory rank=1 eta=1 A=1 Dt=6 Amax=2 Dv=6 J=3 E=2\n"
             "kind bigseries rel=0\nend\n")
 

@@ -227,3 +227,52 @@ def test_check_evolution_windows_are_golden(degree, amax, tmp_path, capsys):
                  "--out", str(report)])
     digest = hashlib.sha256(report.read_bytes() + capsys.readouterr().out.encode()).hexdigest()
     assert (digest, code) == CHECK_EVOLUTION_GEN_PST[degree, amax]
+
+
+# `build-operators --go G` and `check-evolution --out` on the files of
+# `gen-example genus1-rank1 --degree 6 --amax 2 --go G`: the sha256 of every
+# operator file, and of the report with the exit code, recorded before the
+# operator coefficients and `LinearDiffOp.eval_slices` were rewritten.
+EVOLUTION_REPORT = ("cd95b768abc2733696aecfeff684403e24888a60294c76ca3217710c970e255e", 0)
+OPERATORS_D6_A2 = {
+    "phi3": {
+        "Lboun_0.ottr": "5dc17851dc44e0dacbcd7771930816101701761ff1c192440ad467306a247618",
+        "Lboun_1.ottr": "e256124100c0f9e488e17a1308d8fdb0f090dbbb794c6660d44df177b7911a3c",
+        "Lboun_2.ottr": "40878c8ef542bf4d8c6de8a6a2ed22831d4e648017e9dde694ba2516be616584",
+        "Lint_1_0.ottr": "36c652722536eeeb1ec1f683f5c19257de1e4c7c23782f58705913e4cbd559cf",
+        "Lint_1_1.ottr": "8990ef6b5eaf672284a6a78e4aa9fcc2edac8dc85ae4c6a7722a2d756590183d",
+        "Lint_1_2.ottr": "48acf20e460bee109d5aedd25fcce7a718439d961a26d4ecdaa7d0732914dd22",
+    },
+    "vphi": {
+        "Lboun_0.ottr": "6232d53575f8ff70216f509e95af83403f1a3b5c9e1c631b835fb4fd8d8bee8b",
+        "Lboun_1.ottr": "7777d1ad46c3e5dfabcf5945af1958946d461e5b7156ec900f93c690ecc03c6b",
+        "Lboun_2.ottr": "cbd488f5d25e89c3bceea75aacf62955d822fd2aa0721d2f12c5623f7f6af4c4",
+        "Lint_1_0.ottr": "36c652722536eeeb1ec1f683f5c19257de1e4c7c23782f58705913e4cbd559cf",
+        "Lint_1_1.ottr": "896c4d3daa4db0056a517ad23809086437f2b90d4f12878aac6cd4dae98dea0b",
+        "Lint_1_2.ottr": "d938114b68c9033ce991a738cf1dbf62752190c1d0904340e39928e275015e54",
+    },
+    "zero": {
+        "Lboun_0.ottr": "602e1b7a0824e552d60148fb94eaf036a3108eb53d63849bf8a34b26895ec90d",
+        "Lboun_1.ottr": "9f438ab43659d2d220b02b72b7351f90780338c94e2aec092ec27435436e1ea2",
+        "Lboun_2.ottr": "40878c8ef542bf4d8c6de8a6a2ed22831d4e648017e9dde694ba2516be616584",
+        "Lint_1_0.ottr": "36c652722536eeeb1ec1f683f5c19257de1e4c7c23782f58705913e4cbd559cf",
+        "Lint_1_1.ottr": "220d1b8882b662d1e6a8d294d452eca6e68ed6850fb73401fa726863bb86ba75",
+        "Lint_1_2.ottr": "48acf20e460bee109d5aedd25fcce7a718439d961a26d4ecdaa7d0732914dd22",
+    },
+}
+
+
+@pytest.mark.parametrize("go", sorted(OPERATORS_D6_A2))
+def test_operators_and_evolution_are_golden(go, tmp_path, capsys):
+    gen, ops = tmp_path / "gen", tmp_path / "ops"
+    assert main(["gen-example", "genus1-rank1", *WINDOW, "--go", go,
+                 "--outdir", str(gen)]) == 0
+    files = {name: str(gen / f"{name}.ottr") for name in ("f0", "f0o", "f1o")}
+    assert main(["build-operators", "--f0", files["f0"], "--f0o", files["f0o"],
+                 "--go", go, "--outdir", str(ops)]) == 0
+    report = tmp_path / "evolution.report.ottr"
+    code = main(["check-evolution", "--f0", files["f0"], "--f0o", files["f0o"],
+                 "--f1o", files["f1o"], "--out", str(report)])
+    capsys.readouterr()
+    assert _digests(ops) == OPERATORS_D6_A2[go]
+    assert (hashlib.sha256(report.read_bytes()).hexdigest(), code) == EVOLUTION_REPORT

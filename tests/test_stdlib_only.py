@@ -1,12 +1,17 @@
-"""The runtime package imports nothing outside the standard library."""
+"""The runtime package imports nothing outside the standard library, and
+each module imports on its own."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import ottr
 
 SRC = Path(ottr.__file__).resolve().parent
+MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
 
 
 def test_runtime_imports_are_stdlib_only():
@@ -24,3 +29,17 @@ def test_runtime_imports_are_stdlib_only():
             foreign += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+def test_package_root_imports_nothing():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_alone(module):
+    """No module leans on an import order set up by another import."""
+    proc = subprocess.run([sys.executable, "-c", f"import ottr.{module}"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
