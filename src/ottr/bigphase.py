@@ -23,7 +23,7 @@ already corrupted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Mapping, Sequence
@@ -183,6 +183,8 @@ class TheoryData:
     eta_inv: tuple[tuple[Fraction, ...], ...]
     avec: tuple[Fraction, ...]
     trunc: Truncation
+    # what is built once per object (the closed row families); not part of the value
+    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def build(cls, n: int, eta: Sequence[Sequence], avec: Sequence,

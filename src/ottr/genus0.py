@@ -21,9 +21,12 @@ right-hand sides are one kernel `dot` over the products of lower-weight table
 parts, the same product loop the validators use, evaluated only at the
 weights where two nonzero table parts meet below the degree cap.  Rows and
 unknowns are packed keys of the series layout, so the engine reads each
-right-hand side from its stored rows.  It activates the rows with a nonzero
-right-hand side, closes them under shared unknowns, and solves them; only a
-conflict or a stall is solved again in the dense row order, over monomials.
+right-hand side from its stored rows as an integer numerator over the
+series' denominator.  It activates the rows with a nonzero right-hand side,
+closes them under shared unknowns, and solves them by single-unknown
+propagation over the integers, each value a reduced integer pair; only a
+conflict or a stall is solved again, with `Fraction`s in the dense row
+order, over monomials.
 Every row it skips lies in a connected component whose right-hand sides all
 vanish, so it reads 0 = 0 under the zero default: skipping it changes no
 coefficient and no inconsistency report.
@@ -38,7 +41,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm, perm
+from math import gcd, lcm, perm
 from typing import Sequence
 
 from .algebra import (
@@ -429,8 +432,9 @@ class _Table:
     by weight, kept with the series, for a table built from a series, and the
     engine's solved slices for a fed table, one built without, which stands
     for the potential under solution or test.  Every spec has the table weight.  A slice never
-    changes once present, so the table keeps each nonzero part itself
-    (`nonzero`, by weight) and its least degree (`low`).
+    changes once present, so from its `reset` at the start of a solve the
+    table keeps each nonzero part itself (`nonzero`, by weight) and its least
+    degree (`low`).
     """
 
     def __init__(self, specs: Sequence[tuple[tuple[BigVar, ...], Fraction]],
@@ -438,18 +442,19 @@ class _Table:
         self.specs = _spec_monomials(specs)
         self.weight = mono_weight(self.specs[0][0])
         self.series = series
-        self.slices: list[BigSeries] | None = None
-        self.seen, self.nonzero, self.low = 0, {}, {}
 
-    def refresh(self, solved: list[BigSeries]) -> list[int]:
-        """Take in the slices present since the last call; returns the
-        weights of the new nonzero parts."""
+    def reset(self, solved: list[BigSeries]) -> None:
+        """Start on the slices of a new solve, none of them taken in."""
         series = self.series
-        slices = solved if series is None else self.slices or series.derived(
+        self.slices = solved if series is None else series.derived(
             ("weight_slices",), _grade_slices, _weight_grading(series.layout),
             series.layout.eps_mask)
-        if slices is not self.slices:  # first use, or the slices of a new solve
-            self.slices, self.seen, self.nonzero, self.low = slices, self.weight, {}, {}
+        self.seen, self.nonzero, self.low = self.weight, {}, {}
+
+    def refresh(self) -> list[int]:
+        """Take in the slices present since the last call; returns the
+        weights of the new nonzero parts."""
+        slices = self.slices
         new = []
         for s in range(self.seen, len(slices)):
             part = slices[s] if slices[s].is_zero() else _spec_sum(slices[s], self.specs)
@@ -502,13 +507,55 @@ def _row_order(i: int, mu: BigMonomial) -> tuple:
     return i, mono_degree(mu), tuple(var for var, exp in mu for _ in range(exp))
 
 
-def _solve_rows(rows: list[tuple[dict, Fraction, tuple]], ordered: bool = True
-                ) -> dict | None:
-    """Exact solve: single-unknown propagation in row order, then elimination.
+def _propagate(rows: list[tuple[dict, int, int]]) -> dict | None:
+    """Single-unknown propagation over the integers, or None on a conflict or
+    a stall.
 
-    Propagation fixes the same values in any row order; the label of a
-    conflict and the pivots of an elimination depend on it.  So for rows in
-    no order (`ordered` false) a conflict or a stall gives None."""
+    A row is (lhs, n, den), its right-hand side n / den; a coefficient is an
+    int, or a `Fraction` for a non-integral spec scale.  Each pinned value is
+    a reduced pair (numerator, denominator > 0).  The values fixed do not
+    depend on the row order, but a conflict's label and an elimination's
+    pivots do, so those are left to `_solve_rows` in the dense order."""
+    assign: dict = {}
+    pending = rows
+    while pending:
+        progressed = False
+        deferred = []
+        for lhs, n, den in pending:
+            reduced: dict = {}
+            for m, c in lhs.items():
+                if m not in assign:
+                    reduced[m] = c
+                    continue
+                p, q = assign[m]
+                if p:  # n/den - c p/q over the product of the denominators
+                    if type(c) is int:
+                        n, den = n * q - c * p * den, den * q
+                    else:
+                        n, den = (n * q * c.denominator - c.numerator * p * den,
+                                  den * q * c.denominator)
+            if len(reduced) == 1:
+                (m, c), = reduced.items()
+                if type(c) is not int:
+                    n, c = n * c.denominator, c.numerator
+                g = gcd(n, den * c)
+                assign[m] = (n // g, den * c // g) if c > 0 else (-n // g, -den * c // g)
+                progressed = True
+            elif reduced:
+                deferred.append((reduced, n, den))
+            elif n:
+                return None
+        if deferred and not progressed:
+            return None
+        pending = deferred
+    return assign
+
+
+def _solve_rows(rows: list[tuple[dict, Fraction, tuple]]) -> dict:
+    """Exact solve in row order: single-unknown propagation, then elimination.
+
+    The label of a conflict and the pivots of an elimination depend on the
+    row order."""
     assign: dict = {}
     pending = rows
     while True:
@@ -522,8 +569,6 @@ def _solve_rows(rows: list[tuple[dict, Fraction, tuple]], ordered: bool = True
                 else:
                     reduced[m] = c
             if not reduced:
-                if rhs and not ordered:
-                    return None
                 if rhs:
                     raise NoSolutionError(
                         label, f"inconsistent constraint {label}: 0 = {rhs}")
@@ -538,8 +583,6 @@ def _solve_rows(rows: list[tuple[dict, Fraction, tuple]], ordered: bool = True
         if not pending or not progressed:
             break
     if pending:
-        if not ordered:
-            return None
         assign.update(_eliminate(pending))
     return assign
 
@@ -594,17 +637,20 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
     A family's right-hand sides at a weight are nonzero only if two nonzero
     parts of one of its products sum to that weight less the family's
     offset, and their lowest degrees to at most cap - arity, the degree its
-    right-hand sides are cut at.  Each table is refreshed once per weight,
-    and each new part marks the families it makes due, so only those are
-    evaluated.  A conflict raises `NoSolutionError` with its weight.
+    right-hand sides are cut at.  Every table is reset first, then refreshed
+    at weight 1 and at each weight after a nonzero slice, and each new part
+    marks the families it makes due, so only those are evaluated.  A conflict
+    raises `NoSolutionError` with its weight.
 
-    A row is (family, key of mu), read off the stored right-hand side, and
-    its unknowns are mu plus each spec key, with the falling factorial of the
-    spec's fields.  A weight whose propagation conflicts or stalls is solved
-    again in `_row_order` over monomials, pivoting on the least.
+    A row is (family, key of mu), its right-hand side the integer pair
+    (numerator, den) read off the stored rows, and its unknowns are mu plus
+    each spec key, with the falling factorial of the spec's fields.  The
+    rows are solved by integer propagation (`_propagate`); a weight whose
+    propagation conflicts or stalls is solved again with `Fraction`s in
+    `_row_order` over monomials, pivoting on the least.
     """
     solved = [BigSeries.from_coeffs(seed, trunc, rel=cap)]
-    layout, mask, zero = solved[0].layout, solved[0].layout.mask, Fraction(0)
+    layout, mask = solved[0].layout, solved[0].layout.mask
     # each family's specs as (key, scale, (field shift, exponent) per factor),
     # and an index of them by the field of their top-level factor
     packed: list[list[tuple[int, Fraction | int, list[tuple[int, int]]]]] = []
@@ -644,6 +690,8 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
         for a, b in fam.products:
             feeds.setdefault(a, []).append((i, b))
             feeds.setdefault(b, []).append((i, a))
+    for table in feeds:  # the families of a theory are shared by its solves
+        table.reset(solved)
     due: dict[int, set[int]] = defaultdict(set)  # weight -> families to evaluate
     # the start of each arity's right-hand sides: the zero that cuts them
     starts = {arity: BigSeries.zero(trunc, cap - arity)
@@ -652,19 +700,21 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
     free: list[BigMonomial] = []
     values, degrees = {}, {}  # every solved unknown: its value and its degree
     for w in range(1, cap * trunc.level_max + 1):
-        for table, users in feeds.items():
-            for j in table.refresh(solved):
+        # only the slice solved last is new, and a zero one adds no part
+        for table, users in feeds.items() if w == 1 or not solved[-1].is_zero() else ():
+            for j in table.refresh():
                 for i, partner in users:
                     room = cap - families[i].arity - table.low[j]  # the partner's degree
                     for k, low in partner.low.items():
                         if low <= room:
                             due[j + k + families[i].offset].add(i)
-        active, todo = {}, []  # row -> right-hand side; (family, mu, degree of mu)
+        # row -> right-hand side (numerator, den); (family, mu, degree of mu)
+        active, todo = {}, []
         for i in due.pop(w, ()):
             rhs = families[i].rhs(w, starts[families[i].arity])
             for d, row in enumerate(rhs.rows):
                 for mu, n in row.items():
-                    active[i, mu] = Fraction(n, rhs.den)
+                    active[i, mu] = n, rhs.den
                     todo.append((i, mu, d))
         # close under shared unknowns: every other row is in a zero component;
         # each row's left-hand side is built once and carried into the solve
@@ -683,20 +733,21 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
                     unknowns[m] = degree
                     for j, nu in rows_through(m):
                         if (j, nu) not in active:
-                            active[j, nu] = zero
+                            active[j, nu] = 0, 1
                             todo.append((j, nu, degree - families[j].arity))
-        assign = _solve_rows([(lhs[key], rhs, key) for key, rhs in active.items()], False)
+        assign = _propagate([(lhs[key], n, den) for key, (n, den) in active.items()])
         if assign is None:  # again in the dense order, over monomials and Fractions
             mus = {key: layout.unpack(key[1])[1] for key in active}
             rows = [({layout.unpack(m)[1]: Fraction(c) for m, c in lhs[key].items()},
-                     active[key], families[key[0]].label + (mus[key],))
+                     Fraction(*active[key]), families[key[0]].label + (mus[key],))
                     for key in sorted(active, key=lambda key: _row_order(key[0], mus[key]))]
             try:
                 monos = _solve_rows(rows)
             except NoSolutionError as err:
                 err.weight = w
                 raise
-            assign = {layout.pack(0, m): value for m, value in monos.items()}
+            assign = {layout.pack(0, m): (v.numerator, v.denominator)
+                      for m, v in monos.items()}
         free.extend(sorted([layout.unpack(m)[1] for m in unknowns if m not in assign]
                            + structural.get(w, [])))
         solved.append(_from_values(layout, assign, unknowns, cap))
@@ -706,12 +757,13 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
 
 
 def _from_values(layout, values: dict, degrees: dict, rel: int) -> BigSeries:
-    """The series of the nonzero key -> value pairs, each key at its degree."""
-    den = lcm(*(v.denominator for v in values.values()))
+    """The series of the nonzero values, key -> reduced (numerator, den > 0),
+    each key at its degree."""
+    den = lcm(*(q for _p, q in values.values()))
     rows: list[dict[int, int]] = [{} for _ in range(rel + 1)]
-    for key, v in values.items():
-        if v:
-            rows[degrees[key]][key] = v.numerator * (den // v.denominator)
+    for key, (p, q) in values.items():
+        if p:
+            rows[degrees[key]][key] = p * (den // q)
     return BigSeries.from_rows(layout, den, rows, rel)
 
 
@@ -745,8 +797,12 @@ def _metric_quadratic(cls, var, trunc, theory: TheoryData):
 def _closed_families(theory: TheoryData) -> list[_Rows]:
     """The closed genus-0 string equation and recursion relations (trr0).
 
-    Every table stands for the potential F0 under solution or test.
+    Every table stands for the potential F0 under solution or test.  The
+    list is built once per theory object and kept in its `memo`, so the
+    object's solves and validations share it; `_march` resets its tables.
     """
+    if "closed_families" in theory.memo:
+        return theory.memo["closed_families"]
     tr = theory.trunc
     nus = range(1, theory.n + 1)
     metric = _metric_quadratic(BigSeries, lambda alpha: t_var(alpha, 0), tr, theory)
@@ -763,6 +819,7 @@ def _closed_families(theory: TheoryData) -> list[_Rows]:
                 families.append(_Rows(
                     ("trr0", (alpha, a, *pair)), [((t_var(alpha, a + 1), *dvars), Fraction(1))],
                     [(hess[nu - 1], third[(nu, pair)]) for nu in nus]))
+    theory.memo["closed_families"] = families
     return families
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, gcd, prod
 from typing import Iterator
 
 from .algebra import (
@@ -603,7 +603,7 @@ def pst_generate(theory: TheoryData) -> PstResult:
     # the fields of x_p's kind above level p, which a pinning term lacks
     above = {(kind, p): sum(mask << shift for shift in shifts[p + 1:])
              for kind, shifts in fields.items() for p in range(amax + 1)}
-    values: list[dict[int, Fraction]] = [{}, {}]  # each slice's pinned keys
+    values: list[dict[int, tuple[int, int]]] = [{}, {}]  # each slice's pinned keys
     degrees: dict[int, int] = {}
     f: list[BigSeries] = []  # F0o, then F1o, once complete
     for g, cap in enumerate((dmax, dmax - 1)):
@@ -629,7 +629,7 @@ def pst_generate(theory: TheoryData) -> PstResult:
                 # the flows with a target of this grade and degree <= cap
                 levels = (range(amax + 1) if kind == "s"
                           else [p for p in range(1, amax + 1) if p <= grade <= cap * p])
-                pinned: dict[int, Fraction] = {}
+                pinned: dict[int, tuple[int, int]] = {}  # reduced (numerator, den)
                 for p in levels:
                     rel = powers.rhs_rel(guards[kind, p], cap - 1, deg_max)
                     if rel is not None and rel < cap - 1:
@@ -642,7 +642,9 @@ def pst_generate(theory: TheoryData) -> PstResult:
                         for down, n in row.items():
                             if not down & skip:
                                 m = down + (1 << shift)
-                                pinned[m] = Fraction(n, rhs.den * (m >> shift & mask))
+                                den = rhs.den * (m >> shift & mask)
+                                r = gcd(n, den)
+                                pinned[m] = n // r, den // r
                                 degrees[m] = d + 1
                 values[g].update(pinned)
                 if grade < last:

@@ -1,9 +1,11 @@
 """Genus-0 validators, two-point functions, hierarchies, and solvers."""
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ottr.algebra import JetPoly, phivar, poly_eq, vvar
 from ottr.bigphase import (
@@ -180,6 +182,46 @@ class TestRowSolve:
         assign = _solve_rows(self.rows(third_rhs=Fraction(6)))
         assert eliminations == [3]
         assert assign == {self.X: Fraction(2), self.Y: Fraction(1)}
+
+
+# small sparse row systems (lhs, n, den) over the unknowns 0-2: int and
+# Fraction coefficients, right-hand sides n / den, often zero
+_coefs = st.integers(-3, 3).filter(bool) | st.fractions(-3, 3, max_denominator=4).filter(
+    lambda c: c.denominator > 1)
+_systems = st.lists(st.tuples(st.dictionaries(st.sampled_from(range(3)), _coefs,
+                                              min_size=1, max_size=2),
+                              st.just(0) | st.integers(-6, 6), st.integers(1, 6)),
+                    min_size=1, max_size=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_systems)
+@example([({0: 1}, 2, 1), ({0: 2}, 3, 1)])  # a conflict
+@example([({0: 1, 1: 1}, 3, 1), ({0: 1, 1: -1}, 1, 1)])  # a stall
+@example([({0: Fraction(3, 2)}, 1, 4), ({0: 2, 1: Fraction(-1, 3)}, 0, 1)])
+def test_integer_propagation_agrees_with_the_fraction_solve(rows):
+    """Where the integer fast path returns values, they are reduced pairs equal
+    to `_solve_rows`'s, reached without elimination; where it gives up, the
+    ordered solve raises `NoSolutionError` or needs elimination."""
+    import ottr.genus0 as genus0
+
+    fast = genus0._propagate(rows)
+    eliminations = []
+    real = genus0._eliminate
+    genus0._eliminate = lambda pending: eliminations.append(pending) or real(pending)
+    try:
+        slow = genus0._solve_rows([(lhs, Fraction(n, den), (k,))
+                                   for k, (lhs, n, den) in enumerate(rows)])
+    except NoSolutionError:
+        slow = None
+    finally:
+        genus0._eliminate = real
+    if fast is None:
+        assert slow is None or eliminations
+    else:
+        assert all(q > 0 and gcd(p, q) == 1 for p, q in fast.values())
+        assert slow == {m: Fraction(p, q) for m, (p, q) in fast.items()}
+        assert not eliminations
 
 
 class TestMarchDenseOrder:

@@ -18,10 +18,16 @@ from functools import cache
 
 import pytest
 
+import ottr.genus0 as genus0
 import ottr.genus1 as genus1
 from ottr.algebra import JetPoly, phivar, vvar
 from ottr.bigphase import BigSeries, TheoryData, Truncation, mono_from_factors, s_var, t_var
-from ottr.genus0 import NoSolutionError, solve_closed_order_by_order, solve_open_order_by_order
+from ottr.genus0 import (
+    NoSolutionError,
+    solve_closed_order_by_order,
+    solve_open_order_by_order,
+    validate_closed_genus0,
+)
 from ottr.serialize import emit
 
 WINDOWS = [(d, a) for d in range(3, 9) for a in (1, 2, 3)]
@@ -96,8 +102,8 @@ def _solve_f1o(f0, f0o, go, th):
     return series, runs[0].free
 
 
-def _rank3(extra: tuple[int, int, int]):
-    th = _theory(3, 6, 2)
+def _rank3(extra: tuple[int, int, int], th: TheoryData | None = None):
+    th = th or _theory(3, 6, 2)
     seed = (_jet(th, 2, 0, 1) + _jet(th, 1, 2, 0)) * Fraction(1, 2) + _jet(th, *extra)
     result = solve_closed_order_by_order(seed, th)
     return th, result.series, result.free
@@ -142,11 +148,11 @@ def _case(name: str):
     raise ValueError(name)
 
 
-def outcome(name: str) -> tuple:
+def outcome(name: str, case=_case) -> tuple:
     """("ok", sha256 of emit(series), sha256 of repr(free), len(free)) or
     ("error", repr(label), str(error), weight)."""
     try:
-        th, series, free = _case(name)
+        th, series, free = case(name)
     except NoSolutionError as err:
         return "error", repr(err.label), str(err), err.weight
     digest = hashlib.sha256(emit(series, th).encode()).hexdigest()
@@ -253,3 +259,23 @@ def test_solve_outcome_is_pinned(name):
 def test_battery_covers_inconsistent_solves():
     assert len(CASES) >= 30
     assert sum(PINNED[name][0] == "error" for name in CASES) >= 10
+
+
+def test_one_theory_object_solves_again_after_a_failure(monkeypatch):
+    """The closed families are built once per theory object and shared by its
+    solves and validations: a failed solve leaves nothing that a later solve
+    or validation on the same object reads, and equal objects share nothing."""
+    built = []
+    real = genus0._closed_families
+    monkeypatch.setattr(genus0, "_closed_families", lambda th: built.append(real(th)) or built[-1])
+    th = _theory(3, 6, 2)
+    assert outcome("rank3-004", lambda name: _rank3((0, 0, 4), th)) == PINNED["rank3-004"]
+    solved = _rank3((0, 4, 0), th)
+    assert outcome("rank3-040", lambda name: solved) == PINNED["rank3-040"]
+    report = validate_closed_genus0(solved[1], th)
+    assert len(built) == 3 and all(families is built[0] for families in built)
+
+    fresh = _theory(3, 6, 2)
+    assert fresh == th and hash(fresh) == hash(th)
+    assert emit(validate_closed_genus0(solved[1], fresh), fresh) == emit(report, th)
+    assert report.all_zero and built[-1] is not built[0]
