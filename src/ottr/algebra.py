@@ -255,18 +255,6 @@ class SparseSeries:
                 if d > deg_max or (rel is not None and d > rel):
                     continue
             parts.append((d, eps, mono, coef.numerator, coef.denominator))
-        self._pack(trunc, rel, parts)
-
-    @classmethod
-    def from_parts(cls, trunc, rel: int | None,
-                   parts: Iterable[tuple[int, int, Monomial, int, int]]):
-        """The value of (degree, eps, monomial, numerator, denominator) parts,
-        each nonzero, in lowest terms and in range, their monomials distinct."""
-        p = object.__new__(cls)
-        p._pack(trunc, rel, list(parts))
-        return p
-
-    def _pack(self, trunc, rel, parts) -> None:
         width = self.base_width(trunc)
         if self.widens:
             top = max((x for _d, _e, mono, _n, _q in parts for _v, x in mono), default=0)
@@ -305,7 +293,7 @@ class SparseSeries:
 
     @classmethod
     def zero(cls, trunc, rel: int | None = None):
-        return cls.from_parts(trunc, rel, ())
+        return cls.from_rows(_layout(cls, trunc, cls.base_width(trunc)), 1, [], rel)
 
     @classmethod
     def const(cls, value, trunc, rel: int | None = None):

@@ -434,7 +434,7 @@ class _Table:
     for the potential under solution or test.  Every spec has the table weight.  A slice never
     changes once present, so from its `reset` at the start of a solve the
     table keeps each nonzero part itself (`nonzero`, by weight) and its least
-    degree (`low`).
+    degree (`low`), until its `release` at the end.
     """
 
     def __init__(self, specs: Sequence[tuple[tuple[BigVar, ...], Fraction]],
@@ -442,6 +442,7 @@ class _Table:
         self.specs = _spec_monomials(specs)
         self.weight = mono_weight(self.specs[0][0])
         self.series = series
+        self.release()  # no solve taken in yet
 
     def reset(self, solved: list[BigSeries]) -> None:
         """Start on the slices of a new solve, none of them taken in."""
@@ -450,6 +451,10 @@ class _Table:
             ("weight_slices",), _grade_slices, _weight_grading(series.layout),
             series.layout.eps_mask)
         self.seen, self.nonzero, self.low = self.weight, {}, {}
+
+    def release(self) -> None:
+        """Let go of the slices and parts of the solve that ended."""
+        self.slices = self.nonzero = self.low = None
 
     def refresh(self) -> list[int]:
         """Take in the slices present since the last call; returns the
@@ -640,7 +645,9 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
     right-hand sides are cut at.  Every table is reset first, then refreshed
     at weight 1 and at each weight after a nonzero slice, and each new part
     marks the families it makes due, so only those are evaluated.  A conflict
-    raises `NoSolutionError` with its weight.
+    raises `NoSolutionError` with its weight.  The tables are shared by the
+    solves of a theory object, so each is released when the solve returns or
+    raises.
 
     A row is (family, key of mu), its right-hand side the integer pair
     (numerator, den) read off the stored rows, and its unknowns are mu plus
@@ -699,61 +706,65 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
 
     free: list[BigMonomial] = []
     values, degrees = {}, {}  # every solved unknown: its value and its degree
-    for w in range(1, cap * trunc.level_max + 1):
-        # only the slice solved last is new, and a zero one adds no part
-        for table, users in feeds.items() if w == 1 or not solved[-1].is_zero() else ():
-            for j in table.refresh():
-                for i, partner in users:
-                    room = cap - families[i].arity - table.low[j]  # the partner's degree
-                    for k, low in partner.low.items():
-                        if low <= room:
-                            due[j + k + families[i].offset].add(i)
-        # row -> right-hand side (numerator, den); (family, mu, degree of mu)
-        active, todo = {}, []
-        for i in due.pop(w, ()):
-            rhs = families[i].rhs(w, starts[families[i].arity])
-            for d, row in enumerate(rhs.rows):
-                for mu, n in row.items():
-                    active[i, mu] = n, rhs.den
-                    todo.append((i, mu, d))
-        # close under shared unknowns: every other row is in a zero component;
-        # each row's left-hand side is built once and carried into the solve
-        unknowns, lhs = {}, {}  # unknown -> its degree; row -> its left-hand side
-        while todo:
-            i, mu, d = todo.pop()
-            row = lhs[i, mu] = {}
-            degree = d + families[i].arity
-            for key, scale, fields in packed[i]:
-                m = mu + key
-                k = 1
-                for s, c in fields:
-                    k *= perm(m >> s & mask, c)
-                row[m] = scale * k
-                if m not in unknowns:
-                    unknowns[m] = degree
-                    for j, nu in rows_through(m):
-                        if (j, nu) not in active:
-                            active[j, nu] = 0, 1
-                            todo.append((j, nu, degree - families[j].arity))
-        assign = _propagate([(lhs[key], n, den) for key, (n, den) in active.items()])
-        if assign is None:  # again in the dense order, over monomials and Fractions
-            mus = {key: layout.unpack(key[1])[1] for key in active}
-            rows = [({layout.unpack(m)[1]: Fraction(c) for m, c in lhs[key].items()},
-                     Fraction(*active[key]), families[key[0]].label + (mus[key],))
-                    for key in sorted(active, key=lambda key: _row_order(key[0], mus[key]))]
-            try:
-                monos = _solve_rows(rows)
-            except NoSolutionError as err:
-                err.weight = w
-                raise
-            assign = {layout.pack(0, m): (v.numerator, v.denominator)
-                      for m, v in monos.items()}
-        free.extend(sorted([layout.unpack(m)[1] for m in unknowns if m not in assign]
-                           + structural.get(w, [])))
-        solved.append(_from_values(layout, assign, unknowns, cap))
-        values.update(assign)
-        degrees.update(unknowns)
-    return SolveResult(solved[0] + _from_values(layout, values, degrees, cap), free)
+    try:
+        for w in range(1, cap * trunc.level_max + 1):
+            # only the slice solved last is new, and a zero one adds no part
+            for table, users in feeds.items() if w == 1 or not solved[-1].is_zero() else ():
+                for j in table.refresh():
+                    for i, partner in users:
+                        room = cap - families[i].arity - table.low[j]  # the partner's degree
+                        for k, low in partner.low.items():
+                            if low <= room:
+                                due[j + k + families[i].offset].add(i)
+            # row -> right-hand side (numerator, den); (family, mu, degree of mu)
+            active, todo = {}, []
+            for i in due.pop(w, ()):
+                rhs = families[i].rhs(w, starts[families[i].arity])
+                for d, row in enumerate(rhs.rows):
+                    for mu, n in row.items():
+                        active[i, mu] = n, rhs.den
+                        todo.append((i, mu, d))
+            # close under shared unknowns: every other row is in a zero component;
+            # each row's left-hand side is built once and carried into the solve
+            unknowns, lhs = {}, {}  # unknown -> its degree; row -> its left-hand side
+            while todo:
+                i, mu, d = todo.pop()
+                row = lhs[i, mu] = {}
+                degree = d + families[i].arity
+                for key, scale, fields in packed[i]:
+                    m = mu + key
+                    k = 1
+                    for s, c in fields:
+                        k *= perm(m >> s & mask, c)
+                    row[m] = scale * k
+                    if m not in unknowns:
+                        unknowns[m] = degree
+                        for j, nu in rows_through(m):
+                            if (j, nu) not in active:
+                                active[j, nu] = 0, 1
+                                todo.append((j, nu, degree - families[j].arity))
+            assign = _propagate([(lhs[key], n, den) for key, (n, den) in active.items()])
+            if assign is None:  # again in the dense order, over monomials and Fractions
+                mus = {key: layout.unpack(key[1])[1] for key in active}
+                rows = [({layout.unpack(m)[1]: Fraction(c) for m, c in lhs[key].items()},
+                         Fraction(*active[key]), families[key[0]].label + (mus[key],))
+                        for key in sorted(active, key=lambda key: _row_order(key[0], mus[key]))]
+                try:
+                    monos = _solve_rows(rows)
+                except NoSolutionError as err:
+                    err.weight = w
+                    raise
+                assign = {layout.pack(0, m): (v.numerator, v.denominator)
+                          for m, v in monos.items()}
+            free.extend(sorted([layout.unpack(m)[1] for m in unknowns if m not in assign]
+                               + structural.get(w, [])))
+            solved.append(_from_values(layout, assign, unknowns, cap))
+            values.update(assign)
+            degrees.update(unknowns)
+        return SolveResult(solved[0] + _from_values(layout, values, degrees, cap), free)
+    finally:  # the shared tables keep no slice or part of this solve
+        for table in feeds:
+            table.release()
 
 
 def _from_values(layout, values: dict, degrees: dict, rel: int) -> BigSeries:

@@ -10,9 +10,16 @@ returns, non-ASCII text, a missing or doubled final newline, and term lines,
 operator blocks, report entries or range lines out of their sorted order are
 rejected with line and column positions.  The grading and the variable names
 of a series come from its class, so both series kinds share one code path.
-Term lines are split once and checked on their fields, each distinct
-``kind:alpha:index:exponent`` piece once per series; a column is computed
-only for a refusal.
+
+A series is read in one pass straight into the packed rows of its layout
+(`ottr.algebra`).  Term lines are split once and checked on their fields;
+each distinct ``kind:alpha:index:exponent`` piece and coefficient token is
+checked once per series.  A piece is kept as its key increment and its
+degree, so a term's key is its eps power plus a sum of increments; a jet
+exponent too wide for the layout moves the rows read so far to the wider
+one.  The numerators are brought to one denominator at the end, and a
+column is computed only for a refusal.  The emitter formats each distinct
+piece once per value.
 """
 
 from __future__ import annotations
@@ -20,9 +27,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .algebra import JetPoly, SparseSeries
+from .algebra import JetPoly, SparseSeries, Var, _layout
 from .bigphase import BigSeries, TheoryData, Truncation, big_var_name
 from .genus0 import ResidualReport, entry_status, index_names
 from .laxpde import LinearDiffOp
@@ -92,16 +99,29 @@ def emit_theory(theory: TheoryData) -> str:
             f"Dv={tr.deg0_max} J={tr.jet_max} E={tr.eps_max}")
 
 
+class _PieceTexts(dict):
+    """The ``name:alpha:index:exponent`` text of each (var, exponent) pair,
+    formatted on first use."""
+
+    def __init__(self, names: dict[int, str]):
+        super().__init__()
+        self.names = names
+
+    def __missing__(self, pair: tuple[Var, int]) -> str:
+        (kind, alpha, index), exp = pair
+        text = self[pair] = f"{self.names[kind]}:{alpha}:{index}:{exp}"
+        return text
+
+
 def _emit_terms(value: SparseSeries) -> list[str]:
     """The term lines in (eps, monomial) order, coefficients as `str(Fraction)`."""
-    names, unpack, den = value.kind_names, value.layout.unpack, value.den
+    unpack, den = value.layout.unpack, value.den
+    piece = _PieceTexts(value.kind_names).__getitem__
     lines = []
     for (eps, mono), n in sorted((unpack(k), n) for row in value.rows for k, n in row.items()):
         g = gcd(n, den)
         coef = str(n // g) if g == den else f"{n // g}/{den // g}"
-        vars_txt = ",".join(f"{names[k]}:{a}:{i}:{e}"
-                            for (k, a, i), e in mono) or "-"
-        lines.append(f"term {coef} eps={eps} vars={vars_txt}")
+        lines.append(f"term {coef} eps={eps} vars={','.join(map(piece, mono)) or '-'}")
     return lines
 
 
@@ -264,12 +284,19 @@ def _check_piece(piece: str, cls: type[SparseSeries], rank: int, index_max: int)
 
 def _parse_series(numbered: list[tuple[int, str]], cls: type[SparseSeries],
                   trunc, rel: int | None, theory: TheoryData) -> SparseSeries:
-    """A series from its term lines; every term is checked here."""
+    """A series from its term lines, read in one pass into the packed rows of
+    its layout; every term is checked here."""
     deg_max, index_max = cls.bounds(trunc)
-    # Each distinct piece is checked once per call.  The cache is local:
-    # kind codes, rank and index bound differ between theories and kinds.
-    seen: dict[str, tuple[int, int, int, int, int]] = {}
-    terms = {}
+    layout = _layout(cls, trunc, cls.base_width(trunc))
+    eps_fields = {f"eps={e}": e for e in range(trunc.eps_max + 1)}
+    # Each distinct coefficient token and piece is checked once per call.  The
+    # caches are local: kind codes, rank and index bound differ between
+    # theories and kinds.  A piece is kept as its (var, exponent) pair, its
+    # var, its key increment in the layout and its degree.
+    coefs: dict[str, tuple[int, int]] = {}
+    seen: dict[str, tuple[tuple[Var, int], Var, int, int]] = {}
+    rows: list[dict[int, str]] = [{} for _ in range(deg_max + 1)]  # key -> coefficient token
+    last = None  # the (eps, factors) of the previous term
     for line_no, line in numbered:
         fields = line.split(" ")
         if len(fields) != 4 or fields[0] != "term" or "" in fields:
@@ -278,58 +305,73 @@ def _parse_series(numbered: list[tuple[int, str]], cls: type[SparseSeries],
             _fields(line, line_no)  # refuses an empty field at its column
             raise ParseError("malformed term line", line_no)
         _, coef, eps_txt, vars_txt = fields
-        num, den = _parse_coef(coef, line_no, 6)
-        col = 7 + len(coef)  # of the eps field
-        if not eps_txt.startswith("eps="):
-            raise ParseError(f"expected eps=..., got {eps_txt!r}", line_no, col)
-        eps = _parse_int(eps_txt[4:], "eps", line_no, col + 4)
-        if eps < 0 or eps > trunc.eps_max:
+        parsed = coefs.get(coef)
+        if parsed is None:
+            parsed = coefs[coef] = _parse_coef(coef, line_no, 6)
+        eps = eps_fields.get(eps_txt)
+        if eps is None:  # refused: every canonical E not in the truncation is outside it
+            col = 7 + len(coef)
+            if not eps_txt.startswith("eps="):
+                raise ParseError(f"expected eps=..., got {eps_txt!r}", line_no, col)
+            eps = _parse_int(eps_txt[4:], "eps", line_no, col + 4)
             raise ParseError(f"eps power {eps} outside truncation", line_no, col)
         if not vars_txt.startswith("vars="):
             raise ParseError(f"expected vars=..., got {vars_txt!r}", line_no,
-                             col + len(eps_txt) + 1)
-        # Each term builds its own tuples: shared ones keep fewer containers
-        # alive, so the garbage collector runs less often and more dead copies
-        # of a re-imported package stay alive at the peak (ROADMAP item 1).
-        factors = []
-        degree = 0
-        prev = ()
-        ordered = True
+                             8 + len(coef) + len(eps_txt))
+        key, degree, factors = eps, 0, []
+        prev, ordered, start = (), True, layout
         pieces = vars_txt[5:].split(",") if vars_txt != "vars=-" else ()
         for piece in pieces:
             got = seen.get(piece)
             if got is None:
                 try:
-                    got = seen[piece] = _check_piece(piece, cls, theory.n, index_max)
+                    kind, alpha, idx, exp, d = _check_piece(piece, cls, theory.n, index_max)
                 except ValueError as exc:
                     raise ParseError(str(exc), line_no, len(line) - len(vars_txt) + 6 + sum(
                         len(p) + 1 for p in pieces[:pieces.index(piece)])) from None
-            kind, alpha, idx, exp, d = got
-            var = (kind, alpha, idx)
+                if cls.widens and exp > layout.max_exponent:
+                    # the width `_fitted` would pick; the rows so far move to it
+                    wide = _layout(cls, trunc, exp.bit_length() + 1)
+                    rows = layout.moved(rows, wide)
+                    seen = {p: (pair, v, pair[1] << wide[v], dg)
+                            for p, (pair, v, _inc, dg) in seen.items()}
+                    layout = wide
+                var = (kind, alpha, idx)
+                got = seen[piece] = ((var, exp), var, exp << layout[var], d)
+            pair, var, inc, d = got
             ordered = ordered and prev < var
             prev = var
-            factors.append((var, exp))
+            factors.append(pair)
+            key += inc
             degree += d
+        if layout is not start:  # widened on this line: its key so far was in the old layout
+            key = eps + sum(seen[p][2] for p in pieces)
         if not ordered:
             raise ParseError("variables not in canonical order", line_no)
         if degree > deg_max:
             raise ParseError("term degree outside truncation", line_no)
-        key = (eps, tuple(factors))
-        if terms and key <= next(reversed(terms)):  # the keys so far rise
-            if key in terms:
+        order = (eps, factors)
+        if last is not None and order <= last:  # the terms so far rise
+            # equal keys are equal monomials, so of one degree
+            if key in rows[degree]:
                 raise ParseError("duplicate term", line_no)
-            raise ParseError("terms must be sorted by eps power and monomial", line_no, col)
-        if not num:
+            raise ParseError("terms must be sorted by eps power and monomial", line_no,
+                             7 + len(coef))
+        if not parsed[0]:
             raise ParseError("zero coefficients are not stored", line_no)
         if rel is not None and degree > rel:
             raise ParseError("term beyond the declared reliable degree", line_no)
-        terms[key] = num, den, degree
-    return cls.from_parts(trunc, rel, ((d, e, m, n, q) for (e, m), (n, q, d) in terms.items()))
+        rows[degree][key] = coef
+        last = order
+    den = lcm(*(q for _n, q in coefs.values()))
+    nums = {tok: n * (den // q) for tok, (n, q) in coefs.items()}
+    return cls.from_rows(layout, den, [{k: nums[tok] for k, tok in row.items()} for row in rows],
+                         rel)
 
 
 def parse(text: str):
     """Parse a serialized file; returns (value, theory)."""
-    stray = _STRAY(text)
+    stray = None if text.isascii() and "\r" not in text else _STRAY(text)
     if stray:
         what = ("carriage return" if stray[0] == "\r"
                 else f"non-ASCII character {stray[0]!r}")

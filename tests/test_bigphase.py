@@ -12,6 +12,7 @@ from ottr.bigphase import (
     TheoryData,
     Truncation,
     eval_jetpoly,
+    invert_matrix,
     mono_degree,
     mono_from_factors,
     partial,
@@ -259,3 +260,11 @@ def test_reliable_degree_above_bound_rejected(checked):
 def test_product_reliable_degree_capped_at_bound():
     f = BigSeries.var(t_var(1, 0), TR) * BigSeries({}, TR, rel=TR.deg_max)
     assert f.rel == TR.deg_max
+
+
+@pytest.mark.parametrize("matrix, inverse", [
+    ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], [[0, 0, 1], [0, 1, 0], [1, 0, 0]]),
+    ([[0, 2], [3, 1]], [[Fraction(-1, 6), Fraction(1, 3)], [Fraction(1, 2), 0]]),
+])
+def test_invert_matrix_swaps_rows_at_a_zero_pivot(matrix, inverse):
+    assert invert_matrix(matrix) == tuple(map(tuple, inverse))

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from ottr.cli import EXIT_PIPE, main
+import ottr.cli as cli
+from ottr.bigphase import BigSeries, t_var
+from ottr.cli import EXIT_INTERNAL, EXIT_PIPE, main
 from ottr.serialize import emit, parse
 
 GEN = ["gen-example", "open-rank1", "--degree", "5", "--amax", "1"]
@@ -126,6 +128,25 @@ def test_derive_and_check_genus1(fixture_dir, tmp_path, capsys):
     code = main(["check-genus1", "--f0", str(fixture_dir / "f0.ottr"),
                  "--f0o", str(fixture_dir / "f0o.ottr"), "--f1o", str(out)])
     assert code == 0
+
+
+def test_derive_genus1_both_refuses_a_disagreement(fixture_dir, tmp_path, capsys, monkeypatch):
+    """With the solver off by one coefficient inside the shared window,
+    --method both exits with the internal code and writes no file."""
+    real = cli.solve_f1o
+
+    def off_by_one(f0, f0o, go, theory):
+        f1o = real(f0, f0o, go, theory)
+        return f1o + BigSeries.from_coeffs({((t_var(1, 1), 1),): 1}, f1o.trunc, rel=f1o.rel)
+
+    monkeypatch.setattr(cli, "solve_f1o", off_by_one)
+    out = tmp_path / "f1o.ottr"
+    code = main(["derive-genus1", "--f0", str(fixture_dir / "f0.ottr"),
+                 "--f0o", str(fixture_dir / "f0o.ottr"),
+                 "--go", "phi3", "--method", "both", "-o", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL and "derivations disagree" in captured.err
+    assert "agree on" not in captured.out and not out.exists()
 
 
 def test_check_evolution(fixture_dir, tmp_path):

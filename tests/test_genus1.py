@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+import ottr.genus1 as genus1
 from ottr.algebra import JetPoly, derivative, phivar, poly_eq, vvar
 from ottr.bigphase import (
     BigSeries,
@@ -19,7 +22,7 @@ from ottr.bigphase import (
     t11_partial,
     vtop,
 )
-from ottr.genus0 import validate_closed_genus0
+from ottr.genus0 import NoSolutionError, SolveResult, validate_closed_genus0
 from ottr.genus1 import (
     apply_trr1_s,
     apply_trr1_t,
@@ -102,6 +105,22 @@ class TestOpenGenus1:
         expect = -derivative(f0o, t_var(1, 0), s_var(0)) * Fraction(1, 2)
         assert poly_eq(res, expect)
         assert not report.all_zero
+
+    def test_solver_names_its_first_failing_entry(self, f0, f0o, theory8, monkeypatch):
+        """A march result that fails the genus-1 relations is refused with
+        the first failing entry of its report."""
+        go = go_candidates()[1][1]
+        bump = BigSeries.from_coeffs({((t_var(1, 1), 1),): Fraction(1)}, TR)
+        bad = validate_open_genus1(f0, f0o, solve_f1o(f0, f0o, go, theory8) + bump,
+                                   theory8).failures()[0]
+        real = genus1._march
+        monkeypatch.setattr(genus1, "_march", lambda *args: SolveResult(
+            real(*args).series + bump, []))
+        with pytest.raises(NoSolutionError) as err:
+            solve_f1o(f0, f0o, go, theory8)
+        assert err.value.label == (bad.equation, bad.indices)
+        assert str(err.value) == ("solver output fails the genus-1 relations at "
+                                  "open_trr1_t (1, 0)")
 
     def test_restriction_is_initial_condition(self, f0, f0o, theory8):
         for name, go in go_candidates()[:3]:

@@ -283,6 +283,14 @@ class TestEvolutionResidual:
         t1 = ((t_var(1, 1), 1),)
         assert not system.perturbation_residual(t1).is_zero()
 
+    def test_perturbation_no_flow_sees_is_zero(self, f0, f0o, theory8):
+        """The constant monomial changes no flow's residual: the change is
+        the zero series."""
+        go = JetPoly.zero(JT)
+        system = EvolutionSystem.build(f0, f0o, f1o_closed_form(f0, f0o, go, theory8),
+                                       theory8, go)
+        assert system.perturbation_residual(()).is_zero()
+
     def test_perturbation_fast_path_matches_direct(self, f0, f0o, theory8):
         go = JetPoly.zero(JT)
         f1o = f1o_closed_form(f0, f0o, go, theory8)

@@ -328,7 +328,7 @@ def test_equal_truncations_share_one_truncation_object():
     t0 = BigSeries.var(t_var(1, 0), a)
     values = [t0, BigSeries.zero(b), BigSeries.const(2, b),
               BigSeries.from_coeffs({((s_var(1), 2),): Fraction(3)}, b),
-              BigSeries.from_parts(b, None, [(1, 0, ((t_var(1, 1), 1),), 1, 2)]),
+              parse(emit(BigSeries.var(t_var(1, 1), b) * Fraction(1, 2), TheoryData.rank1(b)))[0],
               BigSeries.from_rows(t0.layout, 1, [{}, dict(t0.rows[1])], None),
               t0 * t0, dot(BigSeries.zero(b), [(t0, t0, 1)]), t0 - BigSeries.var(s_var(0), b)]
     assert all(x.trunc is t0.trunc for x in values)

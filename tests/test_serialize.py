@@ -351,16 +351,19 @@ _SWEEP_BYTES = ("-", "0", "2", " ", ",", ":")
 
 def test_single_byte_mutants_keep_their_errors():
     """Every mutant parses or is refused with the same message, line and
-    column as before."""
+    column as before, and every mutant that parses re-emits byte for byte."""
     rows = []
     for f, text in enumerate(FUZZ_FILES):
         for at in range(len(text)):
             for new in ("", *_SWEEP_BYTES):
+                mutant = text[:at] + new + text[at + 1:]
                 try:
-                    parse(text[:at] + new + text[at + 1:])
-                    outcome = "ok"
+                    value, theory = parse(mutant)
                 except ParseError as exc:
                     outcome = str(exc)
+                else:
+                    assert emit(value, theory) == mutant, (f, at, new)
+                    outcome = "ok"
                 rows.append(f"{f}\t{at}\t{new or 'del'}\t{outcome}")
     assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == _SWEEP_SHA256
 
@@ -406,6 +409,22 @@ class TestPieceChecks:
     def test_a_malformed_piece_outranks_the_order_of_the_line(self):
         text = _series_text(TH, "bigseries", "eps=0 vars=s:0:0:1,t:1:0:1,t:1:x:1")
         assert _refusal(text) == ("malformed variable 't:1:x:1'", 4, "t:1:x:1")
+
+    def test_an_exponent_past_the_base_width_widens_the_layout(self):
+        """A jet exponent too wide for the base layout moves the rows read
+        so far, and the line it appears on, to the layout a direct build
+        picks."""
+        theory = TheoryData.rank1(Truncation(3, 1, 3, 2, 1))
+        jt = theory.trunc.jet()
+        v, eps = JetPoly.var(vvar(1, 0), jt), JetPoly.eps(jt)
+        wide = JetPoly({(0, ((vvar(1, 1), 12),)): Fraction(1)}, jt)
+        value = v * 3 + v * wide * Fraction(-1, 2) + wide + eps * JetPoly.var(phivar(1), jt)
+        assert value.layout.width > JetPoly.base_width(jt)
+        text = emit(value, theory)
+        assert "term 3 eps=0 vars=v:1:0:1\nterm -1/2 eps=0 vars=v:1:0:1,v:1:1:12\n" in text
+        parsed = parse(text)[0]
+        assert parsed == value and parsed.layout is value.layout
+        assert emit(parsed, theory) == text
 
     def test_seen_pieces_still_count_toward_the_degree(self):
         text = _series_text(TH, "bigseries", "eps=0 vars=t:1:0:8", "eps=0 vars=s:0:0:1",

@@ -279,3 +279,20 @@ def test_one_theory_object_solves_again_after_a_failure(monkeypatch):
     assert fresh == th and hash(fresh) == hash(th)
     assert emit(validate_closed_genus0(solved[1], fresh), fresh) == emit(report, th)
     assert report.all_zero and built[-1] is not built[0]
+
+
+def test_shared_tables_keep_nothing_of_a_solve():
+    """The tables of a theory object's closed families let go of the slices
+    and parts of each solve when it returns or raises."""
+    th = _theory(3, 6, 2)
+
+    def held() -> list:
+        tables = {t for fam in th.memo["closed_families"] for pair in fam.products
+                  for t in pair}
+        assert tables
+        return [x for t in tables for x in (t.slices, t.nonzero, t.low) if x is not None]
+
+    assert outcome("rank3-004", lambda name: _rank3((0, 0, 4), th)) == PINNED["rank3-004"]
+    assert held() == []
+    assert outcome("rank3-040", lambda name: _rank3((0, 4, 0), th)) == PINNED["rank3-040"]
+    assert held() == []
