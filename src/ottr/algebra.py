@@ -62,7 +62,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import chain
 from math import gcd, lcm
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping
@@ -174,12 +173,6 @@ def _rel_min(a: int | None, b: int | None) -> int | None:
     return min(a, b)
 
 
-def _rel_add(rel: int | None, val: int | None) -> int | None:
-    if rel is None or val is None:
-        return None
-    return rel + val
-
-
 def _rel_cap(rel: int | None, bound: int) -> int | None:
     """Nothing is stored above the degree bound, so no value vouches beyond it."""
     return rel if rel is None or rel <= bound else bound
@@ -191,11 +184,16 @@ def product_rel(a_rel: int | None, a_low: int | None, b_rel: int | None,
     least degrees (None for a zero factor), as `dot` gives it: a factor's
     valuation (its least degree, or rel + 1 if lower) counts only beside a
     finite rel of its partner; None when both factors are exact."""
-    if a_rel is None and b_rel is None:
-        return None
-    r = _rel_min(_rel_add(a_rel, _rel_min(b_low, _rel_add(b_rel, 1))),
-                 _rel_add(b_rel, _rel_min(a_low, _rel_add(a_rel, 1))))
-    return _rel_cap(r, deg_max)
+    r = None
+    if a_rel is not None:
+        v = b_low if b_rel is None else b_rel + 1 if b_low is None else min(b_low, b_rel + 1)
+        if v is not None:
+            r = a_rel + v
+    if b_rel is not None:
+        v = a_low if a_rel is None else a_rel + 1 if a_low is None else min(a_low, a_rel + 1)
+        if v is not None and (r is None or b_rel + v < r):
+            r = b_rel + v
+    return r if r is None or r <= deg_max else deg_max
 
 
 # -- the kernel --------------------------------------------------------------
@@ -274,12 +272,19 @@ class SparseSeries:
         trailing empty rows trimmed, den reduced, and, if `grown` (a product
         or an x-derivative may have raised an exponent) or the layout is
         wider than the class's base, the narrowest layout that fits.  Only
-        trailing empty rows are removed from the list in place."""
+        trailing empty rows are removed from the list in place.  The gcd
+        that reduces den takes one `gcd` call per nonempty row, from degree
+        0, and stops once it is 1."""
         cls, trunc = layout.cls, layout.trunc
         while rows and not rows[-1]:
             rows.pop()
         if den != 1:
-            g = gcd(den, *chain.from_iterable(row.values() for row in rows))
+            g = den
+            for row in rows:
+                if row:
+                    g = gcd(g, *row.values())
+                    if g == 1:
+                        break
             if g != 1:
                 den //= g
                 rows = [{k: n // g for k, n in row.items()} for row in rows]
@@ -487,7 +492,7 @@ class _Layout(dict):
         self.cls, self.trunc, self.width = cls, _canonical(trunc), width
         self.mask = (1 << width) - 1
         self.max_exponent = self.mask >> 1 if cls.widens else self.mask
-        self.index_max = cls.bounds(trunc)[1]
+        self.deg_max, self.index_max = cls.bounds(trunc)
         self.eps_bits = (2 * trunc.eps_max).bit_length()
         n = self.index_max + 1
         self.low = [(kind, 0, i) for kind in sorted(cls.kind_names)[1:] for i in range(n)]
@@ -565,6 +570,9 @@ def _fitted(layout: _Layout, rows: Rows) -> tuple[_Layout, Rows]:
 def _aligned(values: Iterable[SparseSeries]) -> tuple[_Layout, list[Rows]]:
     """The widest layout among values, and each value's rows keyed in it."""
     values = list(values)
+    layout = values[0].layout
+    if all(p.layout is layout for p in values):
+        return layout, [p.rows for p in values]
     layout = max((p.layout for p in values), key=attrgetter("width"))
     return layout, [p.rows if p.layout is layout else p.layout.moved(p.rows, layout)
                     for p in values]
@@ -605,58 +613,70 @@ def dot(start: SparseSeries,
     chain ``start + a*b*c + ...`` of `*` and `+` gives it: the sum's rel is
     the least of start's and each ``a * b``'s (`product_rel`).
 
-    Start's rows and all products add into one accumulator per degree, over
-    the lcm of the operands' denominators, and the accumulators are the
-    result's rows.  The set-up reads each factor's least degree once and is
-    linear in the live products (those with a nonzero scale whose least
-    degrees sum below the sum's cap) and in the degrees they reach: the
-    accumulators stop at the highest degree start or a live product
-    reaches, and each factor's rows run from its least degree to the cap,
-    so no product above it is formed.  A product key whose eps field
-    exceeds the bound is dropped.  With nothing to add or cut, the result
-    is start."""
+    Start's rows and all products add into accumulators over the lcm of the
+    operands' denominators, one per degree that start or a live product
+    (one with a nonzero scale whose least degrees sum below the sum's cap)
+    reaches, and the accumulators are the result's rows.  The set-up costs
+    what the live terms cost: `product_rel` runs only for a factor with a
+    finite rel, the lcm grows only by a denominator it does not already
+    hold, rows are moved to a wider layout only when some live factor has
+    one (`_aligned`), and each factor's rows run from its least degree to
+    the cap, so no product above it is formed.  A product key whose eps
+    field exceeds the bound is dropped.  With nothing to add or cut, the
+    result is start."""
     tr = start.trunc
-    deg_max = start.bounds(tr)[0]
-    plan, rel = [], start.rel
+    deg_max = start.layout.deg_max
+    live, rel = [], start.rel
     for a, b, c in products:
         if a.trunc is not tr:
             start._check_compatible(a)
         if b.trunc is not tr:
             start._check_compatible(b)
         low_a, low_b = a.min_degree(), b.min_degree()
-        rel = _rel_min(rel, product_rel(a.rel, low_a, b.rel, low_b, deg_max))
-        if c and low_a is not None and low_b is not None:
-            plan.append((a, b, c, low_a, low_b))
+        if a.rel is not None or b.rel is not None:
+            r = product_rel(a.rel, low_a, b.rel, low_b, deg_max)
+            if r is not None and (rel is None or r < rel):
+                rel = r
+        if c and low_a is not None and low_b is not None and low_a + low_b <= deg_max:
+            live.append((a, b, c, low_a, low_b))
     # Every product stops at the sum's cap: what lies past it is dropped anyway.
-    size = max((deg_max if rel is None else rel) + 1, 0)  # the degrees kept
-    live = [(a, b, c, low_a, low_b) for a, b, c, low_a, low_b in plan if low_a + low_b < size]
+    size = deg_max + 1 if rel is None else max(rel + 1, 0)  # the degrees kept
+    if rel is not None:
+        live = [p for p in live if p[3] + p[4] < size]
     if not live and rel == start.rel and len(start.rows) <= size:
         return start  # nothing to add
-    top = min(max([len(start.rows)] + [len(a.rows) + len(b.rows) - 1
-                                       for a, b, *_ in live]), size)
-    layout, rows = _aligned([start] + [p for a, b, *_ in live for p in (a, b)])
-    den = lcm(start.den, *(a.den * b.den * c.denominator for a, b, c, *_ in live))
+    layout, (srows, *rows) = _aligned([start] + [p for a, b, *_ in live for p in (a, b)])
+    den = start.den
+    for a, b, c, *_ in live:
+        q = a.den * b.den * c.denominator
+        if den % q:
+            den = lcm(den, q)
     scale = den // start.den
-    acc: list[defaultdict[int, int]] = [
-        defaultdict(int, row if scale == 1 else {k: n * scale for k, n in row.items()})
-        for row in rows[0][:top]]
-    acc += [defaultdict(int) for _ in range(top - len(acc))]
-    for i, (a, b, c, low_a, low_b) in enumerate(live):
-        ra, rb = rows[2 * i + 1], rows[2 * i + 2]
+    acc: dict[int, defaultdict[int, int]] = {
+        d: defaultdict(int, row if scale == 1 else {k: n * scale for k, n in row.items()})
+        for d, row in enumerate(srows[:size]) if row}
+    for (a, b, c, low_a, low_b), ra, rb in zip(live, rows[::2], rows[1::2]):
         scale = c.numerator * (den // (a.den * b.den * c.denominator))
         for d1 in range(low_a, min(len(ra), size - low_b)):
             row = ra[d1]
             if not row:
                 continue
-            parts = [(acc[d1 + d2], rb[d2]) for d2 in range(low_b, min(len(rb), size - d1))
-                     if rb[d2]]
+            parts = []
+            for d2 in range(low_b, min(len(rb), size - d1)):
+                if rb[d2]:
+                    target = acc.get(d1 + d2)
+                    if target is None:
+                        target = acc[d1 + d2] = defaultdict(int)
+                    parts.append((target, rb[d2]))
             for k1, n1 in row.items():
                 n1 *= scale
                 for target, r2 in parts:
                     for k2, n2 in r2.items():
                         target[k1 + k2] += n1 * n2
     eps_mask, eps_max = layout.eps_mask, tr.eps_max
-    out = [{k: n for k, n in row.items() if n and k & eps_mask <= eps_max} for row in acc]
+    out = [{}] * (max(acc, default=-1) + 1)  # rows are never written, so one {} serves
+    for d, row in acc.items():
+        out[d] = {k: n for k, n in row.items() if n and k & eps_mask <= eps_max}
     return SparseSeries.from_rows(layout, den, out, rel, grown=True)
 
 

@@ -306,19 +306,28 @@ def series_log(f: BigSeries) -> BigSeries:
 
 
 def eval_jetpoly(p: JetPoly, sol_v: Sequence[BigSeries],
-                 sol_phi: BigSeries | None, theory: TheoryData) -> BigSeries:
+                 sol_phi: BigSeries | None, theory: TheoryData,
+                 memo: dict | None = None) -> BigSeries:
     """Substitute jet variables by unit-direction derivatives of solutions.
 
     v{alpha}_i maps to the i-th unit-direction derivative of sol_v[alpha-1],
     phi_i likewise for sol_phi; eps powers pass through unchanged.  Each
-    derivative is kept with the solution it came from.
+    derivative is kept with the solution it came from.  A term is its
+    coefficient times the chain eps^e * x1 * x2 * ... over the factors of
+    its monomial in their order; each prefix of a chain is formed once per
+    call, or once per `memo`, a dict the caller keeps for one solution.
     """
     trunc = theory.trunc
+    memo = {} if memo is None else memo
     out = BigSeries.zero(trunc, None)
     sub_val_positive = True
     for (eps, mono), coef in p.terms.items():
-        term = BigSeries({(eps, ONE): coef}, trunc, None, _checked=True)
-        for (kind, alpha, jet), exp in mono:
+        key = (eps,)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = BigSeries({(eps, ONE): Fraction(1)}, trunc, None, _checked=True)
+        for var, exp in mono:
+            kind, alpha, jet = var
             if kind == KIND_V:
                 base = x_jet(sol_v[alpha - 1], jet, theory)
             elif kind == KIND_PHI:
@@ -330,8 +339,10 @@ def eval_jetpoly(p: JetPoly, sol_v: Sequence[BigSeries],
             if jet == 0 and base.constant_term() != 0:
                 sub_val_positive = False
             for _ in range(exp):
-                term = term * base
-        out = out + term
+                key += (var,)
+                prefix = memo.get(key)
+                value = memo[key] = value * base if prefix is None else prefix
+        out = out + (value if coef == 1 else value * coef)
     # Terms of p beyond its reliable degree contribute only past that degree
     # provided the order-zero substitutes have no constant term; otherwise
     # nothing beyond the term-product window can be trusted.

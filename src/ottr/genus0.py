@@ -128,9 +128,10 @@ class ResidualReport:
 
     def add_rows(self, families: list["_Rows"], f: BigSeries) -> None:
         """One entry per row family: its residual at f, under its label."""
+        values: dict[_Table, BigSeries] = {}  # each table's value at f
         for fam in families:
             equation, *indices = fam.label  # the string equations have no indices
-            self.add(equation, indices[0] if indices else (), fam.residual(f))
+            self.add(equation, indices[0] if indices else (), fam.residual(f, values))
 
     @property
     def all_zero(self) -> bool:
@@ -401,13 +402,21 @@ def _grade_slices(series: BigSeries, grading: Sequence[tuple[int, int]], drop: i
     weight, over the (field shift, weight) pairs of grading; the keys that
     meet the mask drop are left out."""
     layout, mask = series.layout, series.layout.mask
-    by_grade: dict[int, list[dict]] = defaultdict(lambda: [{} for _ in series.rows])
+    # grade -> degree -> row, so each slice's row list stops at its own top degree
+    by_grade: defaultdict[int, defaultdict[int, dict]] = defaultdict(lambda: defaultdict(dict))
     for d, row in enumerate(series.rows):
         for key, n in row.items():
             if not key & drop:
-                by_grade[sum(w * (key >> shift & mask) for shift, w in grading)][d][key] = n
-    return [BigSeries.from_rows(layout, series.den, by_grade.get(g, []), series.rel)
-            for g in range(max(by_grade, default=-1) + 1)]
+                grade = 0
+                for shift, w in grading:
+                    grade += w * (key >> shift & mask)
+                by_grade[grade][d][key] = n
+    slices = []
+    for grade in range(max(by_grade, default=-1) + 1):
+        part = by_grade.get(grade, {})
+        rows = [part.get(d, {}) for d in range(max(part, default=-1) + 1)]
+        slices.append(BigSeries.from_rows(layout, series.den, rows, series.rel))
+    return slices
 
 
 def spec_sum(series: BigSeries, specs: tuple[tuple[BigMonomial, Fraction | int], ...]
@@ -498,13 +507,15 @@ class _Rows:
                       if w - w1 in right]
         return dot(start, pairs)
 
-    def residual(self, f: BigSeries) -> BigSeries:
+    def residual(self, f: BigSeries, values: dict[_Table, BigSeries]) -> BigSeries:
         """The spec derivatives of f minus the sum of the table products, where
-        a fed table stands for f."""
-        return dot(spec_sum(f, self.specs),
-                   [(*(spec_sum(f if t.series is None else t.series, t.specs)
-                       for t in pair), -1)
-                    for pair in self.products])
+        a fed table stands for f.  `values` holds each table's value at f, so
+        the families of one validation read a table they share once."""
+        for pair in self.products:
+            for t in pair:
+                if t not in values:
+                    values[t] = spec_sum(f if t.series is None else t.series, t.specs)
+        return dot(spec_sum(f, self.specs), [(values[a], values[b], -1) for a, b in self.products])
 
 
 def _row_order(i: int, mu: BigMonomial) -> tuple:

@@ -81,7 +81,7 @@ def _apply_trr1(f: BigSeries, x: BigVar, f0: BigSeries | None, f0o: BigSeries,
     if x[2] + 1 > theory.trunc.level_max:
         raise IndexError("operator index outside level window")
     rows = _trr1_rows(x, f0, f0o, _first_partials(theory), theory, source=False)
-    return rows.residual(f)
+    return rows.residual(f, {})
 
 
 def apply_trr1_t(f: BigSeries, alpha: int, a: int, f0: BigSeries,

@@ -114,12 +114,14 @@ class LinearDiffOp:
                     f"coefficient ({i},{j}) of {self.meta} has degrees "
                     f"{sorted(parts)}, expected {{{j}}}")
 
-    def eval_slices(self, sol_v, theory: TheoryData
+    def eval_slices(self, sol_v, theory: TheoryData, memo: dict | None = None
                     ) -> dict[int, tuple[BigSeries, BigSeries]]:
-        """Evaluate coefficients along a solution: i -> (eps^0, eps^1) series."""
+        """Evaluate coefficients along a solution: i -> (eps^0, eps^1) series.
+        `memo` keeps the monomial values formed along sol_v (`eval_jetpoly`)."""
         if any(j > 1 for _i, j in self.coeffs):
             raise ValueError("operators are truncated at first eps order")
-        vals = {ij: eval_jetpoly(poly, sol_v, None, theory) for ij, poly in self.coeffs.items()}
+        vals = {ij: eval_jetpoly(poly, sol_v, None, theory, memo)
+                for ij, poly in self.coeffs.items()}
         zero = BigSeries.zero(theory.trunc)
         return {i: (vals.get((i, 0), zero), vals.get((i, 1), zero))
                 for i in sorted({i for i, _j in self.coeffs})}
@@ -260,9 +262,10 @@ class EvolutionSystem:
             go = extract_go(f1o, theory)
         sys = cls(theory, f0o, f1o)
         sol_v = vtop(f0, theory)
+        memo: dict = {}  # the monomial values along sol_v, shared by every operator
         for label, op in operators(two_point_table(f0, f0o, theory), go, theory):
             sys.ops[label] = op
-            sys.forms[label] = flow_forms(op.eval_slices(sol_v, theory), f0o, theory)
+            sys.forms[label] = flow_forms(op.eval_slices(sol_v, theory, memo), f0o, theory)
         return sys
 
     def flow_var(self, label: tuple):

@@ -227,6 +227,48 @@ class TestEvalJetPoly:
         assert poly_eq(lhs, rhs)
 
 
+def _chained_eval(p, sol_v, sol_phi, theory):
+    """eval_jetpoly's sum, each term the chain coef * eps^e * x1 * x2 * ...
+    formed afresh, cut at p's rel, or at -1 if p has a finite rel and some
+    order-zero substitute a constant term."""
+    out, trusted = BigSeries.zero(theory.trunc), True
+    for (eps, mono), coef in p.terms.items():
+        term = BigSeries({(eps, ()): coef}, theory.trunc)
+        for (kind, alpha, jet), exp in mono:
+            base = sol_v[alpha - 1] if kind == 0 else sol_phi
+            trusted = trusted and (jet > 0 or base.constant_term() == 0)
+            for _ in range(jet):
+                base = t11_partial(base, 0, theory)
+            for _ in range(exp):
+                term = term * base
+        out = out + term
+    if p.rel is None:
+        return out
+    return out.cut(min(p.rel, out.rel if out.rel is not None else p.rel) if trusted else -1)
+
+
+def test_eval_jetpoly_through_one_memo_keeps_every_stored_form(f0, f0o, theory8):
+    """Polynomials sharing monomials and prefixes, with eps powers, unit and
+    other coefficients and a finite rel, evaluated through one memo: each
+    value has the stored form (den, rows, layout, rel) of the fresh chains."""
+    jt = TR.jet()
+    sol_v, sol_phi = vtop(f0, theory8), phitop(f0o, theory8)
+    v0, v1, phi = (JetPoly.var(x, jt) for x in (vvar(1, 0), vvar(1, 1), phivar(0)))
+    eps = JetPoly.eps(jt)
+    polys = [v0 * v0 * Fraction(3, 2), v0 * v0 * v1 * 5, v0 * v0, v0 * v1 - phi * v0 * 2,
+             eps * v0 * v0 * Fraction(1, 4) + eps * eps * v1, JetPoly.const(7, jt) + v0,
+             JetPoly({(0, ((vvar(1, 0), 2),)): Fraction(-1)}, jt, rel=3),
+             JetPoly({(0, ((vvar(1, 0), 1), (vvar(1, 1), 1))): Fraction(2)}, jt, rel=2)]
+    memo = {}
+    for p in polys:
+        got = eval_jetpoly(p, sol_v, sol_phi, theory8, memo)
+        want = _chained_eval(p, sol_v, sol_phi, theory8)
+        assert (got.den, got.rows, got.layout, got.rel) == (want.den, want.rows, want.layout,
+                                                           want.rel), p
+        assert got == eval_jetpoly(p, sol_v, sol_phi, theory8)
+    assert (0, vvar(1, 0), vvar(1, 0)) in memo and (1, vvar(1, 0), vvar(1, 0)) in memo
+
+
 svars = st.sampled_from([t_var(1, a) for a in range(4)] + [s_var(a) for a in range(4)])
 smonos = st.lists(svars, max_size=3).map(lambda vs: mono_from_factors((v, 1) for v in vs))
 scoeffs = st.fractions(min_value=-3, max_value=3, max_denominator=4)

@@ -318,6 +318,92 @@ def test_int_and_fraction_scales_give_one_result(scale):
     assert _same(dot(jet, [(jet, jet, scale)]), dot(jet, [(jet, jet, Fraction(scale))]))
 
 
+def _through_the_constructor(layout, den, rows, rel):
+    """The value of rows over den built from its reduced `Fraction` terms."""
+    terms = {layout.unpack(k): Fraction(n, den) for row in rows for k, n in row.items()}
+    return layout.cls(terms, layout.trunc, rel, _checked=True)
+
+
+@pytest.mark.parametrize("last, den", [(15, 30), (4, 15)])
+def test_from_rows_gcd_pass_stops_at_one_or_runs_to_the_end(last, den):
+    """The gcd with den 30 falls to 6, then 2, and at the last row to 1 (a
+    late stop, den kept) or it stays 2 (no stop, den halved); an empty row
+    in between stays in the list."""
+    layout = BigSeries.zero(TR).layout
+    t0, t1, s0 = t_var(1, 0), t_var(1, 1), s_var(0)
+    rows = [{0: 6}, {layout.pack(0, ((t0, 1),)): 12, layout.pack(1, ((t1, 1),)): -18}, {},
+            {layout.pack(0, ((t0, 3),)): 10},
+            {layout.pack(2, ((t1, 2), (s0, 2))): last}]
+    value = BigSeries.from_rows(layout, 30, [dict(row) for row in rows], 4)
+    assert value.den == den and value.rows[2] == {}
+    assert _same(value, _through_the_constructor(layout, 30, rows, 4))
+
+
+def test_dot_leaves_unreached_degrees_empty():
+    """Products reach degrees 2 and 4 and start 0 and 5, so degrees 1 and 3
+    hold no term, and degree 2, where two products cancel, none either."""
+    t0, t1, s0 = (BigSeries.var(v, TR) for v in (t_var(1, 0), t_var(1, 1), s_var(0)))
+    start = t1 * t1 * t1 * t1 * t0 * Fraction(1, 3) + BigSeries.const(Fraction(1, 2), TR)
+    cases = [
+        ([(t0, s0, 2), (t1 * t1, t0 * t0, -1)], [True, False, True, False, True, True]),
+        ([(t0, s0, 1), (s0, t0, -1), (t1 * t1, t0 * t0, Fraction(2, 7))],
+         [True, False, False, False, True, True]),
+    ]
+    for products, filled in cases:
+        result = dot(start, products)
+        assert [bool(row) for row in result.rows] == filled
+        assert _same(result, _reference_dot(start, products))
+    zero = BigSeries.zero(TR)
+    result = dot(zero, [(s0, BigSeries.const(3, TR), 1), (t1 * t1, t0 * s0, 1)])
+    assert [bool(row) for row in result.rows] == [False, True, False, False, True]
+    assert _same(result, _reference_dot(zero, [(s0, BigSeries.const(3, TR), 1),
+                                               (t1 * t1, t0 * s0, 1)]))
+
+
+def test_dot_start_rows_above_every_product():
+    t0, s1 = BigSeries.var(t_var(1, 0), TR), BigSeries.var(s_var(1), TR)
+    start = t0 * t0 * t0 * t0 * s1 * Fraction(-1, 4) + t0 * t0 * t0 * 2  # degrees 3 and 5
+    for products in ([(t0, s1, 1)], [(t0, BigSeries.const(Fraction(1, 6), TR), 5)],
+                     [(t0, s1, 1), (s1, t0, -1)]):
+        result = dot(start, products)
+        assert len(result.rows) == 6
+        assert _same(result, _reference_dot(start, products))
+
+
+def test_one_dot_mixes_jet_factors_at_two_widths():
+    """Base-width and wide `JetPoly` factors in one call, with a base or a
+    wide start, and a wide factor that is not live because it lies past the
+    cap, beside live ones at the base width."""
+    small = JetPoly.var(vvar(1, 1), JT) + JetPoly.const(Fraction(1, 2), JT)
+    big = JetPoly({(0, ((vvar(1, 1), 40),)): Fraction(2, 3)}, JT)
+    high = JetPoly({(0, ((vvar(1, 0), 2), (vvar(1, 2), 33))): Fraction(5)}, JT)  # degree 2
+    assert big.layout is not small.layout and high.layout is not small.layout
+    cases = [
+        (small, [(small, small, 1), (big, small, -2), (small, big, Fraction(1, 3))]),
+        (big, [(small, small, 1), (small, small, Fraction(-1, 2))]),
+        (small, [(small, small, 3), (high, high, 1)]),
+    ]
+    for start, products in cases:
+        assert _same(dot(start, products), _reference_dot(start, products))
+    assert dot(small, [(small, small, 3), (high, high, 1)]).layout is small.layout
+
+
+@pytest.mark.parametrize("scale", [int, Fraction])
+def test_dot_products_whose_denominators_divide_the_lcm(scale):
+    """start's den 12 already holds each product's 2 * 3 and 2 * 2 * 3, so
+    only the last product, with its 5, grows the lcm; the result is the
+    same under int and `Fraction` scales."""
+    t0, t1, s0 = (BigSeries.var(v, TR) for v in (t_var(1, 0), t_var(1, 1), s_var(0)))
+    start = t0 * Fraction(1, 12) + s0 * Fraction(1, 4)
+    a, b = t1 * Fraction(1, 2), s0 * Fraction(1, 3)
+    products = [(a, b, scale(5)), (a, a * Fraction(1, 3), scale(-1)), (b, b, Fraction(3, 2)),
+                (t0, t1 * Fraction(1, 5), scale(2))]
+    result = dot(start, products)
+    assert result.den == 60
+    assert _same(result, _reference_dot(start, products))
+    assert _same(dot(start, products[:3]), _reference_dot(start, products[:3]))
+
+
 def test_equal_truncations_share_one_truncation_object():
     """Every value stores its layout's truncation, so values built from equal
     but distinct truncations, by any constructor and at any field width,
