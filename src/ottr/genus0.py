@@ -24,9 +24,9 @@ unknowns are packed keys of the series layout, so the engine reads each
 right-hand side from its stored rows as an integer numerator over the
 series' denominator.  It activates the rows with a nonzero right-hand side,
 closes them under shared unknowns, and solves them by single-unknown
-propagation over the integers, each value a reduced integer pair; only a
-conflict or a stall is solved again, with `Fraction`s in the dense row
-order, over monomials.
+propagation over the integers (`_propagate`, the only one), each value a
+reduced integer pair; monomials and `Fraction`s appear only for a conflict's
+label and an elimination's pivots, both in the dense row order.
 Every row it skips lies in a connected component whose right-hand sides all
 vanish, so it reads 0 = 0 under the zero default: skipping it changes no
 coefficient and no inconsistency report.
@@ -518,26 +518,30 @@ class _Rows:
         return dot(spec_sum(f, self.specs), [(values[a], values[b], -1) for a, b in self.products])
 
 
-def _row_order(i: int, mu: BigMonomial) -> tuple:
-    """The dense order: family first, then mu by degree and sorted factor list."""
+def _row_order(row: tuple, layout) -> tuple:
+    """The dense order of a row (lhs, n, den, (family, key of mu)): family
+    first, then mu by degree and sorted factor list."""
+    i, key = row[3]
+    mu = layout.unpack(key)[1]
     return i, mono_degree(mu), tuple(var for var, exp in mu for _ in range(exp))
 
 
-def _propagate(rows: list[tuple[dict, int, int]]) -> dict | None:
-    """Single-unknown propagation over the integers, or None on a conflict or
-    a stall.
+def _propagate(rows: list[tuple[dict, int, int, tuple]]) -> tuple[dict, list, tuple | None]:
+    """Single-unknown propagation over the integers, pass by pass in row order.
 
-    A row is (lhs, n, den), its right-hand side n / den; a coefficient is an
-    int, or a `Fraction` for a non-integral spec scale.  Each pinned value is
-    a reduced pair (numerator, denominator > 0).  The values fixed do not
-    depend on the row order, but a conflict's label and an elimination's
-    pivots do, so those are left to `_solve_rows` in the dense order."""
+    A row is (lhs, n, den, key), its right-hand side n / den; a coefficient is
+    an int, or a `Fraction` for a non-integral spec scale.  Returns the pinned
+    values, each a reduced pair (numerator, denominator > 0), the rows
+    (reduced lhs, n, den, key) left when a pass pins nothing, and the first
+    conflict (key, n, den), n != 0, or None.  Whether it conflicts, and else
+    its values and the rows left, do not depend on the row order; which row
+    conflicts first does."""
     assign: dict = {}
     pending = rows
     while pending:
         progressed = False
         deferred = []
-        for lhs, n, den in pending:
+        for lhs, n, den, key in pending:
             reduced: dict = {}
             for m, c in lhs.items():
                 if m not in assign:
@@ -558,55 +562,19 @@ def _propagate(rows: list[tuple[dict, int, int]]) -> dict | None:
                 assign[m] = (n // g, den * c // g) if c > 0 else (-n // g, -den * c // g)
                 progressed = True
             elif reduced:
-                deferred.append((reduced, n, den))
+                deferred.append((reduced, n, den, key))
             elif n:
-                return None
-        if deferred and not progressed:
-            return None
+                return assign, [], (key, n, den)
+        if not progressed:
+            return assign, deferred, None
         pending = deferred
-    return assign
-
-
-def _solve_rows(rows: list[tuple[dict, Fraction, tuple]]) -> dict:
-    """Exact solve in row order: single-unknown propagation, then elimination.
-
-    The label of a conflict and the pivots of an elimination depend on the
-    row order."""
-    assign: dict = {}
-    pending = rows
-    while True:
-        progressed = False
-        deferred = []
-        for lhs, rhs, label in pending:
-            reduced: dict = {}
-            for m, c in lhs.items():
-                if m in assign:
-                    rhs -= c * assign[m]
-                else:
-                    reduced[m] = c
-            if not reduced:
-                if rhs:
-                    raise NoSolutionError(
-                        label, f"inconsistent constraint {label}: 0 = {rhs}")
-                continue
-            if len(reduced) == 1:
-                m, c = next(iter(reduced.items()))
-                assign[m] = rhs / c
-                progressed = True
-            else:
-                deferred.append((reduced, rhs, label))
-        pending = deferred
-        if not pending or not progressed:
-            break
-    if pending:
-        assign.update(_eliminate(pending))
-    return assign
+    return assign, [], None
 
 
 def _eliminate(rows) -> dict:
     """Gaussian elimination in row order, pivoting on each row's least unknown."""
     pivots: list[tuple[object, dict, Fraction]] = []
-    for lhs, rhs, label in rows:  # fresh dicts from _solve_rows, reduced in place
+    for lhs, rhs, label in rows:  # fresh dicts, reduced in place
         for pvar, plhs, prhs in pivots:
             if pvar in lhs:
                 factor = lhs.pop(pvar)
@@ -663,9 +631,9 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
     A row is (family, key of mu), its right-hand side the integer pair
     (numerator, den) read off the stored rows, and its unknowns are mu plus
     each spec key, with the falling factorial of the spec's fields.  The
-    rows are solved by integer propagation (`_propagate`); a weight whose
-    propagation conflicts or stalls is solved again with `Fraction`s in
-    `_row_order` over monomials, pivoting on the least.
+    rows are solved by integer propagation (`_propagate`); a conflict is
+    reported where it conflicts in `_row_order`, and the rows it stalls on go
+    in that order, over monomials, to `_eliminate`.
     """
     solved = [BigSeries.from_coeffs(seed, trunc, rel=cap)]
     layout, mask = solved[0].layout, solved[0].layout.mask
@@ -691,6 +659,10 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
                             break
                     else:
                         yield i, m - key
+
+    def label(key: tuple) -> tuple:
+        """The label of the row (family, key of mu): its family's, then mu."""
+        return families[key[0]].label + (layout.unpack(key[1])[1],)
 
     # Monomials no row contains.  A recursion family reaches every monomial of
     # positive weight and of at least its arity through a positive-level
@@ -754,25 +726,29 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
                             if (j, nu) not in active:
                                 active[j, nu] = 0, 1
                                 todo.append((j, nu, degree - families[j].arity))
-            assign = _propagate([(lhs[key], n, den) for key, (n, den) in active.items()])
-            if assign is None:  # again in the dense order, over monomials and Fractions
-                mus = {key: layout.unpack(key[1])[1] for key in active}
-                rows = [({layout.unpack(m)[1]: Fraction(c) for m, c in lhs[key].items()},
-                         Fraction(*active[key]), families[key[0]].label + (mus[key],))
-                        for key in sorted(active, key=lambda key: _row_order(key[0], mus[key]))]
-                try:
-                    monos = _solve_rows(rows)
-                except NoSolutionError as err:
-                    err.weight = w
-                    raise
-                assign = {layout.pack(0, m): (v.numerator, v.denominator)
-                          for m, v in monos.items()}
+            rows = [(lhs[key], n, den, key) for key, (n, den) in active.items()]
+            assign, stalled, conflict = _propagate(rows)
+            if conflict:  # the first conflict in the dense order is the one reported
+                rows.sort(key=lambda row: _row_order(row, layout))
+                key, n, den = _propagate(rows)[2]
+                raise NoSolutionError(label(key), f"inconsistent constraint {label(key)}: "
+                                                  f"0 = {Fraction(n, den)}")
+            if stalled:  # eliminated in the dense order, over monomials and Fractions
+                stalled.sort(key=lambda row: _row_order(row, layout))
+                monos = _eliminate([({layout.unpack(m)[1]: Fraction(c) for m, c in left.items()},
+                                     Fraction(n, den), label(key))
+                                    for left, n, den, key in stalled])
+                assign.update({layout.pack(0, m): (v.numerator, v.denominator)
+                               for m, v in monos.items()})
             free.extend(sorted([layout.unpack(m)[1] for m in unknowns if m not in assign]
                                + structural.get(w, [])))
             solved.append(_from_values(layout, assign, unknowns, cap))
             values.update(assign)
             degrees.update(unknowns)
         return SolveResult(solved[0] + _from_values(layout, values, degrees, cap), free)
+    except NoSolutionError as err:
+        err.weight = w
+        raise
     finally:  # the shared tables keep no slice or part of this solve
         for table in feeds:
             table.release()

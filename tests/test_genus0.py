@@ -133,55 +133,35 @@ class TestClosedValidation:
 
 
 class TestRowSolve:
-    """The exact row solve behind every solver: propagation, then elimination."""
+    """The two stages of every row solve: integer propagation, then
+    elimination of the rows it leaves."""
 
     X = ((t_var(1, 1), 1),)
     Y = ((t_var(1, 2), 1),)
 
-    def rows(self, third_rhs=None):
-        rows = [({self.X: Fraction(1), self.Y: Fraction(1)}, Fraction(3), ("sum",)),
-                ({self.X: Fraction(1), self.Y: Fraction(-1)}, Fraction(1), ("difference",))]
-        if third_rhs is not None:  # twice the first row
-            rows.append(({self.X: Fraction(2), self.Y: Fraction(2)}, third_rhs, ("double",)))
-        return rows
+    def solve(self, *rows):
+        """rows: (name, coefficient of X, coefficient of Y, rhs) each.
+        Returns the rows propagation leaves and elimination's values."""
+        from ottr.genus0 import _eliminate, _propagate
 
-    @pytest.fixture
-    def eliminations(self, monkeypatch):
-        import ottr.genus0 as genus0
+        assign, stalled, conflict = _propagate(
+            [({m: c for m, c in ((self.X, cx), (self.Y, cy)) if c}, rhs, 1, (name,))
+             for name, cx, cy, rhs in rows])
+        assert assign == {} and conflict is None
+        return stalled, _eliminate([({m: Fraction(c) for m, c in lhs.items()},
+                                     Fraction(n, den), key) for lhs, n, den, key in stalled])
 
-        calls = []
-        real = genus0._eliminate
-
-        def spy(rows):
-            calls.append(len(rows))
-            return real(rows)
-
-        monkeypatch.setattr(genus0, "_eliminate", spy)
-        return calls
-
-    def test_coupled_pair_solved_by_elimination(self, eliminations):
-        from ottr.genus0 import _solve_rows
-
-        assign = _solve_rows(self.rows())
-        assert eliminations == [2]  # no row has a single unknown
+    def test_coupled_pair_solved_by_elimination(self):
+        stalled, assign = self.solve(("sum", 1, 1, 3), ("difference", 1, -1, 1))
+        assert len(stalled) == 2  # no row has a single unknown
         assert assign == {self.X: Fraction(2), self.Y: Fraction(1)}
 
-    def test_inconsistent_dependent_row_raises_with_its_label(self, eliminations):
-        from ottr.genus0 import _solve_rows
-
+    def test_inconsistent_dependent_row_raises_with_its_label(self):
         with pytest.raises(NoSolutionError) as err:
-            _solve_rows(self.rows(third_rhs=Fraction(7)))
-        assert eliminations == [3]
+            self.solve(("sum", 1, 1, 3), ("difference", 1, -1, 1), ("double", 2, 2, 7))
         assert err.value.label == ("double",)
         assert err.value.weight is None  # no weight stage outside the engine
         assert str(err.value) == "inconsistent constraint ('double',)"
-
-    def test_consistent_dependent_row_is_accepted(self, eliminations):
-        from ottr.genus0 import _solve_rows
-
-        assign = _solve_rows(self.rows(third_rhs=Fraction(6)))
-        assert eliminations == [3]
-        assert assign == {self.X: Fraction(2), self.Y: Fraction(1)}
 
 
 # small sparse row systems (lhs, n, den) over the unknowns 0-2: int and
@@ -200,28 +180,40 @@ _systems = st.lists(st.tuples(st.dictionaries(st.sampled_from(range(3)), _coefs,
 @example([({0: 1, 1: 1}, 3, 1), ({0: 1, 1: -1}, 1, 1)])  # a stall
 @example([({0: Fraction(3, 2)}, 1, 4), ({0: 2, 1: Fraction(-1, 3)}, 0, 1)])
 def test_integer_propagation_agrees_with_the_fraction_solve(rows):
-    """Where the integer fast path returns values, they are reduced pairs equal
-    to `_solve_rows`'s, reached without elimination; where it gives up, the
-    ordered solve raises `NoSolutionError` or needs elimination."""
-    import ottr.genus0 as genus0
+    """The integer propagation, run in the given row order and in reverse,
+    checked with `Fraction`s: both orders conflict or neither does; without
+    a conflict they pin the same reduced values, every row holds at them or
+    is left over, and a row left over is its original with the values
+    substituted; a reported conflict reads 0 = rhs != 0 at the values."""
+    from ottr.genus0 import _propagate
 
-    fast = genus0._propagate(rows)
-    eliminations = []
-    real = genus0._eliminate
-    genus0._eliminate = lambda pending: eliminations.append(pending) or real(pending)
-    try:
-        slow = genus0._solve_rows([(lhs, Fraction(n, den), (k,))
-                                   for k, (lhs, n, den) in enumerate(rows)])
-    except NoSolutionError:
-        slow = None
-    finally:
-        genus0._eliminate = real
-    if fast is None:
-        assert slow is None or eliminations
-    else:
-        assert all(q > 0 and gcd(p, q) == 1 for p, q in fast.values())
-        assert slow == {m: Fraction(p, q) for m, (p, q) in fast.items()}
-        assert not eliminations
+    keyed = [(lhs, n, den, k) for k, (lhs, n, den) in enumerate(rows)]
+    runs = [_propagate(keyed), _propagate(keyed[::-1])]
+    (forward, left_fwd, conflict_fwd), (backward, left_bwd, conflict_bwd) = runs
+    assert (conflict_fwd is None) == (conflict_bwd is None)
+    if conflict_fwd is None:
+        assert forward == backward
+        assert sorted(key for *_, key in left_fwd) == sorted(key for *_, key in left_bwd)
+    for assign, left, conflict in runs:
+        assert all(q > 0 and gcd(p, q) == 1 for p, q in assign.values())
+        value = {m: Fraction(p, q) for m, (p, q) in assign.items()}
+
+        def rest(k):  # row k's right-hand side less its pinned terms
+            lhs, n, den = rows[k]
+            return Fraction(n, den) - sum(c * value[m] for m, c in lhs.items() if m in value)
+
+        if conflict is None:
+            left = {key: (lhs, Fraction(n, den)) for lhs, n, den, key in left}
+            for k, (lhs, _n, _den) in enumerate(rows):
+                if k in left:
+                    unpinned = {m: c for m, c in lhs.items() if m not in value}
+                    assert len(unpinned) >= 2 and left[k] == (unpinned, rest(k))
+                else:
+                    assert lhs.keys() <= value.keys() and rest(k) == 0
+        else:
+            k, n, den = conflict
+            assert not left and rows[k][0].keys() <= value.keys()
+            assert rest(k) == Fraction(n, den) != 0
 
 
 class TestMarchDenseOrder:
@@ -236,6 +228,20 @@ class TestMarchDenseOrder:
     Y = mono_from_factors([(t_var(1, 0), 1), (s_var(1), 1)])
     MU = ((t_var(1, 0), 1),)
 
+    @pytest.fixture(autouse=True)
+    def eliminations(self, monkeypatch):
+        """The rows of each `_eliminate` call, as the engine hands them over."""
+        import ottr.genus0 as genus0
+
+        self.calls = []
+        real = genus0._eliminate
+
+        def spy(rows):
+            self.calls.append([(dict(lhs), rhs, label) for lhs, rhs, label in rows])
+            return real(rows)
+
+        monkeypatch.setattr(genus0, "_eliminate", spy)
+
     def march(self, *rows):
         """rows: (name, coefficient of X, coefficient of Y, rhs) each."""
         from ottr.genus0 import _ID, _march, _Rows, _Table
@@ -249,6 +255,13 @@ class TestMarchDenseOrder:
 
     def test_coupled_rows_are_eliminated(self):
         result = self.march(("sum", 1, 1, 3), ("difference", 1, -1, 1))
+        assert [len(rows) for rows in self.calls] == [2]  # no row has a single unknown
+        assert result.series.terms == {(0, self.X): Fraction(2), (0, self.Y): Fraction(1)}
+        assert result.free == []
+
+    def test_consistent_dependent_row_is_accepted(self):
+        result = self.march(("sum", 1, 1, 3), ("difference", 1, -1, 1), ("double", 2, 2, 6))
+        assert [len(rows) for rows in self.calls] == [3]
         assert result.series.terms == {(0, self.X): Fraction(2), (0, self.Y): Fraction(1)}
         assert result.free == []
 
@@ -260,9 +273,40 @@ class TestMarchDenseOrder:
     def test_inconsistent_dependent_row_is_reported_at_its_weight(self):
         with pytest.raises(NoSolutionError) as err:
             self.march(("sum", 1, 1, 3), ("difference", 1, -1, 1), ("double", 2, 2, 7))
+        assert [len(rows) for rows in self.calls] == [3]
         assert err.value.label == ("double", self.MU)
         assert str(err.value) == f"inconsistent constraint {('double', self.MU)}"
         assert err.value.weight == 1
+
+    def test_propagation_conflict_is_reported_in_the_dense_order(self):
+        """`late` has a zero right-hand side, so it joins the rows only through
+        its shared unknown, after `pin`; the dense order puts it first, so
+        `pin` is the row that conflicts."""
+        with pytest.raises(NoSolutionError) as err:
+            self.march(("late", 1, 0, 0), ("pin", 1, 0, 2))
+        assert self.calls == []
+        assert err.value.label == ("pin", self.MU)
+        assert str(err.value) == f"inconsistent constraint {('pin', self.MU)}: 0 = 2"
+        assert err.value.weight == 1
+
+    def test_only_stalled_rows_are_eliminated_with_pinned_values_substituted(self):
+        """At mu = 1, over X, Y and Z = s_0 t1_1: `pin` fixes X = 2, and `sum`
+        (X + Y + Z = 8) and `difference` (X + Y - Z = 0) stall on Y and Z.
+        `difference` has a zero right-hand side and joins the rows last, but
+        it is family 0, so it reaches `_eliminate` first."""
+        from ottr.genus0 import _ID, _march, _Rows, _Table
+
+        x, y, z = (t_var(1, 0), t_var(1, 1)), (t_var(1, 0), s_var(1)), (s_var(0), t_var(1, 1))
+        one = _Table(_ID, BigSeries.const(1, self.TR))
+        families = [_Rows((name,), [(d, Fraction(c)) for d, c in zip((x, y, z), coefs) if c],
+                          [(one, _Table(_ID, BigSeries.const(rhs, self.TR)))])
+                    for name, coefs, rhs in [("difference", (1, 1, -1), 0),
+                                             ("pin", (1, 0, 0), 2), ("sum", (1, 1, 1), 8)]]
+        result = _march(families, {}, TheoryData.rank1(self.TR).all_vars(), 2, self.TR)
+        Z = mono_from_factors([(s_var(0), 1), (t_var(1, 1), 1)])
+        assert self.calls == [[({self.Y: 1, Z: -1}, -2, ("difference", ())),
+                               ({self.Y: 1, Z: 1}, 6, ("sum", ()))]]
+        assert result.series.terms == {(0, self.X): 2, (0, self.Y): 2, (0, Z): 4}
 
 
 class TestOpenSolver:

@@ -121,6 +121,7 @@ class TestOpenGenus1:
         assert err.value.label == (bad.equation, bad.indices)
         assert str(err.value) == ("solver output fails the genus-1 relations at "
                                   "open_trr1_t (1, 0)")
+        assert err.value.weight is None  # raised after the engine, at no weight stage
 
     def test_restriction_is_initial_condition(self, f0, f0o, theory8):
         for name, go in go_candidates()[:3]:
