@@ -614,16 +614,16 @@ def dot(start: SparseSeries,
     the least of start's and each ``a * b``'s (`product_rel`).
 
     Start's rows and all products add into accumulators over the lcm of the
-    operands' denominators, one per degree that start or a live product
-    (one with a nonzero scale whose least degrees sum below the sum's cap)
-    reaches, and the accumulators are the result's rows.  The set-up costs
-    what the live terms cost: `product_rel` runs only for a factor with a
-    finite rel, the lcm grows only by a denominator it does not already
-    hold, rows are moved to a wider layout only when some live factor has
-    one (`_aligned`), and each factor's rows run from its least degree to
-    the cap, so no product above it is formed.  A product key whose eps
-    field exceeds the bound is dropped.  With nothing to add or cut, the
-    result is start."""
+    operands' denominators, one plain dict per degree that start or a live
+    product (one with a nonzero scale whose least degrees sum below the
+    sum's cap) reaches, each updated through its bound `get`, and the
+    accumulators are the result's rows.  The set-up costs what the live
+    terms cost: `product_rel` runs only for a factor with a finite rel, the
+    lcm grows only by a denominator it does not already hold, rows are moved
+    to a wider layout only when some live factor has one (`_aligned`), and
+    each factor's rows run from its least degree to the cap, so no product
+    above it is formed.  A product key whose eps field exceeds the bound is
+    dropped.  With nothing to add or cut, the result is start."""
     tr = start.trunc
     deg_max = start.layout.deg_max
     live, rel = [], start.rel
@@ -652,8 +652,8 @@ def dot(start: SparseSeries,
         if den % q:
             den = lcm(den, q)
     scale = den // start.den
-    acc: dict[int, defaultdict[int, int]] = {
-        d: defaultdict(int, row if scale == 1 else {k: n * scale for k, n in row.items()})
+    acc: dict[int, dict[int, int]] = {
+        d: dict(row) if scale == 1 else {k: n * scale for k, n in row.items()}
         for d, row in enumerate(srows[:size]) if row}
     for (a, b, c, low_a, low_b), ra, rb in zip(live, rows[::2], rows[1::2]):
         scale = c.numerator * (den // (a.den * b.den * c.denominator))
@@ -666,13 +666,14 @@ def dot(start: SparseSeries,
                 if rb[d2]:
                     target = acc.get(d1 + d2)
                     if target is None:
-                        target = acc[d1 + d2] = defaultdict(int)
-                    parts.append((target, rb[d2]))
+                        target = acc[d1 + d2] = {}
+                    parts.append((target, target.get, rb[d2]))
             for k1, n1 in row.items():
                 n1 *= scale
-                for target, r2 in parts:
+                for target, get, r2 in parts:
                     for k2, n2 in r2.items():
-                        target[k1 + k2] += n1 * n2
+                        k = k1 + k2
+                        target[k] = get(k, 0) + n1 * n2
     eps_mask, eps_max = layout.eps_mask, tr.eps_max
     out = [{}] * (max(acc, default=-1) + 1)  # rows are never written, so one {} serves
     for d, row in acc.items():

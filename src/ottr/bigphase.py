@@ -107,11 +107,6 @@ def mono_degree(m: BigMonomial) -> int:
     return sum(exp for _, exp in m)
 
 
-def mono_weight(m: BigMonomial) -> int:
-    """Total descendent weight: the level sum counted with exponents."""
-    return sum(level * exp for (kind, alpha, level), exp in m)
-
-
 class BigSeries(SparseSeries):
     """A degree-truncated formal power series with exact rational coefficients.
 

@@ -2,11 +2,12 @@
 
 Each recursion relation is written once, as a family of rows (`_Rows`): a
 left-hand side of derivatives and a right-hand side of products of derivative
-tables.  The family builders `_closed_families` and `_open_families` (and
-`genus1._genus1_families`) serve both the solvers and the validators.  A
-validator evaluates each family's residual on the series under test, one
-report entry per family; each partial derivative and each table value is
-computed once per value and kept with it (`spec_sum`).  Only the dilaton
+tables, each spec a tuple of variables and a scale.  The family builders
+`_closed_families` and `_open_families` (and `genus1._genus1_families`)
+serve both the solvers and the validators.  A validator evaluates each
+family's residual on the series under test, one report entry per family;
+each partial derivative and each table value is computed once per value and
+kept with it (`spec_sum`).  Only the dilaton
 equations and the boundary normalization are written out by hand.  Every
 residual is exact, and a pass means literal zero on a reliable window.  A
 negative window compares no coefficient: its entry, and a report without a
@@ -19,14 +20,16 @@ a kernel value at every weight: `spec_sum` of a weight slice of its source.
 At weight w each row is affine in the weight-w unknowns, and a family's
 right-hand sides are one kernel `dot` over the products of lower-weight table
 parts, the same product loop the validators use, evaluated only at the
-weights where two nonzero table parts meet below the degree cap.  Rows and
-unknowns are packed keys of the series layout, so the engine reads each
-right-hand side from its stored rows as an integer numerator over the
-series' denominator.  It activates the rows with a nonzero right-hand side,
-closes them under shared unknowns, and solves them by single-unknown
-propagation over the integers (`_propagate`, the only one), each value a
-reduced integer pair; monomials and `Fraction`s appear only for a conflict's
-label and an elimination's pivots, both in the dense row order.
+weights where two nonzero table parts meet below the degree cap.  A table
+of a fixed series takes in all its parts at once; a fed table takes in
+each new nonzero slice.  Rows and unknowns are packed keys of the series
+layout, so the engine reads each right-hand side from its stored rows as
+an integer numerator over the series' denominator.  It activates the rows
+with a nonzero right-hand side, closes them under shared unknowns, and
+solves them by single-unknown propagation over the integers (`_propagate`,
+the only one), each value a reduced integer pair; monomials and `Fraction`s
+appear only for a conflict's label and an elimination's pivots, both in the
+dense row order.
 Every row it skips lies in a connected component whose right-hand sides all
 vanish, so it reads 0 = 0 under the zero default: skipping it changes no
 coefficient and no inconsistency report.
@@ -63,9 +66,7 @@ from .bigphase import (
     Truncation,
     big_var_name,
     boundary_pairing,
-    mono_degree,
     mono_from_factors,
-    mono_weight,
     restrict_small,
     s_var,
     t11_partial,
@@ -204,12 +205,16 @@ def validate_closed_genus0(f0: BigSeries, theory: TheoryData) -> ResidualReport:
     """Residuals of the closed genus-0 axioms over the truncation window."""
     amax = theory.trunc.level_max
     nus = range(1, theory.n + 1)
+    # one Hessian table per (alpha, a, nu), one second-derivative table per (nu, beta, b)
+    hess = {(alpha, a, nu): _Table(_hessian_specs(alpha, a, nu, theory))
+            for alpha in nus for a in range(amax) for nu in nus}
+    second = {(nu, beta, b): _Table([((t_var(nu, 0), t_var(beta, b)), 1)])
+              for nu in nus for beta in nus for b in range(amax)}
     families = _closed_families(theory) + [
         _Rows(("two_point_shift", (alpha, a, beta, b)),
-              [((t_var(alpha, a + 1), t_var(beta, b)), Fraction(1)),
-               ((t_var(alpha, a), t_var(beta, b + 1)), Fraction(1))],
-              [(_Table(_hessian_specs(alpha, a, nu, theory)),
-                _Table([((t_var(nu, 0), t_var(beta, b)), Fraction(1))])) for nu in nus])
+              [((t_var(alpha, a + 1), t_var(beta, b)), 1),
+               ((t_var(alpha, a), t_var(beta, b + 1)), 1)],
+              [(hess[alpha, a, nu], second[nu, beta, b]) for nu in nus])
         for alpha, a, beta, b in _index_pairs(theory) if max(a, b) < amax]
     report = ResidualReport()
     report.add_rows(families, f0)
@@ -376,17 +381,19 @@ def _seed_coeffs(seed: JetPoly, theory: TheoryData, *, allow_phi: bool
 # the order-by-order engine
 # ---------------------------------------------------------------------------
 
-_ID = [((), Fraction(1))]  # the spec of a table that holds a series as it is
+_ID = [((), 1)]  # the spec of a table that holds a series as it is
+
+Spec = tuple[tuple[BigVar, ...], Fraction | int]  # (variables, scale)
 
 
-def _spec_monomials(specs: Sequence[tuple[tuple[BigVar, ...], Fraction]]
-                    ) -> tuple[tuple[BigMonomial, Fraction | int], ...]:
+def _spec_monomials(specs: Sequence[Spec]) -> tuple[tuple[BigMonomial, Fraction | int], ...]:
     """(variables, scale) specs as (monomial, scale), dropping zero scales and
     keeping an integral scale as an int, so a memo key holding the specs
     hashes no `Fraction`."""
-    return tuple((mono_from_factors((var, 1) for var in dvars),
-                  scale.numerator if scale.denominator == 1 else scale)
-                 for dvars, scale in specs if scale)
+    return tuple([(mono_from_factors((var, 1) for var in dvars),
+                   scale if type(scale) is int
+                   else scale.numerator if scale.denominator == 1 else scale)
+                  for dvars, scale in specs if scale])
 
 
 def _weight_grading(layout) -> list[tuple[int, int]]:
@@ -440,16 +447,16 @@ class _Table:
     weight) slice of its source: the eps-free `_grade_slices` of the series
     by weight, kept with the series, for a table built from a series, and the
     engine's solved slices for a fed table, one built without, which stands
-    for the potential under solution or test.  Every spec has the table weight.  A slice never
-    changes once present, so from its `reset` at the start of a solve the
-    table keeps each nonzero part itself (`nonzero`, by weight) and its least
-    degree (`low`), until its `release` at the end.
+    for the potential under solution or test.  Every spec has the table weight,
+    read off its first variable tuple.  A slice never changes once present,
+    so from its `reset` at the start of a solve the table keeps each nonzero
+    part itself (`nonzero`, by weight) and its least degree (`low`), until
+    its `release` at the end.
     """
 
-    def __init__(self, specs: Sequence[tuple[tuple[BigVar, ...], Fraction]],
-                 series: BigSeries | None = None):
+    def __init__(self, specs: Sequence[Spec], series: BigSeries | None = None):
         self.specs = _spec_monomials(specs)
-        self.weight = mono_weight(self.specs[0][0])
+        self.weight = sum(var[2] for var in specs[0][0])
         self.series = series
         self.release()  # no solve taken in yet
 
@@ -467,7 +474,8 @@ class _Table:
 
     def refresh(self) -> list[int]:
         """Take in the slices present since the last call; returns the
-        weights of the new nonzero parts."""
+        weights of the new nonzero parts.  A table built from a series has
+        its slices from `reset`, so its first call takes in every part."""
         slices = self.slices
         new = []
         for s in range(self.seen, len(slices)):
@@ -487,13 +495,13 @@ class _Rows:
     right-hand side is the sum of the table `products` at mu.
     """
 
-    def __init__(self, label: tuple, specs: Sequence[tuple[tuple[BigVar, ...], Fraction]],
+    def __init__(self, label: tuple, specs: Sequence[Spec],
                  products: list[tuple[_Table, _Table]]):
         self.label = label
         self.products = products
         self.specs = _spec_monomials(specs)
-        self.offset = mono_weight(self.specs[0][0])
-        self.arity = mono_degree(self.specs[0][0])
+        self.offset = sum(var[2] for var in specs[0][0])
+        self.arity = len(specs[0][0])
 
     def rhs(self, weight: int, start: BigSeries) -> BigSeries:
         """The right-hand sides of the rows whose unknowns have this weight, as
@@ -518,32 +526,33 @@ class _Rows:
         return dot(spec_sum(f, self.specs), [(values[a], values[b], -1) for a, b in self.products])
 
 
-def _row_order(row: tuple, layout) -> tuple:
-    """The dense order of a row (lhs, n, den, (family, key of mu)): family
-    first, then mu by degree and sorted factor list."""
-    i, key = row[3]
-    mu = layout.unpack(key)[1]
-    return i, mono_degree(mu), tuple(var for var, exp in mu for _ in range(exp))
+def _row_order(key: tuple, layout) -> tuple:
+    """The dense order of the row (family, key of mu): family first, then mu
+    by degree and sorted factor list."""
+    factors = tuple(var for var, exp in layout.unpack(key[1])[1] for _ in range(exp))
+    return key[0], len(factors), factors
 
 
-def _propagate(rows: list[tuple[dict, int, int, tuple]]) -> tuple[dict, list, tuple | None]:
+def _propagate(active: dict[tuple, tuple[int, int]], lhs: dict[tuple, dict]
+               ) -> tuple[dict, list, tuple | None]:
     """Single-unknown propagation over the integers, pass by pass in row order.
 
-    A row is (lhs, n, den, key), its right-hand side n / den; a coefficient is
-    an int, or a `Fraction` for a non-integral spec scale.  Returns the pinned
-    values, each a reduced pair (numerator, denominator > 0), the rows
-    (reduced lhs, n, den, key) left when a pass pins nothing, and the first
-    conflict (key, n, den), n != 0, or None.  Whether it conflicts, and else
-    its values and the rows left, do not depend on the row order; which row
-    conflicts first does."""
+    The rows are the keys of `active`, in its order: a row's right-hand side
+    is active[key] = (n, den), read as n / den, and its left-hand side is
+    lhs[key], whose coefficients are ints, or `Fraction`s for a non-integral
+    spec scale.  Returns the pinned values, each a reduced pair (numerator,
+    denominator > 0), the rows (reduced lhs, n, den, key) left when a pass
+    pins nothing, and the first conflict (key, n, den), n != 0, or None.
+    Whether it conflicts, and else its values and the rows left, do not
+    depend on the row order; which row conflicts first does."""
     assign: dict = {}
-    pending = rows
+    pending = active
     while pending:
         progressed = False
-        deferred = []
-        for lhs, n, den, key in pending:
+        deferred, left = {}, {}  # the rows that keep two or more unknowns
+        for key, (n, den) in pending.items():
             reduced: dict = {}
-            for m, c in lhs.items():
+            for m, c in lhs[key].items():
                 if m not in assign:
                     reduced[m] = c
                     continue
@@ -562,12 +571,12 @@ def _propagate(rows: list[tuple[dict, int, int, tuple]]) -> tuple[dict, list, tu
                 assign[m] = (n // g, den * c // g) if c > 0 else (-n // g, -den * c // g)
                 progressed = True
             elif reduced:
-                deferred.append((reduced, n, den, key))
+                deferred[key], left[key] = (n, den), reduced
             elif n:
                 return assign, [], (key, n, den)
         if not progressed:
-            return assign, deferred, None
-        pending = deferred
+            return assign, [(left[key], n, den, key) for key, (n, den) in deferred.items()], None
+        pending, lhs = deferred, left
     return assign, [], None
 
 
@@ -621,19 +630,22 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
     A family's right-hand sides at a weight are nonzero only if two nonzero
     parts of one of its products sum to that weight less the family's
     offset, and their lowest degrees to at most cap - arity, the degree its
-    right-hand sides are cut at.  Every table is reset first, then refreshed
-    at weight 1 and at each weight after a nonzero slice, and each new part
-    marks the families it makes due, so only those are evaluated.  A conflict
-    raises `NoSolutionError` with its weight.  The tables are shared by the
-    solves of a theory object, so each is released when the solve returns or
+    right-hand sides are cut at.  Every table is reset first and refreshed
+    at weight 1, where a table built from a series takes in all its parts;
+    after that only the fed tables are refreshed, at each weight after a
+    nonzero slice.  Each new part marks the families it makes due with the
+    parts its partner has, so only those are evaluated.  A conflict raises
+    `NoSolutionError` with its weight.  The tables are shared by the solves
+    of a theory object, so each is released when the solve returns or
     raises.
 
     A row is (family, key of mu), its right-hand side the integer pair
     (numerator, den) read off the stored rows, and its unknowns are mu plus
-    each spec key, with the falling factorial of the spec's fields.  The
-    rows are solved by integer propagation (`_propagate`); a conflict is
-    reported where it conflicts in `_row_order`, and the rows it stalls on go
-    in that order, over monomials, to `_eliminate`.
+    each spec key, with the falling factorial of the spec's fields (a field
+    of exponent 1 is its own).  The rows (`active` and `lhs`) are solved by
+    integer propagation (`_propagate`); a conflict is reported where it
+    conflicts in `_row_order`, and the rows it stalls on go in that order,
+    over monomials, to `_eliminate`.
     """
     solved = [BigSeries.from_coeffs(seed, trunc, rel=cap)]
     layout, mask = solved[0].layout, solved[0].layout.mask
@@ -644,10 +656,15 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
     for i, fam in enumerate(families):
         packed.append([])
         for d, scale in fam.specs:
-            key, fields = layout.pack(0, d), [(layout[var], exp) for var, exp in d]
+            fields, key, level = [], 0, -1
+            for var, exp in d:
+                s = layout[var]
+                fields.append((s, exp))
+                key += exp << s
+                if var[2] > level:  # the first factor of the top level
+                    level, top = var[2], s
             packed[i].append((key, scale, fields))
-            top = max(d, key=lambda factor: factor[0][2])[0]
-            index.setdefault(layout[top], []).append((i, key, fields))
+            index.setdefault(top, []).append((i, key, fields))
 
     def rows_through(m: int):
         """The rows (family, key of mu) that have the unknown m."""
@@ -670,9 +687,10 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
     structural: dict[int, list[BigMonomial]] = {}
     for d in range(1, min(max((fam.arity for fam in families), default=0), cap + 1)):
         for combo in combinations_with_replacement(sorted(variables), d):
-            m = mono_from_factors((var, 1) for var in combo)
-            if mono_weight(m) and next(rows_through(layout.pack(0, m)), None) is None:
-                structural.setdefault(mono_weight(m), []).append(m)
+            weight = sum(var[2] for var in combo)
+            if weight and next(rows_through(sum(1 << layout[var] for var in combo)), None) is None:
+                structural.setdefault(weight, []).append(
+                    mono_from_factors((var, 1) for var in combo))
 
     # each table with the families it feeds and its partner in their product
     feeds: dict[_Table, list[tuple[int, _Table]]] = {}
@@ -682,6 +700,7 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
             feeds.setdefault(b, []).append((i, a))
     for table in feeds:  # the families of a theory are shared by its solves
         table.reset(solved)
+    fed = [(table, users) for table, users in feeds.items() if table.series is None]
     due: dict[int, set[int]] = defaultdict(set)  # weight -> families to evaluate
     # the start of each arity's right-hand sides: the zero that cuts them
     starts = {arity: BigSeries.zero(trunc, cap - arity)
@@ -691,8 +710,10 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
     values, degrees = {}, {}  # every solved unknown: its value and its degree
     try:
         for w in range(1, cap * trunc.level_max + 1):
-            # only the slice solved last is new, and a zero one adds no part
-            for table, users in feeds.items() if w == 1 or not solved[-1].is_zero() else ():
+            # every table takes in its parts so far at weight 1; after that only
+            # a fed table gains one, from the slice solved last if it is nonzero
+            for table, users in (feeds.items() if w == 1 else
+                                 fed if not solved[-1].is_zero() else ()):
                 for j in table.refresh():
                     for i, partner in users:
                         room = cap - families[i].arity - table.low[j]  # the partner's degree
@@ -717,8 +738,9 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
                 for key, scale, fields in packed[i]:
                     m = mu + key
                     k = 1
-                    for s, c in fields:
-                        k *= perm(m >> s & mask, c)
+                    for s, c in fields:  # the falling factorial of each factor's field
+                        x = m >> s & mask
+                        k *= x if c == 1 else perm(x, c)
                     row[m] = scale * k
                     if m not in unknowns:
                         unknowns[m] = degree
@@ -726,15 +748,14 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
                             if (j, nu) not in active:
                                 active[j, nu] = 0, 1
                                 todo.append((j, nu, degree - families[j].arity))
-            rows = [(lhs[key], n, den, key) for key, (n, den) in active.items()]
-            assign, stalled, conflict = _propagate(rows)
+            assign, stalled, conflict = _propagate(active, lhs)
             if conflict:  # the first conflict in the dense order is the one reported
-                rows.sort(key=lambda row: _row_order(row, layout))
-                key, n, den = _propagate(rows)[2]
+                dense = sorted(active, key=lambda key: _row_order(key, layout))
+                key, n, den = _propagate({key: active[key] for key in dense}, lhs)[2]
                 raise NoSolutionError(label(key), f"inconsistent constraint {label(key)}: "
                                                   f"0 = {Fraction(n, den)}")
             if stalled:  # eliminated in the dense order, over monomials and Fractions
-                stalled.sort(key=lambda row: _row_order(row, layout))
+                stalled.sort(key=lambda row: _row_order(row[3], layout))
                 monos = _eliminate([({layout.unpack(m)[1]: Fraction(c) for m, c in left.items()},
                                      Fraction(n, den), label(key))
                                     for left, n, den, key in stalled])
@@ -806,16 +827,16 @@ def _closed_families(theory: TheoryData) -> list[_Rows]:
     metric = _metric_quadratic(BigSeries, lambda alpha: t_var(alpha, 0), tr, theory)
     pairs = {(beta, b, gamma, c): (t_var(beta, b), t_var(gamma, c))
              for beta, b, gamma, c in _index_pairs(theory)}
-    third = {(nu, pair): _Table([((t_var(nu, 0), *dvars), Fraction(1))])
+    third = {(nu, pair): _Table([((t_var(nu, 0), *dvars), 1)])
              for nu in nus for pair, dvars in pairs.items()}
-    d1 = {x: _Table([((x,), Fraction(1))]) for x in theory.t_vars(tr.level_max - 1)}
+    d1 = {x: _Table([((x,), 1)]) for x in theory.t_vars(tr.level_max - 1)}
     families = [_string_rows("string", d1, metric, theory)]
     for alpha in nus:
         for a in range(tr.level_max):
             hess = [_Table(_hessian_specs(alpha, a, nu, theory)) for nu in nus]
             for pair, dvars in pairs.items():
                 families.append(_Rows(
-                    ("trr0", (alpha, a, *pair)), [((t_var(alpha, a + 1), *dvars), Fraction(1))],
+                    ("trr0", (alpha, a, *pair)), [((t_var(alpha, a + 1), *dvars), 1)],
                     [(hess[nu - 1], third[(nu, pair)]) for nu in nus]))
     theory.memo["closed_families"] = families
     return families
@@ -830,22 +851,22 @@ def _open_families(f0: BigSeries, theory: TheoryData) -> list[_Rows]:
     tr = theory.trunc
     allvars = theory.all_vars()
     nus = range(1, theory.n + 1)
-    d1 = {x: _Table([((x,), Fraction(1))]) for x in allvars if x[2] < tr.level_max}
-    d2t = {(y, nu): _Table([((y, t_var(nu, 0)), Fraction(1))])
+    d1 = {x: _Table([((x,), 1)]) for x in allvars if x[2] < tr.level_max}
+    d2t = {(y, nu): _Table([((y, t_var(nu, 0)), 1)])
            for y in allvars for nu in nus}
-    d2s = {y: _Table([((y, s_var(0)), Fraction(1))]) for y in allvars}
+    d2s = {y: _Table([((y, s_var(0)), 1)]) for y in allvars}
     families = [_string_rows("open_string", d1, BigSeries.var(s_var(0), tr), theory)]
     for alpha in nus:
         for p in range(tr.level_max):
             hess = [_Table(_hessian_specs(alpha, p, nu, theory), f0) for nu in nus]
             for y in allvars:
                 families.append(_Rows(
-                    ("open_trr_t", (alpha, p, y)), [((t_var(alpha, p + 1), y), Fraction(1))],
+                    ("open_trr_t", (alpha, p, y)), [((t_var(alpha, p + 1), y), 1)],
                     [(hess[nu - 1], d2t[(y, nu)]) for nu in nus]
                     + [(d1[t_var(alpha, p)], d2s[y])]))
     for p in range(tr.level_max):
         for y in allvars:
-            families.append(_Rows(("open_trr_s", (p, y)), [((s_var(p + 1), y), Fraction(1))],
+            families.append(_Rows(("open_trr_s", (p, y)), [((s_var(p + 1), y), 1)],
                                   [(d1[s_var(p)], d2s[y])]))
     return families
 

@@ -57,16 +57,16 @@ def _trr1_rows(x: BigVar, f0: BigSeries | None, f0o: BigSeries,
     s0 = s_var(0)
     products = [(_Table(_hessian_specs(alpha, level, nu, theory), f0), first[t_var(nu, 0)])
                 for nu in range(1, theory.n + 1)] if kind == KIND_T else []
-    products.append((_Table([((x,), Fraction(1))], f0o), first[s0]))
+    products.append((_Table([((x,), 1)], f0o), first[s0]))
     if source:
         products.append((_Table([((x, s0), Fraction(1, 2))], f0o),
                          _Table(_ID, BigSeries.const(1, theory.trunc))))
     label = ("open_trr1_t", (alpha, level)) if kind == KIND_T else ("open_trr1_s", (level,))
-    return _Rows(label, [(((kind, alpha, level + 1),), Fraction(1))], products)
+    return _Rows(label, [(((kind, alpha, level + 1),), 1)], products)
 
 
 def _first_partials(theory: TheoryData) -> dict[BigVar, _Table]:
-    return {x: _Table([((x,), Fraction(1))]) for x in theory.t_vars(0) + [s_var(0)]}
+    return {x: _Table([((x,), 1)]) for x in theory.t_vars(0) + [s_var(0)]}
 
 
 def _genus1_families(f0: BigSeries, f0o: BigSeries, theory: TheoryData) -> list[_Rows]:
@@ -200,7 +200,7 @@ def validate_closed_genus1(f0: BigSeries, f1: BigSeries,
     first, unit = _first_partials(theory), _Table(_ID, BigSeries.const(1, theory.trunc))
     third = [((t_var(mu, 0), t_var(nu, 0)), theory.eta_inv[mu - 1][nu - 1] / 24)
              for mu in nus for nu in nus]
-    families = [_Rows(("trr1", (alpha, a)), [((t_var(alpha, a + 1),), Fraction(1))],
+    families = [_Rows(("trr1", (alpha, a)), [((t_var(alpha, a + 1),), 1)],
                       [(_Table(_hessian_specs(alpha, a, nu, theory), f0), first[t_var(nu, 0)])
                        for nu in nus]
                       + [(_Table([(d + (t_var(alpha, a),), c) for d, c in third], f0), unit)])

@@ -479,8 +479,9 @@ class _Powers:
     of (XF)^j at grade k is sum_{k1} (XF)^{j-1}[k1] XF[k - k1], one `dot`
     from `zero`, which cuts it at the targets' degree (the relaxed
     product of J. van der Hoeven, "Relax, but don't be too lazy", J. Symbolic
-    Comput. 34, 2002).  `low` is the least degree of XF so far, None while
-    it is zero.
+    Comput. 34, 2002).  (XF)^0 is the constant 1 at grade 0 and `zero`
+    above it; every zero slice is left out of the products.  `low` is the
+    least degree of XF so far, None while it is zero.
     """
 
     def __init__(self, top: int, zero: BigSeries):
@@ -492,7 +493,7 @@ class _Powers:
         pw, k = self.slices, len(self.slices[0])
         x = t11_partial(f, 0, theory)
         self.low = _rel_min(self.low, x.min_degree())
-        pw[0].append(BigSeries.const(0 if k else 1, x.trunc))
+        pw[0].append(self.zero if k else BigSeries.const(1, x.trunc))
         if len(pw) > 1:
             pw[1].append(x)
         for j in range(2, len(pw)):
@@ -619,11 +620,12 @@ def pst_generate(theory: TheoryData) -> PstResult:
         rhs_forms = {flow: (_upto(start, cap - 1),
                             [(_upto(a, cap - 1), j, c) for a, j, c in products])
                      for flow, (start, products) in rhs_forms.items()}
+        zero = BigSeries.zero(tr_big, cap - 1)  # cuts each phase's powers at the targets' degree
         for kind, grading, drop in phases:
             sliced = {flow: (_grade_slices(start, grading, drop),
                              [(_grade_slices(a, grading, drop), j, c) for a, j, c in products])
                       for flow, (start, products) in rhs_forms.items()}
-            powers = _Powers(top, BigSeries.zero(tr_big, cap - 1))  # cut at the targets' degree
+            powers = _Powers(top, zero)
             # grade 0: nothing in the weight phase (no target has weight 0),
             # the complete s-free part in the s-degree phase
             powers.add(_from_values(layout, values[g], degrees, cap), theory_big)

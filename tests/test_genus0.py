@@ -145,8 +145,9 @@ class TestRowSolve:
         from ottr.genus0 import _eliminate, _propagate
 
         assign, stalled, conflict = _propagate(
-            [({m: c for m, c in ((self.X, cx), (self.Y, cy)) if c}, rhs, 1, (name,))
-             for name, cx, cy, rhs in rows])
+            {(name,): (rhs, 1) for name, _cx, _cy, rhs in rows},
+            {(name,): {m: c for m, c in ((self.X, cx), (self.Y, cy)) if c}
+             for name, cx, cy, _rhs in rows})
         assert assign == {} and conflict is None
         return stalled, _eliminate([({m: Fraction(c) for m, c in lhs.items()},
                                      Fraction(n, den), key) for lhs, n, den, key in stalled])
@@ -187,8 +188,9 @@ def test_integer_propagation_agrees_with_the_fraction_solve(rows):
     substituted; a reported conflict reads 0 = rhs != 0 at the values."""
     from ottr.genus0 import _propagate
 
-    keyed = [(lhs, n, den, k) for k, (lhs, n, den) in enumerate(rows)]
-    runs = [_propagate(keyed), _propagate(keyed[::-1])]
+    lhs = {k: row[0] for k, row in enumerate(rows)}
+    keys = list(lhs)
+    runs = [_propagate({k: rows[k][1:] for k in order}, lhs) for order in (keys, keys[::-1])]
     (forward, left_fwd, conflict_fwd), (backward, left_bwd, conflict_bwd) = runs
     assert (conflict_fwd is None) == (conflict_bwd is None)
     if conflict_fwd is None:

@@ -296,3 +296,39 @@ def test_shared_tables_keep_nothing_of_a_solve():
     assert held() == []
     assert outcome("rank3-040", lambda name: _rank3((0, 4, 0), th)) == PINNED["rank3-040"]
     assert held() == []
+
+
+@pytest.mark.parametrize("name", ["open-D6-A2", "genus1-D6-A2-phi3", "genus1-D7-A2-vphi"])
+def test_fixed_tables_take_in_their_parts_at_weight_one(name, monkeypatch):
+    """A table of a fixed series (the Hessians of F0, the tables of F0o and
+    the unit) has every part from the start: the engine refreshes it once,
+    at weight 1, where it takes in all its parts.  A fed table, one that
+    stands for the potential under solution, is refreshed at later weights
+    too.  The solve's values and `free` list stay pinned."""
+    solves, calls = [], []  # each solve's slice list; (table, weight, new parts, all parts)
+    real_reset, real_refresh = genus0._Table.reset, genus0._Table.refresh
+
+    def reset(self, solved):
+        if not solves or solves[-1] is not solved:
+            solves.append(solved)
+        real_reset(self, solved)
+
+    def refresh(self):
+        weight = len(solves[-1])  # the slices so far: the seed and weights 1 .. w - 1
+        new = real_refresh(self)
+        calls.append((self, weight, new, sorted(self.nonzero)))
+        return new
+
+    monkeypatch.setattr(genus0._Table, "reset", reset)
+    monkeypatch.setattr(genus0._Table, "refresh", refresh)
+    if name.startswith("open"):
+        th, _f0, result = _open.__wrapped__(1, 6, 2)  # solved afresh, under the spies
+        assert outcome(name, lambda _name: (th, result.series, result.free)) == PINNED[name]
+    else:
+        assert outcome(name) == PINNED[name]
+    fixed = [call for call in calls if call[0].series is not None]
+    fed = [call for call in calls if call[0].series is None]
+    assert fixed and any(new for _t, _w, new, _all in fixed)
+    assert all(weight == 1 and new == parts for _t, weight, new, parts in fixed)
+    assert len(fixed) == len({id(t) for t, *_ in fixed})  # once per solve
+    assert max(weight for _t, weight, *_ in fed) > 1
