@@ -228,11 +228,9 @@ class SparseSeries:
     kind_names: dict[int, str]
     kind_codes: dict[str, int]
 
-    def __init__(self, terms: Mapping[TermKey, Fraction], trunc,
-                 rel: int | None = None, _checked: bool = False):
-        """The value of (eps power, monomial) -> coefficient terms.  Unless
-        `_checked` vouches that every term is in range, terms past the eps,
-        degree or reliable-degree bound are dropped."""
+    def __init__(self, terms: Mapping[TermKey, Fraction], trunc, rel: int | None = None):
+        """The value of (eps power, monomial) -> coefficient terms; terms past
+        the eps, degree or reliable-degree bound are dropped."""
         deg_max, index_max = self.bounds(trunc)
         if rel is not None and rel > deg_max:
             raise ValueError(f"reliable degree {rel} above the degree bound {deg_max}")
@@ -242,16 +240,15 @@ class SparseSeries:
             if not coef:
                 continue
             d = self.mono_degree(mono)
-            if not _checked:
-                if eps < 0:
-                    raise ValueError("negative eps power")
-                if eps > trunc.eps_max:
-                    continue
-                if mono_max_index(mono) > index_max:
-                    raise self.overflow_error(
-                        f"{self.index_name} exceeds bound {index_max} in {mono}")
-                if d > deg_max or (rel is not None and d > rel):
-                    continue
+            if eps < 0:
+                raise ValueError("negative eps power")
+            if eps > trunc.eps_max:
+                continue
+            if mono_max_index(mono) > index_max:
+                raise self.overflow_error(
+                    f"{self.index_name} exceeds bound {index_max} in {mono}")
+            if d > deg_max or (rel is not None and d > rel):
+                continue
             parts.append((d, eps, mono, coef.numerator, coef.denominator))
         width = self.base_width(trunc)
         if self.widens:

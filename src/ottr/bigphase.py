@@ -320,7 +320,7 @@ def eval_jetpoly(p: JetPoly, sol_v: Sequence[BigSeries],
         key = (eps,)
         value = memo.get(key)
         if value is None:
-            value = memo[key] = BigSeries({(eps, ONE): Fraction(1)}, trunc, None, _checked=True)
+            value = memo[key] = BigSeries({(eps, ONE): Fraction(1)}, trunc)
         for var, exp in mono:
             kind, alpha, jet = var
             if kind == KIND_V:

@@ -3,9 +3,10 @@
 Exit codes: 0 = every checked residual is zero, 1 = some residual is
 nonzero, 2 = input, output or format problem, including an input that
 cannot be read, an output that cannot be written, a negative ``--degree`` or
-``--amax``, files of one verb with different theory blocks, and an input
-whose reliable window is too small for some check to compare any
-coefficient (a report then ends ``# overall: VACUOUS``, and ``compare``
+``--amax``, files of one verb with different theory blocks, an input whose
+reliable window is too small for some check to compare any coefficient, and
+a check with no relation in its window, such as ``check-genus1`` at
+``--amax 0`` (a report then ends ``# overall: VACUOUS``, and ``compare``
 prints a ``vacuous`` line), 3 = internal inconsistency such as a solver
 contradiction, 141 = standard output was closed early
 (``ottr ... | head -1``); the rest of the output is dropped without a

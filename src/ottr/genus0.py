@@ -11,7 +11,7 @@ kept with it (`spec_sum`).  Only the dilaton
 equations and the boundary normalization are written out by hand.  Every
 residual is exact, and a pass means literal zero on a reliable window.  A
 negative window compares no coefficient: its entry, and a report without a
-nonzero entry, is vacuous.
+nonzero entry, is vacuous, and so is a report with no entry at all.
 
 The solvers extend a small-phase-space seed by marching in descendent weight.
 Each is a list of row families run by one engine, `_march`, which keeps the
@@ -112,7 +112,11 @@ class ResidualEntry:
     equation: str
     indices: tuple
     residual: BigSeries
-    window: int | None
+
+    @property
+    def window(self) -> int | None:
+        """The degree window the entry checked: its residual's rel."""
+        return self.residual.rel
 
     @property
     def is_zero(self) -> bool:
@@ -125,7 +129,7 @@ class ResidualReport:
     checked: dict[str, str] = field(default_factory=dict)
 
     def add(self, equation: str, indices: tuple, residual: BigSeries) -> None:
-        self.entries.append(ResidualEntry(equation, indices, residual, residual.rel))
+        self.entries.append(ResidualEntry(equation, indices, residual))
 
     def add_rows(self, families: list["_Rows"], f: BigSeries) -> None:
         """One entry per row family: its residual at f, under its label."""
@@ -140,10 +144,10 @@ class ResidualReport:
 
     @property
     def verdict(self) -> str:
-        """FAIL on a nonzero residual, else VACUOUS on an empty window, else PASS."""
+        """FAIL on a nonzero residual, else VACUOUS if no entry checked a window, else PASS."""
         statuses = {entry_status(e.is_zero, e.window) for e in self.entries}
         return ("FAIL" if "nonzero" in statuses
-                else "VACUOUS" if "vacuous" in statuses else "PASS")
+                else "VACUOUS" if "vacuous" in statuses or not statuses else "PASS")
 
     def failures(self) -> list[ResidualEntry]:
         return [e for e in self.entries if not e.is_zero]
@@ -383,15 +387,14 @@ def _seed_coeffs(seed: JetPoly, theory: TheoryData, *, allow_phi: bool
 
 _ID = [((), 1)]  # the spec of a table that holds a series as it is
 
-Spec = tuple[tuple[BigVar, ...], Fraction | int]  # (variables, scale)
+Spec = tuple[tuple[BigVar, ...], Fraction | int]  # (variables, scale); `_specs` sorts them
 
 
-def _spec_monomials(specs: Sequence[Spec]) -> tuple[tuple[BigMonomial, Fraction | int], ...]:
-    """(variables, scale) specs as (monomial, scale), dropping zero scales and
-    keeping an integral scale as an int, so a memo key holding the specs
-    hashes no `Fraction`."""
-    return tuple([(mono_from_factors((var, 1) for var in dvars),
-                   scale if type(scale) is int
+def _specs(specs: Sequence[Spec]) -> tuple[Spec, ...]:
+    """The specs with their variables sorted, zero scales dropped and an
+    integral scale kept as an int, so a memo key holding them hashes no
+    `Fraction`."""
+    return tuple([(tuple(sorted(dvars)), scale if type(scale) is int
                    else scale.numerator if scale.denominator == 1 else scale)
                   for dvars, scale in specs if scale])
 
@@ -426,16 +429,15 @@ def _grade_slices(series: BigSeries, grading: Sequence[tuple[int, int]], drop: i
     return slices
 
 
-def spec_sum(series: BigSeries, specs: tuple[tuple[BigMonomial, Fraction | int], ...]
-             ) -> BigSeries:
-    """sum_spec scale * d^k series / d(spec monomial), computed once per value."""
+def spec_sum(series: BigSeries, specs: tuple[Spec, ...]) -> BigSeries:
+    """sum_spec scale * d^k series / d(spec vars), computed once per value."""
     return series.derived(("spec", specs), _spec_sum, specs)
 
 
-def _spec_sum(series: BigSeries, specs) -> BigSeries:
+def _spec_sum(series: BigSeries, specs: tuple[Spec, ...]) -> BigSeries:
     terms = []
-    for d, scale in specs:
-        term = derivative(series, *(var for var, exp in d for _ in range(exp)))
+    for dvars, scale in specs:
+        term = derivative(series, *dvars)
         terms.append(term * scale if scale != 1 else term)
     return sum(terms[1:], terms[0])
 
@@ -447,42 +449,40 @@ class _Table:
     weight) slice of its source: the eps-free `_grade_slices` of the series
     by weight, kept with the series, for a table built from a series, and the
     engine's solved slices for a fed table, one built without, which stands
-    for the potential under solution or test.  Every spec has the table weight,
-    read off its first variable tuple.  A slice never changes once present,
-    so from its `reset` at the start of a solve the table keeps each nonzero
-    part itself (`nonzero`, by weight) and its least degree (`low`), until
-    its `release` at the end.
+    for the potential under solution or test.  Every spec has the table
+    weight, read off its first variable tuple.  A table holds no solve's
+    state: a solve keeps the table's parts in a `_Parts` of its own.
     """
 
     def __init__(self, specs: Sequence[Spec], series: BigSeries | None = None):
-        self.specs = _spec_monomials(specs)
+        self.specs = _specs(specs)
         self.weight = sum(var[2] for var in specs[0][0])
         self.series = series
-        self.release()  # no solve taken in yet
 
-    def reset(self, solved: list[BigSeries]) -> None:
-        """Start on the slices of a new solve, none of them taken in."""
-        series = self.series
+
+class _Parts:
+    """A table's nonzero parts in one solve, by weight (`nonzero`), and their least
+    degrees (`low`).  A slice never changes once present, so each is taken in once."""
+
+    def __init__(self, table: _Table, solved: list[BigSeries]):
+        series = table.series
+        self.table = table
         self.slices = solved if series is None else series.derived(
             ("weight_slices",), _grade_slices, _weight_grading(series.layout),
             series.layout.eps_mask)
-        self.seen, self.nonzero, self.low = self.weight, {}, {}
-
-    def release(self) -> None:
-        """Let go of the slices and parts of the solve that ended."""
-        self.slices = self.nonzero = self.low = None
+        self.seen, self.nonzero, self.low = table.weight, {}, {}
 
     def refresh(self) -> list[int]:
         """Take in the slices present since the last call; returns the
         weights of the new nonzero parts.  A table built from a series has
-        its slices from `reset`, so its first call takes in every part."""
-        slices = self.slices
+        every slice from the start, so the first call takes in every part."""
+        slices, weight, specs = self.slices, self.table.weight, self.table.specs
         new = []
         for s in range(self.seen, len(slices)):
-            part = slices[s] if slices[s].is_zero() else _spec_sum(slices[s], self.specs)
+            part = slices[s] if slices[s].is_zero() else _spec_sum(slices[s], specs)
             if not part.is_zero():
-                self.nonzero[s - self.weight], self.low[s - self.weight] = part, part.min_degree()
-                new.append(s - self.weight)
+                self.nonzero[s - weight], self.low[s - weight] = part, part.min_degree()
+                new.append(s - weight)
         self.seen = max(self.seen, len(slices))
         return new
 
@@ -491,7 +491,7 @@ class _Rows:
     """One row family: sum_spec scale * d^k F / d(spec vars) = rhs, one row per mu.
 
     The row at mu is labelled label + (mu,).  Its unknowns are mu times each
-    spec monomial, all of one degree (`arity`) and weight (`offset`); its
+    spec's variables, all of one degree (`arity`) and weight (`offset`); its
     right-hand side is the sum of the table `products` at mu.
     """
 
@@ -499,19 +499,19 @@ class _Rows:
                  products: list[tuple[_Table, _Table]]):
         self.label = label
         self.products = products
-        self.specs = _spec_monomials(specs)
+        self.specs = _specs(specs)
         self.offset = sum(var[2] for var in specs[0][0])
         self.arity = len(specs[0][0])
 
-    def rhs(self, weight: int, start: BigSeries) -> BigSeries:
+    def rhs(self, weight: int, start: BigSeries, parts: dict[_Table, _Parts]) -> BigSeries:
         """The right-hand sides of the rows whose unknowns have this weight, as
         one series in mu: one `dot` over the pairs of the tables' nonzero
-        parts onto start, the zero of rel cap - arity, which cuts them there."""
+        `parts` onto start, the zero of rel cap - arity, which cuts them there."""
         w = weight - self.offset
         pairs = []
         for a, b in self.products:
-            right = b.nonzero
-            pairs += [(part, right[w - w1], 1) for w1, part in a.nonzero.items()
+            right = parts[b].nonzero
+            pairs += [(part, right[w - w1], 1) for w1, part in parts[a].nonzero.items()
                       if w - w1 in right]
         return dot(start, pairs)
 
@@ -630,14 +630,12 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
     A family's right-hand sides at a weight are nonzero only if two nonzero
     parts of one of its products sum to that weight less the family's
     offset, and their lowest degrees to at most cap - arity, the degree its
-    right-hand sides are cut at.  Every table is reset first and refreshed
-    at weight 1, where a table built from a series takes in all its parts;
-    after that only the fed tables are refreshed, at each weight after a
-    nonzero slice.  Each new part marks the families it makes due with the
-    parts its partner has, so only those are evaluated.  A conflict raises
-    `NoSolutionError` with its weight.  The tables are shared by the solves
-    of a theory object, so each is released when the solve returns or
-    raises.
+    right-hand sides are cut at.  The solve keeps each table's parts in a
+    `_Parts` of its own.  Every table takes in its parts at weight 1, a table
+    built from a series all of them; after that only the fed tables do, at
+    each weight after a nonzero slice.  Each new part marks the families it
+    makes due with the parts its partner has, so only those are evaluated.
+    A conflict raises `NoSolutionError` with its weight.
 
     A row is (family, key of mu), its right-hand side the integer pair
     (numerator, den) read off the stored rows, and its unknowns are mu plus
@@ -649,20 +647,21 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
     """
     solved = [BigSeries.from_coeffs(seed, trunc, rel=cap)]
     layout, mask = solved[0].layout, solved[0].layout.mask
-    # each family's specs as (key, scale, (field shift, exponent) per factor),
+    # each family's specs as (key, scale, (field shift, exponent) per field),
     # and an index of them by the field of their top-level factor
     packed: list[list[tuple[int, Fraction | int, list[tuple[int, int]]]]] = []
     index: dict[int, list[tuple[int, int, list[tuple[int, int]]]]] = {}
     for i, fam in enumerate(families):
         packed.append([])
-        for d, scale in fam.specs:
-            fields, key, level = [], 0, -1
-            for var, exp in d:
+        for dvars, scale in fam.specs:
+            exps, key, level = {}, 0, -1  # repeated variables counted per field
+            for var in dvars:
                 s = layout[var]
-                fields.append((s, exp))
-                key += exp << s
+                exps[s] = exps.get(s, 0) + 1
+                key += 1 << s
                 if var[2] > level:  # the first factor of the top level
                     level, top = var[2], s
+            fields = list(exps.items())
             packed[i].append((key, scale, fields))
             index.setdefault(top, []).append((i, key, fields))
 
@@ -692,15 +691,18 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
                 structural.setdefault(weight, []).append(
                     mono_from_factors((var, 1) for var in combo))
 
-    # each table with the families it feeds and its partner in their product
-    feeds: dict[_Table, list[tuple[int, _Table]]] = {}
+    # each table's parts in this solve, and the families they feed with the
+    # partner's parts there: held here, since parts holding parts form cycles
+    parts: dict[_Table, _Parts] = {}
+    feeds: dict[_Parts, list[tuple[int, _Parts]]] = {}
     for i, fam in enumerate(families):
         for a, b in fam.products:
-            feeds.setdefault(a, []).append((i, b))
-            feeds.setdefault(b, []).append((i, a))
-    for table in feeds:  # the families of a theory are shared by its solves
-        table.reset(solved)
-    fed = [(table, users) for table, users in feeds.items() if table.series is None]
+            for t in (a, b):
+                if t not in parts:
+                    parts[t] = _Parts(t, solved)
+            feeds.setdefault(parts[a], []).append((i, parts[b]))
+            feeds.setdefault(parts[b], []).append((i, parts[a]))
+    fed = [(own, users) for own, users in feeds.items() if own.table.series is None]
     due: dict[int, set[int]] = defaultdict(set)  # weight -> families to evaluate
     # the start of each arity's right-hand sides: the zero that cuts them
     starts = {arity: BigSeries.zero(trunc, cap - arity)
@@ -712,18 +714,18 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
         for w in range(1, cap * trunc.level_max + 1):
             # every table takes in its parts so far at weight 1; after that only
             # a fed table gains one, from the slice solved last if it is nonzero
-            for table, users in (feeds.items() if w == 1 else
-                                 fed if not solved[-1].is_zero() else ()):
-                for j in table.refresh():
+            for own, users in (feeds.items() if w == 1 else
+                               fed if not solved[-1].is_zero() else ()):
+                for j in own.refresh():
                     for i, partner in users:
-                        room = cap - families[i].arity - table.low[j]  # the partner's degree
+                        room = cap - families[i].arity - own.low[j]  # the partner's degree
                         for k, low in partner.low.items():
                             if low <= room:
                                 due[j + k + families[i].offset].add(i)
             # row -> right-hand side (numerator, den); (family, mu, degree of mu)
             active, todo = {}, []
             for i in due.pop(w, ()):
-                rhs = families[i].rhs(w, starts[families[i].arity])
+                rhs = families[i].rhs(w, starts[families[i].arity], parts)
                 for d, row in enumerate(rhs.rows):
                     for mu, n in row.items():
                         active[i, mu] = n, rhs.den
@@ -770,9 +772,6 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
     except NoSolutionError as err:
         err.weight = w
         raise
-    finally:  # the shared tables keep no slice or part of this solve
-        for table in feeds:
-            table.release()
 
 
 def _from_values(layout, values: dict, degrees: dict, rel: int) -> BigSeries:
@@ -818,7 +817,7 @@ def _closed_families(theory: TheoryData) -> list[_Rows]:
 
     Every table stands for the potential F0 under solution or test.  The
     list is built once per theory object and kept in its `memo`, so the
-    object's solves and validations share it; `_march` resets its tables.
+    object's solves and validations share it; it holds no solve's state.
     """
     if "closed_families" in theory.memo:
         return theory.memo["closed_families"]

@@ -36,7 +36,7 @@ from .genus0 import (
     _hessian_specs,
     _march,
     _seed_coeffs,
-    _spec_monomials,
+    _specs,
     spec_sum,
 )
 
@@ -174,7 +174,7 @@ def f1_closed_form(f0: BigSeries, g: JetPoly, theory: TheoryData) -> BigSeries:
     matrix eta^{alpha mu} d^3F0/dt11_0 dt{mu}_0 dt{beta}_0 plus the initial
     function evaluated along the solution."""
     nus = range(1, theory.n + 1)
-    raised = [[spec_sum(f0, _spec_monomials(
+    raised = [[spec_sum(f0, _specs(
         [((t_var(g, 0), t_var(mu, 0), t_var(beta, 0)), a * theory.eta_inv[alpha - 1][mu - 1])
          for g, a in enumerate(theory.avec, 1) for mu in nus])) for beta in nus]
         for alpha in nus]

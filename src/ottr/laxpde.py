@@ -292,10 +292,10 @@ class EvolutionSystem:
         The first-order system is linear in f1o, so the change is
         d(mono)/d(flow) - sum_i i b_i X(mono) over the b_i of the flow's
         eps^1 form; the first flow with a nonzero change is returned (zero
-        series if none).
+        series if none, as for a monomial past the degree window).
         """
         tr = self.theory.trunc
-        m_series = BigSeries({(0, mono): Fraction(1)}, tr, None, _checked=True)
+        m_series = BigSeries({(0, mono): Fraction(1)}, tr)
         xm = t11_partial(m_series, 0, self.theory)
         last = BigSeries.zero(tr)
         for label in sorted(self.ops):

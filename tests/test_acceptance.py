@@ -197,7 +197,7 @@ def test_criterion_10_infrastructure(f0, theory8, tmp_path):
     back, theory_back = parse(text)
     ok = emit(back, theory_back) == text
     shuffled = BigSeries(dict(reversed(list(f0.terms.items()))), theory8.trunc,
-                         f0.rel, _checked=True)
+                         f0.rel)
     ok = ok and emit(shuffled, theory8) == text
 
     gen = ["gen-example", "open-rank1", "--degree", "5", "--amax", "1"]

@@ -196,9 +196,8 @@ def test_no_zero_coefficients_stored():
     assert p.terms == {}
 
 
-@pytest.mark.parametrize("checked", [False, True])
-def test_reliable_degree_above_dv_rejected(checked):
+def test_reliable_degree_above_dv_rejected():
     """A jet polynomial's rel is bounded by Dv, its degree bound."""
-    assert JetPoly({}, TR, rel=8, _checked=checked).rel == 8
+    assert JetPoly({}, TR, rel=8).rel == 8
     with pytest.raises(ValueError, match="above the degree bound 8"):
-        JetPoly({}, TR, rel=9, _checked=checked)
+        JetPoly({}, TR, rel=9)

@@ -143,13 +143,13 @@ def _power_sum_log(f):
     for k in range(1, top + 1):
         power = power * x
         out = out + power * Fraction((-1) ** (k + 1), k)
-    return BigSeries(out.terms, f.trunc, f.rel, _checked=True)
+    return BigSeries(out.terms, f.trunc, f.rel)
 
 
 def _euler(f):
     """E(f): each term times its degree."""
     return BigSeries({(e, m): c * mono_degree(m) for (e, m), c in f.terms.items() if m},
-                     f.trunc, f.rel, _checked=True)
+                     f.trunc, f.rel)
 
 
 @st.composite
@@ -290,13 +290,12 @@ def test_partials_commute(f):
     assert partial(partial(f, x), y) == partial(partial(f, y), x)
 
 
-@pytest.mark.parametrize("checked", [False, True])
-def test_reliable_degree_above_bound_rejected(checked):
+def test_reliable_degree_above_bound_rejected():
     """rel may not exceed Dt: no stored coefficient can vouch beyond it."""
     tr = Truncation.of(6, 2)
-    assert BigSeries({}, tr, rel=6, _checked=checked).rel == 6
+    assert BigSeries({}, tr, rel=6).rel == 6
     with pytest.raises(ValueError, match="above the degree bound 6"):
-        BigSeries({}, tr, rel=99, _checked=checked)
+        BigSeries({}, tr, rel=99)
 
 
 def test_product_reliable_degree_capped_at_bound():

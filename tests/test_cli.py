@@ -90,6 +90,29 @@ def test_negative_windows_are_vacuous_not_pass(verb, nfiles, tmp_path, capsys):
     assert emit(*parse(text)) == text
 
 
+@pytest.mark.parametrize("sector", ["open", "closed"])
+def test_check_genus1_with_no_relation_is_vacuous_not_pass(sector, tmp_path, capsys):
+    """At level bound 0 no genus-1 recursion relation is in the window: the
+    report has no entry, so nothing was checked.  Its file holds the range
+    lines only, as before."""
+    assert main(["gen-example", "genus1-rank1", "--degree", "4", "--amax", "0",
+                 "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    files = {"open": ["--f0o", "f0o.ottr", "--f1o", "f1o.ottr"], "closed": ["--f1", "f1.ottr"]}
+    argv = [str(tmp_path / a) if a.endswith(".ottr") else a for a in files[sector]]
+    report = tmp_path / "report.ottr"
+    code = main(["check-genus1", "--f0", str(tmp_path / "f0.ottr"), *argv,
+                 "--out", str(report)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert out.rstrip().endswith("# overall: VACUOUS") and "PASS" not in out
+    text = report.read_text()
+    assert text.splitlines()[2] == "kind report" and "status=" not in text
+    assert [line.split()[0] for line in text.splitlines()[3:]] == ["range"] * (
+        2 if sector == "open" else 1) + ["end"]
+    assert emit(*parse(text)) == text
+
+
 def test_window_zero_still_compares_coefficients(tmp_path, capsys):
     """A window of 0 is not vacuous: the constant term of a third derivative
     is a degree-3 coefficient, so an extra t1_0^2 t1_1 breaks trr0 there."""

@@ -2,11 +2,13 @@
 
 Every `_Table` and `_Rows` that the family builders and the closed validator
 make is checked against a reference made here with `mono_from_factors`: its
-spec monomials and scales, its weight (a table) or offset and arity (a
-family).  The whole family lists, labels and table sharing included, are
-pinned by digests recorded with the earlier builders, which passed every
-scale as a `Fraction` and read weight and arity off the monomial.  The solver's structural free monomials, the ones no
-row contains, are checked against a reference search over monomials.
+specs, each mapped to (monomial, scale), its weight (a table) or offset and
+arity (a family).  The whole family lists, labels and table sharing
+included, are pinned by digests recorded with earlier builders, which kept
+each spec as a monomial, passed every scale as a `Fraction` and read weight
+and arity off the monomial; the digests hash the specs mapped to monomials.
+The solver's structural free monomials, the ones no row contains, are
+checked against a reference search over monomials.
 """
 
 import hashlib
@@ -63,6 +65,12 @@ def mono_weight(m) -> int:
     return sum(level * exp for (_kind, _alpha, level), exp in m)
 
 
+def _monomials(specs) -> tuple:
+    """Built specs, (sorted variables, scale), as (monomial, scale)."""
+    return tuple((mono_from_factors((var, 1) for var in dvars), scale)
+                 for dvars, scale in specs)
+
+
 def _reference_specs(specs) -> tuple:
     """The specs as the builders made them through `mono_from_factors`."""
     return tuple((mono_from_factors((var, 1) for var in dvars),
@@ -77,10 +85,10 @@ def _describe(families, shared: bool) -> str:
     index: dict = {}
 
     def table(t):
-        body = (t.specs, t.weight, t.series is None)
+        body = (_monomials(t.specs), t.weight, t.series is None)
         return (index.setdefault(t, len(index)), body) if shared else body
 
-    return repr([(f.label, f.specs, f.offset, f.arity,
+    return repr([(f.label, _monomials(f.specs), f.offset, f.arity,
                   [(table(a), table(b)) for a, b in f.products]) for f in families])
 
 
@@ -122,7 +130,7 @@ def test_every_table_and_family_matches_the_reference(name, monkeypatch):
     assert len(built) > 100
     for obj, specs in built:
         reference = _reference_specs(specs)
-        assert obj.specs == reference
+        assert _monomials(obj.specs) == reference
         first = reference[0][0]
         if isinstance(obj, genus0._Rows):
             assert (obj.offset, obj.arity) == (mono_weight(first), mono_degree(first))
@@ -138,10 +146,11 @@ def test_repeated_variables_give_exponent_two():
     families = {f.label: f for f in _closed_families(th)}
     t20 = t_var(2, 0)
     trr = families["trr0", (1, 0, 2, 0, 2, 0)]
-    assert trr.specs == ((((t_var(1, 1), 1), (t20, 2)), 1),)
+    assert trr.specs == (((t_var(1, 1), t20, t20), 1),)
+    assert _monomials(trr.specs) == ((((t_var(1, 1), 1), (t20, 2)), 1),)
     assert (trr.offset, trr.arity) == (1, 3)
     third = trr.products[1][1]
-    assert third.specs == ((((t20, 3),), 1),) and third.weight == 0
+    assert third.specs == (((t20, t20, t20), 1),) and third.weight == 0
 
 
 def test_two_point_shift_rows_share_their_tables():
@@ -156,8 +165,9 @@ def test_two_point_shift_rows_share_their_tables():
         for nu, (h, s) in enumerate(fam.products, 1):
             assert hess.setdefault((alpha, a, nu), h) is h
             assert second.setdefault((nu, beta, b), s) is s
-            assert h.specs == _reference_specs(genus0._hessian_specs(alpha, a, nu, th))
-            assert s.specs == _reference_specs([((t_var(nu, 0), t_var(beta, b)), 1)])
+            assert _monomials(h.specs) == _reference_specs(
+                genus0._hessian_specs(alpha, a, nu, th))
+            assert _monomials(s.specs) == _reference_specs([((t_var(nu, 0), t_var(beta, b)), 1)])
     assert len(families) == 21
     assert len({id(t) for fam in families for pair in fam.products for t in pair}) == 36
     assert (len(hess), len(second)) == (18, 18)
@@ -167,7 +177,7 @@ def _contained(mono, families) -> bool:
     """Whether some spec monomial of some family divides mono."""
     exps = dict(mono)
     return any(all(exps.get(var, 0) >= e for var, e in d)
-               for fam in families for d, _scale in fam.specs)
+               for fam in families for d, _scale in _monomials(fam.specs))
 
 
 def _structural(families, variables, cap) -> list:

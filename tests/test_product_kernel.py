@@ -70,7 +70,7 @@ def _reference_mul(p, q):
                 acc[key] = s
             else:
                 del acc[key]
-    return cls(acc, tr, rel, _checked=True)
+    return cls(acc, tr, rel)
 
 
 def _rel_min(*rels):
@@ -86,7 +86,7 @@ def _reference_sum(cls, tr, rel, signed_terms):
             acc[key] = acc.get(key, Fraction(0)) + sign * coef
     deg = cls.mono_degree
     return cls({k: c for k, c in acc.items() if c and (rel is None or deg(k[1]) <= rel)},
-               tr, rel, _checked=True)
+               tr, rel)
 
 
 def _reference_dot(start, products):
@@ -321,7 +321,7 @@ def test_int_and_fraction_scales_give_one_result(scale):
 def _through_the_constructor(layout, den, rows, rel):
     """The value of rows over den built from its reduced `Fraction` terms."""
     terms = {layout.unpack(k): Fraction(n, den) for row in rows for k, n in row.items()}
-    return layout.cls(terms, layout.trunc, rel, _checked=True)
+    return layout.cls(terms, layout.trunc, rel)
 
 
 @pytest.mark.parametrize("last, den", [(15, 30), (4, 15)])
@@ -442,12 +442,10 @@ def test_equal_truncations_share_one_truncation_object():
      JetPoly.var(vvar(1, 0), JT), JetOverflowError),
 ])
 def test_index_past_the_bound_raises_the_class_overflow_error(value, other, error):
-    """Its field would alias the next variable's, so not even a `_checked`
-    value can hold it: building one raises, while values within the bound
-    still multiply."""
-    for checked in (True, False):
-        with pytest.raises(error):
-            value(_checked=checked)
+    """Its field would alias the next variable's, so no value can hold it:
+    building one raises, while values within the bound still multiply."""
+    with pytest.raises(error):
+        value()
     assert _same(other * other, _reference_mul(other, other))
 
 

@@ -42,7 +42,7 @@ def _embed_open(f, tr):
         factors = [((0, 1, lv) if kind == 0 else (1, 0, lv), e)
                    for (kind, _a, lv), e in mono]
         acc[(eps, mono_from_factors(factors))] = coef
-    return BigSeries(acc, tr, f.rel, _checked=True)
+    return BigSeries(acc, tr, f.rel)
 
 
 @pytest.fixture(scope="module")

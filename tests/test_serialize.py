@@ -36,7 +36,7 @@ JT = TR.jet()
 def sample_series():
     t0 = BigSeries.var(t_var(1, 0), TR)
     s0 = BigSeries.var(s_var(0), TR)
-    eps = BigSeries({(1, ()): Fraction(1)}, TR, None, _checked=True)
+    eps = BigSeries({(1, ()): Fraction(1)}, TR)
     return (t0 * t0 * Fraction(-1, 6) + s0 * t0 + eps * s0 * Fraction(3, 7),
             TH)
 
@@ -270,7 +270,7 @@ def test_determinism_repeated_emission(f0, theory8):
 
 def test_determinism_under_assembly_order(f0, theory8):
     shuffled = BigSeries(dict(reversed(list(f0.terms.items()))), theory8.trunc,
-                         f0.rel, _checked=True)
+                         f0.rel)
     assert emit(shuffled, theory8) == emit(f0, theory8)
 
 

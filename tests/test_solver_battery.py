@@ -12,6 +12,7 @@ label, message and weight.  The values were recorded before the solver
 engine moved its rows to packed keys.
 """
 
+import gc
 import hashlib
 from fractions import Fraction
 from functools import cache
@@ -282,45 +283,75 @@ def test_one_theory_object_solves_again_after_a_failure(monkeypatch):
 
 
 def test_shared_tables_keep_nothing_of_a_solve():
-    """The tables of a theory object's closed families let go of the slices
-    and parts of each solve when it returns or raises."""
+    """The tables of a theory object's closed families are descriptions
+    only: after a solve that returned and one that raised, each holds its
+    specs, weight and series and nothing else.  A solve that returned leaves
+    no reference cycle behind, so its state goes when it returns."""
     th = _theory(3, 6, 2)
 
-    def held() -> list:
+    def attributes() -> set:
         tables = {t for fam in th.memo["closed_families"] for pair in fam.products
                   for t in pair}
         assert tables
-        return [x for t in tables for x in (t.slices, t.nonzero, t.low) if x is not None]
+        return {frozenset(vars(t)) for t in tables}
 
+    gc.collect()
+    gc.disable()
+    try:
+        assert outcome("rank3-040", lambda name: _rank3((0, 4, 0), th)) == PINNED["rank3-040"]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert PINNED["rank3-040"][0] == "ok"
+    assert attributes() == {frozenset({"specs", "weight", "series"})}
     assert outcome("rank3-004", lambda name: _rank3((0, 0, 4), th)) == PINNED["rank3-004"]
-    assert held() == []
+    assert PINNED["rank3-004"][0] == "error"
+    assert attributes() == {frozenset({"specs", "weight", "series"})}
+
+
+def test_a_solve_inside_another_on_the_same_theory_changes_neither(monkeypatch):
+    """A closed solve started while another closed solve on the same theory
+    object is under way, from its first row solve, returns what it returns
+    alone, and so does the solve it interrupts: the two share the theory's
+    families but no state."""
+    th = _theory(3, 6, 2)
+    inner = []
+    real = genus0._propagate
+
+    def spy(active, lhs):
+        if not inner:
+            inner.append(None)  # the inner solve's own row solves go straight through
+            inner[0] = outcome("rank3-040", lambda name: _rank3((0, 4, 0), th))
+        return real(active, lhs)
+
+    monkeypatch.setattr(genus0, "_propagate", spy)
     assert outcome("rank3-040", lambda name: _rank3((0, 4, 0), th)) == PINNED["rank3-040"]
-    assert held() == []
+    assert inner == [PINNED["rank3-040"]] and PINNED["rank3-040"][0] == "ok"
 
 
 @pytest.mark.parametrize("name", ["open-D6-A2", "genus1-D6-A2-phi3", "genus1-D7-A2-vphi"])
 def test_fixed_tables_take_in_their_parts_at_weight_one(name, monkeypatch):
     """A table of a fixed series (the Hessians of F0, the tables of F0o and
-    the unit) has every part from the start: the engine refreshes it once,
-    at weight 1, where it takes in all its parts.  A fed table, one that
-    stands for the potential under solution, is refreshed at later weights
+    the unit) has every part from the start: the engine takes in its parts
+    once, at weight 1, where it takes in all of them.  A fed table, one that
+    stands for the potential under solution, takes in parts at later weights
     too.  The solve's values and `free` list stay pinned."""
     solves, calls = [], []  # each solve's slice list; (table, weight, new parts, all parts)
-    real_reset, real_refresh = genus0._Table.reset, genus0._Table.refresh
+    real_init, real_refresh = genus0._Parts.__init__, genus0._Parts.refresh
 
-    def reset(self, solved):
+    def init(self, table, solved):
         if not solves or solves[-1] is not solved:
             solves.append(solved)
-        real_reset(self, solved)
+        real_init(self, table, solved)
 
     def refresh(self):
         weight = len(solves[-1])  # the slices so far: the seed and weights 1 .. w - 1
         new = real_refresh(self)
-        calls.append((self, weight, new, sorted(self.nonzero)))
+        calls.append((self.table, weight, new, sorted(self.nonzero)))
         return new
 
-    monkeypatch.setattr(genus0._Table, "reset", reset)
-    monkeypatch.setattr(genus0._Table, "refresh", refresh)
+    monkeypatch.setattr(genus0._Parts, "__init__", init)
+    monkeypatch.setattr(genus0._Parts, "refresh", refresh)
     if name.startswith("open"):
         th, _f0, result = _open.__wrapped__(1, 6, 2)  # solved afresh, under the spies
         assert outcome(name, lambda _name: (th, result.series, result.free)) == PINNED[name]
