@@ -54,6 +54,10 @@ A value never changes after construction, so it can keep what is derived
 from it: `SparseSeries.derived` computes each derived series (a partial
 derivative, a unit-direction derivative, a power, ...) once per value, and
 the result lives exactly as long as that value.
+
+Beside the kernel sit the jobs every layer above shares, each written once:
+the derivative sum `spec_sum` and the dense Gaussian elimination
+`_eliminate`, with its `NoSolutionError`.
 """
 
 from __future__ import annotations
@@ -342,7 +346,9 @@ class SparseSeries:
         return self.from_rows(self.layout, self.den, rows, self.rel)
 
     def cut(self, rel: int | None):
-        """The terms of degree <= rel, with reliable degree rel."""
+        """The terms of degree <= rel, with reliable degree the lesser of rel
+        and the value's own: a cut never raises rel."""
+        rel = _rel_min(self.rel, rel)
         rows = self.rows if rel is None else self.rows[:max(rel + 1, 0)]
         return self.from_rows(self.layout, self.den, rows, rel)
 
@@ -679,21 +685,10 @@ def dot(start: SparseSeries,
 
 
 def poly_eq(p: SparseSeries, q: SparseSeries, *, up_to: int | None = None) -> bool:
-    """Equality of stored terms up to the shared reliable degree."""
+    """Equality of stored terms up to the shared reliable degree and up_to."""
     if p.trunc != q.trunc:
         raise TruncationMismatchError("cannot compare across truncations")
-    window = _rel_min(_rel_min(p.rel, q.rel), up_to)
-    _, (rp, rq) = _aligned((p, q))
-    size = max(len(rp), len(rq))
-    if window is not None:
-        size = min(size, max(window + 1, 0))
-    for d in range(size):
-        x = rp[d] if d < len(rp) else {}
-        y = rq[d] if d < len(rq) else {}
-        # n/p.den == m/q.den for every key of both
-        if x.keys() != y.keys() or any(n * q.den != y[k] * p.den for k, n in x.items()):
-            return False
-    return True
+    return (p - q).cut(up_to).is_zero()
 
 
 def partial(p: SparseSeries, var: Var) -> SparseSeries:
@@ -735,6 +730,84 @@ def power(p: SparseSeries, k: int) -> SparseSeries:
 
 def _power(p: SparseSeries, k: int) -> SparseSeries:
     return power(p, k - 1) * p if k else type(p).const(1, p.trunc)
+
+
+Spec = tuple[tuple[Var, ...], Fraction | int]  # (variables, scale); `_specs` sorts them
+
+
+def _specs(specs: Iterable[Spec]) -> tuple[Spec, ...]:
+    """The specs with their variables sorted, zero scales dropped and an
+    integral scale kept as an int, so a memo key holding them hashes no
+    `Fraction`."""
+    return tuple([(tuple(sorted(dvars)), scale if type(scale) is int
+                   else scale.numerator if scale.denominator == 1 else scale)
+                  for dvars, scale in specs if scale])
+
+
+def spec_sum(p: SparseSeries, specs: tuple[Spec, ...]) -> SparseSeries:
+    """sum_spec scale * d^k p / d(spec vars), computed once per value: the
+    derivative tables of the solvers, the unit-direction derivative, and
+    the derivatives raised by the inverse metric."""
+    return p.derived(("spec", specs), _spec_sum, specs)
+
+
+def _spec_sum(p: SparseSeries, specs: tuple[Spec, ...]) -> SparseSeries:
+    terms = []
+    for dvars, scale in specs:
+        term = derivative(p, *dvars)
+        terms.append(term * scale if scale != 1 else term)
+    return sum(terms[1:], terms[0])
+
+
+# -- dense elimination ---------------------------------------------------------
+
+class NoSolutionError(Exception):
+    """The staged linear system became inconsistent.
+
+    `label` names the conflicting row.  `weight` is the descendent weight
+    whose rows conflict, set by the solver engine; it stays None when the
+    failure belongs to no weight stage.
+    """
+
+    weight: int | None = None
+
+    def __init__(self, label, message):
+        self.label = label
+        super().__init__(message)
+
+
+def _eliminate(rows) -> dict:
+    """Gaussian elimination of the rows (lhs: unknown -> `Fraction`, rhs,
+    label) in row order, pivoting on each row's least unknown: the value of
+    each pivot, every other unknown at zero.  A row that reduces to 0 = rhs
+    != 0 raises `NoSolutionError` with its label."""
+    pivots: list[tuple[object, dict, Fraction]] = []
+    for lhs, rhs, label in rows:  # fresh dicts, reduced in place
+        for pvar, plhs, prhs in pivots:
+            if pvar in lhs:
+                factor = lhs.pop(pvar)
+                for m, c in plhs.items():
+                    s = lhs.get(m, Fraction(0)) - factor * c
+                    if s:
+                        lhs[m] = s
+                    else:
+                        lhs.pop(m, None)
+                rhs -= factor * prhs
+        if not lhs:
+            if rhs:
+                raise NoSolutionError(label, f"inconsistent constraint {label}")
+            continue
+        pvar = min(lhs)
+        pcoef = lhs.pop(pvar)
+        plhs = {m: c / pcoef for m, c in lhs.items()}
+        pivots.append((pvar, plhs, rhs / pcoef))
+    assign: dict = {}
+    for pvar, plhs, prhs in reversed(pivots):
+        val = prhs
+        for m, c in plhs.items():
+            val -= c * assign.get(m, Fraction(0))
+        assign[pvar] = val
+    return assign
 
 
 # -- differential polynomials -------------------------------------------------

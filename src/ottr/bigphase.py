@@ -35,16 +35,20 @@ from .algebra import (
     JetPoly,
     JetTruncation,
     Monomial,
+    NoSolutionError,
     SparseSeries,
     Var,
+    _eliminate,
     _rel_cap,
     _rel_min,
+    _specs,
     derivative,
     dot,
     frac,
     mono_from_factors,
     partial,  # the loop behind `derivative`, re-exported under its own name
     phivar,
+    spec_sum,
     vvar,
 )
 
@@ -151,22 +155,21 @@ class BigSeries(SparseSeries):
 
 
 def invert_matrix(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a small square rational matrix by Gauss-Jordan."""
+    """Exact inverse of a small square rational matrix: column k solves
+    rows . x = e_k by the solver's elimination, which pins every unknown
+    exactly when the matrix is regular."""
     n = len(rows)
-    aug = [[frac(rows[i][j]) for j in range(n)] +
-           [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col]), None)
-        if pivot is None:
+    columns = []
+    for k in range(n):
+        try:
+            x = _eliminate([({j: frac(c) for j, c in enumerate(row) if c}, Fraction(i == k), i)
+                            for i, row in enumerate(rows)])
+        except NoSolutionError:
+            x = {}
+        if len(x) < n:
             raise ValueError("matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+        columns.append(x)
+    return tuple(tuple(x[j] for x in columns) for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -218,17 +221,9 @@ class TheoryData:
 
 
 def t11_partial(f: BigSeries, a: int, theory: TheoryData) -> BigSeries:
-    """Unit-direction derivative at level a: the A-weighted t-partials,
-    computed once per value."""
-    return f.derived(("X", a, theory.avec), _t11_partial, a, theory.avec)
-
-
-def _t11_partial(f: BigSeries, a: int, avec: tuple[Fraction, ...]) -> BigSeries:
-    out = BigSeries.zero(f.trunc, f.rel if f.rel is None else f.rel - 1)
-    for alpha, coef in enumerate(avec, start=1):
-        if coef:
-            out = out + derivative(f, t_var(alpha, a)) * coef
-    return out
+    """Unit-direction derivative at level a: the spec sum of the A-weighted
+    t-partials, computed once per value."""
+    return spec_sum(f, _specs([((t_var(g, a),), c) for g, c in enumerate(theory.avec, 1)]))
 
 
 def x_jet(f: BigSeries, k: int, theory: TheoryData) -> BigSeries:
@@ -255,14 +250,12 @@ def restrict_small(f: BigSeries, theory: TheoryData) -> JetPoly:
 
 
 def vtop(f0: BigSeries, theory: TheoryData) -> list[BigSeries]:
-    """The distinguished solution components built from a genus-0 potential,
-    computed once per value."""
-    return list(f0.derived(("vtop", theory.avec, theory.eta_inv), _vtop, theory))
-
-
-def _vtop(f0: BigSeries, theory: TheoryData) -> tuple[BigSeries, ...]:
+    """The distinguished solution components built from a genus-0 potential:
+    the eta-raised t-partials of its unit-direction derivative, each a spec
+    sum computed once per value."""
     base = t11_partial(f0, 0, theory)
-    return tuple(_t11_partial(base, 0, row) for row in theory.eta_inv)
+    return [spec_sum(base, _specs([((t_var(mu, 0),), c) for mu, c in enumerate(row, 1)]))
+            for row in theory.eta_inv]
 
 
 def phitop(f0o: BigSeries, theory: TheoryData) -> BigSeries:
@@ -341,11 +334,7 @@ def eval_jetpoly(p: JetPoly, sol_v: Sequence[BigSeries],
     # Terms of p beyond its reliable degree contribute only past that degree
     # provided the order-zero substitutes have no constant term; otherwise
     # nothing beyond the term-product window can be trusted.
-    if p.rel is None or sub_val_positive:
-        rel = _rel_cap(_rel_min(out.rel, p.rel), trunc.deg_max)
-    else:
-        rel = -1
-    return out.cut(rel)
+    return out.cut(_rel_cap(p.rel, trunc.deg_max) if p.rel is None or sub_val_positive else -1)
 
 
 def restrict_window(f: BigSeries, trunc: Truncation) -> BigSeries:

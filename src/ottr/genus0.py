@@ -7,7 +7,8 @@ tables, each spec a tuple of variables and a scale.  The family builders
 serve both the solvers and the validators.  A validator evaluates each
 family's residual on the series under test, one report entry per family;
 each partial derivative and each table value is computed once per value and
-kept with it (`spec_sum`).  Only the dilaton
+kept with it (`ottr.algebra.spec_sum`, the kernel's derivative sum, which
+also gives the unit-direction derivative and the seed check).  Only the dilaton
 equations and the boundary normalization are written out by hand.  Every
 residual is exact, and a pass means literal zero on a reliable window.  A
 negative window compares no coefficient: its entry, and a report without a
@@ -29,7 +30,9 @@ with a nonzero right-hand side, closes them under shared unknowns, and
 solves them by single-unknown propagation over the integers (`_propagate`,
 the only one), each value a reduced integer pair; monomials and `Fraction`s
 appear only for a conflict's label and an elimination's pivots, both in the
-dense row order.
+dense row order.  The elimination and `NoSolutionError` live in the kernel
+(`ottr.algebra`), where `bigphase` inverts the metric with them too; they
+are imported here under their own names.
 Every row it skips lies in a connected component whose right-hand sides all
 vanish, so it reads 0 = 0 under the zero default: skipping it changes no
 coefficient and no inconsistency report.
@@ -51,10 +54,16 @@ from .algebra import (
     KIND_PHI,
     KIND_V,
     JetPoly,
+    NoSolutionError,
+    Spec,
+    _eliminate,
+    _spec_sum,
+    _specs,
     derivative,
     dot,
     dx,
     phivar,
+    spec_sum,
     var_name,
     vvar,
 )
@@ -76,21 +85,6 @@ from .bigphase import (
 
 class SeedError(ValueError):
     """The seed violates a restriction forced by the string equation."""
-
-
-class NoSolutionError(Exception):
-    """The staged linear system became inconsistent.
-
-    `label` names the conflicting row.  `weight` is the descendent weight
-    whose rows conflict, set by the solver engine; it stays None when the
-    failure belongs to no weight stage.
-    """
-
-    weight: int | None = None
-
-    def __init__(self, label, message):
-        self.label = label
-        super().__init__(message)
 
 
 # ---------------------------------------------------------------------------
@@ -387,17 +381,6 @@ def _seed_coeffs(seed: JetPoly, theory: TheoryData, *, allow_phi: bool
 
 _ID = [((), 1)]  # the spec of a table that holds a series as it is
 
-Spec = tuple[tuple[BigVar, ...], Fraction | int]  # (variables, scale); `_specs` sorts them
-
-
-def _specs(specs: Sequence[Spec]) -> tuple[Spec, ...]:
-    """The specs with their variables sorted, zero scales dropped and an
-    integral scale kept as an int, so a memo key holding them hashes no
-    `Fraction`."""
-    return tuple([(tuple(sorted(dvars)), scale if type(scale) is int
-                   else scale.numerator if scale.denominator == 1 else scale)
-                  for dvars, scale in specs if scale])
-
 
 def _weight_grading(layout) -> list[tuple[int, int]]:
     """Descendent weight as a grading of `_grade_slices`: each positive-level
@@ -427,19 +410,6 @@ def _grade_slices(series: BigSeries, grading: Sequence[tuple[int, int]], drop: i
         rows = [part.get(d, {}) for d in range(max(part, default=-1) + 1)]
         slices.append(BigSeries.from_rows(layout, series.den, rows, series.rel))
     return slices
-
-
-def spec_sum(series: BigSeries, specs: tuple[Spec, ...]) -> BigSeries:
-    """sum_spec scale * d^k series / d(spec vars), computed once per value."""
-    return series.derived(("spec", specs), _spec_sum, specs)
-
-
-def _spec_sum(series: BigSeries, specs: tuple[Spec, ...]) -> BigSeries:
-    terms = []
-    for dvars, scale in specs:
-        term = derivative(series, *dvars)
-        terms.append(term * scale if scale != 1 else term)
-    return sum(terms[1:], terms[0])
 
 
 class _Table:
@@ -578,37 +548,6 @@ def _propagate(active: dict[tuple, tuple[int, int]], lhs: dict[tuple, dict]
             return assign, [(left[key], n, den, key) for key, (n, den) in deferred.items()], None
         pending, lhs = deferred, left
     return assign, [], None
-
-
-def _eliminate(rows) -> dict:
-    """Gaussian elimination in row order, pivoting on each row's least unknown."""
-    pivots: list[tuple[object, dict, Fraction]] = []
-    for lhs, rhs, label in rows:  # fresh dicts, reduced in place
-        for pvar, plhs, prhs in pivots:
-            if pvar in lhs:
-                factor = lhs.pop(pvar)
-                for m, c in plhs.items():
-                    s = lhs.get(m, Fraction(0)) - factor * c
-                    if s:
-                        lhs[m] = s
-                    else:
-                        lhs.pop(m, None)
-                rhs -= factor * prhs
-        if not lhs:
-            if rhs:
-                raise NoSolutionError(label, f"inconsistent constraint {label}")
-            continue
-        pvar = min(lhs)
-        pcoef = lhs.pop(pvar)
-        plhs = {m: c / pcoef for m, c in lhs.items()}
-        pivots.append((pvar, plhs, rhs / pcoef))
-    assign: dict = {}
-    for pvar, plhs, prhs in reversed(pivots):
-        val = prhs
-        for m, c in plhs.items():
-            val -= c * assign.get(m, Fraction(0))
-        assign[pvar] = val
-    return assign
 
 
 @dataclass
@@ -874,10 +813,7 @@ def _check_seed(seed: JetPoly, want: JetPoly, theory: TheoryData, equation: str,
                 must: str) -> None:
     """SeedError unless sum_g A^g d seed / dv{g}_0, the string equation on the
     small phase space, equals want."""
-    got = JetPoly.zero(seed.trunc)
-    for alpha in range(1, theory.n + 1):
-        if theory.avec[alpha - 1]:
-            got = got + derivative(seed, vvar(alpha, 0)) * theory.avec[alpha - 1]
+    got = spec_sum(seed, _specs([((vvar(g, 0),), a) for g, a in enumerate(theory.avec, 1)]))
     if got.terms != want.terms:
         raise SeedError(f"seed fails the restricted {equation} at "
                         f"{_first_mismatch(got, want)} (unit derivative must {must})")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import JetPoly, dot
+from .algebra import JetPoly, NoSolutionError, derivative, dot
 from .bigphase import (
     KIND_T,
     BigSeries,
@@ -28,7 +28,6 @@ from .bigphase import (
     vtop,
 )
 from .genus0 import (
-    NoSolutionError,
     ResidualReport,
     _ID,
     _Rows,
@@ -36,8 +35,6 @@ from .genus0 import (
     _hessian_specs,
     _march,
     _seed_coeffs,
-    _specs,
-    spec_sum,
 )
 
 
@@ -173,12 +170,8 @@ def f1_closed_form(f0: BigSeries, g: JetPoly, theory: TheoryData) -> BigSeries:
     """Closed genus-1 potential: (1/24) log det of the raised third-derivative
     matrix eta^{alpha mu} d^3F0/dt11_0 dt{mu}_0 dt{beta}_0 plus the initial
     function evaluated along the solution."""
-    nus = range(1, theory.n + 1)
-    raised = [[spec_sum(f0, _specs(
-        [((t_var(g, 0), t_var(mu, 0), t_var(beta, 0)), a * theory.eta_inv[alpha - 1][mu - 1])
-         for g, a in enumerate(theory.avec, 1) for mu in nus])) for beta in nus]
-        for alpha in nus]
-    det = _det(raised)
+    det = _det([[derivative(v, t_var(beta, 0)) for beta in range(1, theory.n + 1)]
+                for v in vtop(f0, theory)])
     if det.constant_term() != 1:
         raise ValueError("det of the raised third-derivative matrix must have "
                          "constant term 1; the closed potential is invalid")

@@ -531,11 +531,6 @@ class _Powers:
         return dot(rhs, pairs) if pairs else rhs
 
 
-def _upto(a: BigSeries, degree: int) -> BigSeries:
-    """The terms of a of degree <= degree, vouched for no further than a."""
-    return a.cut(_rel_min(a.rel, degree))
-
-
 def pst_generate(theory: TheoryData) -> PstResult:
     """Integrate the rank-1 Lax flows for the open potential of disk theory.
 
@@ -617,8 +612,7 @@ def pst_generate(theory: TheoryData) -> PstResult:
         top = max(j for _start, products in rhs_forms.values() for _a, j, _c in products)
         guards = {flow: (start.rel, [(a.rel, a.min_degree(), j) for a, j, _c in products])
                   for flow, (start, products) in rhs_forms.items()}
-        rhs_forms = {flow: (_upto(start, cap - 1),
-                            [(_upto(a, cap - 1), j, c) for a, j, c in products])
+        rhs_forms = {flow: (start.cut(cap - 1), [(a.cut(cap - 1), j, c) for a, j, c in products])
                      for flow, (start, products) in rhs_forms.items()}
         zero = BigSeries.zero(tr_big, cap - 1)  # cuts each phase's powers at the targets' degree
         for kind, grading, drop in phases:

@@ -71,10 +71,6 @@ class ReportFile:
     entries: list[tuple[str, tuple, bool, int | None]]
     ranges: dict[str, str] = field(default_factory=dict)
 
-    @property
-    def all_zero(self) -> bool:
-        return all(zero for _, _, zero, _ in self.entries)
-
 
 def _fmt_vec(vec) -> str:
     return ",".join(map(str, vec))

@@ -17,11 +17,13 @@ from ottr.algebra import (
     JetPoly,
     JetTruncation,
     TruncationMismatchError,
+    _aligned,
     dot,
     fvar,
     mono_from_factors,
     partial,
     phivar,
+    poly_eq,
     power,
     vvar,
 )
@@ -172,6 +174,59 @@ def test_jet_products_with_high_jet_exponents(case):
         assert _same(a * b, _reference_mul(a, b))
     assert _same(dot(start, products), _reference_dot(start, products))
 
+
+def _reference_poly_eq(p, q, up_to=None):
+    """`poly_eq` as a row loop: the stored rows of both values, aligned, are
+    compared degree by degree up to the least of both rels and up_to."""
+    if p.trunc != q.trunc:
+        raise TruncationMismatchError("cannot compare across truncations")
+    window = _rel_min(p.rel, q.rel, up_to)
+    _, (rp, rq) = _aligned((p, q))
+    size = max(len(rp), len(rq))
+    if window is not None:
+        size = min(size, max(window + 1, 0))
+    for d in range(size):
+        x = rp[d] if d < len(rp) else {}
+        y = rq[d] if d < len(rq) else {}
+        if x.keys() != y.keys() or any(n * q.den != y[k] * p.den for k, n in x.items()):
+            return False
+    return True
+
+
+@st.composite
+def near_pairs(draw, values):
+    """(p, q, up_to): q is p, p plus another value, or that other value, each
+    perhaps cut lower, so equal stored terms over part of a window are common."""
+    p, other = draw(values), draw(values)
+    q = draw(st.sampled_from([p, p + other, other]))
+    p, q = (x.cut(draw(st.one_of(st.none(), st.integers(-2, 5)))) for x in (p, q))
+    return p, q, draw(st.one_of(st.none(), st.integers(-2, 6)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(ranks.flatmap(lambda n: near_pairs(big_series(n))), near_pairs(jet_polys())))
+def test_poly_eq_matches_the_reference_row_loop(case):
+    """Over both classes, operands of different field widths (jet exponents
+    up to 9 widen a `JetPoly`) and negative windows."""
+    p, q, up_to = case
+    assert poly_eq(p, q, up_to=up_to) == _reference_poly_eq(p, q, up_to)
+    assert poly_eq(q, p, up_to=up_to) == _reference_poly_eq(q, p, up_to)
+
+
+def test_poly_eq_across_truncations_raises():
+    with pytest.raises(TruncationMismatchError, match="cannot compare across truncations"):
+        poly_eq(BigSeries.zero(TR), BigSeries.zero(Truncation.of(4, 2)))
+
+
+def test_cut_never_raises_rel():
+    """A cut above a value's own rel keeps that rel; below it, it lowers it."""
+    x = BigSeries.var(t_var(1, 0), TR) + BigSeries.var(t_var(1, 1), TR) * BigSeries.var(s_var(0), TR)
+    assert x.cut(3).cut(5).rel == 3
+    assert x.cut(3).cut(None).rel == 3
+    assert x.cut(None).rel is None and x.cut(None) == x
+    low = x.cut(1)
+    assert low.rel == 1 and low.cut(4) == low and low.terms == {(0, ((t_var(1, 0), 1),)): 1}
+    assert x.cut(-2).rel == -2 and x.cut(-2).is_zero()
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

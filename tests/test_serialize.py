@@ -78,7 +78,9 @@ class TestRoundTrip:
         text = emit(report, theory8)
         back, _ = parse(text)
         assert isinstance(back, ReportFile)
-        assert back.all_zero == report.all_zero
+        assert back.entries == sorted((e.equation, tuple(e.indices), e.is_zero, e.window)
+                                      for e in report.entries)
+        assert back.ranges == report.checked
         assert emit(back, theory8) == text
 
     def test_reliable_degree_none(self):

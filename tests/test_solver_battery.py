@@ -23,6 +23,7 @@ import ottr.genus0 as genus0
 import ottr.genus1 as genus1
 from ottr.algebra import JetPoly, phivar, vvar
 from ottr.bigphase import BigSeries, TheoryData, Truncation, mono_from_factors, s_var, t_var
+from ottr.cli import main
 from ottr.genus0 import (
     NoSolutionError,
     solve_closed_order_by_order,
@@ -363,3 +364,47 @@ def test_fixed_tables_take_in_their_parts_at_weight_one(name, monkeypatch):
     assert all(weight == 1 and new == parts for _t, weight, new, parts in fixed)
     assert len(fixed) == len({id(t) for t, *_ in fixed})  # once per solve
     assert max(weight for _t, weight, *_ in fed) > 1
+
+
+def test_a_seed_the_unit_derivative_kills_reaches_the_elimination(monkeypatch):
+    """The first real input of the dense path: rank 2, eta = I, A = (1, 1),
+    D5/A2, seed (v1^3 + v2^3)/6 + v1 - v2.  At weight 1 the string rows at
+    mu = t1_1 and mu = t2_1 each keep two unknowns, so propagation stalls and
+    hands exactly those rows to `_eliminate`, once; at weight 2 propagation
+    meets the conflict 0 = -1 on the string row at mu = t1_1^2."""
+    th = _theory(2, 5, 2)
+    seed = (_jet(th, 3) + _jet(th, 0, 3)) * Fraction(1, 6) + _jet(th, 1) - _jet(th, 0, 1)
+    calls = []
+    real = genus0._eliminate
+
+    def spy(rows):
+        calls.append([(dict(lhs), rhs, label) for lhs, rhs, label in rows])
+        return real(rows)
+
+    monkeypatch.setattr(genus0, "_eliminate", spy)
+    with pytest.raises(NoSolutionError) as err:
+        solve_closed_order_by_order(seed, th)
+    t = {var: ((var, 1),) for var in (t_var(1, 1), t_var(2, 1))}
+    assert [[label for _lhs, _rhs, label in rows] for rows in calls] == [
+        [("string", t[t_var(1, 1)]), ("string", t[t_var(2, 1)])]]
+    unknowns = {m for lhs, _rhs, _label in calls[0] for m in lhs}
+    assert len(unknowns) == 4 and {sum(var[2] * e for var, e in m) for m in unknowns} == {1}
+    assert [rhs for _lhs, rhs, _label in calls[0]] == [-1, 1]
+    assert err.value.weight == 2
+    assert err.value.label == ("string", ((t_var(1, 1), 2),))
+    assert str(err.value).endswith(": 0 = -1")
+
+
+def test_a_singular_metric_is_an_input_error(tmp_path, capsys):
+    """eta is inverted once per theory; a singular eta raises, and a file
+    that declares one is an input error of every verb that reads it."""
+    tr = Truncation.of(5, 2)
+    with pytest.raises(ValueError, match="^matrix is singular$"):
+        TheoryData.build(2, [[1, 1], [1, 1]], [1, 1], tr)
+    th = _theory(2, 5, 2)
+    text = emit(BigSeries.var(t_var(1, 0), tr), th)
+    path = tmp_path / "f0.ottr"
+    path.write_text(text.replace("eta=1,0;0,1", "eta=1,1;1,1", 1))
+    assert "eta=1,1;1,1" in path.read_text()
+    assert main(["validate-genus0", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: line 2, col 1: matrix is singular\n"

@@ -43,3 +43,29 @@ def test_each_module_imports_alone(module):
     proc = subprocess.run([sys.executable, "-c", f"import ottr.{module}"],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+LAYERS = ["algebra", "bigphase", "genus0", "genus1", "laxpde", "serialize", "cli"]
+
+
+def test_each_module_imports_only_layers_below_it():
+    """The modules form one stack, algebra < bigphase < genus0 < genus1 <
+    laxpde < serialize < cli: each imports from the package only modules
+    below it, so a shared job (say, the dense elimination) lives in the
+    lowest module that needs it."""
+    assert sorted(LAYERS) == MODULES
+    upward = []
+    for module in LAYERS:
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                names = [node.module] if node.module else [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ottr"):
+                names = [node.module.partition(".")[2] or "?"]
+            elif isinstance(node, ast.Import):
+                names = [a.name.partition(".")[2] for a in node.names if a.name.startswith("ottr")]
+            else:
+                continue
+            upward += [f"{module} imports {name}" for name in names
+                       if name not in LAYERS[:LAYERS.index(module)]]
+    assert upward == []
