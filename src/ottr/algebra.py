@@ -16,15 +16,16 @@ of two factors; then one exponent field per kind and index for the kinds
 with alpha 0 (``s``, or ``phi`` then ``f``); then, on top, one field per
 ``(alpha, index)`` of kind 0 (``t``/``v``), so the rank needs no bound.  A
 monomial product is a sum of keys, a partial derivative subtracts one unit
-from a field, and an eps shift adds to the lowest one.  The layout depends
-on the class and the truncation alone.  Every variable of a `BigSeries`
-counts toward its degree and no product above the degree bound is kept, so
-no exponent exceeds the bound and one field width serves every value.  A
-`JetPoly`'s jet order >= 1 exponents have no bound, so its fields carry a
-guard bit (Monagan & Pearce, CASC 2007): stored exponents stay below half a
-field, a sum of two keys never carries into the next field, and a result
-that sets a guard bit is moved to a wider layout.  Each `JetPoly` takes the
-narrowest width that fits it, so its stored form stays canonical.
+from a field, and an eps shift adds to the lowest one.  There is one layout
+per class and truncation, at the class's `base_width`.  Every variable of a
+`BigSeries` counts toward its degree and no product above the degree bound
+is kept, so no exponent exceeds the bound.  A `JetPoly`'s jet order >= 1
+exponents have no such bound, so its fields carry a guard bit (Monagan &
+Pearce, CASC 2007): a stored exponent is at most `max_exponent` =
+2^bitlen(Dv + J) - 1 >= Dv + J, a sum of two keys never carries into the
+next field, and a result past the bound sets a guard bit and is refused:
+the constructor, `dot` and `dx` raise `JetOverflowError` naming the
+variable and the bound, and the parser refuses the piece.
 
 `terms` maps ``(eps power, monomial)`` to a nonzero `fractions.Fraction`;
 it is a read-only view unpacked from the keys once per value, for the
@@ -67,7 +68,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
 KIND_V = 0
@@ -93,7 +93,7 @@ class TruncationMismatchError(ValueError):
 
 
 class JetOverflowError(ValueError):
-    """Raised when a derivation would exceed the declared jet bound."""
+    """Raised past the declared jet bound, or past an exponent field's bound."""
 
 
 class PhiJetError(ValueError):
@@ -224,8 +224,8 @@ class SparseSeries:
     mono_degree: Callable[[Monomial], int]  # the grading of a monomial
     var_degree: Callable[[Var], int]  # the degree of one variable
     bounds: Callable[[object], tuple[int, int]]  # trunc -> (degree, index) bounds
-    base_width: Callable[[object], int]  # trunc -> the narrowest field width
-    widens: bool  # exponents may outgrow the degree bound: guarded fields
+    base_width: Callable[[object], int]  # trunc -> the field width
+    guarded: bool  # exponents are bounded by no degree: guarded fields
     overflow_error: type[ValueError]  # raised for a variable past the index bound
     index_name: str
     var_name: Callable[[Var], str]
@@ -234,8 +234,10 @@ class SparseSeries:
 
     def __init__(self, terms: Mapping[TermKey, Fraction], trunc, rel: int | None = None):
         """The value of (eps power, monomial) -> coefficient terms; terms past
-        the eps, degree or reliable-degree bound are dropped."""
+        the eps, degree or reliable-degree bound are dropped, and a kept
+        exponent past `max_exponent` raises the class's overflow error."""
         deg_max, index_max = self.bounds(trunc)
+        layout = _layout(type(self), trunc)
         if rel is not None and rel > deg_max:
             raise ValueError(f"reliable degree {rel} above the degree bound {deg_max}")
         parts = []
@@ -253,12 +255,10 @@ class SparseSeries:
                     f"{self.index_name} exceeds bound {index_max} in {mono}")
             if d > deg_max or (rel is not None and d > rel):
                 continue
+            for var, x in mono:
+                if x > layout.max_exponent:
+                    raise layout.overflow(var, x)
             parts.append((d, eps, mono, coef.numerator, coef.denominator))
-        width = self.base_width(trunc)
-        if self.widens:
-            top = max((x for _d, _e, mono, _n, _q in parts for _v, x in mono), default=0)
-            width = max(width, top.bit_length() + 1)
-        layout = _layout(type(self), trunc, width)
         den = lcm(*(q for *_, q in parts))
         rows: Rows = [{} for _ in range(max((d for d, *_ in parts), default=-1) + 1)]
         for d, eps, mono, n, q in parts:
@@ -267,15 +267,12 @@ class SparseSeries:
         self.trunc, self.rel, self._memo = layout.trunc, rel, None
 
     @staticmethod
-    def from_rows(layout: "_Layout", den: int, rows: Rows, rel: int | None,
-                  grown: bool = False):
+    def from_rows(layout: "_Layout", den: int, rows: Rows, rel: int | None):
         """The value of packed rows over den in layout, put in canonical form:
-        trailing empty rows trimmed, den reduced, and, if `grown` (a product
-        or an x-derivative may have raised an exponent) or the layout is
-        wider than the class's base, the narrowest layout that fits.  Only
-        trailing empty rows are removed from the list in place.  The gcd
-        that reduces den takes one `gcd` call per nonempty row, from degree
-        0, and stops once it is 1."""
+        trailing empty rows trimmed and den reduced.  Only trailing empty
+        rows are removed from the list in place.  The gcd that reduces den
+        takes one `gcd` call per nonempty row, from degree 0, and stops once
+        it is 1."""
         cls, trunc = layout.cls, layout.trunc
         while rows and not rows[-1]:
             rows.pop()
@@ -289,8 +286,6 @@ class SparseSeries:
             if g != 1:
                 den //= g
                 rows = [{k: n // g for k, n in row.items()} for row in rows]
-        if cls.widens and (grown or layout.width > cls.base_width(trunc)):
-            layout, rows = _fitted(layout, rows)
         p = object.__new__(cls)
         p.den, p.rows, p.layout, p.trunc, p.rel, p._memo = den, rows, layout, trunc, rel, None
         return p
@@ -299,7 +294,7 @@ class SparseSeries:
 
     @classmethod
     def zero(cls, trunc, rel: int | None = None):
-        return cls.from_rows(_layout(cls, trunc, cls.base_width(trunc)), 1, [], rel)
+        return cls.from_rows(_layout(cls, trunc), 1, [], rel)
 
     @classmethod
     def const(cls, value, trunc, rel: int | None = None):
@@ -413,11 +408,11 @@ class SparseSeries:
         if not isinstance(other, type(self)):
             return NotImplemented
         return (self.trunc == other.trunc and self.rel == other.rel and self.den == other.den
-                and self.layout is other.layout and self.rows == other.rows)
+                and self.rows == other.rows)
 
     def __hash__(self):
         return hash((self.den, tuple(frozenset(row.items()) for row in self.rows),
-                     self.layout.width, self.trunc, self.rel))
+                     self.trunc, self.rel))
 
     def __str__(self):
         if not self.rows:
@@ -469,32 +464,25 @@ def _unpacked(p: SparseSeries) -> dict[TermKey, Fraction]:
     return {unpack(k): Fraction(n, den) for row in p.rows for k, n in row.items()}
 
 
-@cache
-def _canonical(trunc):
-    """The first truncation seen equal to trunc.  Every layout holds it and
-    every value stores its layout's, so the values of equal truncations share
-    one truncation object and `dot` finds them compatible by identity."""
-    return trunc
-
-
 class _Layout(dict):
-    """The packed-key layout of one class and truncation at one field width:
-    maps each variable to the shift of its exponent field.
+    """The packed-key layout of one class and truncation, at the class's
+    `base_width`: maps each variable to the shift of its exponent field.
 
     The eps power takes the lowest field, wide enough for the eps sum of two
     factors.  Above it come the kinds with alpha 0 (``s``, or ``phi`` then
     ``f``), one field per kind and index; kind 0 (``t``/``v``) takes one field
     per ``(alpha, index)`` on top, so the rank needs no bound.  A variable past
     the class's index bound would alias the next field, so it raises the
-    class's overflow error.  A class that `widens` keeps the top bit of each
+    class's overflow error.  A `guarded` class keeps the top bit of each
     field as its guard, so no stored exponent exceeds `max_exponent`.
     """
 
-    def __init__(self, cls: type[SparseSeries], trunc, width: int):
+    def __init__(self, cls: type[SparseSeries], trunc):
         super().__init__()
-        self.cls, self.trunc, self.width = cls, _canonical(trunc), width
+        self.cls, self.trunc = cls, trunc
+        self.width = width = cls.base_width(trunc)
         self.mask = (1 << width) - 1
-        self.max_exponent = self.mask >> 1 if cls.widens else self.mask
+        self.max_exponent = self.mask >> 1 if cls.guarded else self.mask
         self.deg_max, self.index_max = cls.bounds(trunc)
         self.eps_bits = (2 * trunc.eps_max).bit_length()
         n = self.index_max + 1
@@ -543,48 +531,30 @@ class _Layout(dict):
         """The fields, so far, of the variables that keep accepts."""
         return sum(self.mask << shift for var, shift in self.items() if keep(var))
 
-    def guard(self) -> int:
-        """The top bit of every exponent field so far."""
-        return sum(1 << (shift + self.width - 1) for shift in self.values())
+    def overflow(self, var: Var, exp: int) -> ValueError:
+        """The class's overflow error for var at exponent exp, past the bound."""
+        return self.cls.overflow_error(f"exponent {exp} of {self.cls.var_name(var)} "
+                                       f"exceeds bound {self.max_exponent}")
 
-    def moved(self, rows: Rows, other: "_Layout") -> Rows:
-        """rows, keyed in this layout, keyed in other."""
-        pack, unpack = other.pack, self.unpack
-        return [{pack(*unpack(k)): n for k, n in row.items()} for row in rows]
-
-
-_layout = cache(_Layout)  # one layout per class, truncation and width
-
-
-def _fitted(layout: _Layout, rows: Rows) -> tuple[_Layout, Rows]:
-    """The narrowest layout at least the class's base width whose guard bits
-    no exponent of rows sets, and rows keyed in it."""
-    cls, trunc = layout.cls, layout.trunc
-    base = cls.base_width(trunc)
-    if layout.width == base:
-        guard = layout.guard()
-        if not any(k & guard for row in rows for k in row):
-            return layout, rows
-    top = max((x for row in rows for k in row for _v, x in layout.unpack(k)[1]), default=0)
-    wide = _layout(cls, trunc, max(base, top.bit_length() + 1))
-    return (layout, rows) if wide is layout else (wide, layout.moved(rows, wide))
+    def check_guard(self, rows: Rows) -> None:
+        """Raise `overflow` if a key of rows sets the top bit of a field,
+        which no stored exponent does."""
+        guard = sum(1 << (shift + self.width - 1) for shift in self.values())
+        for row in rows:
+            for k in row:
+                if k & guard:  # the largest exponent of k is past the bound
+                    raise self.overflow(*max(self.unpack(k)[1], key=lambda f: f[1]))
 
 
-def _aligned(values: Iterable[SparseSeries]) -> tuple[_Layout, list[Rows]]:
-    """The widest layout among values, and each value's rows keyed in it."""
-    values = list(values)
-    layout = values[0].layout
-    if all(p.layout is layout for p in values):
-        return layout, [p.rows for p in values]
-    layout = max((p.layout for p in values), key=attrgetter("width"))
-    return layout, [p.rows if p.layout is layout else p.layout.moved(p.rows, layout)
-                    for p in values]
+# One layout per class and truncation: values of equal truncations share it,
+# and with it one truncation object, so `dot` finds them compatible by identity.
+_layout = cache(_Layout)
 
 
 def _sum(a: SparseSeries, b: SparseSeries, sign: int) -> SparseSeries:
     """a + sign * b; the sum's rel is the lesser, and both are cut at it."""
     rel = _rel_min(a.rel, b.rel)
-    layout, (ra, rb) = _aligned((a, b))
+    ra, rb = a.rows, b.rows
     size = max(len(ra), len(rb))
     if rel is not None:
         size = min(size, max(rel + 1, 0))
@@ -606,7 +576,7 @@ def _sum(a: SparseSeries, b: SparseSeries, sign: int) -> SparseSeries:
             else:
                 del row[k]
         rows.append(row)
-    return SparseSeries.from_rows(layout, den, rows, rel)
+    return SparseSeries.from_rows(a.layout, den, rows, rel)
 
 
 def dot(start: SparseSeries,
@@ -622,11 +592,11 @@ def dot(start: SparseSeries,
     sum's cap) reaches, each updated through its bound `get`, and the
     accumulators are the result's rows.  The set-up costs what the live
     terms cost: `product_rel` runs only for a factor with a finite rel, the
-    lcm grows only by a denominator it does not already hold, rows are moved
-    to a wider layout only when some live factor has one (`_aligned`), and
-    each factor's rows run from its least degree to the cap, so no product
-    above it is formed.  A product key whose eps field exceeds the bound is
-    dropped.  With nothing to add or cut, the result is start."""
+    lcm grows only by a denominator it does not already hold, each operand's
+    rows are read as stored, and each factor's rows run from its least
+    degree to the cap, so no product above it is formed.  A product key
+    whose eps field exceeds the bound is dropped, and one past a guarded
+    field's bound raises.  With nothing to add or cut, the result is start."""
     tr = start.trunc
     deg_max = start.layout.deg_max
     live, rel = [], start.rel
@@ -648,7 +618,6 @@ def dot(start: SparseSeries,
         live = [p for p in live if p[3] + p[4] < size]
     if not live and rel == start.rel and len(start.rows) <= size:
         return start  # nothing to add
-    layout, (srows, *rows) = _aligned([start] + [p for a, b, *_ in live for p in (a, b)])
     den = start.den
     for a, b, c, *_ in live:
         q = a.den * b.den * c.denominator
@@ -657,8 +626,9 @@ def dot(start: SparseSeries,
     scale = den // start.den
     acc: dict[int, dict[int, int]] = {
         d: dict(row) if scale == 1 else {k: n * scale for k, n in row.items()}
-        for d, row in enumerate(srows[:size]) if row}
-    for (a, b, c, low_a, low_b), ra, rb in zip(live, rows[::2], rows[1::2]):
+        for d, row in enumerate(start.rows[:size]) if row}
+    for a, b, c, low_a, low_b in live:
+        ra, rb = a.rows, b.rows
         scale = c.numerator * (den // (a.den * b.den * c.denominator))
         for d1 in range(low_a, min(len(ra), size - low_b)):
             row = ra[d1]
@@ -677,11 +647,14 @@ def dot(start: SparseSeries,
                     for k2, n2 in r2.items():
                         k = k1 + k2
                         target[k] = get(k, 0) + n1 * n2
+    layout = start.layout
     eps_mask, eps_max = layout.eps_mask, tr.eps_max
     out = [{}] * (max(acc, default=-1) + 1)  # rows are never written, so one {} serves
     for d, row in acc.items():
         out[d] = {k: n for k, n in row.items() if n and k & eps_mask <= eps_max}
-    return SparseSeries.from_rows(layout, den, out, rel, grown=True)
+    if layout.cls.guarded:
+        layout.check_guard(out)
+    return SparseSeries.from_rows(layout, den, out, rel)
 
 
 def poly_eq(p: SparseSeries, q: SparseSeries, *, up_to: int | None = None) -> bool:
@@ -816,8 +789,9 @@ class JetPoly(SparseSeries):
     """A truncated differential polynomial with exact rational coefficients.
 
     Graded by total degree in jet-order-zero variables; the jet order is the
-    bounded index.  Its exponent fields are guarded (`widens`); the base
-    width holds exponents up to the degree bound plus the jet bound.
+    bounded index.  Its exponent fields are `guarded`: they hold exponents up
+    to `max_exponent`, at least the degree bound plus the jet bound, and an
+    exponent past it raises `JetOverflowError` (see the module docstring).
     """
 
     __slots__ = ()
@@ -836,7 +810,7 @@ class JetPoly(SparseSeries):
     def base_width(trunc) -> int:
         return (trunc.deg0_max + trunc.jet_max).bit_length() + 1
 
-    widens = True
+    guarded = True
     overflow_error = JetOverflowError
     index_name = "jet order"
     var_name = staticmethod(var_name)
@@ -854,7 +828,8 @@ class JetPoly(SparseSeries):
 
 def dx(p: JetPoly) -> JetPoly:
     """Total x-derivative: bumps one jet order per term by the Leibniz rule,
-    moving one unit of a key from a variable's field to the next jet's."""
+    moving one unit of a key from a variable's field to the next jet's; past
+    the jet or the exponent bound it raises `JetOverflowError`."""
     tr, layout = p.trunc, p.layout
     edge = layout.field_mask(lambda var: var[2] == tr.jet_max)
     if any(k & edge for row in p.rows for k in row):
@@ -878,7 +853,8 @@ def dx(p: JetPoly) -> JetPoly:
     rel = p.rel if (p.rel is None or not has_deg0) else p.rel - 1
     if rel is not None:
         rows = rows[:max(rel + 1, 0)]
-    return JetPoly.from_rows(layout, p.den, rows, rel, grown=True)
+    layout.check_guard(rows)
+    return JetPoly.from_rows(layout, p.den, rows, rel)
 
 
 def standard_degree(p: JetPoly) -> dict[int, JetPoly]:

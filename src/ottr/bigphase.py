@@ -134,7 +134,7 @@ class BigSeries(SparseSeries):
         """Every variable counts toward the degree, so no exponent exceeds it."""
         return max(trunc.deg_max.bit_length(), 1)
 
-    widens = False
+    guarded = False
     overflow_error = LevelOverflowError
     index_name = "level"
     var_name = staticmethod(big_var_name)
@@ -344,9 +344,10 @@ def restrict_window(f: BigSeries, trunc: Truncation) -> BigSeries:
         raise ValueError("windows may only shrink")
     old, new = f.layout, BigSeries.zero(trunc).layout
     high = old.field_mask(lambda var: var[2] > trunc.level_max)
-    rows = [{k: n for k, n in row.items() if not k & high and k & old.eps_mask <= trunc.eps_max}
+    rows = [{new.pack(*old.unpack(k)): n for k, n in row.items()
+             if not k & high and k & old.eps_mask <= trunc.eps_max}
             for row in f.rows[:trunc.deg_max + 1]]
-    return BigSeries.from_rows(new, f.den, old.moved(rows, new), _rel_min(f.rel, trunc.deg_max))
+    return BigSeries.from_rows(new, f.den, rows, _rel_min(f.rel, trunc.deg_max))
 
 
 def relabel_component(f: BigSeries, alpha: int, trunc: Truncation) -> BigSeries:

@@ -15,9 +15,9 @@ A series is read in one pass straight into the packed rows of its layout
 (`ottr.algebra`).  Term lines are split once and checked on their fields;
 each distinct ``kind:alpha:index:exponent`` piece and coefficient token is
 checked once per series.  A piece is kept as its key increment and its
-degree, so a term's key is its eps power plus a sum of increments; a jet
-exponent too wide for the layout moves the rows read so far to the wider
-one.  The numerators are brought to one denominator at the end, and a
+degree, so a term's key is its eps power plus a sum of increments.  A
+`JetPoly` exponent past its field bound (`max_exponent`) is refused at its
+piece.  The numerators are brought to one denominator at the end, and a
 column is computed only for a refusal.  The emitter formats each distinct
 piece once per value.
 """
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import JetPoly, SparseSeries, Var, _layout
+from .algebra import JetPoly, SparseSeries, Var, _layout, _Layout
 from .bigphase import BigSeries, TheoryData, Truncation, big_var_name
 from .genus0 import ResidualReport, entry_status, index_names
 from .laxpde import LinearDiffOp
@@ -256,9 +256,11 @@ def _parse_theory(line: str, line_no: int) -> TheoryData:
         raise ParseError(str(exc), line_no) from None
 
 
-def _check_piece(piece: str, cls: type[SparseSeries], rank: int, index_max: int):
-    """A kind:alpha:index:exponent piece as (kind, alpha, index, exponent,
-    degree); ValueError with the reason if it is refused."""
+def _check_piece(piece: str, layout: _Layout, rank: int):
+    """A kind:alpha:index:exponent piece of a series keyed in layout as
+    (kind, alpha, index, exponent, degree); ValueError with the reason if it
+    is refused."""
+    cls = layout.cls
     match = _VAR(piece)
     if match is None:
         raise ValueError(f"malformed variable {piece!r}")
@@ -273,8 +275,10 @@ def _check_piece(piece: str, cls: type[SparseSeries], rank: int, index_max: int)
         raise ValueError(f"component index {alpha} outside rank")
     if kind != 0 and alpha != 0:
         raise ValueError(f"{name}-variables carry no component index")
-    if idx > index_max:
+    if idx > layout.index_max:
         raise ValueError(f"{cls.index_name} {idx} outside truncation")
+    if cls.guarded and exp > layout.max_exponent:
+        raise layout.overflow((kind, alpha, idx), exp)
     return kind, alpha, idx, exp, cls.var_degree((kind, alpha, idx)) * exp
 
 
@@ -282,8 +286,8 @@ def _parse_series(numbered: list[tuple[int, str]], cls: type[SparseSeries],
                   trunc, rel: int | None, theory: TheoryData) -> SparseSeries:
     """A series from its term lines, read in one pass into the packed rows of
     its layout; every term is checked here."""
-    deg_max, index_max = cls.bounds(trunc)
-    layout = _layout(cls, trunc, cls.base_width(trunc))
+    layout = _layout(cls, trunc)
+    deg_max = layout.deg_max
     eps_fields = {f"eps={e}": e for e in range(trunc.eps_max + 1)}
     # Each distinct coefficient token and piece is checked once per call.  The
     # caches are local: kind codes, rank and index bound differ between
@@ -315,23 +319,16 @@ def _parse_series(numbered: list[tuple[int, str]], cls: type[SparseSeries],
             raise ParseError(f"expected vars=..., got {vars_txt!r}", line_no,
                              8 + len(coef) + len(eps_txt))
         key, degree, factors = eps, 0, []
-        prev, ordered, start = (), True, layout
+        prev, ordered = (), True
         pieces = vars_txt[5:].split(",") if vars_txt != "vars=-" else ()
         for piece in pieces:
             got = seen.get(piece)
             if got is None:
                 try:
-                    kind, alpha, idx, exp, d = _check_piece(piece, cls, theory.n, index_max)
+                    kind, alpha, idx, exp, d = _check_piece(piece, layout, theory.n)
                 except ValueError as exc:
                     raise ParseError(str(exc), line_no, len(line) - len(vars_txt) + 6 + sum(
                         len(p) + 1 for p in pieces[:pieces.index(piece)])) from None
-                if cls.widens and exp > layout.max_exponent:
-                    # the width `_fitted` would pick; the rows so far move to it
-                    wide = _layout(cls, trunc, exp.bit_length() + 1)
-                    rows = layout.moved(rows, wide)
-                    seen = {p: (pair, v, pair[1] << wide[v], dg)
-                            for p, (pair, v, _inc, dg) in seen.items()}
-                    layout = wide
                 var = (kind, alpha, idx)
                 got = seen[piece] = ((var, exp), var, exp << layout[var], d)
             pair, var, inc, d = got
@@ -340,8 +337,6 @@ def _parse_series(numbered: list[tuple[int, str]], cls: type[SparseSeries],
             factors.append(pair)
             key += inc
             degree += d
-        if layout is not start:  # widened on this line: its key so far was in the old layout
-            key = eps + sum(seen[p][2] for p in pieces)
         if not ordered:
             raise ParseError("variables not in canonical order", line_no)
         if degree > deg_max:

@@ -83,6 +83,11 @@ class TestDx:
         with pytest.raises(JetOverflowError):
             dx(V(1, 4))
 
+    def test_terms_that_cancel_are_dropped(self):
+        """dx(v1_0 v1_2 - v1_1^2 / 2) = v1_0 v1_3: the two v1_1 v1_2 terms
+        cancel."""
+        assert dx(V(1) * V(1, 2) - V(1, 1) * V(1, 1) * Fraction(1, 2)) == V(1) * V(1, 3)
+
 
 class TestJetPartial:
     def test_square(self):

@@ -17,7 +17,9 @@ from ottr.bigphase import (
     mono_from_factors,
     partial,
     phitop,
+    relabel_component,
     restrict_small,
+    restrict_window,
     s_var,
     series_log,
     t11_partial,
@@ -309,3 +311,16 @@ def test_product_reliable_degree_capped_at_bound():
 ])
 def test_invert_matrix_swaps_rows_at_a_zero_pivot(matrix, inverse):
     assert invert_matrix(matrix) == tuple(map(tuple, inverse))
+
+
+@pytest.mark.parametrize("wider", [Truncation.of(9, 3), Truncation.of(8, 4),
+                                   Truncation.of(8, 3, eps_max=3)])
+def test_restrict_window_only_shrinks(wider):
+    with pytest.raises(ValueError, match="^windows may only shrink$"):
+        restrict_window(BigSeries.var(t_var(1, 0), TR), wider)
+
+
+def test_relabel_component_refuses_an_s_series():
+    f = BigSeries.var(t_var(1, 0), TR) + BigSeries.var(s_var(0), TR)
+    with pytest.raises(ValueError, match="^only closed-sector series can be relabeled$"):
+        relabel_component(f, 2, TR)

@@ -198,6 +198,40 @@ def test_go_file_with_f_jets_rejected(fixture_dir, tmp_path, capsys, method):
     assert not out.exists()
 
 
+def _go_file(fixture_dir, path, vars_field):
+    """A jetpoly Go file with one term, in the theory of the fixtures."""
+    theory_line = (fixture_dir / "f0.ottr").read_text().splitlines()[1]
+    path.write_text(f"ottr-series-v1\n{theory_line}\nkind jetpoly rel=-\n"
+                    f"term 1 eps=0 vars={vars_field}\nend\n")
+    return str(path)
+
+
+def test_go_file_exponent_past_the_bound_is_an_input_error(fixture_dir, tmp_path, capsys):
+    """At Dv + J = 8 a jet exponent is at most 15: v1_1^16 is refused at its
+    piece, and no file is written."""
+    go = _go_file(fixture_dir, tmp_path / "go.ottr", "v:1:0:1,v:1:1:16")
+    out = tmp_path / "f1o.ottr"
+    code = main(["derive-genus1", "--f0", str(fixture_dir / "f0.ottr"),
+                 "--f0o", str(fixture_dir / "f0o.ottr"), "--go-file", go,
+                 "--method", "formula", "-o", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {go}: line 4, col 27: exponent 16 of v1_1 exceeds bound 15\n")
+    assert not out.exists()
+
+
+def test_a_product_past_the_exponent_bound_is_internal(fixture_dir, tmp_path, capsys):
+    """v1_0 v1_1^15 is at the bound, but building the operators multiplies
+    it past the bound: `JetOverflowError`, exit 3."""
+    go = _go_file(fixture_dir, tmp_path / "go.ottr", "v:1:0:1,v:1:1:15")
+    code = main(["build-operators", "--f0", str(fixture_dir / "f0.ottr"),
+                 "--f0o", str(fixture_dir / "f0o.ottr"), "--go-file", go,
+                 "--outdir", str(tmp_path / "ops")])
+    assert code == EXIT_INTERNAL
+    assert capsys.readouterr().err == (
+        "internal inconsistency: exponent 16 of v1_1 exceeds bound 15\n")
+
+
 def test_qpoly_verb(tmp_path, capsys):
     out = tmp_path / "q3.ottr"
     assert main(["qpoly", "3", "-o", str(out)]) == 0

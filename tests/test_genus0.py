@@ -81,6 +81,20 @@ class TestClosedSolver:
         with pytest.raises(SeedError):
             solve_closed_order_by_order(JetPoly.zero(JT), TH)
 
+    @pytest.mark.parametrize("extra, message", [
+        ((1, ()), "seed must be eps-free"),
+        ((0, ((vvar(1, 1), 1),)), "seed must only use jet-order-zero variables"),
+        ((0, ((vvar(2, 0), 1),)), "seed component index exceeds the rank"),
+        ((0, ((phivar(0), 1),)), "closed seed cannot involve phi"),
+    ])
+    def test_a_term_the_unit_derivative_kills_is_refused_by_the_seed_reader(
+            self, extra, message):
+        """v^3/6 plus eps, v1_1, v2_0 (at rank 1) or phi passes the string
+        check, and the seed reader refuses the extra term."""
+        seed = JetPoly({(0, ((vvar(1, 0), 3),)): Fraction(1, 6), extra: Fraction(1)}, JT)
+        with pytest.raises(SeedError, match=f"^{message}$"):
+            solve_closed_order_by_order(seed, TH)
+
     def test_idempotence(self, f0, witten_seed, theory8):
         from ottr.bigphase import restrict_small
 

@@ -11,14 +11,17 @@ both validators, ``derive-genus1 --method both`` with phi3 and vphi,
 ``compare``, ``check-genus1`` open and closed, ``build-operators --go vphi``
 and ``check-evolution``; ``gen-pst`` up to D7.  Beside the grid: one
 perturbed input per validator (exit 1), the rank-2 ``witten-n2`` fixture
-and its validation, a vacuous and a differing ``compare``, and the exit-2
-input errors.
+and its validation, a vacuous and a differing ``compare``, the exit-2
+input errors, ``derive-genus1 --method solve`` on the perturbed ``f0o``
+(exit 3), and ``derive-genus1 --method formula --go-file`` on a hand-written
+jetpoly Go of phi^3/6 and on one with a jet exponent past its bound (exit 2).
 
 Re-record after an intended output change with
 
     PYTHONPATH=src python tests/test_output_grid.py
 
-and name every entry that changed in CHANGES.md.
+which prints each key it adds, drops or changes against the committed table
+before it rewrites it; name every one of them in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -123,6 +126,18 @@ def record(root: Path) -> dict[str, list]:
     text = (root / "n2/gen/f0.ottr").read_text()
     (root / "error/eta.ottr").write_text(text.replace("eta=1,0;0,1", "eta=1,1;1,1"))
     run("error/singular", "validate-genus0", "~/error/eta.ottr")
+    run("bad/derive-solve", "derive-genus1", "--f0", f0, "--f0o", bad["f0o"], "--go", "phi3",
+        "--method", "solve", "-o", "@/f1o.ottr")
+    theory = (root / "D6A2/gen/f0.ottr").read_text().split("\n")[1]
+    go = f"ottr-series-v1\n{theory}\nkind jetpoly rel=-\nterm 1/6 eps=0 vars=phi:0:0:3\nend\n"
+    (root / "go").mkdir()
+    (root / "go/phi3.ottr").write_text(go)
+    run("go/formula", "derive-genus1", "--f0", f0, "--f0o", f0o, "--go-file", "~/go/phi3.ottr",
+        "--method", "formula", "-o", "@/f1o.ottr")
+    # a jet exponent past the bound 15 of Dv + J = 9
+    (root / "go/past.ottr").write_text(go.replace("phi:0:0:3", "phi:0:0:3,phi:0:1:16"))
+    run("go/past", "derive-genus1", "--f0", f0, "--f0o", f0o, "--go-file", "~/go/past.ottr",
+        "--method", "formula", "-o", "@/f1o.ottr")
     return table
 
 
@@ -136,8 +151,15 @@ def test_every_output_matches_the_golden_table():
 
 
 if __name__ == "__main__":
+    committed = json.loads(TABLE.read_text()) if TABLE.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         table = record(Path(tmp))
+    for what, keys in (("added", [key for key in table if key not in committed]),
+                       ("dropped", [key for key in committed if key not in table]),
+                       ("changed", [key for key in table
+                                    if key in committed and table[key] != committed[key]])):
+        for key in keys:
+            print(f"{what}: {key}")
     TABLE.write_text(json.dumps(table, indent=1) + "\n")
     codes = {}
     for value in table.values():

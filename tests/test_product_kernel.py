@@ -17,8 +17,8 @@ from ottr.algebra import (
     JetPoly,
     JetTruncation,
     TruncationMismatchError,
-    _aligned,
     dot,
+    dx,
     fvar,
     mono_from_factors,
     partial,
@@ -34,6 +34,7 @@ from monomials import mono_div_var, mono_mul
 
 TR = Truncation.of(5, 2, eps_max=2)
 JT = JetTruncation(3, 3, 2)
+JET_TOP = 7  # the exponent bound of JT: 2^bitlen(Dv + J) - 1 at Dv + J = 6
 
 
 def _valuation(p):
@@ -44,9 +45,9 @@ def _valuation(p):
     return min(lows, default=None)
 
 
-def _reference_mul(p, q):
-    """The product as a double loop over degree-sorted (degree, eps, monomial,
-    Fraction) rows, keyed by (eps, monomial tuple)."""
+def _reference_product(p, q):
+    """The terms and rel of the product, by a double loop over degree-sorted
+    (degree, eps, monomial, Fraction) rows, keyed by (eps, monomial tuple)."""
     cls, tr = type(p), p.trunc
     deg_max = cls.bounds(tr)[0]
     bounds = [r + v for r, v in ((p.rel, _valuation(q)), (q.rel, _valuation(p)))
@@ -72,7 +73,12 @@ def _reference_mul(p, q):
                 acc[key] = s
             else:
                 del acc[key]
-    return cls(acc, tr, rel)
+    return acc, rel
+
+
+def _reference_mul(p, q):
+    terms, rel = _reference_product(p, q)
+    return type(p)(terms, p.trunc, rel)
 
 
 def _rel_min(*rels):
@@ -92,16 +98,33 @@ def _reference_sum(cls, tr, rel, signed_terms):
 
 
 def _reference_dot(start, products):
-    muls = [(_reference_mul(a, b), frac_c) for a, b, frac_c in products]
-    rel = _rel_min(start.rel, *(m.rel for m, _c in muls))
+    """The sum of start and the products' terms, built as one value: a term
+    past the exponent bound raises only if the sum keeps it."""
+    muls = [(_reference_product(a, b), frac_c) for a, b, frac_c in products]
+    rel = _rel_min(start.rel, *(r for (_t, r), _c in muls))
     return _reference_sum(type(start), start.trunc, rel,
-                          [(1, start.terms)] + [(c, m.terms) for m, c in muls])
+                          [(1, start.terms)] + [(c, t) for (t, _r), c in muls])
 
 
 def _same(x, y):
     """Equal values with equal stored forms: denominator, rows and layout."""
     return (x.terms == y.terms and x.rel == y.rel and x.trunc == y.trunc
             and x.den == y.den and x.rows == y.rows and x.layout is y.layout)
+
+
+def _checked(make, reference):
+    """make(), with the stored form of reference(); None where both raise
+    `JetOverflowError`, the reference result holding an exponent past the
+    bound."""
+    try:
+        want = reference()
+    except JetOverflowError:
+        with pytest.raises(JetOverflowError, match=f"exceeds bound {JET_TOP}$"):
+            make()
+        return None
+    got = make()
+    assert _same(got, want)
+    return got
 
 
 coefs = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -160,7 +183,8 @@ jet_variables = [vvar(1, j) for j in range(4)] + [phivar(j) for j in range(2)] +
 
 @st.composite
 def jet_polys(draw):
-    factors = st.lists(st.tuples(st.sampled_from(jet_variables), st.integers(1, 9)), max_size=3)
+    factors = st.lists(st.tuples(st.sampled_from(jet_variables), st.integers(1, JET_TOP)),
+                       max_size=3, unique_by=lambda factor: factor[0])
     keys = st.tuples(st.integers(0, JT.eps_max), factors.map(mono_from_factors))
     terms = draw(st.dictionaries(keys, coefs, max_size=6))
     return JetPoly(terms, JT, draw(st.one_of(st.none(), st.integers(-1, 3))))
@@ -169,19 +193,22 @@ def jet_polys(draw):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(dot_cases(jet_polys()))
 def test_jet_products_with_high_jet_exponents(case):
+    """Factors with exponents up to the bound: a product or a dot whose
+    reference result holds an exponent past it raises."""
     start, products = case
     for a, b, _c in products:
-        assert _same(a * b, _reference_mul(a, b))
-    assert _same(dot(start, products), _reference_dot(start, products))
+        _checked(lambda: a * b, lambda: _reference_mul(a, b))
+    _checked(lambda: dot(start, products), lambda: _reference_dot(start, products))
 
 
 def _reference_poly_eq(p, q, up_to=None):
-    """`poly_eq` as a row loop: the stored rows of both values, aligned, are
-    compared degree by degree up to the least of both rels and up_to."""
+    """`poly_eq` as a row loop: the stored rows of both values, in their one
+    layout, are compared degree by degree up to the least of both rels and
+    up_to."""
     if p.trunc != q.trunc:
         raise TruncationMismatchError("cannot compare across truncations")
     window = _rel_min(p.rel, q.rel, up_to)
-    _, (rp, rq) = _aligned((p, q))
+    rp, rq = p.rows, q.rows
     size = max(len(rp), len(rq))
     if window is not None:
         size = min(size, max(window + 1, 0))
@@ -206,8 +233,8 @@ def near_pairs(draw, values):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(st.one_of(ranks.flatmap(lambda n: near_pairs(big_series(n))), near_pairs(jet_polys())))
 def test_poly_eq_matches_the_reference_row_loop(case):
-    """Over both classes, operands of different field widths (jet exponents
-    up to 9 widen a `JetPoly`) and negative windows."""
+    """Over both classes, jet exponents up to the bound and negative
+    windows."""
     p, q, up_to = case
     assert poly_eq(p, q, up_to=up_to) == _reference_poly_eq(p, q, up_to)
     assert poly_eq(q, p, up_to=up_to) == _reference_poly_eq(q, p, up_to)
@@ -233,17 +260,35 @@ def test_cut_never_raises_rel():
 @given(st.one_of(ranks.flatmap(big_series), jet_polys()))
 def test_powers_match_the_reference_chain(p):
     """power(p, 1) is p itself, with the stored form of 1 * p; each higher
-    power is the reference product of the one below with p."""
+    power is the reference product of the one below with p, or raises where
+    that product passes the exponent bound, and so do the powers above."""
     assert power(p, 1) is p
     assert _same(p, _reference_mul(type(p).const(1, p.trunc), p))
     for k in range(2, 5):
-        assert _same(power(p, k), _reference_mul(power(p, k - 1), p))
+        if _checked(lambda: power(p, k), lambda: _reference_mul(power(p, k - 1), p)) is None:
+            with pytest.raises(JetOverflowError):
+                power(p, k + 1)
+            break
 
-def test_field_width_follows_the_exponents_not_the_degree_bound():
-    v11 = JetPoly.var(vvar(1, 1), JT)
-    p9 = JetPoly({(0, ((vvar(1, 1), 9),)): Fraction(1)}, JT)
-    assert p9 * p9 == JetPoly({(0, ((vvar(1, 1), 18),)): Fraction(1)}, JT)
-    assert (p9 * v11).terms == {(0, ((vvar(1, 1), 10),)): Fraction(1)}
+
+def test_an_exponent_at_the_bound_is_kept_and_one_past_it_raises():
+    """The field width follows the degree and jet bounds, not the exponents:
+    at Dv + J = 6 every value has 4-bit fields and exponents up to 7.  An
+    exponent of 8 raises `JetOverflowError`, naming the variable and the
+    bound, in the constructor, in a product, in a dot and in `dx`."""
+    v10, v11 = JetPoly.var(vvar(1, 0), JT), JetPoly.var(vvar(1, 1), JT)
+    p4 = JetPoly({(0, ((vvar(1, 1), 4),)): Fraction(1)}, JT)
+    p7 = p4 * v11 * v11 * v11
+    assert p7.terms == {(0, ((vvar(1, 1), JET_TOP),)): Fraction(1)}
+    assert (p7.layout.width, p7.layout.max_exponent) == (4, JET_TOP)
+    assert p7.layout is v11.layout is JetPoly.zero(JT).layout
+    assert dx(v10 * p4 * v11 * v11).terms == {  # v1_0 v1_1^6 -> v1_1^7 + 6 v1_0 v1_1^5 v1_2
+        (0, ((vvar(1, 1), 7),)): 1, (0, ((vvar(1, 0), 1), (vvar(1, 1), 5), (vvar(1, 2), 1))): 6}
+    past = "exponent 8 of v1_1 exceeds bound 7"
+    for make in (lambda: JetPoly({(0, ((vvar(1, 1), 8),)): Fraction(1)}, JT),
+                 lambda: p7 * v11, lambda: dot(v10, [(p4, p4, 1)]), lambda: dx(v10 * p7)):
+        with pytest.raises(JetOverflowError, match=f"^{past}$"):
+            make()
 
 
 def test_rank3_variables_at_the_top_level():
@@ -256,13 +301,17 @@ def test_rank3_variables_at_the_top_level():
                  _reference_dot(q, [(p, q, 2), (q, q, Fraction(1, 7))]))
 
 
-def test_high_jet_exponent_widens_the_field():
-    p = (JetPoly({(0, ((vvar(1, 1), 40),)): Fraction(1, 2)}, JT)
+def test_high_jet_exponent_products_raise_past_the_bound():
+    """Products whose exponents reach the bound match the reference loop;
+    p * p, with v1_1^8, raises as its reference result does."""
+    p = (JetPoly({(0, ((vvar(1, 1), 4),)): Fraction(1, 2)}, JT)
          + JetPoly.var(vvar(1, 0), JT) * JetPoly.var(phivar(2), JT))
-    q = JetPoly({(1, ((vvar(1, 1), 39), (fvar(3), 2))): Fraction(3)}, JT) + JetPoly.var(vvar(2, 3), JT)
-    assert (p * p).coefficient(((vvar(1, 1), 80),)) == Fraction(1, 4)
-    for a, b in ((p, p), (p, q), (q, q)):
-        assert _same(a * b, _reference_mul(a, b))
+    q = JetPoly({(1, ((vvar(1, 1), 3), (fvar(3), 2))): Fraction(3)}, JT) + JetPoly.var(vvar(2, 3), JT)
+    assert (p * q).coefficient(((vvar(1, 1), JET_TOP), (fvar(3), 2))) == 0  # at eps^1
+    assert (p * q).eps_slice(1).coefficient(((vvar(1, 1), JET_TOP), (fvar(3), 2))) == Fraction(3, 2)
+    assert _checked(lambda: p * p, lambda: _reference_mul(p, p)) is None
+    for a, b in ((p, q), (q, p), (q, q)):
+        assert _checked(lambda: a * b, lambda: _reference_mul(a, b)) is not None
     assert _same(dot(q, [(p, q, -1), (q, p, 1)]), _reference_dot(q, [(p, q, -1), (q, p, 1)]))
 
 
@@ -278,10 +327,11 @@ def test_eps_sums_past_the_bound_are_dropped():
     assert _same(dot(a, [(a, b, 3), (b, b, 1)]), _reference_dot(a, [(a, b, 3), (b, b, 1)]))
 
 
-def test_one_factor_packed_at_two_widths():
-    """Small and large exponents in one call, in either order: a `BigSeries`
-    at its one width, and a `JetPoly` factor whose partners sit at two field
-    widths, with results that widen and narrow again."""
+def test_one_factor_beside_small_and_large_exponents():
+    """Small and large exponents in one call, in either order, all in the
+    one layout of their class and truncation: a `BigSeries`, and a `JetPoly`
+    factor whose partners hold exponents of 1 and 6, whose products reach
+    the bound, or pass it and raise."""
     p = BigSeries.var(t_var(1, 0), TR) + BigSeries.var(s_var(1), TR)
     q = BigSeries({(0, ((t_var(1, 1), 4),)): Fraction(1, 3)}, TR)
     zero = BigSeries.zero(TR)
@@ -290,11 +340,14 @@ def test_one_factor_packed_at_two_widths():
     assert _same(dot(p, [(p, q, 2), (q, q, -1), (p, p, 1)]),
                  _reference_dot(p, [(p, q, 2), (q, q, -1), (p, p, 1)]))
     small = JetPoly.var(vvar(1, 1), JT) + JetPoly.var(phivar(0), JT)
-    big = JetPoly({(0, ((vvar(1, 1), 40),)): Fraction(2, 3)}, JT)
+    big = JetPoly({(0, ((vvar(1, 1), 6),)): Fraction(2, 3)}, JT)
+    assert big.layout is small.layout
     for a, b in ((small, small), (small, big), (big, big), (big, small), (small, small)):
-        assert _same(a * b, _reference_mul(a, b))
-    assert (big * big).coefficient(((vvar(1, 1), 80),)) == Fraction(4, 9)
-    assert big * small - small * big == JetPoly.zero(JT)  # narrowed back to the base
+        _checked(lambda: a * b, lambda: _reference_mul(a, b))
+    assert (big * small).coefficient(((vvar(1, 1), JET_TOP),)) == Fraction(2, 3)
+    with pytest.raises(JetOverflowError, match="^exponent 12 of v1_1 exceeds bound 7$"):
+        big * big
+    assert big * small - small * big == JetPoly.zero(JT)
     assert _same(dot(small, [(big, small, 1), (small, big, -1), (small, small, 3)]),
                  _reference_dot(small, [(big, small, 1), (small, big, -1), (small, small, 3)]))
 
@@ -425,14 +478,15 @@ def test_dot_start_rows_above_every_product():
         assert _same(result, _reference_dot(start, products))
 
 
-def test_one_dot_mixes_jet_factors_at_two_widths():
-    """Base-width and wide `JetPoly` factors in one call, with a base or a
-    wide start, and a wide factor that is not live because it lies past the
-    cap, beside live ones at the base width."""
+def test_one_dot_mixes_jet_factors_below_at_and_past_the_bound():
+    """Factors with small and large exponents in one call, with a small or
+    a large start; a factor whose square would pass the bound is not live
+    when it lies past the cap, so it raises nothing, and a live product past
+    the bound raises unless another one cancels it, as in the reference sum."""
     small = JetPoly.var(vvar(1, 1), JT) + JetPoly.const(Fraction(1, 2), JT)
-    big = JetPoly({(0, ((vvar(1, 1), 40),)): Fraction(2, 3)}, JT)
-    high = JetPoly({(0, ((vvar(1, 0), 2), (vvar(1, 2), 33))): Fraction(5)}, JT)  # degree 2
-    assert big.layout is not small.layout and high.layout is not small.layout
+    big = JetPoly({(0, ((vvar(1, 1), 6),)): Fraction(2, 3)}, JT)
+    high = JetPoly({(0, ((vvar(1, 0), 2), (vvar(1, 2), 5))): Fraction(5)}, JT)  # degree 2
+    assert big.layout is small.layout is high.layout
     cases = [
         (small, [(small, small, 1), (big, small, -2), (small, big, Fraction(1, 3))]),
         (big, [(small, small, 1), (small, small, Fraction(-1, 2))]),
@@ -441,6 +495,10 @@ def test_one_dot_mixes_jet_factors_at_two_widths():
     for start, products in cases:
         assert _same(dot(start, products), _reference_dot(start, products))
     assert dot(small, [(small, small, 3), (high, high, 1)]).layout is small.layout
+    with pytest.raises(JetOverflowError, match="^exponent 12 of v1_1 exceeds bound 7$"):
+        dot(small, [(small, small, 1), (big, big, 2)])
+    cancelled = [(small, small, 1), (big, big, 2), (big, big, -2)]
+    assert _same(dot(small, cancelled), _reference_dot(small, cancelled))
 
 
 @pytest.mark.parametrize("scale", [int, Fraction])
@@ -460,10 +518,11 @@ def test_dot_products_whose_denominators_divide_the_lcm(scale):
 
 
 def test_equal_truncations_share_one_truncation_object():
-    """Every value stores its layout's truncation, so values built from equal
-    but distinct truncations, by any constructor and at any field width,
-    share one object and `dot` finds them compatible by identity; unequal
-    truncations still raise."""
+    """There is one layout per class and truncation, and every value stores
+    its layout's truncation, so values built from equal but distinct
+    truncations, by any constructor and with any exponents, share one
+    layout and one truncation object and `dot` finds them compatible by
+    identity; unequal truncations still raise."""
     a, b = Truncation.of(7, 2), Truncation.of(7, 2)
     assert a == b and a is not b
     t0 = BigSeries.var(t_var(1, 0), a)
@@ -472,12 +531,17 @@ def test_equal_truncations_share_one_truncation_object():
               parse(emit(BigSeries.var(t_var(1, 1), b) * Fraction(1, 2), TheoryData.rank1(b)))[0],
               BigSeries.from_rows(t0.layout, 1, [{}, dict(t0.rows[1])], None),
               t0 * t0, dot(BigSeries.zero(b), [(t0, t0, 1)]), t0 - BigSeries.var(s_var(0), b)]
-    assert all(x.trunc is t0.trunc for x in values)
+    assert all(x.trunc is t0.trunc and x.layout is t0.layout for x in values)
     jt_a, jt_b = JetTruncation(3, 2, 1), JetTruncation(3, 2, 1)
     narrow = JetPoly.var(vvar(1, 0), jt_a)
-    wide = JetPoly({(0, ((vvar(1, 1), 12),)): Fraction(1)}, jt_b)
-    assert wide.layout is not narrow.layout and wide.trunc is narrow.trunc
-    assert (narrow * wide).trunc is narrow.trunc
+    high = JetPoly({(0, ((vvar(1, 1), 7),)): Fraction(1)}, jt_b)  # at the bound of jt_b
+    theory = TheoryData.rank1(Truncation(3, 1, 3, 2, 1))
+    assert theory.trunc.jet() == jt_a and theory.trunc.jet() is not jt_a
+    jets = [high, JetPoly.zero(jt_b), JetPoly.const(2, jt_b), JetPoly.eps(jt_b),
+            parse(emit(JetPoly.var(vvar(1, 2), jt_b) * Fraction(1, 2), theory))[0],
+            narrow * high, dot(JetPoly.zero(jt_b), [(narrow, narrow, 1)]), dx(narrow),
+            high - narrow]
+    assert all(x.layout is narrow.layout and x.trunc is narrow.trunc for x in jets)
     other = BigSeries.var(t_var(1, 0), Truncation.of(7, 3))
     for combine in (lambda: t0 * other, lambda: t0 + other,
                     lambda: dot(BigSeries.zero(a), [(t0, other, 1)]),
@@ -578,11 +642,14 @@ def _check_stored_form(value, theory):
 
 
 def _kernel_results(start, products, var, scalar):
-    results = [dot(start, products), start * scalar, -start, start.eps_slice(1),
-               partial(start, var)]
+    """Every operation's result on the case, but a product or dot past the
+    exponent bound, which must raise as its reference result does."""
+    results = [start * scalar, -start, start.eps_slice(1), partial(start, var),
+               _checked(lambda: dot(start, products), lambda: _reference_dot(start, products))]
     for a, b, _c in products:
-        results += [a + b, a - b, a * b, partial(a * b, var)]
-    return results
+        ab = _checked(lambda: a * b, lambda: _reference_mul(a, b))
+        results += [a + b, a - b] + ([ab, partial(ab, var)] if ab is not None else [])
+    return [value for value in results if value is not None]
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)

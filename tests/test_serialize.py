@@ -207,6 +207,21 @@ class TestStrictness:
         text = bad.split("\n")[line - 1]
         assert text[err.value.col - 1:].startswith(culprit), (text, err.value)
 
+    @pytest.mark.parametrize("sample, old, new, line, message", [
+        ("operator", "\nkind operator meta=int:1:0\ncoef i=0 j=0 rel=-\nterm 5/2 eps=0 vars=v:1:0:2\n"
+         "term -1 eps=0 vars=v:1:1:1,phi:0:0:1\ncoef i=2 j=1 rel=-\nterm 1 eps=0 vars=v:1:1:1\nend\n",
+         "\n", 2, "truncated file"),
+        ("operator", "coef i=0 j=0 rel=-\n", "", 4, "term before coef block"),
+        ("operator", "coef i=2 j=1", "coef i=0 j=0", 7, "duplicate coefficient block"),
+        ("report", "range string single equation", "range string", 8, "malformed range line"),
+    ])
+    def test_structural_refusals_name_their_line(self, sample, old, new, line, message):
+        good = emit(*SAMPLES[sample]())
+        assert old in good
+        with pytest.raises(ParseError) as err:
+            parse(good.replace(old, new, 1))
+        assert str(err.value) == f"line {line}, col 1: {message}"
+
     def test_load_sees_carriage_returns(self, tmp_path):
         path = tmp_path / "crlf.ottr"
         path.write_bytes(emit(*sample_series()).replace("\n", "\r\n").encode())
@@ -412,21 +427,22 @@ class TestPieceChecks:
         text = _series_text(TH, "bigseries", "eps=0 vars=s:0:0:1,t:1:0:1,t:1:x:1")
         assert _refusal(text) == ("malformed variable 't:1:x:1'", 4, "t:1:x:1")
 
-    def test_an_exponent_past_the_base_width_widens_the_layout(self):
-        """A jet exponent too wide for the base layout moves the rows read
-        so far, and the line it appears on, to the layout a direct build
-        picks."""
+    def test_an_exponent_past_the_bound_is_refused_at_its_piece(self):
+        """A jet exponent at the field bound (7 at Dv + J = 5) is read into
+        the one layout a direct build uses; one past it is refused at its
+        line and column, naming the variable and the bound."""
         theory = TheoryData.rank1(Truncation(3, 1, 3, 2, 1))
         jt = theory.trunc.jet()
         v, eps = JetPoly.var(vvar(1, 0), jt), JetPoly.eps(jt)
-        wide = JetPoly({(0, ((vvar(1, 1), 12),)): Fraction(1)}, jt)
-        value = v * 3 + v * wide * Fraction(-1, 2) + wide + eps * JetPoly.var(phivar(1), jt)
-        assert value.layout.width > JetPoly.base_width(jt)
+        top = JetPoly({(0, ((vvar(1, 1), 7),)): Fraction(1)}, jt)
+        value = v * 3 + v * top * Fraction(-1, 2) + top + eps * JetPoly.var(phivar(1), jt)
         text = emit(value, theory)
-        assert "term 3 eps=0 vars=v:1:0:1\nterm -1/2 eps=0 vars=v:1:0:1,v:1:1:12\n" in text
+        assert "term 3 eps=0 vars=v:1:0:1\nterm -1/2 eps=0 vars=v:1:0:1,v:1:1:7\n" in text
         parsed = parse(text)[0]
         assert parsed == value and parsed.layout is value.layout
         assert emit(parsed, theory) == text
+        past = text.replace("v:1:1:7\n", "v:1:1:8\n", 1)
+        assert _refusal(past) == ("exponent 8 of v1_1 exceeds bound 7", 5, "v:1:1:8")
 
     def test_seen_pieces_still_count_toward_the_degree(self):
         text = _series_text(TH, "bigseries", "eps=0 vars=t:1:0:8", "eps=0 vars=s:0:0:1",
