@@ -63,7 +63,6 @@ the derivative sum `spec_sum` and the dense Gaussian elimination
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -857,36 +856,55 @@ def dx(p: JetPoly) -> JetPoly:
     return JetPoly.from_rows(layout, p.den, rows, rel)
 
 
+def grade_parts(p: SparseSeries, grading: Iterable[tuple[int, int, int]], drop: int = 0
+                ) -> dict[int, SparseSeries]:
+    """The one split of a value by a linear grading of its keys: grade ->
+    part, the nonzero grades in rising order, each part with p's rel.  The
+    grade of a key is the sum of weight * (key >> shift & mask) over the
+    (shift, mask, weight) triples of grading; the keys that meet the mask
+    drop are left out."""
+    by_grade: dict[int, Rows] = {}
+    for d, row in enumerate(p.rows):
+        for key, n in row.items():
+            if not key & drop:
+                grade = 0
+                for shift, mask, w in grading:
+                    grade += w * (key >> shift & mask)
+                rows = by_grade.get(grade)
+                if rows is None:
+                    rows = by_grade[grade] = [{} for _ in p.rows]
+                rows[d][key] = n
+    return {g: SparseSeries.from_rows(p.layout, p.den, by_grade[g], p.rel)
+            for g in sorted(by_grade)}
+
+
 def standard_degree(p: JetPoly) -> dict[int, JetPoly]:
     """Decompose into homogeneous slices of the standard gradation, read off
     each key: deg v{a}_i = deg phi_i = i, deg f_i = i - 1, deg eps = -1."""
     layout = p.layout
-    grades = [(shift, jet - (kind == KIND_F)) for (kind, _a, jet), shift in layout.items()]
-    buckets: dict[int, Rows] = defaultdict(lambda: [{} for _ in p.rows])
-    for d, row in enumerate(p.rows):
-        for k, n in row.items():
-            grade = sum(g * (k >> s & layout.mask) for s, g in grades) - (k & layout.eps_mask)
-            buckets[grade][d][k] = n
-    return {g: JetPoly.from_rows(layout, p.den, rows, p.rel)
-            for g, rows in sorted(buckets.items())}
+    return grade_parts(p, [(shift, layout.mask, jet - (kind == KIND_F))
+                           for (kind, _a, jet), shift in layout.items()]
+                       + [(0, layout.eps_mask, -1)])
 
 
-def coef_phi_power(p: JetPoly, i: int) -> JetPoly:
-    """Coefficient of phi^i; requires that no positive phi jets are present.
-    The keys with i in phi's field lose it, and their degree drops by i."""
-    if i < 0:
-        raise ValueError("phi power must be >= 0")
+def phi_parts(p: JetPoly) -> dict[int, JetPoly]:
+    """p by phi power, i -> the coefficient of phi^i, each nonzero one in
+    rising i; requires that no positive phi jets are present.  Each part
+    loses phi^i from its keys, and its degrees and rel drop by i."""
     layout = p.layout
     jets = layout.field_mask(lambda var: var[0] == KIND_PHI and var[2] > 0)
     if any(k & jets for row in p.rows for k in row):
         raise PhiJetError("positive phi jets present; eliminate them first")
     shift = layout[phivar(0)]
-    rows = [{k - (i << shift): n for k, n in row.items() if k >> shift & layout.mask == i}
-            for row in p.rows[i:]]
-    return JetPoly.from_rows(layout, p.den, rows, None if p.rel is None else p.rel - i)
+    return {i: JetPoly.from_rows(layout, part.den,
+                                 [{k - (i << shift): n for k, n in row.items()}
+                                  for row in part.rows[i:]],
+                                 None if p.rel is None else p.rel - i)
+            for i, part in grade_parts(p, [(shift, layout.mask, 1)]).items()}
 
 
-def phi_degree(p: JetPoly) -> int:
-    """Highest power of phi (jet order zero) appearing in p."""
-    shift, mask = p.layout[phivar(0)], p.layout.mask
-    return max((k >> shift & mask for row in p.rows for k in row), default=0)
+def coef_phi_power(p: JetPoly, i: int) -> JetPoly:
+    """Coefficient of phi^i (`phi_parts`), with rel lowered by i."""
+    if i < 0:
+        raise ValueError("phi power must be >= 0")
+    return phi_parts(p).get(i) or JetPoly.zero(p.trunc, None if p.rel is None else p.rel - i)

@@ -220,6 +220,12 @@ class TheoryData:
         return self.t_vars() + self.s_vars()
 
 
+def weight_grading(layout) -> list[tuple[int, int, int]]:
+    """Descendent weight as a grading of `grade_parts`: each positive-level
+    field, counted with its level."""
+    return [(shift, layout.mask, var[2]) for var, shift in layout.items() if var[2]]
+
+
 def t11_partial(f: BigSeries, a: int, theory: TheoryData) -> BigSeries:
     """Unit-direction derivative at level a: the spec sum of the A-weighted
     t-partials, computed once per value."""

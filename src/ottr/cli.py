@@ -34,6 +34,7 @@ from .bigphase import (
 from .genus0 import (
     NoSolutionError,
     SeedError,
+    _seed_coeffs,
     solve_closed_order_by_order,
     solve_open_order_by_order,
     two_point_table,
@@ -189,9 +190,10 @@ def cmd_validate_open(args) -> int:
 
 
 def _load_with_go(args) -> tuple[BigSeries, BigSeries, JetPoly, TheoryData]:
-    """f0, f0o and the initial data Go, from --go-file or by --go name."""
+    """f0, f0o and Go (--go-file or --go name), refused off the small phase space."""
     values, theory = _load_inputs(args.f0, args.f0o, go_file=args.go_file)
     go = values[2] if args.go_file else _go_poly(args.go, theory)
+    _seed_coeffs(go, theory, allow_phi=True)
     return values[0], values[1], go, theory
 
 

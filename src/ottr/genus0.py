@@ -62,6 +62,7 @@ from .algebra import (
     derivative,
     dot,
     dx,
+    grade_parts,
     phivar,
     spec_sum,
     var_name,
@@ -80,6 +81,7 @@ from .bigphase import (
     s_var,
     t11_partial,
     t_var,
+    weight_grading,
 )
 
 
@@ -236,10 +238,8 @@ def validate_open_genus0(f0: BigSeries, f0o: BigSeries, theory: TheoryData
     report.add_rows(_open_families(f0, theory), f0o)
     _string_and_dilaton(report, "open_", f0o, f0o, theory.all_vars(), theory)
     pairing = boundary_pairing(f0o, theory)
-    upper = pairing.layout.field_mask(lambda var: var[2] > 0)  # the positive levels
-    level0 = [{k: n for k, n in row.items() if not k & upper} for row in pairing.rows]
-    norm = BigSeries.from_rows(pairing.layout, pairing.den, level0, pairing.rel) - 1
-    report.add("normalization", (), norm)
+    level0 = grade_parts(pairing, weight_grading(pairing.layout)).get(0)  # no positive level
+    report.add("normalization", (), (level0 or BigSeries.zero(pairing.trunc, pairing.rel)) - 1)
     report.checked["normalization"] = ("d^2F0o/dt11_0 ds_0 restricted to "
                                        "positive levels = 0 is identically 1")
     report.checked["open_trr_t"] = f"alpha<= {theory.n}, p<= {amax - 1}, all components"
@@ -382,46 +382,17 @@ def _seed_coeffs(seed: JetPoly, theory: TheoryData, *, allow_phi: bool
 _ID = [((), 1)]  # the spec of a table that holds a series as it is
 
 
-def _weight_grading(layout) -> list[tuple[int, int]]:
-    """Descendent weight as a grading of `_grade_slices`: each positive-level
-    field, counted with its level."""
-    return [(shift, var[2]) for var, shift in layout.items() if var[2]]
-
-
-def _grade_slices(series: BigSeries, grading: Sequence[tuple[int, int]], drop: int
-                  ) -> list[BigSeries]:
-    """The terms of series by grade, each slice with the series' rel.  The
-    grade of a key is the sum of its exponent fields, each counted with its
-    weight, over the (field shift, weight) pairs of grading; the keys that
-    meet the mask drop are left out."""
-    layout, mask = series.layout, series.layout.mask
-    # grade -> degree -> row, so each slice's row list stops at its own top degree
-    by_grade: defaultdict[int, defaultdict[int, dict]] = defaultdict(lambda: defaultdict(dict))
-    for d, row in enumerate(series.rows):
-        for key, n in row.items():
-            if not key & drop:
-                grade = 0
-                for shift, w in grading:
-                    grade += w * (key >> shift & mask)
-                by_grade[grade][d][key] = n
-    slices = []
-    for grade in range(max(by_grade, default=-1) + 1):
-        part = by_grade.get(grade, {})
-        rows = [part.get(d, {}) for d in range(max(part, default=-1) + 1)]
-        slices.append(BigSeries.from_rows(layout, series.den, rows, series.rel))
-    return slices
-
-
 class _Table:
     """The derivative sum_spec scale * d^k F / d(spec vars), weight by weight.
 
     Its weight-w part is `spec_sum(slice, specs)` of the weight-(w + table
-    weight) slice of its source: the eps-free `_grade_slices` of the series
-    by weight, kept with the series, for a table built from a series, and the
-    engine's solved slices for a fed table, one built without, which stands
-    for the potential under solution or test.  Every spec has the table
-    weight, read off its first variable tuple.  A table holds no solve's
-    state: a solve keeps the table's parts in a `_Parts` of its own.
+    weight) slice of its source: for a table built from a series, the
+    eps-free `grade_parts` of the series by `weight_grading`, kept with the
+    series; for a fed table, one built without, which stands for the
+    potential under solution or test, the engine's solved slices.  Every
+    spec has the table weight, read off its first variable tuple.  A table
+    holds no solve's state: a solve keeps the table's parts in a `_Parts`
+    of its own.
     """
 
     def __init__(self, specs: Sequence[Spec], series: BigSeries | None = None):
@@ -436,10 +407,11 @@ class _Parts:
 
     def __init__(self, table: _Table, solved: list[BigSeries]):
         series = table.series
-        self.table = table
-        self.slices = solved if series is None else series.derived(
-            ("weight_slices",), _grade_slices, _weight_grading(series.layout),
-            series.layout.eps_mask)
+        if series is not None:  # its weight parts as a list like `solved`, None where missing
+            parts = series.derived(("weight_parts",), grade_parts,
+                                   weight_grading(series.layout), series.layout.eps_mask)
+            solved = [parts.get(w) for w in range(max(parts, default=-1) + 1)]
+        self.table, self.slices = table, solved
         self.seen, self.nonzero, self.low = table.weight, {}, {}
 
     def refresh(self) -> list[int]:
@@ -449,7 +421,9 @@ class _Parts:
         slices, weight, specs = self.slices, self.table.weight, self.table.specs
         new = []
         for s in range(self.seen, len(slices)):
-            part = slices[s] if slices[s].is_zero() else _spec_sum(slices[s], specs)
+            if slices[s] is None or slices[s].is_zero():
+                continue
+            part = _spec_sum(slices[s], specs)
             if not part.is_zero():
                 self.nonzero[s - weight], self.low[s - weight] = part, part.min_degree()
                 new.append(s - weight)

@@ -26,12 +26,12 @@ from .algebra import (
     JetPoly,
     JetTruncation,
     _rel_min,
-    coef_phi_power,
     derivative,
     dot,
     dx,
     fvar,
-    phi_degree,
+    grade_parts,
+    phi_parts,
     phivar,
     power,
     product_rel,
@@ -50,14 +50,13 @@ from .bigphase import (
     t11_partial,
     t_var,
     vtop,
+    weight_grading,
     x_jet,
 )
 from .genus0 import (
     ResidualReport,
     TwoPointTable,
     _from_values,
-    _grade_slices,
-    _weight_grading,
     solve_closed_order_by_order,
     two_point_table,
 )
@@ -143,13 +142,7 @@ def _first_order_coeff(two_point: JetPoly, go: JetPoly, theory: TheoryData) -> J
 
 def _phi_power_coeffs(*eps_coeffs: JetPoly) -> dict[tuple[int, int], JetPoly]:
     """Split each eps^j coefficient by phi power: (i, j) -> its phi^i part."""
-    coeffs: dict[tuple[int, int], JetPoly] = {}
-    for j, poly in enumerate(eps_coeffs):
-        for i in range(phi_degree(poly) + 1):
-            c = coef_phi_power(poly, i)
-            if not c.is_zero():
-                coeffs[(i, j)] = c
-    return coeffs
+    return {(i, j): c for j, poly in enumerate(eps_coeffs) for i, c in phi_parts(poly).items()}
 
 
 def build_interior_op(alpha: int, a: int, table: TwoPointTable, go: JetPoly,
@@ -520,14 +513,13 @@ class _Powers:
 
     def rhs(self, form: tuple, k: int) -> BigSeries:
         """The grade-k slice of start + sum c A (XF)^j, form holding the
-        slices of start and of each A: one `dot` from start's, or from the
-        cutting zero."""
+        `grade_parts` of start and of each A, a missing grade a zero part:
+        one `dot` from start's, or from the cutting zero."""
         starts, products = form
         pw = self.slices
-        pairs = [(a[k1], pw[j][k - k1], c) for a, j, c in products
-                 for k1 in range(min(len(a), k + 1))
-                 if not a[k1].is_zero() and not pw[j][k - k1].is_zero()]
-        rhs = starts[k] if k < len(starts) else self.zero
+        pairs = [(part, pw[j][k - k1], c) for a, j, c in products
+                 for k1, part in a.items() if k1 <= k and not pw[j][k - k1].is_zero()]
+        rhs = starts.get(k, self.zero)
         return dot(rhs, pairs) if pairs else rhs
 
 
@@ -550,10 +542,11 @@ def pst_generate(theory: TheoryData) -> PstResult:
     The right-hand side of a flow is its form start + sum c A (XF)^j over
     fixed factors A (`flow_forms`): for F0o, sum_i a_i^{[0]} (XF0o)^i; for
     F1o, once F0o is complete, the affine split K + sum_i i b_i XF1o (the
-    first-order system is linear in F1o).  Start and each A are sliced once
-    per phase, and the slices of XF and its powers are formed once each, as
-    F's grades complete (`_Powers`), so each slice of a right-hand side is
-    one `dot`, cut at degree cap - 1 for the targets of degree <= cap.
+    first-order system is linear in F1o).  Start and each A are split once
+    per phase (`grade_parts`), and the slices of XF and its powers are
+    formed once each, as F's grades complete (`_Powers`), so each slice of
+    a right-hand side is one `dot`, cut at degree cap - 1 for the targets of
+    degree <= cap.
 
     A term ``down`` of that slice pins m = down * x_p, to its coefficient
     divided by the exponent of x_p in m, exactly when down has no factor of
@@ -595,10 +588,10 @@ def pst_generate(theory: TheoryData) -> PstResult:
     layout, mask, deg_max = f0_big.layout, f0_big.layout.mask, tr_big.deg_max
     fields = {"t": [layout[t_var(1, p)] for p in range(amax + 1)],
               "s": [layout[s_var(p)] for p in range(amax + 1)]}
-    # each phase: its grading for `_grade_slices`, the keys it leaves out
-    phases = (("t", _weight_grading(layout),
+    # each phase: its grading for `grade_parts`, the keys it leaves out
+    phases = (("t", weight_grading(layout),
                layout.eps_mask | sum(mask << shift for shift in fields["s"])),
-              ("s", [(shift, 1) for shift in fields["s"]], layout.eps_mask))
+              ("s", [(shift, mask, 1) for shift in fields["s"]], layout.eps_mask))
     # the fields of x_p's kind above level p, which a pinning term lacks
     above = {(kind, p): sum(mask << shift for shift in shifts[p + 1:])
              for kind, shifts in fields.items() for p in range(amax + 1)}
@@ -616,8 +609,8 @@ def pst_generate(theory: TheoryData) -> PstResult:
                      for flow, (start, products) in rhs_forms.items()}
         zero = BigSeries.zero(tr_big, cap - 1)  # cuts each phase's powers at the targets' degree
         for kind, grading, drop in phases:
-            sliced = {flow: (_grade_slices(start, grading, drop),
-                             [(_grade_slices(a, grading, drop), j, c) for a, j, c in products])
+            sliced = {flow: (grade_parts(start, grading, drop),
+                             [(grade_parts(a, grading, drop), j, c) for a, j, c in products])
                       for flow, (start, products) in rhs_forms.items()}
             powers = _Powers(top, zero)
             # grade 0: nothing in the weight phase (no target has weight 0),

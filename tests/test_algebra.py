@@ -12,11 +12,14 @@ from ottr.algebra import (
     JetTruncation,
     PhiJetError,
     TruncationMismatchError,
+    ONE,
     coef_phi_power,
     derivative,
     dx,
+    grade_parts,
     mono_from_factors,
     partial,
+    phi_parts,
     phivar,
     power,
     standard_degree,
@@ -144,6 +147,28 @@ class TestCoefPhiPower:
         with pytest.raises(PhiJetError):
             coef_phi_power(PHI(1) * PHI(), 1)
 
+    def test_phi_parts_are_every_nonzero_coefficient(self):
+        p = (3 * PHI() + PHI() * PHI() * PHI() * V(1)).cut(6)
+        parts = phi_parts(p)
+        assert list(parts) == [1, 3]
+        assert parts[1] == JetPoly.const(3, TR).cut(5)
+        assert parts[3] == V(1).cut(3)
+        assert all(coef_phi_power(p, i) == parts.get(i, JetPoly.zero(TR, 6 - i))
+                   for i in range(5))
+        assert phi_parts(JetPoly.zero(TR)) == {}
+
+
+class TestGradeParts:
+    def test_parts_in_rising_grade_keep_rel_and_leave_out_dropped_keys(self):
+        p = (V(1, 2) + 5 * V(1) * V(1, 1) + EPS * V(2, 1) + PHI()).cut(7)
+        layout = p.layout
+        grading = [(layout[vvar(a, 1)], layout.mask, 1) for a in (1, 2)] + [
+            (layout[vvar(1, 2)], layout.mask, 2)]
+        parts = grade_parts(p, grading, drop=layout.eps_mask)
+        assert list(parts) == [0, 1, 2]
+        assert parts == {0: PHI().cut(7), 1: (5 * V(1) * V(1, 1)).cut(7), 2: V(1, 2).cut(7)}
+        assert grade_parts(p, [(0, layout.eps_mask, 1)])[1] == (EPS * V(2, 1)).cut(7)
+
 
 VARS = [vvar(1, 0), vvar(1, 1), vvar(2, 0), vvar(2, 1), phivar(0), phivar(1)]
 
@@ -206,3 +231,13 @@ def test_reliable_degree_above_dv_rejected():
     assert JetPoly({}, TR, rel=8).rel == 8
     with pytest.raises(ValueError, match="above the degree bound 8"):
         JetPoly({}, TR, rel=9)
+
+
+def test_a_negative_eps_power_is_refused():
+    with pytest.raises(ValueError, match="^negative eps power$"):
+        JetPoly({(-1, ONE): Fraction(1)}, TR)
+
+
+def test_a_term_past_the_eps_bound_is_dropped():
+    assert JetPoly({(TR.eps_max + 1, ONE): Fraction(1), (0, ONE): Fraction(2)}, TR) == (
+        JetPoly.const(2, TR))

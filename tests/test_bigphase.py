@@ -324,3 +324,12 @@ def test_relabel_component_refuses_an_s_series():
     f = BigSeries.var(t_var(1, 0), TR) + BigSeries.var(s_var(0), TR)
     with pytest.raises(ValueError, match="^only closed-sector series can be relabeled$"):
         relabel_component(f, 2, TR)
+
+
+@pytest.mark.parametrize("n, eta, avec, message", [
+    (2, [[1, 1], [0, 1]], [1, 0], "eta must be symmetric"),
+    (1, [[1]], [1, 0], "A must have N entries"),
+])
+def test_theory_data_refuses_a_bad_metric_or_direction(n, eta, avec, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TheoryData.build(n, eta, avec, TR)

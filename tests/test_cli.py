@@ -6,9 +6,12 @@ import sys
 import pytest
 
 import ottr.cli as cli
+from ottr.algebra import JetOverflowError, JetPoly, vvar
 from ottr.bigphase import BigSeries, t_var
-from ottr.cli import EXIT_INTERNAL, EXIT_PIPE, main
-from ottr.serialize import emit, parse
+from ottr.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_PIPE, main
+from ottr.genus0 import two_point_table
+from ottr.laxpde import build_interior_op
+from ottr.serialize import emit, load, parse
 
 GEN = ["gen-example", "open-rank1", "--degree", "5", "--amax", "1"]
 
@@ -220,16 +223,43 @@ def test_go_file_exponent_past_the_bound_is_an_input_error(fixture_dir, tmp_path
     assert not out.exists()
 
 
-def test_a_product_past_the_exponent_bound_is_internal(fixture_dir, tmp_path, capsys):
-    """v1_0 v1_1^15 is at the bound, but building the operators multiplies
-    it past the bound: `JetOverflowError`, exit 3."""
+def test_a_go_at_the_exponent_bound_is_refused_at_load(fixture_dir, tmp_path, capsys):
+    """v1_0 v1_1^15 parses (15 is the bound) but has a positive jet, so
+    `build-operators` refuses it at load, exit 2, before building anything."""
     go = _go_file(fixture_dir, tmp_path / "go.ottr", "v:1:0:1,v:1:1:15")
     code = main(["build-operators", "--f0", str(fixture_dir / "f0.ottr"),
                  "--f0o", str(fixture_dir / "f0o.ottr"), "--go-file", go,
                  "--outdir", str(tmp_path / "ops")])
-    assert code == EXIT_INTERNAL
-    assert capsys.readouterr().err == (
-        "internal inconsistency: exponent 16 of v1_1 exceeds bound 15\n")
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == "error: seed must only use jet-order-zero variables\n"
+    assert not (tmp_path / "ops").exists()
+
+
+def test_a_product_past_the_exponent_bound_raises_in_the_kernel(fixture_dir):
+    """Through the API, the same Go reaches the operator builder, whose
+    product v1_1^15 * v1_1 passes the field bound: `JetOverflowError`."""
+    (f0, theory), (f0o, _) = (load(fixture_dir / name) for name in ("f0.ottr", "f0o.ottr"))
+    go = JetPoly({(0, ((vvar(1, 0), 1), (vvar(1, 1), 15))): 1}, theory.trunc.jet())
+    with pytest.raises(JetOverflowError, match="^exponent 16 of v1_1 exceeds bound 15$"):
+        build_interior_op(1, 0, two_point_table(f0, f0o, theory), go, theory)
+
+
+@pytest.mark.parametrize("vars_field", ["v:1:0:1,v:1:1:1", "phi:0:1:1"])
+@pytest.mark.parametrize("verb", ["formula", "solve", "both", "build-operators"])
+def test_go_off_the_small_phase_space_is_refused_at_load(verb, vars_field, fixture_dir,
+                                                         tmp_path, capsys):
+    """Go = v1_0 v1_1 or phi_1 has a positive jet: every verb that takes Go
+    refuses it with the solver's seed message, exit 2, and writes no file
+    (`--method formula` once wrote an f1o that `check-genus1` failed)."""
+    go = _go_file(fixture_dir, tmp_path / "go.ottr", vars_field)
+    out = tmp_path / "out"
+    inputs = ["--f0", str(fixture_dir / "f0.ottr"), "--f0o", str(fixture_dir / "f0o.ottr"),
+              "--go-file", go]
+    code = main(["build-operators", *inputs, "--outdir", str(out)] if verb == "build-operators"
+                else ["derive-genus1", *inputs, "--method", verb, "-o", str(out)])
+    assert code == EXIT_INPUT
+    assert capsys.readouterr().err == "error: seed must only use jet-order-zero variables\n"
+    assert not out.exists()
 
 
 def test_qpoly_verb(tmp_path, capsys):

@@ -22,6 +22,7 @@ from ottr.bigphase import (
 )
 from ottr.genus0 import (
     NoSolutionError,
+    ResidualReport,
     SeedError,
     extended_flows,
     delta,
@@ -501,3 +502,12 @@ class TestOpenRecovery:
         assert set(table.omega) == {(1, 0, 1, a) for a in levels}
         for a in levels:
             assert table.omega[1, 0, 1, a] == omega(f0, 1, a, 1, 0, theory8)
+
+
+def test_a_report_has_no_entry_it_was_not_given():
+    report = ResidualReport()
+    report.add("string", (), BigSeries.zero(Truncation.of(4, 1)))
+    assert report.entry("string").is_zero
+    with pytest.raises(KeyError) as err:
+        report.entry("string", (1,))
+    assert err.value.args == (("string", (1,)),)

@@ -157,7 +157,17 @@ class TestOpenGenus1:
         assert extract_go(BigSeries.zero(TR), theory8).is_zero()
 
 
+    def test_a_pairing_without_constant_term_one_is_refused(self, f0, f0o, theory8):
+        with pytest.raises(ValueError, match="^boundary pairing must have constant term 1"):
+            f1o_closed_form(f0, f0o * 2, JetPoly.zero(JT), theory8)
+
+
 class TestClosedGenus1:
+    def test_a_det_without_constant_term_one_is_refused(self, f0, theory8):
+        with pytest.raises(ValueError, match="^det of the raised third-derivative matrix "
+                                             "must have constant term 1"):
+            f1_closed_form(f0 * 2, JetPoly.zero(JT), theory8)
+
     def test_t1_coefficient(self, f0, theory8):
         f1 = f1_closed_form(f0, JetPoly.zero(JT), theory8)
         assert f1.coefficient(((t_var(1, 1), 1),)) == Fraction(1, 24)

@@ -173,6 +173,17 @@ class TestOperators:
             build_interior_op(1, a, table, go, theory8).check_homogeneity()
             build_boundary_op(a, table, go, theory8).check_homogeneity()
 
+    def test_an_inhomogeneous_coefficient_is_refused(self):
+        op = LinearDiffOp({(0, 0): JetPoly.var(vvar(1, 1), JT)}, ("int", 1, 0))
+        with pytest.raises(ValueError, match=r"^coefficient \(0,0\) of \('int', 1, 0\) has "
+                                             r"degrees \[1\], expected \{0\}$"):
+            op.check_homogeneity()
+
+    def test_a_second_eps_order_is_refused_at_evaluation(self):
+        op = LinearDiffOp({(0, 2): JetPoly.const(1, JT)})
+        with pytest.raises(ValueError, match="^operators are truncated at first eps order$"):
+            op.eval_slices([], TH)
+
     def test_zero_go_collapses_first_order(self, f0, f0o, theory8):
         from ottr.algebra import coef_phi_power, partial
 
