@@ -27,11 +27,11 @@ next field, and a result past the bound sets a guard bit and is refused:
 the constructor, `dot` and `dx` raise `JetOverflowError` naming the
 variable and the bound, and the parser refuses the piece.
 
-`terms` maps ``(eps power, monomial)`` to a nonzero `fractions.Fraction`;
-it is a read-only view unpacked from the keys once per value, for the
-readers outside the kernel (substitution, seeds, the Lax integrator,
-tests).  A monomial is a sorted tuple of ``((kind, alpha, index), exponent)``
-pairs.
+A value is read and moved through its keys.  `SparseSeries.items` unpacks
+a whole value, each key as ``(eps power, monomial)`` with its nonzero
+`fractions.Fraction`, and keeps nothing; a monomial is a sorted tuple of
+``((kind, alpha, index), exponent)`` pairs.  `remap` moves a value's keys
+into another layout, field by field, in one pass.
 
 This module's own subclass, `JetPoly`, is the ring of differential
 polynomials in jet variables
@@ -67,7 +67,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 KIND_V = 0
 KIND_PHI = 1
@@ -312,9 +312,16 @@ class SparseSeries:
         return not self.rows
 
     @property
-    def terms(self) -> Mapping[TermKey, Fraction]:
-        """The (eps power, monomial) -> coefficient view of the rows."""
+    def terms(self) -> "_Terms":
+        """The count of stored terms, read by ``len``."""
         return _Terms(self)
+
+    def items(self) -> Iterator[tuple[TermKey, Fraction]]:
+        """Each term as ((eps power, monomial), coefficient), in row order, kept nowhere."""
+        unpack, den = self.layout.unpack, self.den
+        for row in self.rows:
+            for k, n in row.items():
+                yield unpack(k), Fraction(n, den)
 
     def min_degree(self) -> int | None:
         """The least degree of a stored term; None for zero."""
@@ -417,7 +424,7 @@ class SparseSeries:
         if not self.rows:
             return "0"
         parts = []
-        for (eps, mono), coef in sorted(self.terms.items()):
+        for (eps, mono), coef in sorted(self.items()):
             factors = []
             if coef != 1 or (not mono and not eps):
                 factors.append(str(coef))
@@ -433,34 +440,16 @@ class SparseSeries:
         return f"{type(self).__name__}({self})"
 
 
-class _Terms(Mapping):
-    """A value's read-only terms: its rows unpacked once, on the first read
-    that needs more than the count."""
+class _Terms:
+    """A value's term count, which bench/spans.py reads by ``len``."""
 
     __slots__ = ("_p",)
 
     def __init__(self, p: SparseSeries):
         self._p = p
 
-    def _unpacked(self) -> dict[TermKey, Fraction]:
-        return self._p.derived(("terms",), _unpacked)
-
     def __len__(self):
         return sum(map(len, self._p.rows))
-
-    def __getitem__(self, key):
-        return self._unpacked()[key]
-
-    def __iter__(self):
-        return iter(self._unpacked())
-
-    def items(self):
-        return self._unpacked().items()
-
-
-def _unpacked(p: SparseSeries) -> dict[TermKey, Fraction]:
-    unpack, den = p.layout.unpack, p.den
-    return {unpack(k): Fraction(n, den) for row in p.rows for k, n in row.items()}
 
 
 class _Layout(dict):
@@ -656,6 +645,32 @@ def dot(start: SparseSeries,
     return SparseSeries.from_rows(layout, den, out, rel)
 
 
+def remap(p: SparseSeries, layout: _Layout, image: Callable[[Var], Var], drop: int,
+          rel: int | None) -> SparseSeries:
+    """p moved into layout with reliable degree rel, in one pass over its keys:
+    a key that meets the mask drop, or lies past layout's degree or eps bound,
+    is left out, and each field var of another key moves to image(var)'s in
+    layout.  A variable must keep its degree, so every term keeps its row."""
+    src = p.layout
+    mask, eps_mask, eps_max = src.mask, src.eps_mask, layout.trunc.eps_max
+    # a snapshot (image may add fields to layout, perhaps src); drop's fields are not moved
+    moves = [(shift, layout[image(var)]) for var, shift in list(src.items())
+             if drop >> shift & mask != mask]
+    rows = []
+    for row in p.rows[:layout.deg_max + 1]:
+        out = {}
+        for k, n in row.items():
+            if not k & drop and k & eps_mask <= eps_max:
+                key = k & eps_mask
+                for shift, target in moves:
+                    x = k >> shift & mask
+                    if x:
+                        key += x << target
+                out[key] = n
+        rows.append(out)
+    return SparseSeries.from_rows(layout, p.den, rows, rel)
+
+
 def poly_eq(p: SparseSeries, q: SparseSeries, *, up_to: int | None = None) -> bool:
     """Equality of stored terms up to the shared reliable degree and up_to."""
     if p.trunc != q.trunc:
@@ -736,12 +751,14 @@ def _spec_sum(p: SparseSeries, specs: tuple[Spec, ...]) -> SparseSeries:
 class NoSolutionError(Exception):
     """The staged linear system became inconsistent.
 
-    `label` names the conflicting row.  `weight` is the descendent weight
-    whose rows conflict, set by the solver engine; it stays None when the
-    failure belongs to no weight stage.
+    `label` names the conflicting row.  The solver engine sets `weight`, the
+    descendent weight whose rows conflict, and `free`, the free monomials of
+    the weights below it, which the solve set to zero, as `SolveResult.free`
+    lists them; outside a weight stage they stay None and empty.
     """
 
     weight: int | None = None
+    free: list[Monomial] | tuple = ()
 
     def __init__(self, label, message):
         self.label = label
@@ -832,7 +849,7 @@ def dx(p: JetPoly) -> JetPoly:
     tr, layout = p.trunc, p.layout
     edge = layout.field_mask(lambda var: var[2] == tr.jet_max)
     if any(k & edge for row in p.rows for k in row):
-        var = next(v for (_e, mono), _c in sorted(p.terms.items()) for v, _x in mono
+        var = next(v for (_e, mono), _c in sorted(p.items()) for v, _x in mono
                    if v[2] == tr.jet_max)
         raise JetOverflowError(f"dx would raise {var_name(var)} past jet bound {tr.jet_max}")
     rows: Rows = [{} for _ in p.rows]
@@ -901,10 +918,3 @@ def phi_parts(p: JetPoly) -> dict[int, JetPoly]:
                                   for row in part.rows[i:]],
                                  None if p.rel is None else p.rel - i)
             for i, part in grade_parts(p, [(shift, layout.mask, 1)]).items()}
-
-
-def coef_phi_power(p: JetPoly, i: int) -> JetPoly:
-    """Coefficient of phi^i (`phi_parts`), with rel lowered by i."""
-    if i < 0:
-        raise ValueError("phi power must be >= 0")
-    return phi_parts(p).get(i) or JetPoly.zero(p.trunc, None if p.rel is None else p.rel - i)

@@ -39,15 +39,17 @@ from .algebra import (
     SparseSeries,
     Var,
     _eliminate,
+    _layout,
     _rel_cap,
     _rel_min,
     _specs,
     derivative,
     dot,
     frac,
-    mono_from_factors,
+    mono_from_factors,  # re-exported: the big-phase monomials are built with it
     partial,  # the loop behind `derivative`, re-exported under its own name
     phivar,
+    remap,
     spec_sum,
     vvar,
 )
@@ -240,19 +242,13 @@ def x_jet(f: BigSeries, k: int, theory: TheoryData) -> BigSeries:
 
 
 def restrict_small(f: BigSeries, theory: TheoryData) -> JetPoly:
-    """Restriction to the small phase space: t{g}_0 -> v{g}, s_0 -> phi.
-    Only the keys without a positive-level field are unpacked."""
+    """Restriction to the small phase space: t{g}_0 -> v{g}, s_0 -> phi; the
+    keys with a positive-level field are left out."""
     jt = theory.trunc.jet()
-    layout = f.layout
-    upper = layout.field_mask(lambda var: var[2] > 0)
-    acc = {}
-    for row in f.rows:
-        for key, n in row.items():
-            if not key & upper:
-                eps, mono = layout.unpack(key)
-                acc[(eps, tuple((vvar(alpha, 0) if kind == KIND_T else phivar(0), exp)
-                                for (kind, alpha, _level), exp in mono))] = Fraction(n, f.den)
-    return JetPoly(acc, jt, _rel_cap(f.rel, jt.deg0_max))
+    upper = f.layout.field_mask(lambda var: var[2] > 0)
+    return remap(f, _layout(JetPoly, jt),
+                 lambda var: vvar(var[1]) if var[0] == KIND_T else phivar(0),
+                 upper, _rel_cap(f.rel, jt.deg0_max))
 
 
 def vtop(f0: BigSeries, theory: TheoryData) -> list[BigSeries]:
@@ -315,7 +311,7 @@ def eval_jetpoly(p: JetPoly, sol_v: Sequence[BigSeries],
     memo = {} if memo is None else memo
     out = BigSeries.zero(trunc, None)
     sub_val_positive = True
-    for (eps, mono), coef in p.terms.items():
+    for (eps, mono), coef in p.items():
         key = (eps,)
         value = memo.get(key)
         if value is None:
@@ -348,22 +344,15 @@ def restrict_window(f: BigSeries, trunc: Truncation) -> BigSeries:
     if (trunc.deg_max > f.trunc.deg_max or trunc.level_max > f.trunc.level_max
             or trunc.eps_max > f.trunc.eps_max):
         raise ValueError("windows may only shrink")
-    old, new = f.layout, BigSeries.zero(trunc).layout
-    high = old.field_mask(lambda var: var[2] > trunc.level_max)
-    rows = [{new.pack(*old.unpack(k)): n for k, n in row.items()
-             if not k & high and k & old.eps_mask <= trunc.eps_max}
-            for row in f.rows[:trunc.deg_max + 1]]
-    return BigSeries.from_rows(new, f.den, rows, _rel_min(f.rel, trunc.deg_max))
+    high = f.layout.field_mask(lambda var: var[2] > trunc.level_max)
+    return remap(f, _layout(BigSeries, trunc), lambda var: var, high,
+                 _rel_min(f.rel, trunc.deg_max))
 
 
 def relabel_component(f: BigSeries, alpha: int, trunc: Truncation) -> BigSeries:
     """Embed a rank-1 series as component alpha of a higher-rank theory."""
-    acc = {}
-    for (eps, mono), coef in f.terms.items():
-        factors = []
-        for (kind, a0, level), exp in mono:
-            if kind != KIND_T:
-                raise ValueError("only closed-sector series can be relabeled")
-            factors.append((t_var(alpha, level), exp))
-        acc[(eps, mono_from_factors(factors))] = coef
-    return BigSeries(acc, trunc, f.rel)
+    sector = f.layout.field_mask(lambda var: var[0] == KIND_S)
+    if any(k & sector for row in f.rows for k in row):
+        raise ValueError("only closed-sector series can be relabeled")
+    return remap(f, _layout(BigSeries, trunc), lambda var: t_var(alpha, var[2]), 0,
+                 _rel_cap(f.rel, trunc.deg_max))

@@ -340,7 +340,7 @@ def extended_flows(f0: BigSeries, f0o: BigSeries, theory: TheoryData, *,
 
 def _first_mismatch(got: JetPoly, want: JetPoly) -> str:
     diff = got - want
-    (eps, mono), _coef = min(diff.terms.items())
+    (eps, mono), _coef = min(diff.items())
     parts = [f"eps^{eps}"] if eps else []
     parts += [f"{var_name(v)}^{e}" if e > 1 else var_name(v) for v, e in mono]
     return "*".join(parts) or "1"
@@ -354,7 +354,7 @@ def _seed_coeffs(seed: JetPoly, theory: TheoryData, *, allow_phi: bool
     genus-0 seeds and for genus-1 initial data Go; f-jets have no image.
     """
     out: dict[BigMonomial, Fraction] = {}
-    for (eps, mono), coef in seed.terms.items():
+    for (eps, mono), coef in seed.items():
         if eps:
             raise SeedError("seed must be eps-free")
         factors = []
@@ -683,7 +683,7 @@ def _march(families: list[_Rows], seed: dict[BigMonomial, Fraction],
             degrees.update(unknowns)
         return SolveResult(solved[0] + _from_values(layout, values, degrees, cap), free)
     except NoSolutionError as err:
-        err.weight = w
+        err.weight, err.free = w, free
         raise
 
 
@@ -788,7 +788,7 @@ def _check_seed(seed: JetPoly, want: JetPoly, theory: TheoryData, equation: str,
     """SeedError unless sum_g A^g d seed / dv{g}_0, the string equation on the
     small phase space, equals want."""
     got = spec_sum(seed, _specs([((vvar(g, 0),), a) for g, a in enumerate(theory.avec, 1)]))
-    if got.terms != want.terms:
+    if (got.den, got.rows) != (want.den, want.rows):
         raise SeedError(f"seed fails the restricted {equation} at "
                         f"{_first_mismatch(got, want)} (unit derivative must {must})")
 

@@ -649,7 +649,7 @@ def pst_generate(theory: TheoryData) -> PstResult:
         var = t_var(1, p) if kind == "t" else s_var(p)
         res = restrict_window(evolution_residual(forms[kind, p], f0o, f1o, var, theory_big), tr)
         if not res.is_zero():
-            mono = min(res.terms)[1]
+            (_eps, mono), _coef = min(res.items())
             raise PstIntegrationError((kind, p), mono,
                                       f"flow lax_{kind}({p},) fails mixed-partial "
                                       f"consistency at {BigSeries.from_coeffs({mono: 1}, tr)}")

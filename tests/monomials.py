@@ -38,3 +38,8 @@ def mono_div_var(m: Monomial, var: Var) -> Monomial | None:
                 factors[idx] = (v, e - 1)
             return tuple(factors)
     return None
+
+
+def terms(value) -> dict:
+    """A value's terms, (eps power, monomial) -> coefficient."""
+    return dict(value.items())

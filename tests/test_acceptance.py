@@ -46,7 +46,7 @@ from ottr.laxpde import (
 )
 from ottr.serialize import emit, parse
 
-from monomials import monomials_up_to
+from monomials import monomials_up_to, terms
 
 
 def _report(n: int, ok: bool, text: str) -> None:
@@ -196,7 +196,7 @@ def test_criterion_10_infrastructure(f0, theory8, tmp_path):
     text = emit(f0, theory8)
     back, theory_back = parse(text)
     ok = emit(back, theory_back) == text
-    shuffled = BigSeries(dict(reversed(list(f0.terms.items()))), theory8.trunc,
+    shuffled = BigSeries(dict(reversed(list(terms(f0).items()))), theory8.trunc,
                          f0.rel)
     ok = ok and emit(shuffled, theory8) == text
 

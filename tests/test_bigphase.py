@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ottr.algebra import JetPoly, dx, phivar, poly_eq, vvar
+from ottr.algebra import JetPoly, dx, fvar, phivar, poly_eq, vvar
 from ottr.bigphase import (
     BigSeries,
     TheoryData,
@@ -26,6 +26,8 @@ from ottr.bigphase import (
     t_var,
     vtop,
 )
+
+from monomials import terms
 
 TR = Truncation.of(8, 3)
 TH = TheoryData.rank1(TR)
@@ -82,7 +84,7 @@ class TestRestrictSmall:
         f = T(1, 0) * T(1, 0) * T(1, 0) * Fraction(1, 6)
         jt = TR.jet()
         v = JetPoly.var(vvar(1, 0), jt)
-        assert restrict_small(f, TH).terms == (v * v * v * Fraction(1, 6)).terms
+        assert terms(restrict_small(f, TH)) == terms(v * v * v * Fraction(1, 6))
 
     def test_positive_level_killed(self):
         assert restrict_small(T(1, 1) * S(0), TH).is_zero()
@@ -90,7 +92,7 @@ class TestRestrictSmall:
     def test_mixed(self):
         jt = TR.jet()
         expect = JetPoly.var(phivar(0), jt) * JetPoly.var(vvar(1, 0), jt)
-        assert restrict_small(S(0) * T(1, 0), TH).terms == expect.terms
+        assert terms(restrict_small(S(0) * T(1, 0), TH)) == terms(expect)
 
 
 class TestVtopPhitop:
@@ -98,7 +100,7 @@ class TestVtopPhitop:
         # at t_{>=1} = 0 the solution components reduce to t{alpha}_0
         sol = vtop(f0, theory8)[0]
         residual = sol - T(1, 0)
-        for (eps, mono), coef in residual.terms.items():
+        for (eps, mono), coef in terms(residual).items():
             assert any(level >= 1 for (_k, _a, level), _e in mono), (mono, coef)
 
     def test_vtop_low_order_coefficient(self, f0, theory8):
@@ -114,7 +116,7 @@ class TestVtopPhitop:
     def test_phitop_restriction_identity(self, f0o, theory8):
         sol = phitop(f0o, theory8)
         residual = sol - S(0)
-        for (eps, mono), coef in residual.terms.items():
+        for (eps, mono), coef in terms(residual).items():
             assert any(level >= 1 for (_k, _a, level), _e in mono), (mono, coef)
 
     def test_phitop_zero(self, theory8):
@@ -145,12 +147,12 @@ def _power_sum_log(f):
     for k in range(1, top + 1):
         power = power * x
         out = out + power * Fraction((-1) ** (k + 1), k)
-    return BigSeries(out.terms, f.trunc, f.rel)
+    return BigSeries(terms(out), f.trunc, f.rel)
 
 
 def _euler(f):
     """E(f): each term times its degree."""
-    return BigSeries({(e, m): c * mono_degree(m) for (e, m), c in f.terms.items() if m},
+    return BigSeries({(e, m): c * mono_degree(m) for (e, m), c in terms(f).items() if m},
                      f.trunc, f.rel)
 
 
@@ -180,6 +182,11 @@ def test_series_log_is_the_power_sum_and_solves_its_degree_equation(f):
 
 
 class TestEvalJetPoly:
+    def test_an_f_jet_has_no_image(self, f0, f0o, theory8):
+        f1 = JetPoly.var(fvar(1), TR.jet())
+        with pytest.raises(ValueError, match="cannot evaluate f-jets on the big phase space"):
+            eval_jetpoly(f1, vtop(f0, theory8), phitop(f0o, theory8), theory8)
+
     def test_constant(self, f0, theory8):
         one = JetPoly.const(1, TR.jet())
         assert eval_jetpoly(one, vtop(f0, theory8), None, theory8).constant_term() == 1
@@ -234,7 +241,7 @@ def _chained_eval(p, sol_v, sol_phi, theory):
     formed afresh, cut at p's rel, or at -1 if p has a finite rel and some
     order-zero substitute a constant term."""
     out, trusted = BigSeries.zero(theory.trunc), True
-    for (eps, mono), coef in p.terms.items():
+    for (eps, mono), coef in terms(p).items():
         term = BigSeries({(eps, ()): coef}, theory.trunc)
         for (kind, alpha, jet), exp in mono:
             base = sol_v[alpha - 1] if kind == 0 else sol_phi
@@ -278,14 +285,14 @@ sseries = st.dictionaries(smonos, scoeffs, max_size=4).map(
     lambda d: BigSeries.from_coeffs(d, TR))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(derandomize=True, max_examples=50, deadline=None)
 @given(sseries, sseries)
 def test_series_ring_laws(f, g):
     assert f * g == g * f
     assert f + g == g + f
 
 
-@settings(max_examples=50, deadline=None)
+@settings(derandomize=True, max_examples=50, deadline=None)
 @given(sseries)
 def test_partials_commute(f):
     x, y = t_var(1, 1), s_var(2)

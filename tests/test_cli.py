@@ -443,6 +443,33 @@ def test_files_of_different_theories_rejected(verb, mixed_dir, tmp_path, capsys)
     assert list(tmp_path.iterdir()) == [go]
 
 
+INPUT_ERRORS = {
+    "unknown --go name": (["derive-genus1", "--f0", "F0", "--f0o", "F0O", "--go", "phi4",
+                           "-o", "OUT"], "unknown initial data name 'phi4'"),
+    "--f1o without --f0o": (["check-genus1", "--f0", "F0", "--f1o", "F0O"],
+                            "open check needs --f0o"),
+    "no genus-1 file": (["check-genus1", "--f0", "F0"],
+                        "pass --f1 (closed) or --f0o/--f1o (open)"),
+    "compare across truncations": (["compare", "F0", "D4"],
+                                   "cannot compare across truncations; restrict first"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_an_incomplete_or_mismatched_command_is_an_input_error(case, fixture_dir, compare_d4,
+                                                               tmp_path, capsys):
+    """Exit 2 with the one `error:` line that names the cause, and no output."""
+    argv, message = INPUT_ERRORS[case]
+    files = {"F0": fixture_dir / "f0.ottr", "F0O": fixture_dir / "f0o.ottr",
+             "D4": compare_d4 / "f0.ottr", "OUT": tmp_path / "f1o.ottr"}
+    capsys.readouterr()
+    code = main([str(files.get(arg, arg)) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_build_operators_rejects_bigseries_go_file(fixture_dir, tmp_path, capsys):
     """--go-file must hold a jet polynomial; a bigseries is an input error."""
     outdir = tmp_path / "ops"

@@ -13,8 +13,10 @@ and ``check-evolution``; ``gen-pst`` up to D7.  Beside the grid: one
 perturbed input per validator (exit 1), the rank-2 ``witten-n2`` fixture
 and its validation, a vacuous and a differing ``compare``, the exit-2
 input errors, ``derive-genus1 --method solve`` on the perturbed ``f0o``
-(exit 3), and ``derive-genus1 --method formula --go-file`` on a hand-written
-jetpoly Go of phi^3/6 and on one with a jet exponent past its bound (exit 2).
+(exit 3), ``derive-genus1 --method formula --go-file`` on a hand-written
+jetpoly Go of phi^3/6 and on one with a jet exponent past its bound (exit 2),
+both validators with ``--degree``/``--amax`` shrinking the D8/A3 files, and
+``qpoly`` 0-6.
 
 Re-record after an intended output change with
 
@@ -138,6 +140,14 @@ def record(root: Path) -> dict[str, list]:
     (root / "go/past.ottr").write_text(go.replace("phi:0:0:3", "phi:0:0:3,phi:0:1:16"))
     run("go/past", "derive-genus1", "--f0", f0, "--f0o", f0o, "--go-file", "~/go/past.ottr",
         "--method", "formula", "-o", "@/f1o.ottr")
+    # the validators' window shrink of the D8/A3 files, and qpoly's printed form
+    f0, f0o = "~/D8A3/gen/f0.ottr", "~/D8A3/gen/f0o.ottr"
+    for window in (["--degree", "5", "--amax", "2"], ["--degree", "4"], ["--amax", "0"]):
+        tag = "".join(window).replace("--degree", "D").replace("--amax", "A")
+        run(f"shrink/genus0-{tag}", "validate-genus0", f0, *window, "--out", "@/report.ottr")
+        run(f"shrink/open-{tag}", "validate-open", f0, f0o, *window, "--out", "@/report.ottr")
+    for index in range(7):
+        run(f"qpoly/{index}", "qpoly", str(index), "-o", "@/q.ottr")
     return table
 
 

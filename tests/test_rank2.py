@@ -28,6 +28,8 @@ from ottr.genus0 import (
 from ottr.genus1 import f1o_closed_form, solve_f1o, validate_open_genus1
 from ottr.serialize import emit
 
+from monomials import terms
+
 TR = Truncation.of(5, 1)
 TH1 = TheoryData.rank1(TR)
 TH2 = TheoryData.build(2, [[1, 0], [0, 1]], [1, 1], TR)
@@ -38,7 +40,7 @@ JT = TR.jet()
 
 def _embed_open(f, tr):
     acc = {}
-    for (eps, mono), coef in f.terms.items():
+    for (eps, mono), coef in terms(f).items():
         factors = [((0, 1, lv) if kind == 0 else (1, 0, lv), e)
                    for (kind, _a, lv), e in mono]
         acc[(eps, mono_from_factors(factors))] = coef

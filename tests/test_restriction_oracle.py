@@ -3,10 +3,13 @@ smaller one, must pass every check at the smaller window, and on any data a
 residual at the smaller window must equal the large one up to its window.
 
 The files of ``gen-example genus1-rank1 --go phi3`` at D8/A3 are read back
-and restricted with `restrict_window` to every window D3-D7 x Amax 0-3.  On
-each, both genus-0 validators PASS, both genus-1 validators PASS (VACUOUS at
-Amax 0, where no genus-1 relation has a window), and the genus-1 closed form
-and solver, from the same Go = phi^3/6, give the restricted f1o.
+and restricted with `restrict_window` to every window D3-D7 x Amax 0-3 and
+D8 x Amax 0-2.  On each, both genus-0 validators PASS, both genus-1
+validators PASS (VACUOUS at Amax 0, where no genus-1 relation has a
+window), and the genus-1 closed form and solver, from the same Go = phi^3/6,
+give the restricted f1o; through the CLI, `compare` takes the f1o that
+``derive-genus1 --method formula`` writes at the window and tells it from
+the perturbed one.
 
 The linear evolution residual FAILs at D3/A1-A3, D4/A0-A3 and D5/A3.  That
 is the known operator defect that `CHECK_EVOLUTION_GEN_PST` pins on
@@ -37,9 +40,9 @@ from ottr.genus1 import (
     validate_open_genus1,
 )
 from ottr.laxpde import linear_evolution_residual
-from ottr.serialize import load
+from ottr.serialize import dump, load
 
-WINDOWS = [(d, a) for d in range(3, 8) for a in range(4)]
+WINDOWS = [(d, a) for d in range(3, 8) for a in range(4)] + [(8, a) for a in range(3)]
 EVOLUTION_FAILS = {(3, 1), (3, 2), (3, 3), (4, 0), (4, 1), (4, 2), (4, 3), (5, 3)}
 DEFECT = "operator defect: a phi power cut by the jet window counts as zero"
 
@@ -135,6 +138,28 @@ def test_both_genus1_derivations_give_the_restricted_f1o(d8a3, degree, amax):
     go = phi * phi * phi * Fraction(1, 6)
     assert poly_eq(f1o_closed_form(f["f0"], f["f0o"], go, theory), f["f1o"])
     assert poly_eq(solve_f1o(f["f0"], f["f0o"], go, theory), f["f1o"])
+
+
+@pytest.mark.parametrize("degree, amax", WINDOWS)
+def test_compare_takes_the_derived_f1o_and_not_the_perturbed_one(d8a3, perturbed, degree,
+                                                                 amax, tmp_path):
+    """Through the CLI at the window: `compare` finds the restricted f1o equal
+    to the one `derive-genus1 --method formula` writes (exit 0), and the
+    restricted f1o of the f1o-perturbed data different from it (exit 1)
+    wherever the perturbed monomial, of degree 2, lies in the shared window.
+    The closed form vouches for degree <= D - 2, so at D3 it does not, and
+    `compare` finds the two equal there."""
+    theory, f = _restricted(d8a3, degree, amax)
+    f["bad"] = _restricted(perturbed("f1o")[:2], degree, amax)[1]["f1o"]
+    path = {name: str(tmp_path / f"{name}.ottr") for name in ("f0", "f0o", "f1o", "bad", "new")}
+    for name in ("f0", "f0o", "f1o", "bad"):
+        dump(f[name], theory, path[name])
+    assert main(["derive-genus1", "--f0", path["f0"], "--f0o", path["f0o"], "--go", "phi3",
+                 "--method", "formula", "-o", path["new"]]) == 0
+    assert main(["compare", path["f1o"], path["new"]]) == 0
+    window = min(f["f1o"].rel, load(path["new"])[0].rel)
+    assert window == degree - 2
+    assert main(["compare", path["bad"], path["new"]]) == (1 if window >= 2 else 0)
 
 
 @pytest.mark.parametrize("degree, amax", [

@@ -28,6 +28,8 @@ from ottr.serialize import (
     parse,
 )
 
+from monomials import terms
+
 TR = Truncation.of(8, 3)
 TH = TheoryData.rank1(TR)
 JT = TR.jet()
@@ -285,8 +287,13 @@ def test_determinism_repeated_emission(f0, theory8):
     assert emit(f0, theory8) == emit(f0, theory8)
 
 
+def test_emit_refuses_a_value_it_has_no_form_for(theory8):
+    with pytest.raises(TypeError, match="cannot serialize dict"):
+        emit({}, theory8)
+
+
 def test_determinism_under_assembly_order(f0, theory8):
-    shuffled = BigSeries(dict(reversed(list(f0.terms.items()))), theory8.trunc,
+    shuffled = BigSeries(dict(reversed(list(terms(f0).items()))), theory8.trunc,
                          f0.rel)
     assert emit(shuffled, theory8) == emit(f0, theory8)
 

@@ -370,8 +370,10 @@ def test_a_seed_the_unit_derivative_kills_reaches_the_elimination(monkeypatch):
     """The first real input of the dense path: rank 2, eta = I, A = (1, 1),
     D5/A2, seed (v1^3 + v2^3)/6 + v1 - v2.  At weight 1 the string rows at
     mu = t1_1 and mu = t2_1 each keep two unknowns, so propagation stalls and
-    hands exactly those rows to `_eliminate`, once; at weight 2 propagation
-    meets the conflict 0 = -1 on the string row at mu = t1_1^2."""
+    hands exactly those rows to `_eliminate`, once, which leaves two of their
+    four unknowns free, at zero; at weight 2 propagation meets the conflict
+    0 = -1 on the string row at mu = t1_1^2, and the error names the free
+    monomials of weight 1 that the conflict rests on."""
     th = _theory(2, 5, 2)
     seed = (_jet(th, 3) + _jet(th, 0, 3)) * Fraction(1, 6) + _jet(th, 1) - _jet(th, 0, 1)
     calls = []
@@ -391,6 +393,8 @@ def test_a_seed_the_unit_derivative_kills_reaches_the_elimination(monkeypatch):
     assert len(unknowns) == 4 and {sum(var[2] * e for var, e in m) for m in unknowns} == {1}
     assert [rhs for _lhs, rhs, _label in calls[0]] == [-1, 1]
     assert err.value.weight == 2
+    t11, t20, t21 = t_var(1, 1), t_var(2, 0), t_var(2, 1)
+    assert err.value.free == [((t11, 1),), ((t11, 1), (t20, 1)), ((t20, 1), (t21, 1)), ((t21, 1),)]
     assert err.value.label == ("string", ((t_var(1, 1), 2),))
     assert str(err.value).endswith(": 0 = -1")
 
